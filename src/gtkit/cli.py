@@ -6,8 +6,8 @@ and ``verify`` runs the identity-verification suites.  All output is exact
 (rationals as p/q, Laurent polynomials as sorted coefficient*q^exponent sums)
 and deterministic: identical flags and seed give byte-identical reports.
 
-Exit codes: 0 success, 2 usage error, 3 engine mismatch, 4 verification
-failure.  The environment variable GTKIT_THREADS caps the verify worker count.
+Exit codes: 0 success, 2 usage error (including a sweep or table with no
+instances), 3 engine mismatch, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
@@ -157,8 +155,14 @@ def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
 # ---------------------------------------------------------------------------
 
 
+class EmptySweep(ValueError):
+    """A sweep's bounds leave it no instance to check."""
+
+
 def _sweep_verdict(report: RunReport, identity: str, parameters: str,
                    instances, check) -> None:
+    if not instances:
+        raise EmptySweep(f"{identity}: no instances for {parameters}")
     for inst in instances:
         if not check(*inst):
             report.add_verdict(identity, parameters, False,
@@ -170,6 +174,9 @@ def _sweep_verdict(report: RunReport, identity: str, parameters: str,
 def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
     rng = random.Random(cfg.seed)
     b = cfg.fund_sample_bound
+    params = f"{cfg.fund_functions} random functions, m <= 3, samples in [-{b},{b}]"
+    if cfg.fund_functions < 1:
+        raise EmptySweep(f"operator commutation: no instances for {params}")
     failures = {"plain": None, "q": None}
     for idx in range(cfg.fund_functions):
         m = idx % 3 + 1
@@ -180,7 +187,6 @@ def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
                 failures["plain"] = f"(m={m}, i={i}, sample={sample})"
             if failures["q"] is None and not identities.verify_lemma_fund_q(m, i, g, sample):
                 failures["q"] = f"(m={m}, i={i}, sample={sample})"
-    params = f"{cfg.fund_functions} random functions, m <= 3, samples in [-{b},{b}]"
     report.add_verdict("operator commutation (plain)", params,
                        failures["plain"] is None, counterexample=failures["plain"])
     report.add_verdict("operator commutation (q)", params,
@@ -545,6 +551,10 @@ def cmd_table(args) -> int:
                     brute = counting.f_bruteforce(TopRowKey(n - 1, n, c, (k,)))
                     formula = evaluator(n, c, k)
                     rows.append((n, c, k, brute, formula, brute == formula))
+    if not rows:
+        print(f"error: no table rows for n={args.n}, c={args.c}, "
+              f"kmin={args.kmin}, kmax={args.kmax}", file=sys.stderr)
+        return EXIT_USAGE
     mismatch = any(not row[5] for row in rows)
     if args.format == "csv":
         lines = ["n,c,k,brute,formula,match"]
@@ -570,14 +580,6 @@ def cmd_table(args) -> int:
     return EXIT_ENGINE_MISMATCH if mismatch else EXIT_OK
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GTKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_verify(args) -> int:
     cfg = SweepConfig(seed=args.seed)
     try:
@@ -585,26 +587,19 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = sorted(SUITES) if args.suite == "all" else [args.suite]
     report = RunReport(
         "verify",
         {"suite": args.suite, "seed": args.seed,
          "overrides": sorted(args.override or [])},
     )
-
-    def run_suite(name: str) -> RunReport:
+    for name in names:
         sub = RunReport(name, {})
-        _SUITE_RUNNERS[name](sub, cfg)
-        return sub
-
-    workers = _worker_count()
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            subs = dict(zip(names, pool.map(run_suite, names)))
-    else:
-        subs = {name: run_suite(name) for name in names}
-    for name in sorted(names):
-        sub = subs[name]
+        try:
+            _SUITE_RUNNERS[name](sub, cfg)
+        except EmptySweep as exc:
+            print(f"error: suite {name}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         for entry in sub.results:
             report.results.append(dict(entry, suite=name))
         for verdict in sub.verdicts:

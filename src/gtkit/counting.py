@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .exact import LaurentPolyQ, ext_sum
-from .patterns import GenPattern, norm_of, sign_of
+from .patterns import GenPattern
 
 
 @dataclass(frozen=True)
@@ -88,43 +88,64 @@ def enumerate_patterns(
     yield from descend((top,))
 
 
-def f_bruteforce(key: TopRowKey) -> Fraction:
-    """Signed count of all (r,n,c)-patterns with the given top row."""
-    return Fraction(sum(sign_of(p) for p in enumerate_patterns(key)))
+def _signed_norms(key: TopRowKey) -> Iterator[tuple[int, int]]:
+    """Yield (sign_of(p), norm_of(p)) for every p of enumerate_patterns(key).
 
-
-def fq_bruteforce(key: TopRowKey) -> LaurentPolyQ:
-    """Signed q-weighted count, normalized by q^(k_1 + ... + k_{n-r}).
-
-    Each pattern contributes sign * q^(norm - sum(ks)).
+    The same top-down walk as enumerate_patterns, without building the
+    patterns: the inversion parity and the running norm are carried down
+    the rows.  Every row but the bottom one adds its inversions, borders
+    included; every row adds its interior entries to the norm.
     """
-    offset = sum(key.ks)
-    coeffs: dict[int, int] = {}
-    for p in enumerate_patterns(key):
-        e = norm_of(p) - offset
-        s = coeffs.get(e, 0) + sign_of(p)
-        if s:
-            coeffs[e] = s
-        else:
-            coeffs.pop(e, None)
-    return LaurentPolyQ(coeffs)
+    r, c = key.r, key.c
+    top = (0,) + key.ks + (c,)
+    norm = sum(key.ks)
+    if r == 0:  # the top row is the bottom row: no inversions count
+        yield 1, norm
+        return
+
+    def descend(above: tuple[int, ...], rows_left: int, parity: int,
+                norm: int) -> Iterator[tuple[int, int]]:
+        ranges = [_cell_range(w, e) for w, e in zip(above, above[1:])]
+        if rows_left == 1:  # the bottom row adds to the norm only
+            sign = -1 if parity else 1
+            for s in map(sum, itertools.product(*ranges)):
+                yield sign, norm + s
+            return
+        for combo in itertools.product(*ranges):
+            row = (0,) + combo + (c,)
+            inversions = sum(a > b for a, b in zip(row, row[1:]))
+            yield from descend(row, rows_left - 1, parity ^ (inversions & 1),
+                               norm + sum(combo))
+
+    top_inversions = sum(a > b for a, b in zip(top, top[1:]))
+    yield from descend(top, r, top_inversions & 1, norm)
 
 
 def bruteforce_count(key: TopRowKey) -> CountResult:
-    """Plain and q-weighted brute-force counts from a single enumeration pass."""
-    offset = sum(key.ks)
+    """Plain and q-weighted brute-force counts from a single enumeration pass.
+
+    Each pattern contributes its sign to the plain count and
+    sign * q^(norm - sum(ks)) to the q-weighted count.
+    """
     total = 0
-    coeffs: dict[int, int] = {}
-    for p in enumerate_patterns(key):
-        sgn = sign_of(p)
-        total += sgn
-        e = norm_of(p) - offset
-        s = coeffs.get(e, 0) + sgn
-        if s:
-            coeffs[e] = s
-        else:
-            coeffs.pop(e, None)
-    return CountResult(Fraction(total), LaurentPolyQ(coeffs))
+    by_norm: dict[int, int] = {}
+    for sign, norm in _signed_norms(key):
+        total += sign
+        by_norm[norm] = by_norm.get(norm, 0) + sign
+    offset = sum(key.ks)
+    return CountResult(
+        Fraction(total), LaurentPolyQ({e - offset: v for e, v in by_norm.items()})
+    )
+
+
+def f_bruteforce(key: TopRowKey) -> Fraction:
+    """Signed count of all (r,n,c)-patterns with the given top row."""
+    return bruteforce_count(key).plain
+
+
+def fq_bruteforce(key: TopRowKey) -> LaurentPolyQ:
+    """Signed q-weighted count, normalized by q^(k_1 + ... + k_{n-r})."""
+    return bruteforce_count(key).q_weighted
 
 
 # ---------------------------------------------------------------------------

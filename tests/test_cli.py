@@ -121,6 +121,18 @@ class TestTable:
         report = json.loads(out)
         assert all(v["pass"] for v in report["verdicts"])
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "3:1", "--c", "1"),
+        ("--n", "2", "--c", "2:0"),
+        ("--n", "2", "--c", "2", "--kmin", "2", "--kmax", "1"),
+    ])
+    def test_empty_table_exit_two(self, capsys, argv):
+        code = cli.main(["table", *argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "no table rows" in captured.err
+
     def test_range_spec(self, capsys):
         code, out = run_cli(
             capsys, "table", "--n", "1:2", "--c", "0:1", "--format", "csv"
@@ -179,10 +191,14 @@ class TestVerify:
             cli.main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
 
-    def test_thread_cap_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("GTKIT_THREADS", "4")
-        code1, out1 = run_cli(capsys, "verify", "--suite", "extra")
-        monkeypatch.setenv("GTKIT_THREADS", "1")
-        code2, out2 = run_cli(capsys, "verify", "--suite", "extra")
-        assert code1 == code2 == 0
-        assert out1 == out2
+    @pytest.mark.parametrize("suite,override", [
+        ("zeros", "zeros_max_n=-5"),
+        ("zeros", "zeros_max_c=-1"),
+        ("fund", "fund_functions=0"),
+    ])
+    def test_empty_sweep_exit_two(self, capsys, suite, override):
+        code = cli.main(["verify", "--suite", suite, "--override", override])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "no instances" in captured.err

@@ -14,9 +14,11 @@ from gtkit.counting import (
     f_recursive,
     fq_bruteforce,
     fq_recursive,
+    recursive_count,
     spp_generating_function,
 )
 from gtkit.exact import LaurentPolyQ
+from gtkit.patterns import norm_of, sign_of
 from gtkit.closedforms import intro_binomial
 
 
@@ -76,6 +78,82 @@ class TestBruteForce:
     def test_fq_initial_condition(self):
         for ks in itertools.product(range(-1, 2), repeat=2):
             assert fq_bruteforce(TopRowKey(0, 2, 3, ks)) == 1
+
+
+def _keys(max_c: int):
+    # every key with r <= 3, n <= 5, 0 <= n-r <= 2, c <= max_c and
+    # ks in [-2, c+2]^(n-r)
+    for r in range(4):
+        for n in range(max(1, r), 6):
+            if not 0 <= n - r <= 2:
+                continue
+            for c in range(max_c + 1):
+                for ks in itertools.product(range(-2, c + 3), repeat=n - r):
+                    yield TopRowKey(r, n, c, ks)
+
+
+class TestSinglePassMatchesDefinition:
+    """The fast pass carries sign and norm down the rows; it must agree with
+    sign_of and norm_of applied to every enumerated pattern."""
+
+    def test_every_small_key(self):
+        keys = 0
+        for key in _keys(2):
+            plain, coeffs = 0, {}
+            for p in enumerate_patterns(key):
+                plain += sign_of(p)
+                e = norm_of(p) - sum(key.ks)
+                coeffs[e] = coeffs.get(e, 0) + sign_of(p)
+            result = bruteforce_count(key)
+            assert result.plain == plain, key
+            assert result.q_weighted == LaurentPolyQ(coeffs), key
+            keys += 1
+        assert keys == 521
+
+    def test_r_zero_counts_no_top_inversions(self):
+        # the top row (0,2,0,-1,5,3) has descents, but with r = 0 it is the
+        # bottom row and only contributes its norm
+        result = bruteforce_count(TopRowKey(0, 4, 3, (2, 0, -1, 5)))
+        assert result == CountResult(1, LaurentPolyQ({0: 1}))
+
+    def test_key_without_patterns(self):
+        key = TopRowKey(2, 3, 2, (-1,))
+        assert list(enumerate_patterns(key)) == []
+        assert bruteforce_count(key) == CountResult(0, LaurentPolyQ())
+
+
+def _reflected(key: TopRowKey) -> TopRowKey:
+    return TopRowKey(key.r, key.n, key.c, tuple(key.c - k for k in reversed(key.ks)))
+
+
+def _at_inverse_q(p: LaurentPolyQ) -> LaurentPolyQ:
+    return LaurentPolyQ({-e: v for e, v in p.terms()})
+
+
+class TestReflectionSymmetry:
+    """a -> c - a with every row reversed is a bijection on patterns that
+    keeps the inversions and sends the norm below the top row to c*N - norm,
+    N = r(n-r) + r(r+1)/2 interior entries, so
+    F_q(ks)(q) = q^(c*N) F_q(c - reversed(ks))(1/q)."""
+
+    @pytest.mark.parametrize("engine", ["bruteforce", "recursion"])
+    def test_reflection(self, engine):
+        plain_memo: dict = {}
+        q_memo: dict = {}
+
+        def count(key):
+            if engine == "bruteforce":
+                return bruteforce_count(key)
+            return recursive_count(key, plain_memo, q_memo)
+
+        for key in _keys(3):
+            r, n, c = key.r, key.n, key.c
+            interior = r * (n - r) + r * (r + 1) // 2
+            direct, mirror = count(key), count(_reflected(key))
+            assert direct.q_weighted == _at_inverse_q(mirror.q_weighted).shift(
+                c * interior
+            ), key
+            assert direct.plain == mirror.plain, key
 
 
 class TestRecursion:
