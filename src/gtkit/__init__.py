@@ -9,6 +9,7 @@ from .exact import (
     Q,
     QFraction,
     ext_sum,
+    ext_terms,
     pochhammer,
     q_bracket,
     q_poch,
@@ -44,7 +45,6 @@ from .counting import (
     spp_generating_function,
 )
 from .closedforms import (
-    FormulaId,
     bender_knuth_count,
     bender_knuth_gf,
     intro_binomial,

@@ -137,7 +137,19 @@ class SweepConfig:
     asm_ratio_max_n: int = 5
 
 
+#: (lo, hi) field pairs that bound one range of a sweep.
+_RANGE_FIELDS = (("decomp_klo", "decomp_khi"), ("qpoch_ylo", "qpoch_yhi"),
+                 ("tableaux_lo", "tableaux_hi"))
+
+
+def _is_size(name: str) -> bool:
+    # sizes, bounds and counts of a sweep; the *_lo fields may be negative
+    return ("_max_" in name or name.endswith("_bound")
+            or name in ("fund_functions", "lemma2_d", "lemma2_xy"))
+
+
 def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
+    """Apply FIELD=VALUE overrides; ValueError on a bad field or value."""
     valid = {f.name: f.type for f in fields(SweepConfig)}
     updates = {}
     for item in overrides:
@@ -147,7 +159,16 @@ def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
         if name in ("lemma2_rs", "decomp_rn"):
             raise ValueError(f"override of {name} is not supported")
         updates[name] = int(raw)
-    return replace(cfg, **updates)
+        if updates[name] < 0 and _is_size(name):
+            raise ValueError(f"override {item!r} is negative: a size, bound or "
+                             "count below 0 leaves no instances to check")
+    cfg = replace(cfg, **updates)
+    for lo, hi in _RANGE_FIELDS:
+        if getattr(cfg, lo) > getattr(cfg, hi):
+            raise ValueError(f"overrides give {lo}={getattr(cfg, lo)} > "
+                             f"{hi}={getattr(cfg, hi)}: a reversed range "
+                             "leaves no instances to check")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +195,7 @@ def _sweep_verdict(report: RunReport, identity: str, parameters: str,
 def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
     rng = random.Random(cfg.seed)
     b = cfg.fund_sample_bound
-    params = f"{cfg.fund_functions} random functions, m <= 3, samples in [-{b},{b}]"
+    params = f"{cfg.fund_functions} random functions, m <= 3, samples in [{-b},{b}]"
     if cfg.fund_functions < 1:
         raise EmptySweep(f"operator commutation: no instances for {params}")
     failures = {"plain": None, "q": None}
@@ -202,7 +223,7 @@ def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
         for x in range(-xy, xy + 1)
         for y in range(-xy, xy + 1)
     ]
-    params = f"r in {cfg.lemma2_rs}, d in [-{d},{d}], x,y in [-{xy},{xy}]"
+    params = f"r in {cfg.lemma2_rs}, d in [{-d},{d}], x,y in [{-xy},{xy}]"
     _sweep_verdict(report, "double-sum evaluation (plain)", params, grid,
                    identities.verify_lemma_2)
     _sweep_verdict(report, "double-sum evaluation (q)", params, grid,
@@ -533,7 +554,6 @@ def cmd_table(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    evaluator = closedforms.FORMULAS[closedforms.FormulaId.THEOREM_SPECIAL]
     rows = []
     for n in n_range:
         for c in c_range:
@@ -549,7 +569,7 @@ def cmd_table(args) -> int:
                     rows.append((n, c, k, brute, formula, match))
                 else:
                     brute = counting.f_bruteforce(TopRowKey(n - 1, n, c, (k,)))
-                    formula = evaluator(n, c, k)
+                    formula = closedforms.theorem_special(n, c, k)
                     rows.append((n, c, k, brute, formula, brute == formula))
     if not rows:
         print(f"error: no table rows for n={args.n}, c={args.c}, "

@@ -8,25 +8,11 @@ transcription drift is caught loudly by the oracle tests.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import LaurentPolyQ, QFraction, pochhammer, q_poch, qfrac_exact_div
 from .patterns import Partition
-
-
-class FormulaId(Enum):
-    """Dispatch tags for the closed forms exposed through the CLI."""
-
-    INTRO_BINOMIAL = "intro_binomial"
-    THEOREM_SPECIAL = "theorem_special"
-    THEOREM_MAIN_Q = "theorem_main_q"
-    BENDER_KNUTH_COUNT = "bender_knuth_count"
-    BENDER_KNUTH_GF = "bender_knuth_gf"
-    SSYT_PRODUCT = "ssyt_product"
-    REFINED_ASM = "refined_asm"
-    TSSPP = "tsspp"
 
 
 def intro_binomial(r: int, k: int) -> Fraction:
@@ -140,15 +126,3 @@ def tsspp_product(n: int) -> Fraction:
             value *= Fraction(i + j + n - 2, i + 2 * j - 2)
     return value
 
-
-#: Evaluator behind each formula tag, for CLI dispatch.
-FORMULAS = {
-    FormulaId.INTRO_BINOMIAL: intro_binomial,
-    FormulaId.THEOREM_SPECIAL: theorem_special,
-    FormulaId.THEOREM_MAIN_Q: theorem_main_q,
-    FormulaId.BENDER_KNUTH_COUNT: bender_knuth_count,
-    FormulaId.BENDER_KNUTH_GF: bender_knuth_gf,
-    FormulaId.SSYT_PRODUCT: ssyt_product,
-    FormulaId.REFINED_ASM: refined_asm,
-    FormulaId.TSSPP: tsspp_product,
-}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exact import LaurentPolyQ, ext_sum
+from .exact import LaurentPolyQ, ext_terms
 from .patterns import GenPattern
 
 
@@ -174,27 +174,7 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> Fraction:
     """
     if memo is None:
         memo = _F_MEMO
-    return Fraction(_f_rec(key.r, key.n, key.c, key.ks, memo))
-
-
-def _f_rec(r: int, n: int, c: int, ks: tuple[int, ...], memo: dict) -> int:
-    if r == 0:
-        return 1
-    full_key = (r, n, c, ks)
-    cached = memo.get(full_key)
-    if cached is not None:
-        return cached
-    bounds = (0,) + ks + (c,)
-    depth = n - r + 1  # number of nested summations
-
-    def level(j: int, prefix: tuple[int, ...]):
-        if j > depth:
-            return _f_rec(r - 1, n, c, prefix, memo)
-        return ext_sum(lambda l: level(j + 1, prefix + (l,)), bounds[j - 1], bounds[j])
-
-    value = level(1, ())
-    memo[full_key] = value
-    return value
+    return Fraction(_recurse(key.r, key.n, key.c, key.ks, memo, _plain_total, 1))
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
@@ -205,30 +185,36 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     """
     if memo is None:
         memo = _FQ_MEMO
-    return _fq_rec(key.r, key.n, key.c, key.ks, memo)
+    return _recurse(key.r, key.n, key.c, key.ks, memo, _q_total, _ONE_Q)
 
 
-def _fq_rec(
-    r: int, n: int, c: int, ks: tuple[int, ...], memo: dict
-) -> LaurentPolyQ:
+def _plain_total(terms: Iterator[tuple[int, tuple[int, ...]]],
+                 child: Callable[[tuple[int, ...]], int]) -> int:
+    return sum(sign * child(ls) for sign, ls in terms)
+
+
+def _q_total(terms: Iterator[tuple[int, tuple[int, ...]]],
+             child: Callable[[tuple[int, ...]], LaurentPolyQ]) -> LaurentPolyQ:
+    return LaurentPolyQ.shifted_sum((sign, sum(ls), child(ls)) for sign, ls in terms)
+
+
+def _recurse(r: int, n: int, c: int, ks: tuple[int, ...], memo: dict,
+             total: Callable, one):
+    """The recursion engine shared by both weights.
+
+    total(terms, child) sums one state's chained extended sums: terms yields
+    the (sign, ls) pairs, and child(ls) is F(r-1,n,c;ls).  one is the base
+    value F(0,n,c;.).
+    """
     if r == 0:
-        return _ONE_Q
-    full_key = (r, n, c, ks)
-    cached = memo.get(full_key)
-    if cached is not None:
-        return cached
-    bounds = (0,) + ks + (c,)
-    depth = n - r + 1
-
-    def level(j: int, prefix: tuple[int, ...]):
-        if j > depth:
-            return _fq_rec(r - 1, n, c, prefix, memo).shift(sum(prefix))
-        return ext_sum(lambda l: level(j + 1, prefix + (l,)), bounds[j - 1], bounds[j])
-
-    value = level(1, ())
-    if not isinstance(value, LaurentPolyQ):  # empty extended sums yield int 0
-        value = LaurentPolyQ.constant(value)
-    memo[full_key] = value
+        return one
+    key = (r, n, c, ks)
+    value = memo.get(key)
+    if value is None:
+        bounds = (0,) + ks + (c,)
+        value = total(ext_terms(zip(bounds, bounds[1:])),
+                      lambda ls: _recurse(r - 1, n, c, ls, memo, total, one))
+        memo[key] = value
     return value
 
 

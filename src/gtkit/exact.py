@@ -8,8 +8,9 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 #: Arbitrary-precision exact rational scalar.  Plain ints are accepted
 #: everywhere a BigRational is, since Python ints are already exact.
@@ -35,6 +36,27 @@ def ext_sum(f: Callable[[int], object], a: int, b: int):
     if b == a - 1:
         return 0
     return -sum(f(i) for i in range(b + 1, a))
+
+
+def ext_terms(bounds: Iterable[tuple[int, int]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The terms of the nested extended sums l_1 over [a_1, b_1], ...,
+    l_m over [a_m, b_m], as an iterator of (sign, (l_1, ..., l_m)) pairs.
+
+    The bounds (a_j, b_j) must not depend on the summation variables, so the
+    nesting is a product of signed ranges: [a, b] is range(a, b+1) with sign +1
+    when b >= a, and range(b+1, a) with sign -1 otherwise.  A pair with
+    b == a - 1 gets the empty range(a, a), so the whole product is empty.
+    Summing sign * f(*ls) over the terms equals the nested ext_sum of f.
+    """
+    ranges = []
+    sign = 1
+    for a, b in bounds:
+        if b >= a:
+            ranges.append(range(a, b + 1))
+        else:
+            ranges.append(range(b + 1, a))
+            sign = -sign
+    return zip(itertools.repeat(sign), itertools.product(*ranges))
 
 
 def pochhammer(a: int, n: int) -> Fraction:
@@ -180,6 +202,20 @@ class LaurentPolyQ:
             base = base * base
             n >>= 1
         return result
+
+    @classmethod
+    def shifted_sum(
+        cls, terms: Iterable[tuple[Scalar, int, "LaurentPolyQ"]]
+    ) -> "LaurentPolyQ":
+        """Sum of coeff * q**shift * p over the (coeff, shift, p) triples,
+        accumulated in place into one coefficient map."""
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for coeff, shift, p in terms:
+            for e, c in p._terms.items():
+                e += shift
+                out[e] = get(e, 0) + coeff * c
+        return cls(out)
 
     def shift(self, exponent: int) -> "LaurentPolyQ":
         """Multiply by the monomial q**exponent."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .counting import TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_recursive
-from .exact import LaurentPolyQ, ext_sum, pochhammer, q_bracket, q_poch
+from .exact import LaurentPolyQ, ext_sum, ext_terms, pochhammer, q_bracket, q_poch
 
 
 class DegreeExceeded(ArithmeticError):
@@ -57,16 +57,14 @@ def apply_D(i: int, g: IntFunction) -> IntFunction:
 
 
 def _chained_sum(bounds: Sequence[tuple[int, int]], summand: Callable[..., object]):
-    # nested extended sums l_1, ..., l_m over the given (lower, upper) bounds
-    m = len(bounds)
-
-    def level(j: int, prefix: tuple[int, ...]):
-        if j == m:
-            return summand(*prefix)
-        a, b = bounds[j]
-        return ext_sum(lambda l: level(j + 1, prefix + (l,)), a, b)
-
-    return level(0, ())
+    # nested extended sums l_1, ..., l_m over the given (lower, upper) bounds;
+    # terms are added or subtracted, since scaling a LaurentPolyQ by the sign
+    # costs a multiplication
+    total = 0
+    for sign, ls in ext_terms(bounds):
+        value = summand(*ls)
+        total = total + value if sign > 0 else total - value
+    return total
 
 
 def apply_phi(g: IntFunction) -> IntFunction:

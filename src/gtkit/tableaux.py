@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import ext_sum
+from .exact import ext_terms
 from .patterns import Partition
 
 
@@ -110,13 +110,8 @@ def _f_ext_rec(lam: tuple[int, ...], memo: dict) -> int:
     cached = memo.get(lam)
     if cached is not None:
         return cached
-
-    def level(t: int, prefix: tuple[int, ...]):
-        if t == k - 1:
-            return _f_ext_rec(prefix, memo)
-        return ext_sum(lambda mu: level(t + 1, prefix + (mu,)), last + 1, lam[t])
-
-    value = level(0, ())
+    bounds = [(last + 1, top) for top in lam[:-1]]
+    value = sum(sign * _f_ext_rec(mu, memo) for sign, mu in ext_terms(bounds))
     memo[lam] = value
     return value
 

@@ -1,6 +1,7 @@
 """Tests for the command-line driver: flags, exit codes, report shape."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -185,6 +186,37 @@ class TestVerify:
             capsys, "verify", "--suite", "qvand", "--override", "nonsense=1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("override", [
+        "fund_sample_bound=-1",
+        "fund_functions=-2",
+        "lemma2_d=-1",
+        "lemma2_xy=-3",
+        "hyper_max_c=-1",
+        "qpoch_ylo=6",
+        "qpoch_yhi=-4",
+        "tableaux_lo=4",
+        "decomp_khi=-3",
+    ])
+    def test_bad_override_value_exit_two(self, capsys, override):
+        suite = override.split("_")[0]
+        code = cli.main(["verify", "--suite", suite, "--override", override])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_negative_lower_ends_allowed(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "qpoch",
+                            "--override", "qpoch_ylo=-4")
+        assert code == 0
+        assert "y in [-4,5]" in json.loads(out)["verdicts"][0]["parameters"]
+
+    def test_ranges_render_their_own_sign(self):
+        cfg = replace(cli.SweepConfig(), lemma2_d=-1, lemma2_xy=0)
+        with pytest.raises(cli.EmptySweep, match=r"d in \[1,-1\], x,y in \[0,0\]"):
+            cli._suite_lemma2(cli.RunReport("lemma2", {}), cfg)
 
     def test_unknown_suite_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from gtkit.closedforms import (
-    FormulaId,
     bender_knuth_count,
     bender_knuth_gf,
     intro_binomial,
@@ -182,15 +181,3 @@ class TestIntroBinomial:
     def test_negative_argument(self):
         assert intro_binomial(2, -3) == 1
 
-
-def test_formula_id_tags():
-    assert {f.value for f in FormulaId} == {
-        "intro_binomial",
-        "theorem_special",
-        "theorem_main_q",
-        "bender_knuth_count",
-        "bender_knuth_gf",
-        "ssyt_product",
-        "refined_asm",
-        "tsspp",
-    }

@@ -175,6 +175,24 @@ class TestRecursion:
         assert memo  # sub-keys were recorded
         assert f_recursive(key, {}) == value
 
+    # states each engine memoizes for the benchmark's deep-recursion keys, as
+    # counted by the closure-based engines the loop-based one replaced
+    @pytest.mark.parametrize("r,n,c,ks,states", [
+        (6, 7, 5, (2,), 813),
+        (7, 8, 4, (1,), 665),
+        (6, 8, 4, (1, 3), 537),
+        (6, 9, 4, (0, 2, 4), 407),
+        (6, 7, 4, (1,), 372),
+        (5, 8, 4, (0, 2, 4), 211),
+    ])
+    def test_memo_state_counts(self, r, n, c, ks, states):
+        key = TopRowKey(r, n, c, ks)
+        plain_memo: dict = {}
+        q_memo: dict = {}
+        plain = f_recursive(key, plain_memo)
+        assert fq_recursive(key, q_memo).at_one() == plain
+        assert len(plain_memo) == len(q_memo) == states
+
 
 SWEEP = [
     (r, n, c, ks)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit.exact import (
@@ -12,6 +12,7 @@ from gtkit.exact import (
     Q,
     QFraction,
     ext_sum,
+    ext_terms,
     pochhammer,
     q_bracket,
     q_poch,
@@ -45,6 +46,52 @@ class TestExtSum:
         total = ext_sum(lambda i: LaurentPolyQ.monomial(i), 0, 2)
         assert total == LaurentPolyQ({0: 1, 1: 1, 2: 1})
         assert ext_sum(lambda i: LaurentPolyQ.monomial(i), 2, 1) == 0
+
+
+def _nested_ext_sum(bounds, f, prefix=()):
+    # the closure-per-level evaluation that ext_terms flattens
+    if not bounds:
+        return f(*prefix)
+    a, b = bounds[0]
+    return ext_sum(lambda l: _nested_ext_sum(bounds[1:], f, prefix + (l,)), a, b)
+
+
+def _summand(*ls):
+    # depends on the position of every variable, so a reordering shows
+    return 1 + sum((j + 2) * l * l - (j + 1) * l for j, l in enumerate(ls))
+
+
+class TestExtTerms:
+    @given(chain=st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+    @example(chain=[0, 3, 1, 4])  # ordinary, reversed, ordinary: mixed signs
+    @example(chain=[2, -1, -3])  # two reversed links: sign +1
+    @example(chain=[0, 2, 1, 5])  # a b == a - 1 link inside the chain
+    @example(chain=[3])  # no links: the single empty tuple
+    def test_chain_matches_nested_ext_sum(self, chain):
+        bounds = list(zip(chain, chain[1:]))
+        flat = sum(sign * _summand(*ls) for sign, ls in ext_terms(bounds))
+        assert flat == _nested_ext_sum(bounds, _summand)
+
+    @given(bounds=st.lists(
+        st.integers(-4, 4).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(a - 5, a + 4))),
+        max_size=4,
+    ))
+    def test_pairs_match_nested_ext_sum(self, bounds):
+        flat = sum(sign * _summand(*ls) for sign, ls in ext_terms(bounds))
+        assert flat == _nested_ext_sum(bounds, _summand)
+
+    def test_signed_ranges(self):
+        assert list(ext_terms([(0, 1), (3, 0)])) == [
+            (-1, (0, 1)), (-1, (0, 2)), (-1, (1, 1)), (-1, (1, 2)),
+        ]
+
+    def test_empty_link_never_calls_summand(self):
+        calls = []
+        bounds = [(0, 3), (5, 0), (2, 1), (0, 2)]
+        total = sum(sign * (calls.append(ls) or 1) for sign, ls in ext_terms(bounds))
+        assert total == 0
+        assert calls == []
 
 
 class TestPochhammer:
