@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import asm as asm_mod
 from . import closedforms, counting, identities, tableaux
 from .counting import TopRowKey
-from .exact import LaurentPolyQ, NonExactDivision
+from .exact import LaurentPolyQ, NonExactDivision, qfrac_exact_div
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -541,7 +541,7 @@ def _table_row_q(n: int, c: int, k: int):
     fraction = closedforms.theorem_main_q_fraction(n, c, k)
     match = fraction.num == brute * fraction.den
     try:
-        formula = str(closedforms.theorem_main_q(n, c, k))
+        formula = str(qfrac_exact_div(fraction))
     except NonExactDivision:
         formula = str(fraction)
     return brute, formula, match

@@ -3,7 +3,10 @@
 Rationals are plain ``fractions.Fraction`` (re-exported as ``BigRational``),
 Laurent polynomials in the formal variable q are sparse exponent -> coefficient
 maps, and quotients of Laurent polynomials are compared by cross-multiplication.
-No floating point is used anywhere.
+Exact division keeps integer coefficients integer: a divisor with leading
+coefficient +1 or -1, such as any product of q-brackets [i;q], gives an
+integer quotient, and ``Fraction`` enters only for any other leading
+coefficient.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -242,6 +245,13 @@ class LaurentPolyQ:
     def exact_div(self, den: "LaurentPolyQ") -> "LaurentPolyQ":
         """Exact quotient self / den in the Laurent ring.
 
+        Long division from the top down on a dense coefficient list, indexed
+        by exponent minus the lowest exponent of self.  The leading
+        coefficient of den is inverted once; when it is +1 or -1 it is its
+        own inverse, so integer inputs give an integer quotient and no
+        Fraction is built.  Any other leading coefficient gives the exact
+        rational quotient.
+
         Raises NonExactDivision if den does not divide self exactly.
         """
         if den.is_zero:
@@ -250,28 +260,31 @@ class LaurentPolyQ:
             return LaurentPolyQ()
         noff = self.min_exp
         doff = den.min_exp
-        rem = {e - noff: c for e, c in self._terms.items()}
-        div = {e - doff: c for e, c in den._terms.items()}
-        ddeg = max(div)
-        dlead = div[ddeg]
+        dtop = den.max_exp
+        ddeg = dtop - doff
+        dlead = den._terms[dtop]
+        inv = dlead if dlead in (1, -1) else 1 / Fraction(dlead)
+        # the divisor's other terms, as offsets below its leading term
+        lower = [(e - dtop, c) for e, c in den._terms.items() if e != dtop]
+        rem = [0] * (self.max_exp - noff + 1)
+        for e, c in self._terms.items():
+            rem[e - noff] = c
+        shift = noff - doff - ddeg
         quot: dict[int, Scalar] = {}
-        while rem:
-            rdeg = max(rem)
-            if rdeg < ddeg:
+        for top in range(len(rem) - 1, ddeg - 1, -1):
+            c = rem[top]
+            if not c:
+                continue
+            c *= inv
+            quot[top + shift] = c
+            for off, dc in lower:
+                rem[top + off] -= c * dc
+        for rdeg in range(min(ddeg, len(rem)) - 1, -1, -1):
+            if rem[rdeg]:
                 raise NonExactDivision(
                     f"{self} is not divisible by {den}: remainder of degree {rdeg}"
                 )
-            c = Fraction(rem[rdeg]) / Fraction(dlead)
-            quot[rdeg - ddeg] = c
-            for e, dc in div.items():
-                t = rdeg - ddeg + e
-                s = rem.get(t, 0) - c * dc
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        shift = noff - doff
-        return LaurentPolyQ({e + shift: c for e, c in quot.items()})
+        return LaurentPolyQ._raw(quot)
 
     # -- rendering ----------------------------------------------------------
 

@@ -80,12 +80,13 @@ def apply_phi(g: IntFunction) -> IntFunction:
 
 
 def apply_phi_q(g: IntFunction) -> IntFunction:
-    """q-weighted summation operator: each term carries q^(l_1+...+l_m)."""
+    """q-weighted summation operator: each term carries q^(l_1+...+l_m).
+    The value is always a LaurentPolyQ, the zero one when a link is empty."""
     m = g.arity
 
     def fn(*k):
         bounds = [(k[j], k[j + 1]) for j in range(m)]
-        return _chained_sum(bounds, lambda *l: _as_q(g(*l), sum(l)))
+        return _as_q(_chained_sum(bounds, lambda *l: _as_q(g(*l), sum(l))), 0)
 
     return IntFunction(m + 1, fn)
 

@@ -207,6 +207,18 @@ class TestQPoch:
         assert q_poch(3, 3) == expected
 
 
+_int_poly = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=6)
+
+
+@st.composite
+def _unit_lead_divisor(draw):
+    # integer Laurent polynomial whose leading coefficient is +1 or -1
+    low = draw(st.integers(-4, 4))
+    body = draw(st.lists(st.integers(-5, 5), max_size=4))
+    lead = draw(st.sampled_from([1, -1]))
+    return LaurentPolyQ({low + e: c for e, c in enumerate(body + [lead])})
+
+
 class TestQFractionAndDivision:
     def test_square_over_base(self):
         p = 1 + Q
@@ -236,3 +248,43 @@ class TestQFractionAndDivision:
         num = LaurentPolyQ({-3: 1, -1: 1})  # q^-3 (1 + q^2)
         den = LaurentPolyQ({-2: 1})
         assert num.exact_div(den) == LaurentPolyQ({-1: 1, 1: 1})
+
+    @settings(max_examples=80)
+    @given(p=_int_poly, d=_unit_lead_divisor())
+    @example(p={-3: 2, 1: -1}, d=LaurentPolyQ({-2: 3, 0: -1}))
+    def test_unit_lead_quotient_is_exact_and_integer(self, p, d):
+        p = LaurentPolyQ(p)
+        quotient = (p * d).exact_div(d)
+        assert quotient == p
+        assert all(type(c) is int for _, c in quotient.terms())
+
+    def test_non_unit_lead_gives_rational_quotient(self):
+        assert LaurentPolyQ({0: 1}).exact_div(LaurentPolyQ({0: 2})) == Fraction(1, 2)
+        num = LaurentPolyQ({-1: 1, 0: 4, 1: 3})  # (1 + q)(1 + 3q) / q
+        quotient = num.exact_div(LaurentPolyQ({0: 2, 1: 6}))
+        assert quotient == LaurentPolyQ({-1: Fraction(1, 2), 0: Fraction(1, 2)})
+
+    @settings(max_examples=60)
+    @given(p=_int_poly, d=_unit_lead_divisor(), r=st.lists(st.integers(-5, 5), max_size=4))
+    def test_remainder_below_divisor_degree_raises(self, p, d, r):
+        # r spans fewer than deg d exponents from the lowest exponent of p*d,
+        # so d divides p*d + r only if r == 0
+        p = LaurentPolyQ(p) or LaurentPolyQ({0: 1})
+        ddeg = d.max_exp - d.min_exp
+        num = p * d
+        r = LaurentPolyQ({num.min_exp + e: c for e, c in enumerate(r[:ddeg])})
+        if r.is_zero:
+            assert (num + r).exact_div(d) == p
+        else:
+            with pytest.raises(NonExactDivision):
+                (num + r).exact_div(d)
+
+    def test_numerator_below_divisor_degree_raises(self):
+        with pytest.raises(NonExactDivision, match="remainder of degree 1"):
+            LaurentPolyQ({5: 1, 6: 1}).exact_div(q_bracket(4))
+        with pytest.raises(NonExactDivision):
+            LaurentPolyQ({-2: 3}).exact_div(1 + Q)
+
+    def test_laurent_division_by_zero_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            Q.exact_div(LaurentPolyQ())

@@ -78,6 +78,13 @@ class TestApplyPhi:
             for ks in itertools.product(range(-1, c + 2), repeat=n - r):
                 assert phi(0, *ks, c) == f_recursive(TopRowKey(r, n, c, ks)), ks
 
+    def test_q_version_is_a_polynomial_on_an_empty_link(self):
+        phi = apply_phi_q(IntFunction(1, lambda l: l))
+        value = phi(3, 2)  # the link l in [3, 2] is empty
+        assert isinstance(value, LaurentPolyQ)
+        assert value.terms() == ()
+        assert phi(2, 3).terms() == ((2, 2), (3, 3))
+
     def test_q_version_reproduces_the_recursion(self):
         for r, n, c in [(1, 2, 2), (2, 3, 2), (2, 4, 1)]:
             g = IntFunction(
