@@ -17,47 +17,25 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import asm as asm_mod
 from . import closedforms, counting, identities, tableaux
 from .counting import TopRowKey
-from .exact import LaurentPolyQ, NonExactDivision, qfrac_exact_div
+from .exact import NonExactDivision, qfrac_exact_div
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ENGINE_MISMATCH = 3
 EXIT_VERIFICATION_FAILED = 4
 
-SUITES = (
-    "fund",
-    "lemma2",
-    "decomp",
-    "hyper",
-    "qvand",
-    "qpoch",
-    "zeros",
-    "extra",
-    "ssyt",
-    "tableaux",
-    "asm",
-)
-
 
 def fmt_value(value) -> str:
-    """Render a value exactly: integers plainly, rationals as p/q, Laurent
-    polynomials as sorted term sums, booleans as true/false."""
+    """Render a value exactly: booleans as true/false, anything else by its
+    ``str`` (integers plainly, rationals as p/q, Laurent polynomials as
+    sorted term sums)."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, LaurentPolyQ):
-        return str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -87,18 +65,17 @@ class RunReport:
         return all(v["pass"] for v in self.verdicts)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "verdicts": self.verdicts,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
 # Sweep configuration for the verify suites
 # ---------------------------------------------------------------------------
+
+
+#: The r of the double-sum sweep and the (r, n) of the swap-operator sweep.
+LEMMA2_RS = (2, 3)
+DECOMP_RN = ((1, 3), (1, 4), (2, 4))
 
 
 @dataclass(frozen=True)
@@ -108,10 +85,8 @@ class SweepConfig:
     seed: int = 42
     fund_functions: int = 200
     fund_sample_bound: int = 3
-    lemma2_rs: tuple[int, ...] = (2, 3)
     lemma2_d: int = 2
     lemma2_xy: int = 3
-    decomp_rn: tuple[tuple[int, int], ...] = ((1, 3), (1, 4), (2, 4))
     decomp_c: int = 2
     decomp_klo: int = -2
     decomp_khi: int = 4
@@ -156,8 +131,6 @@ def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
         name, _, raw = item.partition("=")
         if name not in valid or not raw:
             raise ValueError(f"unknown override {item!r}; fields: {sorted(valid)}")
-        if name in ("lemma2_rs", "decomp_rn"):
-            raise ValueError(f"override of {name} is not supported")
         updates[name] = int(raw)
         if updates[name] < 0 and _is_size(name):
             raise ValueError(f"override {item!r} is negative: a size, bound or "
@@ -180,87 +153,99 @@ class EmptySweep(ValueError):
     """A sweep's bounds leave it no instance to check."""
 
 
-def _sweep_verdict(report: RunReport, identity: str, parameters: str,
-                   instances, check) -> None:
-    if not instances:
-        raise EmptySweep(f"{identity}: no instances for {parameters}")
-    for inst in instances:
-        if not check(*inst):
-            report.add_verdict(identity, parameters, False,
-                              counterexample=str(inst))
-            return
-    report.add_verdict(identity, parameters, True)
+def _check(report: RunReport, parameters: str, instances, checks: dict) -> None:
+    """Run every ``{identity: check}`` on each instance in one pass over
+    ``instances`` (a list or a generator of argument tuples) and add one
+    verdict per identity, in the order of ``checks``.  The first instance an
+    identity fails on is its counterexample; later ones skip that check.
+    EmptySweep if there is no instance."""
+    failures = {}
+    count = 0
+    for count, inst in enumerate(instances, 1):
+        for identity, check in checks.items():
+            if identity not in failures and not check(*inst):
+                failures[identity] = str(inst)
+    if not count:
+        raise EmptySweep(f"{', '.join(checks)}: no instances for {parameters}")
+    for identity in checks:
+        report.add_verdict(identity, parameters, identity not in failures,
+                           counterexample=failures.get(identity))
 
 
 def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
     rng = random.Random(cfg.seed)
     b = cfg.fund_sample_bound
+    g = None  # the current instance's function, built once per seed
+
+    def instances():
+        # the seed names the function, so random_int_functions(1, m, seed)
+        # replays a counterexample
+        nonlocal g
+        for idx in range(cfg.fund_functions):
+            m = idx % 3 + 1
+            seed = rng.randrange(2**32)
+            g = next(identities.random_int_functions(1, m, seed))
+            sample = tuple(rng.randint(-b, b) for _ in range(m + 1))
+            for i in range(1, m + 1):
+                yield m, i, seed, sample
+
     params = f"{cfg.fund_functions} random functions, m <= 3, samples in [{-b},{b}]"
-    if cfg.fund_functions < 1:
-        raise EmptySweep(f"operator commutation: no instances for {params}")
-    failures = {"plain": None, "q": None}
-    for idx in range(cfg.fund_functions):
-        m = idx % 3 + 1
-        g = next(identities.random_int_functions(1, m, rng.randrange(2**32)))
-        sample = tuple(rng.randint(-b, b) for _ in range(m + 1))
-        for i in range(1, m + 1):
-            if failures["plain"] is None and not identities.verify_lemma_fund(m, i, g, sample):
-                failures["plain"] = f"(m={m}, i={i}, sample={sample})"
-            if failures["q"] is None and not identities.verify_lemma_fund_q(m, i, g, sample):
-                failures["q"] = f"(m={m}, i={i}, sample={sample})"
-    report.add_verdict("operator commutation (plain)", params,
-                       failures["plain"] is None, counterexample=failures["plain"])
-    report.add_verdict("operator commutation (q)", params,
-                       failures["q"] is None, counterexample=failures["q"])
+    _check(report, params, instances(), {
+        "operator commutation (plain)":
+            lambda m, i, seed, sample: identities.verify_lemma_fund(m, i, g, sample),
+        "operator commutation (q)":
+            lambda m, i, seed, sample: identities.verify_lemma_fund_q(m, i, g, sample),
+    })
 
 
 def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
     d, xy = cfg.lemma2_d, cfg.lemma2_xy
-    grid = [
+    grid = (
         (r, dd, x, y)
-        for r in cfg.lemma2_rs
+        for r in LEMMA2_RS
         for dd in range(-d, d + 1)
         for x in range(-xy, xy + 1)
         for y in range(-xy, xy + 1)
-    ]
-    params = f"r in {cfg.lemma2_rs}, d in [{-d},{d}], x,y in [{-xy},{xy}]"
-    _sweep_verdict(report, "double-sum evaluation (plain)", params, grid,
-                   identities.verify_lemma_2)
-    _sweep_verdict(report, "double-sum evaluation (q)", params, grid,
-                   identities.verify_lemma_2q)
+    )
+    params = f"r in {LEMMA2_RS}, d in [{-d},{d}], x,y in [{-xy},{xy}]"
+    _check(report, params, grid, {
+        "double-sum evaluation (plain)": identities.verify_lemma_2,
+        "double-sum evaluation (q)": identities.verify_lemma_2q,
+    })
 
 
 def _suite_decomp(report: RunReport, cfg: SweepConfig) -> None:
     lo, hi, c = cfg.decomp_klo, cfg.decomp_khi, cfg.decomp_c
-    instances = []
-    for r, n in cfg.decomp_rn:
-        for ks in itertools.product(range(lo, hi + 1), repeat=n - r):
-            for i in range(1, n - r):
-                instances.append((r, n, c, i, ks))
-    params = (
-        f"(r,n) in {cfg.decomp_rn}, c={c}, ks in [{lo},{hi}]^(n-r), all i"
-    )
-    _sweep_verdict(report, "swap-operator factorization (plain)", params,
-                   instances, identities.verify_decomp)
-    _sweep_verdict(report, "swap-operator factorization (q)", params,
-                   instances, identities.verify_decomp_q)
-    parity_ok = all(
-        isinstance(identities.decomp_q_exponent(r, n, i), int)
-        for r, n in cfg.decomp_rn
+    instances = (
+        (r, n, c, i, ks)
+        for r, n in DECOMP_RN
+        for ks in itertools.product(range(lo, hi + 1), repeat=n - r)
         for i in range(1, n - r)
     )
-    report.add_verdict("q-exponent integrality", params, parity_ok)
+    params = (
+        f"(r,n) in {DECOMP_RN}, c={c}, ks in [{lo},{hi}]^(n-r), all i"
+    )
+    _check(report, params, instances, {
+        "swap-operator factorization (plain)": identities.verify_decomp,
+        "swap-operator factorization (q)": identities.verify_decomp_q,
+    })
+
+    def exponent_is_int(r, n, i):
+        return isinstance(identities.decomp_q_exponent(r, n, i), int)
+
+    _check(report, params, ((r, n, i) for r, n in DECOMP_RN for i in range(1, n - r)),
+           {"q-exponent integrality": exponent_is_int})
 
 
 def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
-    grid = [
+    grid = (
         (m, c)
         for m in range(1, cfg.hyper_max_m + 1)
         for c in range(cfg.hyper_max_c + 1)
-    ]
+    )
     params = f"m <= {cfg.hyper_max_m}, c <= {cfg.hyper_max_c}"
-    _sweep_verdict(report, "hypergeometric sum (binomial form)", params, grid,
-                   identities.verify_hyper)
+    _check(report, params, grid,
+           {"hypergeometric sum (binomial form)": identities.verify_hyper})
     middle = identities.hyper_middle_expression(2, 2)
     final = identities.hyper_final_expression(2, 2)
     report.add_result(
@@ -272,56 +257,56 @@ def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_qvand(report: RunReport, cfg: SweepConfig) -> None:
-    grid = [
+    grid = (
         (m, c)
         for m in range(1, cfg.qvand_max_m + 1)
         for c in range(cfg.qvand_max_c + 1)
-    ]
+    )
     params = f"m <= {cfg.qvand_max_m}, c <= {cfg.qvand_max_c}"
-    _sweep_verdict(report, "q-Vandermonde sum", params, grid, identities.verify_qvand)
+    _check(report, params, grid, {"q-Vandermonde sum": identities.verify_qvand})
 
 
 def _suite_qpoch(report: RunReport, cfg: SweepConfig) -> None:
-    grid = [
+    grid = (
         (n, y)
         for n in range(cfg.qpoch_max_n + 1)
         for y in range(cfg.qpoch_ylo, cfg.qpoch_yhi + 1)
-    ]
+    )
     params = (
         f"n <= {cfg.qpoch_max_n}, y in [{cfg.qpoch_ylo},{cfg.qpoch_yhi}]"
     )
-    _sweep_verdict(report, "q-Pochhammer telescoping sum", params, grid,
-                   identities.verify_qpoch_sum)
+    _check(report, params, grid,
+           {"q-Pochhammer telescoping sum": identities.verify_qpoch_sum})
 
 
 def _suite_zeros(report: RunReport, cfg: SweepConfig) -> None:
-    grid = [
+    grid = (
         (n, c)
         for n in range(2, cfg.zeros_max_n + 1)
         for c in range(cfg.zeros_max_c + 1)
-    ]
+    )
     params = f"2 <= n <= {cfg.zeros_max_n}, c <= {cfg.zeros_max_c}"
-    _sweep_verdict(report, "zero structure and degree bound", params, grid,
-                   identities.verify_zeros)
+    _check(report, params, grid,
+           {"zero structure and degree bound": identities.verify_zeros})
 
 
 def _suite_extra(report: RunReport, cfg: SweepConfig) -> None:
-    grid = [
+    grid = (
         (n, c)
         for n in range(2, cfg.extra_max_n + 1)
         for c in range(cfg.extra_max_c + 1)
-    ]
+    )
     params = f"2 <= n <= {cfg.extra_max_n}, c <= {cfg.extra_max_c}"
-    _sweep_verdict(report, "boundary recursion (plain)", params, grid,
-                   identities.verify_extra)
-    grid_q = [
+    _check(report, params, grid,
+           {"boundary recursion (plain)": identities.verify_extra})
+    grid_q = (
         (n, c)
         for n in range(2, cfg.extra_max_n + 1)
         for c in range(cfg.extra_q_max_c + 1)
-    ]
+    )
     params_q = f"2 <= n <= {cfg.extra_max_n}, c <= {cfg.extra_q_max_c}"
-    _sweep_verdict(report, "boundary recursion (q)", params_q, grid_q,
-                   identities.verify_extra_q)
+    _check(report, params_q, grid_q,
+           {"boundary recursion (q)": identities.verify_extra_q})
 
 
 def _partitions_in_box(max_rows: int, max_part: int):
@@ -336,12 +321,12 @@ def _partitions_in_box(max_rows: int, max_part: int):
 
 def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
     shapes = _partitions_in_box(cfg.ssyt_max_rows, cfg.ssyt_max_part)
-    instances = [
+    instances = (
         (shape, k)
         for shape in shapes
         for k in range(1, cfg.ssyt_max_k + 1)
         if len(shape) <= k
-    ]
+    )
     params = (
         f"shapes with <= {cfg.ssyt_max_rows} parts <= {cfg.ssyt_max_part}, "
         f"k <= {cfg.ssyt_max_k}"
@@ -355,32 +340,33 @@ def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
         lam = tuple(padded[t] - t - 1 for t in range(k))
         return tableaux.f_ext(lam) == tableaux.ssyt_bruteforce(shape, k)
 
-    _sweep_verdict(report, "tableau count product formula", params, instances,
-                   product_matches)
-    _sweep_verdict(report, "tableau count via alternating extension", params,
-                   instances, shifted_matches)
+    _check(report, params, instances, {
+        "tableau count product formula": product_matches,
+        "tableau count via alternating extension": shifted_matches,
+    })
 
 
 def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
     lo, hi = cfg.tableaux_lo, cfg.tableaux_hi
     span = range(lo, hi + 1)
-    vectors = []
-    for k in range(1, cfg.tableaux_max_k + 1):
-        vectors.extend(itertools.product(span, repeat=k))
+    vectors = [
+        (v,)
+        for k in range(1, cfg.tableaux_max_k + 1)
+        for v in itertools.product(span, repeat=k)
+    ]
     params = f"vectors in [{lo},{hi}]^k, k <= {cfg.tableaux_max_k}"
 
     def engines_agree(lam):
         return tableaux.f_ext(lam) == tableaux.f_ext_recursive(lam)
 
-    _sweep_verdict(report, "extension recursion agreement", params,
-                   [(v,) for v in vectors], engines_agree)
+    _check(report, params, vectors,
+           {"extension recursion agreement": engines_agree})
 
     def translation_invariant(lam, shift):
         return tableaux.f_ext(lam) == tableaux.f_ext(tuple(x + shift for x in lam))
 
-    trans = [(v, s) for v in itertools.product(span, repeat=3) for s in (-3, 2, 3)]
-    _sweep_verdict(report, "translation invariance", params, trans,
-                   translation_invariant)
+    trans = ((v, s) for v in itertools.product(span, repeat=3) for s in (-3, 2, 3))
+    _check(report, params, trans, {"translation invariance": translation_invariant})
 
     def antisymmetric(lam):
         base = tableaux.f_ext(lam)
@@ -396,34 +382,33 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
                 return False
         return True
 
-    _sweep_verdict(report, "alternating in the arguments", params,
-                   [(v,) for v in itertools.product(span, repeat=3)], antisymmetric)
+    _check(report, params, ((v,) for v in itertools.product(span, repeat=3)),
+           {"alternating in the arguments": antisymmetric})
 
-    decreasing = [
+    decreasing = (
         (v,)
         for v in itertools.product(span, repeat=3)
         if v[0] >= v[1] >= v[2]
-    ]
-    _sweep_verdict(report, "sign-reversing involution sum", params, decreasing,
-                   tableaux.verify_sign_involution)
+    )
+    _check(report, params, decreasing,
+           {"sign-reversing involution sum": tableaux.verify_sign_involution})
 
-    _sweep_verdict(report, "difference-product formula", params,
-                   [(v,) for v in vectors], tableaux.verify_part_formula)
+    _check(report, params, vectors,
+           {"difference-product formula": tableaux.verify_part_formula})
 
 
 def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
-    instances = [
+    instances = (
         (n, k)
         for n in range(1, cfg.asm_count_max_n + 1)
         for k in range(1, n + 1)
-    ]
+    )
     params = f"n <= {cfg.asm_count_max_n}, 1 <= k <= n"
 
     def count_matches(n, k):
         return asm_mod.count_monotone_triangles(n, k) == closedforms.refined_asm(n, k)
 
-    _sweep_verdict(report, "refined count formula", params, instances,
-                   count_matches)
+    _check(report, params, instances, {"refined count formula": count_matches})
 
     totals = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436}
 
@@ -436,19 +421,24 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
             expected = sum(closedforms.refined_asm(n, k) for k in range(1, n + 1))
         return total == expected
 
-    _sweep_verdict(report, "total counts", f"n <= {cfg.asm_count_max_n}",
-                   [(n,) for n in range(1, cfg.asm_count_max_n + 1)],
-                   total_matches)
+    _check(report, f"n <= {cfg.asm_count_max_n}",
+           ((n,) for n in range(1, cfg.asm_count_max_n + 1)),
+           {"total counts": total_matches})
 
-    for n in range(2, cfg.asm_ratio_max_n + 1):
+    ratio_ns = range(2, cfg.asm_ratio_max_n + 1)
+    if not ratio_ns:
+        raise EmptySweep("pattern-to-triangle ratio independence: no instances "
+                         f"for 2 <= n <= {cfg.asm_ratio_max_n}")
+    for n in ratio_ns:
+        # one verdict per n, each on the ratio the result line reports
         ok, ratio = asm_mod.verify_ratio_independence(n)
-        report.add_verdict(
-            "pattern-to-triangle ratio independence", f"n={n}", ok
-        )
+        _check(report, f"n={n}", [(n,)],
+               {"pattern-to-triangle ratio independence": lambda n: ok})
         report.add_result(f"common ratio at n={n}", ratio, "ratio independence")
 
 
-_SUITE_RUNNERS = {
+#: The verify suites by name: ``--suite all`` runs them in sorted order.
+SUITES = {
     "fund": _suite_fund,
     "lemma2": _suite_lemma2,
     "decomp": _suite_decomp,
@@ -616,7 +606,7 @@ def cmd_verify(args) -> int:
     for name in names:
         sub = RunReport(name, {})
         try:
-            _SUITE_RUNNERS[name](sub, cfg)
+            SUITES[name](sub, cfg)
         except EmptySweep as exc:
             print(f"error: suite {name}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -669,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite", choices=SUITES + ("all",), required=True)
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument(
         "--override", action="append", metavar="FIELD=VALUE",

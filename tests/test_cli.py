@@ -1,11 +1,17 @@
 """Tests for the command-line driver: flags, exit codes, report shape."""
 
+import ast
+import importlib.util
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import gtkit.cli as cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +233,8 @@ class TestVerify:
         ("zeros", "zeros_max_n=-5"),
         ("zeros", "zeros_max_c=-1"),
         ("fund", "fund_functions=0"),
+        ("asm", "asm_ratio_max_n=1"),
+        ("asm", "asm_ratio_max_n=0"),
     ])
     def test_empty_sweep_exit_two(self, capsys, suite, override):
         code = cli.main(["verify", "--suite", suite, "--override", override])
@@ -234,3 +242,50 @@ class TestVerify:
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
         assert "no instances" in captured.err
+
+    def test_all_suites_match_golden_report(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--seed", "42")
+        assert code == 0
+        assert out == (ROOT / "tests" / "data" / "verify_all_seed42.json").read_text()
+
+    def test_benchmark_runs_every_suite(self, monkeypatch):
+        path = ROOT / "perfbench" / "run.py"
+        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(module)
+        assert set(module.SUITES) == set(cli.SUITES)
+
+
+class TestCheck:
+    def test_one_verdict_per_identity(self):
+        report = cli.RunReport("t", {})
+        cli._check(report, "x in 1..4", [(x,) for x in range(1, 5)], {
+            "below three": lambda x: x < 3,
+            "positive": lambda x: x > 0,
+        })
+        assert report.verdicts == [
+            {"identity": "below three", "parameters": "x in 1..4",
+             "pass": False, "counterexample": "(3,)"},
+            {"identity": "positive", "parameters": "x in 1..4", "pass": True},
+        ]
+
+    def test_empty_generator_raises(self):
+        report = cli.RunReport("t", {})
+        with pytest.raises(cli.EmptySweep, match="no instances for none"):
+            cli._check(report, "none", (x for x in ()), {"any": lambda x: True})
+        assert report.verdicts == []
+
+    def test_fund_counterexample_replays(self, monkeypatch):
+        def fake(m, i, g, sample):
+            return g(*sample[:m]) < 4
+
+        monkeypatch.setattr(cli.identities, "verify_lemma_fund", fake)
+        report = cli.RunReport("fund", {})
+        cli._suite_fund(report, replace(cli.SweepConfig(), fund_functions=12))
+        plain, q = report.verdicts
+        assert not plain["pass"] and q["pass"] and "counterexample" not in q
+        m, i, seed, sample = ast.literal_eval(plain["counterexample"])
+        assert 1 <= i <= m and len(sample) == m + 1
+        g = next(cli.identities.random_int_functions(1, m, seed))
+        assert not fake(m, i, g, sample)
