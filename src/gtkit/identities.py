@@ -37,23 +37,20 @@ class IntFunction:
         return self.fn(*args)
 
 
-def _as_q(value, weight_exp: int) -> LaurentPolyQ:
-    # value * q^weight_exp, coercing scalars
-    if isinstance(value, LaurentPolyQ):
-        return value.shift(weight_exp)
-    return LaurentPolyQ.monomial(weight_exp, value)
-
-
 def apply_D(i: int, g: IntFunction) -> IntFunction:
     """The swap operator: (D_i g)(k) = g(k) + g(..., k_{i+1}+1, k_i-1, ...)."""
     if not 1 <= i <= g.arity - 1:
         raise IndexError(f"D_{i} undefined on arity-{g.arity} functions")
 
     def fn(*k):
-        swapped = k[: i - 1] + (k[i] + 1, k[i - 1] - 1) + k[i + 1 :]
-        return g(*k) + g(*swapped)
+        return g(*k) + g(*_swap(k, i))
 
     return IntFunction(g.arity, fn)
+
+
+def _swap(k: tuple[int, ...], i: int) -> tuple[int, ...]:
+    # D_i's second argument: (k_i, k_{i+1}) replaced by (k_{i+1}+1, k_i-1)
+    return k[: i - 1] + (k[i] + 1, k[i - 1] - 1) + k[i + 1 :]
 
 
 def _chained_sum(bounds: Sequence[tuple[int, int]], summand: Callable[..., object]):
@@ -65,6 +62,22 @@ def _chained_sum(bounds: Sequence[tuple[int, int]], summand: Callable[..., objec
         value = summand(*ls)
         total = total + value if sign > 0 else total - value
     return total
+
+
+def _chained_sum_q(
+    bounds: Sequence[tuple[int, int]], summand: Callable[..., object]
+) -> LaurentPolyQ:
+    # _chained_sum with each term weighted by q^(l_1+...+l_m), always a
+    # LaurentPolyQ; a scalar summand value is coerced here, once per term, and
+    # not in shifted_sum, whose hot caller is the recursion
+    def terms():
+        for sign, ls in ext_terms(bounds):
+            value = summand(*ls)
+            if not isinstance(value, LaurentPolyQ):
+                value = LaurentPolyQ.constant(value)
+            yield sign, sum(ls), value
+
+    return LaurentPolyQ.shifted_sum(terms())
 
 
 def apply_phi(g: IntFunction) -> IntFunction:
@@ -85,8 +98,7 @@ def apply_phi_q(g: IntFunction) -> IntFunction:
     m = g.arity
 
     def fn(*k):
-        bounds = [(k[j], k[j + 1]) for j in range(m)]
-        return _as_q(_chained_sum(bounds, lambda *l: _as_q(g(*l), sum(l))), 0)
+        return _chained_sum_q([(k[j], k[j + 1]) for j in range(m)], g)
 
     return IntFunction(m + 1, fn)
 
@@ -117,21 +129,12 @@ def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool)
         raise ValueError(f"sample must have {m + 1} entries")
     phi = apply_phi_q(g) if q else apply_phi(g)
     lhs = apply_D(i, phi)(*sample)
-
-    def weighted(summand):
-        if not q:
-            return summand
-        return lambda *l: _as_q(summand(*l), sum(l))
-
+    chained_sum = _chained_sum_q if q else _chained_sum
     terms = 0
     if i >= 2:  # D_0 g = 0 kills this term for i = 1
-        terms = terms + _chained_sum(
-            _fund_rhs_bounds(m, i, sample, True), weighted(apply_D(i - 1, g))
-        )
+        terms += chained_sum(_fund_rhs_bounds(m, i, sample, True), apply_D(i - 1, g))
     if i <= m - 1:  # D_m g = 0 kills this term for i = m
-        terms = terms + _chained_sum(
-            _fund_rhs_bounds(m, i, sample, False), weighted(apply_D(i, g))
-        )
+        terms += chained_sum(_fund_rhs_bounds(m, i, sample, False), apply_D(i, g))
     rhs = Fraction(-1, 2) * terms
     return lhs == rhs
 
@@ -169,15 +172,10 @@ def verify_lemma_2(r: int, d: int, x: int, y: int) -> bool:
     box against its closed form (y-x-r+2)_{2r-1} (y-x+1) / (r(2r-1))."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
-
-    def inner(xp: int):
-        return ext_sum(
-            lambda yp: pochhammer(yp - xp - r + 3, 2 * r - 3) * (yp - xp + 1),
-            x - 1 + d,
-            y - 1 + d,
-        )
-
-    lhs = ext_sum(inner, x + d, y + d)
+    lhs = _chained_sum(
+        [(x + d, y + d), (x - 1 + d, y - 1 + d)],
+        lambda xp, yp: pochhammer(yp - xp - r + 3, 2 * r - 3) * (yp - xp + 1),
+    )
     rhs = (
         Fraction(1, r * (2 * r - 1))
         * pochhammer(y - x - r + 2, 2 * r - 1)
@@ -192,15 +190,12 @@ def verify_lemma_2q(r: int, d: int, x: int, y: int) -> bool:
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
     lift = LaurentPolyQ({0: 1, r - 1: 1})  # 1 + q^(r-1)
-
-    def term(xp: int, yp: int) -> LaurentPolyQ:
-        base = q_poch(yp - xp - r + 3, 2 * r - 3) * q_bracket(yp - xp + 1) * lift
-        return base.shift((2 * r - 2) * xp + xp + yp)
-
-    def inner(xp: int):
-        return ext_sum(lambda yp: term(xp, yp), x - 1 + d, y - 1 + d)
-
-    lhs = ext_sum(inner, x + d, y + d)
+    lhs = _chained_sum_q(
+        [(x + d, y + d), (x - 1 + d, y - 1 + d)],
+        lambda xp, yp: (
+            q_poch(yp - xp - r + 3, 2 * r - 3) * q_bracket(yp - xp + 1) * lift
+        ).shift((2 * r - 2) * xp),
+    )
     rhs_num = (
         2
         * q_poch(y - x - r + 2, 2 * r - 1)
@@ -223,8 +218,9 @@ def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int]) -> bool:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
     if r == 0:
         return True  # both sides are the constant 2
-    swapped = ks[: i - 1] + (ks[i] + 1, ks[i - 1] - 1) + ks[i + 1 :]
-    lhs = f_recursive(TopRowKey(r, n, c, ks)) + f_recursive(TopRowKey(r, n, c, swapped))
+    lhs = f_recursive(TopRowKey(r, n, c, ks)) + f_recursive(
+        TopRowKey(r, n, c, _swap(ks, i))
+    )
     diff = ks[i] - ks[i - 1]
     sign = -1 if r & 1 else 1
     rhs = (
@@ -238,7 +234,12 @@ def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int]) -> bool:
 
 
 def decomp_q_exponent(r: int, n: int, i: int) -> int:
-    """The constant q-exponent r(1+4i-4n+5r)/2; always an integer."""
+    """The constant q-exponent r(1+4i-4n+5r)/2; always an integer.
+
+    The numerator is r(5r+1) + 4r(i-n), and r(5r+1) is even: either r is
+    even, or r is odd and 5r+1 is even.  The ArithmeticError guards this
+    argument, not an input that can occur.
+    """
     num = r * (1 + 4 * i - 4 * n + 5 * r)
     if num % 2:
         raise ArithmeticError(f"half-integer exponent at r={r}, n={n}, i={i}")
@@ -252,9 +253,8 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int]) -> bool:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
     if r == 0:
         return True
-    swapped = ks[: i - 1] + (ks[i] + 1, ks[i - 1] - 1) + ks[i + 1 :]
     lhs = fq_recursive(TopRowKey(r, n, c, ks)) + fq_recursive(
-        TopRowKey(r, n, c, swapped)
+        TopRowKey(r, n, c, _swap(ks, i))
     )
     diff = ks[i] - ks[i - 1]
     sign = -1 if r & 1 else 1
@@ -301,12 +301,11 @@ def verify_qvand(m: int, c: int) -> bool:
     form, cross-multiplied with [1;q]_{2m-1}."""
     if m < 1 or c < 0:
         raise ValueError(f"need m >= 1 and c >= 0, got m={m}, c={c}")
-    lhs = ext_sum(
-        lambda k: (q_poch(k + 1, m - 1) * q_poch(k - c - m + 1, m - 1)).shift(k),
-        0,
-        c,
+    lhs = _chained_sum_q(
+        [(0, c)], lambda k: q_poch(k + 1, m - 1) * q_poch(k - c - m + 1, m - 1)
     )
     num = (1 - m) * (2 * c + m)
+    # never odd: 1-m is even for odd m, and 2c+m is even for even m
     if num % 2:
         raise ArithmeticError(f"half-integer exponent at m={m}, c={c}")
     sign = -1 if (m - 1) & 1 else 1
@@ -321,7 +320,7 @@ def verify_qpoch_sum(n: int, y: int) -> bool:
     cross-multiplied with [n+1;q]."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    lhs = ext_sum(lambda x: q_poch(x, n).shift(x), 1, y)
+    lhs = _chained_sum_q([(1, y)], lambda x: q_poch(x, n))
     return lhs * q_bracket(n + 1) == q_poch(y, n + 1).shift(1)
 
 
@@ -472,9 +471,7 @@ def verify_extra_q(n: int, c: int) -> bool:
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
     lhs = fq_recursive(TopRowKey(n - 1, n, c, (c,)))
-    rhs = ext_sum(
-        lambda k: fq_recursive(TopRowKey(n - 2, n - 1, c, (k,))).shift(k), 0, c
+    rhs = _chained_sum_q(
+        [(0, c)], lambda k: fq_recursive(TopRowKey(n - 2, n - 1, c, (k,)))
     )
-    if not isinstance(rhs, LaurentPolyQ):
-        rhs = LaurentPolyQ.constant(rhs)
     return lhs == rhs.shift(c * n - c)

@@ -188,10 +188,15 @@ class TestVerify:
         assert "m <= 2" in report["verdicts"][0]["parameters"]
 
     def test_bad_override_exit_two(self, capsys):
-        code, _ = run_cli(
-            capsys, "verify", "--suite", "qvand", "--override", "nonsense=1"
-        )
-        assert code == 2
+        for override, message in [
+            ("nonsense=1", "unknown override"),
+            ("seed=7", "--seed"),  # the report records --seed only
+        ]:
+            code = cli.main(["verify", "--suite", "qvand", "--override", override])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert message in captured.err
 
     @pytest.mark.parametrize("override", [
         "fund_sample_bound=-1",
