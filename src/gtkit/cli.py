@@ -6,8 +6,9 @@ and ``verify`` runs the identity-verification suites.  All output is exact
 (rationals as p/q, Laurent polynomials as sorted coefficient*q^exponent sums)
 and deterministic: identical flags and seed give byte-identical reports.
 
-Exit codes: 0 success, 2 usage error (including a sweep or table with no
-instances), 3 engine mismatch, 4 verification failure.
+Exit codes: 0 success, 1 stdout closed before the report was written (as by
+``| head``), 2 usage error (including a sweep or table with no instances),
+3 engine mismatch, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -25,6 +27,7 @@ from .counting import TopRowKey
 from .exact import NonExactDivision, qfrac_exact_div
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_ENGINE_MISMATCH = 3
 EXIT_VERIFICATION_FAILED = 4
@@ -363,8 +366,10 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
     def translation_invariant(lam, shift):
         return tableaux.f_ext(lam) == tableaux.f_ext(tuple(x + shift for x in lam))
 
-    trans = ((v, s) for v in itertools.product(span, repeat=3) for s in (-3, 2, 3))
-    _check(report, params, trans, {"translation invariance": translation_invariant})
+    shifts = (-3, 2, 3)
+    trans = ((v, s) for v in itertools.product(span, repeat=3) for s in shifts)
+    _check(report, f"vectors in [{lo},{hi}]^3, shifts {shifts}", trans,
+           {"translation invariance": translation_invariant})
 
     def antisymmetric(lam):
         base = tableaux.f_ext(lam)
@@ -380,7 +385,8 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
                 return False
         return True
 
-    _check(report, params, ((v,) for v in itertools.product(span, repeat=3)),
+    _check(report, f"vectors in [{lo},{hi}]^3, all permutations",
+           ((v,) for v in itertools.product(span, repeat=3)),
            {"alternating in the arguments": antisymmetric})
 
     decreasing = (
@@ -388,7 +394,7 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
         for v in itertools.product(span, repeat=3)
         if v[0] >= v[1] >= v[2]
     )
-    _check(report, params, decreasing,
+    _check(report, f"weakly decreasing vectors in [{lo},{hi}]^3", decreasing,
            {"sign-reversing involution sum": tableaux.verify_sign_involution})
 
     _check(report, params, vectors,
@@ -670,7 +676,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early; the flush at exit would raise again, so
+        # point stdout at devnull and exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

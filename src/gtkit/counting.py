@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exact import LaurentPolyQ, ext_terms
+from .exact import LaurentPolyQ, chained_sum, chained_sum_q
 from .patterns import GenPattern
 
 
@@ -174,7 +174,7 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> Fraction:
     """
     if memo is None:
         memo = _F_MEMO
-    return Fraction(_recurse(key.r, key.n, key.c, key.ks, memo, _plain_total, 1))
+    return Fraction(_recurse(key.r, key.n, key.c, key.ks, memo, chained_sum, 1))
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
@@ -185,26 +185,16 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     """
     if memo is None:
         memo = _FQ_MEMO
-    return _recurse(key.r, key.n, key.c, key.ks, memo, _q_total, _ONE_Q)
-
-
-def _plain_total(terms: Iterator[tuple[int, tuple[int, ...]]],
-                 child: Callable[[tuple[int, ...]], int]) -> int:
-    return sum(sign * child(ls) for sign, ls in terms)
-
-
-def _q_total(terms: Iterator[tuple[int, tuple[int, ...]]],
-             child: Callable[[tuple[int, ...]], LaurentPolyQ]) -> LaurentPolyQ:
-    return LaurentPolyQ.shifted_sum((sign, sum(ls), child(ls)) for sign, ls in terms)
+    return _recurse(key.r, key.n, key.c, key.ks, memo, chained_sum_q, _ONE_Q)
 
 
 def _recurse(r: int, n: int, c: int, ks: tuple[int, ...], memo: dict,
              total: Callable, one):
     """The recursion engine shared by both weights.
 
-    total(terms, child) sums one state's chained extended sums: terms yields
-    the (sign, ls) pairs, and child(ls) is F(r-1,n,c;ls).  one is the base
-    value F(0,n,c;.).
+    total(bounds, child) is chained_sum or chained_sum_q: it sums child(ls),
+    which is F(r-1,n,c;ls), over one state's chain of bounds.  one is the
+    base value F(0,n,c;.).
     """
     if r == 0:
         return one
@@ -212,7 +202,7 @@ def _recurse(r: int, n: int, c: int, ks: tuple[int, ...], memo: dict,
     value = memo.get(key)
     if value is None:
         bounds = (0,) + ks + (c,)
-        value = total(ext_terms(zip(bounds, bounds[1:])),
+        value = total(zip(bounds, bounds[1:]),
                       lambda ls: _recurse(r - 1, n, c, ls, memo, total, one))
         memo[key] = value
     return value

@@ -41,16 +41,11 @@ def ext_sum(f: Callable[[int], object], a: int, b: int):
     return -sum(f(i) for i in range(b + 1, a))
 
 
-def ext_terms(bounds: Iterable[tuple[int, int]]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The terms of the nested extended sums l_1 over [a_1, b_1], ...,
-    l_m over [a_m, b_m], as an iterator of (sign, (l_1, ..., l_m)) pairs.
-
-    The bounds (a_j, b_j) must not depend on the summation variables, so the
-    nesting is a product of signed ranges: [a, b] is range(a, b+1) with sign +1
-    when b >= a, and range(b+1, a) with sign -1 otherwise.  A pair with
-    b == a - 1 gets the empty range(a, a), so the whole product is empty.
-    Summing sign * f(*ls) over the terms equals the nested ext_sum of f.
-    """
+def _signed_ranges(bounds: Iterable[tuple[int, int]]) -> tuple[int, list[range]]:
+    # the nested extended sums l_1 over [a_1, b_1], ..., l_m over [a_m, b_m]
+    # as one sign and a product of ranges: [a, b] is range(a, b+1) when
+    # b >= a, and range(b+1, a) with its sign flipped otherwise; a pair with
+    # b == a - 1 gets the empty range(a, a), so the whole product is empty
     ranges = []
     sign = 1
     for a, b in bounds:
@@ -59,7 +54,51 @@ def ext_terms(bounds: Iterable[tuple[int, int]]) -> Iterator[tuple[int, tuple[in
         else:
             ranges.append(range(b + 1, a))
             sign = -sign
+    return sign, ranges
+
+
+def ext_terms(bounds: Iterable[tuple[int, int]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The terms of the nested extended sums l_1 over [a_1, b_1], ...,
+    l_m over [a_m, b_m], as an iterator of (sign, (l_1, ..., l_m)) pairs.
+
+    The bounds (a_j, b_j) must not depend on the summation variables, so the
+    nesting is a product of ranges and the sign is the same for every term.
+    Summing sign * f(*ls) over the terms equals the nested ext_sum of f.
+    """
+    sign, ranges = _signed_ranges(bounds)
     return zip(itertools.repeat(sign), itertools.product(*ranges))
+
+
+def chained_sum(bounds: Iterable[tuple[int, int]],
+                summand: Callable[[tuple[int, ...]], object]):
+    """The nested extended sums of summand(ls) over the chain of bounds, as
+    in ext_terms; the sign, common to every term, is applied once."""
+    sign, ranges = _signed_ranges(bounds)
+    total = sum(map(summand, itertools.product(*ranges)))
+    return total if sign > 0 else -total
+
+
+def chained_sum_q(
+    bounds: Iterable[tuple[int, int]],
+    summand: Callable[[tuple[int, ...]], "LaurentPolyQ"],
+) -> "LaurentPolyQ":
+    """chained_sum with each term weighted by q^(l_1 + ... + l_m).
+
+    summand(ls) must be a LaurentPolyQ.  The shifted terms are accumulated in
+    place into one coefficient map, negated once at the end if the sign is
+    -1.  The value is a LaurentPolyQ, the zero one when a link is empty.
+    """
+    sign, ranges = _signed_ranges(bounds)
+    out: dict[int, Scalar] = {}
+    get = out.get
+    for ls in itertools.product(*ranges):
+        shift = sum(ls)
+        for e, c in summand(ls)._terms.items():
+            e += shift
+            out[e] = get(e, 0) + c
+    if sign < 0:
+        out = {e: -c for e, c in out.items()}
+    return LaurentPolyQ(out)
 
 
 def pochhammer(a: int, n: int) -> Fraction:
@@ -205,20 +244,6 @@ class LaurentPolyQ:
             base = base * base
             n >>= 1
         return result
-
-    @classmethod
-    def shifted_sum(
-        cls, terms: Iterable[tuple[Scalar, int, "LaurentPolyQ"]]
-    ) -> "LaurentPolyQ":
-        """Sum of coeff * q**shift * p over the (coeff, shift, p) triples,
-        accumulated in place into one coefficient map."""
-        out: dict[int, Scalar] = {}
-        get = out.get
-        for coeff, shift, p in terms:
-            for e, c in p._terms.items():
-                e += shift
-                out[e] = get(e, 0) + coeff * c
-        return cls(out)
 
     def shift(self, exponent: int) -> "LaurentPolyQ":
         """Multiply by the monomial q**exponent."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .counting import TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_recursive
-from .exact import LaurentPolyQ, ext_sum, ext_terms, pochhammer, q_bracket, q_poch
+from .exact import LaurentPolyQ, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch
 
 
 class DegreeExceeded(ArithmeticError):
@@ -53,52 +53,26 @@ def _swap(k: tuple[int, ...], i: int) -> tuple[int, ...]:
     return k[: i - 1] + (k[i] + 1, k[i - 1] - 1) + k[i + 1 :]
 
 
-def _chained_sum(bounds: Sequence[tuple[int, int]], summand: Callable[..., object]):
-    # nested extended sums l_1, ..., l_m over the given (lower, upper) bounds;
-    # terms are added or subtracted, since scaling a LaurentPolyQ by the sign
-    # costs a multiplication
-    total = 0
-    for sign, ls in ext_terms(bounds):
-        value = summand(*ls)
-        total = total + value if sign > 0 else total - value
-    return total
-
-
-def _chained_sum_q(
-    bounds: Sequence[tuple[int, int]], summand: Callable[..., object]
-) -> LaurentPolyQ:
-    # _chained_sum with each term weighted by q^(l_1+...+l_m), always a
-    # LaurentPolyQ; a scalar summand value is coerced here, once per term, and
-    # not in shifted_sum, whose hot caller is the recursion
-    def terms():
-        for sign, ls in ext_terms(bounds):
-            value = summand(*ls)
-            if not isinstance(value, LaurentPolyQ):
-                value = LaurentPolyQ.constant(value)
-            yield sign, sum(ls), value
-
-    return LaurentPolyQ.shifted_sum(terms())
-
-
 def apply_phi(g: IntFunction) -> IntFunction:
     """Summation operator: arity m -> m+1, summing g over the chained ranges
     l_1 in [k_1,k_2], ..., l_m in [k_m,k_{m+1}]."""
     m = g.arity
 
     def fn(*k):
-        bounds = [(k[j], k[j + 1]) for j in range(m)]
-        return _chained_sum(bounds, g)
+        return chained_sum([(k[j], k[j + 1]) for j in range(m)], lambda ls: g(*ls))
 
     return IntFunction(m + 1, fn)
 
 
 def apply_phi_q(g: IntFunction) -> IntFunction:
     """q-weighted summation operator: each term carries q^(l_1+...+l_m).
-    The value is always a LaurentPolyQ, the zero one when a link is empty."""
+    The value is always a LaurentPolyQ, the zero one when a link is empty;
+    g may take integer values."""
     m = g.arity
 
     def fn(*k):
-        return _chained_sum_q([(k[j], k[j + 1]) for j in range(m)], g)
+        return chained_sum_q([(k[j], k[j + 1]) for j in range(m)],
+                             lambda ls: LaurentPolyQ._coerce(g(*ls)))
 
     return IntFunction(m + 1, fn)
 
@@ -129,12 +103,17 @@ def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool)
         raise ValueError(f"sample must have {m + 1} entries")
     phi = apply_phi_q(g) if q else apply_phi(g)
     lhs = apply_D(i, phi)(*sample)
-    chained_sum = _chained_sum_q if q else _chained_sum
+
+    def total(bounds, h):  # h takes integer values, as g does
+        if q:
+            return chained_sum_q(bounds, lambda ls: LaurentPolyQ._coerce(h(*ls)))
+        return chained_sum(bounds, lambda ls: h(*ls))
+
     terms = 0
     if i >= 2:  # D_0 g = 0 kills this term for i = 1
-        terms += chained_sum(_fund_rhs_bounds(m, i, sample, True), apply_D(i - 1, g))
+        terms += total(_fund_rhs_bounds(m, i, sample, True), apply_D(i - 1, g))
     if i <= m - 1:  # D_m g = 0 kills this term for i = m
-        terms += chained_sum(_fund_rhs_bounds(m, i, sample, False), apply_D(i, g))
+        terms += total(_fund_rhs_bounds(m, i, sample, False), apply_D(i, g))
     rhs = Fraction(-1, 2) * terms
     return lhs == rhs
 
@@ -172,10 +151,12 @@ def verify_lemma_2(r: int, d: int, x: int, y: int) -> bool:
     box against its closed form (y-x-r+2)_{2r-1} (y-x+1) / (r(2r-1))."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
-    lhs = _chained_sum(
-        [(x + d, y + d), (x - 1 + d, y - 1 + d)],
-        lambda xp, yp: pochhammer(yp - xp - r + 3, 2 * r - 3) * (yp - xp + 1),
-    )
+
+    def term(ls):
+        xp, yp = ls
+        return pochhammer(yp - xp - r + 3, 2 * r - 3) * (yp - xp + 1)
+
+    lhs = chained_sum([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
     rhs = (
         Fraction(1, r * (2 * r - 1))
         * pochhammer(y - x - r + 2, 2 * r - 1)
@@ -190,12 +171,14 @@ def verify_lemma_2q(r: int, d: int, x: int, y: int) -> bool:
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
     lift = LaurentPolyQ({0: 1, r - 1: 1})  # 1 + q^(r-1)
-    lhs = _chained_sum_q(
-        [(x + d, y + d), (x - 1 + d, y - 1 + d)],
-        lambda xp, yp: (
+
+    def term(ls):
+        xp, yp = ls
+        return (
             q_poch(yp - xp - r + 3, 2 * r - 3) * q_bracket(yp - xp + 1) * lift
-        ).shift((2 * r - 2) * xp),
-    )
+        ).shift((2 * r - 2) * xp)
+
+    lhs = chained_sum_q([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
     rhs_num = (
         2
         * q_poch(y - x - r + 2, 2 * r - 1)
@@ -290,9 +273,12 @@ def verify_hyper(m: int, c: int) -> bool:
     """sum_{k=0}^{c} (1+k)_{m-1} (1+c-k)_{m-1} against the binomial form."""
     if m < 1 or c < 0:
         raise ValueError(f"need m >= 1 and c >= 0, got m={m}, c={c}")
-    lhs = ext_sum(
-        lambda k: pochhammer(1 + k, m - 1) * pochhammer(1 + c - k, m - 1), 0, c
-    )
+
+    def term(ls):
+        (k,) = ls
+        return pochhammer(1 + k, m - 1) * pochhammer(1 + c - k, m - 1)
+
+    lhs = chained_sum([(0, c)], term)
     return lhs == hyper_middle_expression(m, c)
 
 
@@ -301,9 +287,12 @@ def verify_qvand(m: int, c: int) -> bool:
     form, cross-multiplied with [1;q]_{2m-1}."""
     if m < 1 or c < 0:
         raise ValueError(f"need m >= 1 and c >= 0, got m={m}, c={c}")
-    lhs = _chained_sum_q(
-        [(0, c)], lambda k: q_poch(k + 1, m - 1) * q_poch(k - c - m + 1, m - 1)
-    )
+
+    def term(ls):
+        (k,) = ls
+        return q_poch(k + 1, m - 1) * q_poch(k - c - m + 1, m - 1)
+
+    lhs = chained_sum_q([(0, c)], term)
     num = (1 - m) * (2 * c + m)
     # never odd: 1-m is even for odd m, and 2c+m is even for even m
     if num % 2:
@@ -320,7 +309,7 @@ def verify_qpoch_sum(n: int, y: int) -> bool:
     cross-multiplied with [n+1;q]."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    lhs = _chained_sum_q([(1, y)], lambda x: q_poch(x, n))
+    lhs = chained_sum_q([(1, y)], lambda ls: q_poch(ls[0], n))
     return lhs * q_bracket(n + 1) == q_poch(y, n + 1).shift(1)
 
 
@@ -462,7 +451,9 @@ def verify_extra(n: int, c: int) -> bool:
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
     lhs = f_recursive(TopRowKey(n - 1, n, c, (c,)))
-    rhs = ext_sum(lambda k: f_recursive(TopRowKey(n - 2, n - 1, c, (k,))), 0, c)
+    rhs = chained_sum(
+        [(0, c)], lambda ks: f_recursive(TopRowKey(n - 2, n - 1, c, ks))
+    )
     return lhs == rhs
 
 
@@ -471,7 +462,7 @@ def verify_extra_q(n: int, c: int) -> bool:
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
     lhs = fq_recursive(TopRowKey(n - 1, n, c, (c,)))
-    rhs = _chained_sum_q(
-        [(0, c)], lambda k: fq_recursive(TopRowKey(n - 2, n - 1, c, (k,)))
+    rhs = chained_sum_q(
+        [(0, c)], lambda ks: fq_recursive(TopRowKey(n - 2, n - 1, c, ks))
     )
     return lhs == rhs.shift(c * n - c)

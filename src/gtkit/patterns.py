@@ -157,10 +157,6 @@ class GTPattern:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def top_entry(self) -> int:
-        return self.rows[0][0]
-
     def as_gen_pattern(self, c: int) -> "GenPattern":
         """Read the pattern as an (n-1, n, c) generalized pattern."""
         return GenPattern(
@@ -211,11 +207,6 @@ class GenPattern:
                     f"row {d} must have {self.n - self.r + 2 + d} entries, "
                     f"got {len(row)}"
                 )
-
-    @property
-    def top_ks(self) -> tuple[int, ...]:
-        """Interior entries of the top row (k_1, ..., k_{n-r})."""
-        return self.rows[0][1:-1]
 
     def to_gt(self) -> GTPattern:
         """Strip borders of an (n-1, n, c) pattern into a GTPattern."""

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import ext_terms
+from .exact import chained_sum
 from .patterns import Partition
 
 
@@ -111,7 +111,7 @@ def _f_ext_rec(lam: tuple[int, ...], memo: dict) -> int:
     if cached is not None:
         return cached
     bounds = [(last + 1, top) for top in lam[:-1]]
-    value = sum(sign * _f_ext_rec(mu, memo) for sign, mu in ext_terms(bounds))
+    value = chained_sum(bounds, lambda mu: _f_ext_rec(mu, memo))
     memo[lam] = value
     return value
 

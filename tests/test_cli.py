@@ -3,6 +3,8 @@
 import ast
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -89,6 +91,23 @@ class TestCount:
             capsys, "count", "--r", "1", "--n", "3", "--c", "2", "--ks", "1"
         )
         assert code == 2
+
+    def test_closed_stdout_exits_quietly(self):
+        # the report (about 82 KB) overflows the pipe's 64 KiB buffer, so the
+        # write meets the closed read end, as under `| head`
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gtkit.cli", "count", "--r", "3", "--n", "5",
+             "--c", "3", "--ks", "1,2", "--engine", "brute", "--dump-patterns"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        assert b"Traceback" not in err
+        assert err == b""
 
 
 class TestTable:
@@ -228,6 +247,20 @@ class TestVerify:
         cfg = replace(cli.SweepConfig(), lemma2_d=-1, lemma2_xy=0)
         with pytest.raises(cli.EmptySweep, match=r"d in \[1,-1\], x,y in \[0,0\]"):
             cli._suite_lemma2(cli.RunReport("lemma2", {}), cfg)
+
+    def test_tableaux_parameters_do_not_follow_max_k(self):
+        # these checks sweep 3-vectors whatever tableaux_max_k is
+        names = ("translation invariance", "alternating in the arguments",
+                 "sign-reversing involution sum")
+        params = []
+        for max_k in (1, 3):
+            report = cli.RunReport("tableaux", {})
+            cli._suite_tableaux(report, replace(cli.SweepConfig(), tableaux_max_k=max_k))
+            params.append({v["identity"]: v["parameters"]
+                           for v in report.verdicts if v["identity"] in names})
+        assert params[0] == params[1]
+        assert set(params[0]) == set(names)
+        assert all("^3" in p and "k <=" not in p for p in params[0].values())
 
     def test_unknown_suite_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

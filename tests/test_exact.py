@@ -11,6 +11,8 @@ from gtkit.exact import (
     NonExactDivision,
     Q,
     QFraction,
+    chained_sum,
+    chained_sum_q,
     ext_sum,
     ext_terms,
     pochhammer,
@@ -70,7 +72,9 @@ class TestExtTerms:
     def test_chain_matches_nested_ext_sum(self, chain):
         bounds = list(zip(chain, chain[1:]))
         flat = sum(sign * _summand(*ls) for sign, ls in ext_terms(bounds))
-        assert flat == _nested_ext_sum(bounds, _summand)
+        nested = _nested_ext_sum(bounds, _summand)
+        assert flat == nested
+        assert chained_sum(bounds, lambda ls: _summand(*ls)) == nested
 
     @given(bounds=st.lists(
         st.integers(-4, 4).flatmap(
@@ -79,7 +83,9 @@ class TestExtTerms:
     ))
     def test_pairs_match_nested_ext_sum(self, bounds):
         flat = sum(sign * _summand(*ls) for sign, ls in ext_terms(bounds))
-        assert flat == _nested_ext_sum(bounds, _summand)
+        nested = _nested_ext_sum(bounds, _summand)
+        assert flat == nested
+        assert chained_sum(bounds, lambda ls: _summand(*ls)) == nested
 
     def test_signed_ranges(self):
         assert list(ext_terms([(0, 1), (3, 0)])) == [
@@ -91,7 +97,52 @@ class TestExtTerms:
         bounds = [(0, 3), (5, 0), (2, 1), (0, 2)]
         total = sum(sign * (calls.append(ls) or 1) for sign, ls in ext_terms(bounds))
         assert total == 0
+        assert chained_sum(bounds, lambda ls: calls.append(ls) or 1) == 0
+        assert chained_sum_q(bounds, lambda ls: calls.append(ls) or Q).is_zero
         assert calls == []
+
+
+def _nested_q_sum(bounds, f, prefix=()):
+    # the q-weighted sum level by level: the level of l_j multiplies by q^l_j
+    if not bounds:
+        return LaurentPolyQ() + f(*prefix)
+    a, b = bounds[0]
+    return LaurentPolyQ() + ext_sum(
+        lambda l: _nested_q_sum(bounds[1:], f, prefix + (l,)).shift(l), a, b
+    )
+
+
+def _q_summand(*ls):
+    # a q-polynomial whose exponents and coefficients depend on the positions
+    return LaurentPolyQ({0: 1}) + sum(
+        LaurentPolyQ.monomial(j * l - 1, (j + 2) * l + 1) for j, l in enumerate(ls)
+    )
+
+
+def _on_tuple(f):
+    # chained_sum_q's summand takes the tuple ls and returns a LaurentPolyQ
+    return lambda ls: LaurentPolyQ() + f(*ls)
+
+
+class TestChainedSumQ:
+    @given(chain=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+    @example(chain=[0, 3, 1, 4])  # ordinary, reversed, ordinary: mixed signs
+    @example(chain=[2, -1, -3])  # two reversed links
+    @example(chain=[0, 2, 1, 5])  # a b == a - 1 link inside the chain
+    @example(chain=[3])  # no links: the single empty tuple
+    def test_matches_nested_shifted_sums(self, chain):
+        bounds = list(zip(chain, chain[1:]))
+        for summand in (_summand, _q_summand):
+            assert chained_sum_q(bounds, _on_tuple(summand)) == _nested_q_sum(bounds, summand)
+
+    @given(chain=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+    @example(chain=[2, -1, -3])
+    @example(chain=[0, 2, 1, 5])
+    def test_is_a_polynomial_with_the_plain_sum_at_one(self, chain):
+        bounds = list(zip(chain, chain[1:]))
+        value = chained_sum_q(bounds, _on_tuple(_summand))
+        assert isinstance(value, LaurentPolyQ)
+        assert value.at_one() == chained_sum(bounds, lambda ls: _summand(*ls))
 
 
 class TestPochhammer:

@@ -5,18 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from gtkit.closedforms import theorem_special
 from gtkit.counting import TopRowKey, f_recursive, fq_recursive
-from gtkit.exact import LaurentPolyQ, ext_sum
+from gtkit.exact import LaurentPolyQ
 from gtkit.identities import (
     DegreeExceeded,
     IntFunction,
     PolyUni,
-    _chained_sum,
-    _chained_sum_q,
     apply_D,
     apply_phi,
     apply_phi_q,
@@ -97,49 +93,6 @@ class TestApplyPhi:
             phi = apply_phi_q(g)
             for ks in itertools.product(range(-1, c + 2), repeat=n - r):
                 assert phi(0, *ks, c) == fq_recursive(TopRowKey(r, n, c, ks)), ks
-
-
-def _nested_q_sum(bounds, f, prefix=()):
-    # the q-weighted sum level by level: the level of l_j multiplies by q^l_j
-    if not bounds:
-        return LaurentPolyQ() + f(*prefix)
-    a, b = bounds[0]
-    return LaurentPolyQ() + ext_sum(
-        lambda l: _nested_q_sum(bounds[1:], f, prefix + (l,)).shift(l), a, b
-    )
-
-
-def _scalar_summand(*ls):
-    # depends on the position of every variable, so a reordering shows
-    return 1 + sum((j + 2) * l * l - (j + 1) * l for j, l in enumerate(ls))
-
-
-def _q_summand(*ls):
-    # a q-polynomial whose exponents and coefficients depend on the positions
-    return LaurentPolyQ({0: 1}) + sum(
-        LaurentPolyQ.monomial(j * l - 1, (j + 2) * l + 1) for j, l in enumerate(ls)
-    )
-
-
-class TestChainedSumQ:
-    @given(chain=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
-    @example(chain=[0, 3, 1, 4])  # ordinary, reversed, ordinary: mixed signs
-    @example(chain=[2, -1, -3])  # two reversed links
-    @example(chain=[0, 2, 1, 5])  # a b == a - 1 link inside the chain
-    @example(chain=[3])  # no links: the single empty tuple
-    def test_matches_nested_shifted_sums(self, chain):
-        bounds = list(zip(chain, chain[1:]))
-        for summand in (_scalar_summand, _q_summand):
-            assert _chained_sum_q(bounds, summand) == _nested_q_sum(bounds, summand)
-
-    @given(chain=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
-    @example(chain=[2, -1, -3])
-    @example(chain=[0, 2, 1, 5])
-    def test_is_a_polynomial_with_the_plain_sum_at_one(self, chain):
-        bounds = list(zip(chain, chain[1:]))
-        value = _chained_sum_q(bounds, _scalar_summand)
-        assert isinstance(value, LaurentPolyQ)
-        assert value.at_one() == _chained_sum(bounds, _scalar_summand)
 
 
 class TestLemmaFund:

@@ -97,6 +97,14 @@ class TestFExtRecursive:
         assert f_ext_recursive((2, 0, -1), memo) == f_ext((2, 0, -1))
         assert memo
 
+    def test_memo_state_count(self):
+        # the tableaux suite's vectors, [-2,3]^k for k <= 3, reach 55 states
+        memo: dict = {}
+        for k in (1, 2, 3):
+            for lam in itertools.product(range(-2, 4), repeat=k):
+                assert f_ext_recursive(lam, memo) == f_ext(lam), lam
+        assert len(memo) == 55
+
 
 class TestSignInvolution:
     def test_small_domain_by_hand(self):
