@@ -8,12 +8,13 @@ the two on documented sweeps is the central oracle of the whole package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exact import LaurentPolyQ, chained_sum, chained_sum_q
+from .exact import PACK_BITS, LaurentPolyQ, chained_sum, chained_sum_packed, unpack_q
 from .patterns import GenPattern
 
 
@@ -155,7 +156,8 @@ def fq_bruteforce(key: TopRowKey) -> LaurentPolyQ:
 _F_MEMO: dict = {}
 _FQ_MEMO: dict = {}
 
-_ONE_Q = LaurentPolyQ.constant(1)
+# F_q(0,n,c;.) = 1 as a fq_recursive memo value: one pattern
+_PACKED_ONE = (1, 0, 1)
 
 
 def clear_memos() -> None:
@@ -170,7 +172,8 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> Fraction:
     Each recursion level sums F(r-1,n,c;l_1..l_{n-r+1}) over the chained
     extended ranges l_1 in [0,k_1], l_2 in [k_1,k_2], ..., l_{n-r+1} in
     [k_{n-r},c], down to the base case F(0,n,c;.) = 1.  Memoized on the full
-    key.
+    key (r, n, c, ks); a memo value is the count as an int.  A memo= dict
+    belongs to this engine alone: never pass it to fq_recursive.
     """
     if memo is None:
         memo = _F_MEMO
@@ -181,20 +184,45 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     """Evaluate F_q(r,n,c;ks) by the q-weighted recursion.
 
     Identical nesting to f_recursive, with every innermost term weighted by
-    q^(l_1 + ... + l_{n-r+1}).
+    q^(l_1 + ... + l_{n-r+1}).  A memo value is the triple
+    (packed, low, patterns) of exact.chained_sum_packed at width
+    PACK_BITS: F_q = q^low * P(q) with P(2^PACK_BITS) == packed, and
+    patterns is the number of patterns with that top row, counted without
+    sign.  A memo= dict belongs to this engine alone: never pass it to
+    f_recursive.
+
+    The value is unpacked once, here.  The terms of a state's sum are the
+    next rows of enumerate_patterns, so no coefficient of F_q exceeds
+    patterns in absolute value, and the unpacking is exact when
+    patterns < 2^(PACK_BITS-1).  Otherwise the key is recomputed, in a fresh
+    private memo, at the smallest multiple of PACK_BITS that is wide enough;
+    the caller's memo keeps its one width.
     """
     if memo is None:
         memo = _FQ_MEMO
-    return _recurse(key.r, key.n, key.c, key.ks, memo, chained_sum_q, _ONE_Q)
+
+    def packed_at(bits: int, memo: dict) -> tuple[int, int, int]:
+        return _recurse(key.r, key.n, key.c, key.ks, memo,
+                        functools.partial(chained_sum_packed, bits=bits), _PACKED_ONE)
+
+    bits = PACK_BITS
+    packed, low, patterns = packed_at(bits, memo)
+    if patterns.bit_length() >= bits:
+        bits *= patterns.bit_length() // bits + 1
+        packed, low, _ = packed_at(bits, {})
+    return unpack_q(packed, low, bits)
 
 
 def _recurse(r: int, n: int, c: int, ks: tuple[int, ...], memo: dict,
              total: Callable, one):
     """The recursion engine shared by both weights.
 
-    total(bounds, child) is chained_sum or chained_sum_q: it sums child(ls),
-    which is F(r-1,n,c;ls), over one state's chain of bounds.  one is the
-    base value F(0,n,c;.).
+    total(bounds, child) is chained_sum or a chained_sum_packed: it sums
+    child(ls), which is F(r-1,n,c;ls), over one state's chain of bounds.  one
+    is the base value F(0,n,c;.).  memo maps (r, n, c, ks) to the value of
+    that state, in whatever form total returns it: an int for the plain
+    weight, a (packed, low, patterns) triple for the q weight.  So one memo
+    serves one weight and one width.
     """
     if r == 0:
         return one

@@ -6,7 +6,9 @@ maps, and quotients of Laurent polynomials are compared by cross-multiplication.
 Exact division keeps integer coefficients integer: a divisor with leading
 coefficient +1 or -1, such as any product of q-brackets [i;q], gives an
 integer quotient, and ``Fraction`` enters only for any other leading
-coefficient.  No floating point is used anywhere.
+coefficient.  The q-weighted recursion keeps its values packed, one Python
+integer per polynomial (``chained_sum_packed``, ``unpack_q``).  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -99,6 +101,67 @@ def chained_sum_q(
     if sign < 0:
         out = {e: -c for e, c in out.items()}
     return LaurentPolyQ(out)
+
+
+#: Bits per coefficient of a packed q-polynomial: (packed, low) stands for
+#: q^low * P(q) where P(2^PACK_BITS) == packed, so each coefficient is one
+#: balanced digit in base 2^PACK_BITS.
+PACK_BITS = 64
+
+
+def chained_sum_packed(
+    bounds: Iterable[tuple[int, int]],
+    summand: Callable[[tuple[int, ...]], tuple[int, int, int]],
+    bits: int,
+) -> tuple[int, int, int]:
+    """chained_sum_q over packed q-polynomials, by Kronecker substitution.
+
+    summand(ls) returns a triple (packed, low, count): the q-polynomial
+    q^low * P(q) with P(2^bits) == packed, and a nonnegative count that is
+    added up unsigned and unweighted.  The result is the same kind of triple.
+    Multiplying a term by q^(l_1 + ... + l_m) is a left shift, so a state's
+    total costs one shift and one add per term; low is the running minimum
+    exponent, and the total is shifted up once whenever it drops.  The
+    values are exact at any width: only unpack_q needs every coefficient
+    below 2^(bits-1) in absolute value.
+    """
+    sign, ranges = _signed_ranges(bounds)
+    total = low = count = 0
+    for ls in itertools.product(*ranges):
+        packed, child_low, child_count = summand(ls)
+        count += child_count
+        if packed:
+            e = sum(ls) + child_low
+            if not total:
+                total, low = packed, e
+            elif e >= low:
+                total += packed << bits * (e - low)
+            else:
+                total = (total << bits * (low - e)) + packed
+                low = e
+    return (total if sign > 0 else -total), low, count
+
+
+def unpack_q(packed: int, low: int, bits: int) -> "LaurentPolyQ":
+    """The LaurentPolyQ q^low * P(q) with P(2^bits) == packed.
+
+    Reads packed as balanced digits in base 2^bits, so the result is the
+    packed polynomial only if every coefficient lies strictly between
+    -2^(bits-1) and 2^(bits-1); the caller must know that bound.
+    """
+    terms: dict[int, Scalar] = {}
+    base = 1 << bits
+    mask, half = base - 1, base >> 1
+    while packed:
+        digit = packed & mask
+        packed >>= bits
+        if digit >= half:  # a negative digit borrows from the next one
+            digit -= base
+            packed += 1
+        if digit:
+            terms[low] = digit
+        low += 1
+    return LaurentPolyQ._raw(terms)
 
 
 def pochhammer(a: int, n: int) -> Fraction:

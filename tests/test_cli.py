@@ -109,6 +109,24 @@ class TestCount:
         assert b"Traceback" not in err
         assert err == b""
 
+    def test_deep_q_count_engines_agree(self):
+        # end to end: brute force enumerates 13,325,312 patterns, the
+        # recursion packs its 813 states, and the report compares the two
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtkit.cli", "count", "--r", "6", "--n", "7",
+             "--c", "5", "--ks", "2", "--q", "--engine", "both"],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["verdicts"] == [
+            {"identity": "engine agreement", "parameters": "F_q(6,7,5;2)",
+             "pass": True}
+        ]
+        values = {r["provenance"]: r["value"] for r in report["results"]}
+        assert values["bruteforce"] == values["recursion"]
+
 
 class TestTable:
     def test_csv_rows(self, capsys):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from gtkit import counting, exact
 from gtkit.counting import (
     CountResult,
     TopRowKey,
@@ -80,16 +81,26 @@ class TestBruteForce:
             assert fq_bruteforce(TopRowKey(0, 2, 3, ks)) == 1
 
 
+# every (r, n) with r <= 3, n <= 5 and 0 <= n-r <= 2
+SHAPES = [(r, n) for r in range(4) for n in range(max(1, r), 6) if 0 <= n - r <= 2]
+
+
 def _keys(max_c: int):
-    # every key with r <= 3, n <= 5, 0 <= n-r <= 2, c <= max_c and
-    # ks in [-2, c+2]^(n-r)
-    for r in range(4):
-        for n in range(max(1, r), 6):
-            if not 0 <= n - r <= 2:
-                continue
-            for c in range(max_c + 1):
-                for ks in itertools.product(range(-2, c + 3), repeat=n - r):
-                    yield TopRowKey(r, n, c, ks)
+    # every key of SHAPES with 0 <= c <= max_c and ks in [-2, c+2]^(n-r): the
+    # criterion-1 sweep, and the benchmark's oracle-sweep at max_c = 2
+    for r, n in SHAPES:
+        for c in range(max_c + 1):
+            for ks in itertools.product(range(-2, c + 3), repeat=n - r):
+                yield TopRowKey(r, n, c, ks)
+
+
+def _negative_c_keys():
+    # every key of SHAPES with -3 <= c <= -1 and ks in [c-2, 2]^(n-r):
+    # negative offsets, and reversed links wherever k_j > k_{j+1}
+    for r, n in SHAPES:
+        for c in range(-3, 0):
+            for ks in itertools.product(range(c - 2, 3), repeat=n - r):
+                yield TopRowKey(r, n, c, ks)
 
 
 class TestSinglePassMatchesDefinition:
@@ -168,12 +179,14 @@ class TestRecursion:
         assert fq_recursive(TopRowKey(0, 5, 3, (1, 2, 0, -2, 7))) == 1
 
     def test_memo_is_isolated_when_supplied(self):
-        memo: dict = {}
         key = TopRowKey(2, 3, 2, (1,))
-        value = f_recursive(key, memo)
-        assert value == f_bruteforce(key)
-        assert memo  # sub-keys were recorded
-        assert f_recursive(key, {}) == value
+        for recursive, bruteforce in [(f_recursive, f_bruteforce),
+                                      (fq_recursive, fq_bruteforce)]:
+            memo: dict = {}
+            value = recursive(key, memo)
+            assert value == bruteforce(key)
+            assert memo  # sub-keys were recorded
+            assert recursive(key, {}) == value
 
     # states each engine memoizes for the benchmark's deep-recursion keys, as
     # counted by the closure-based engines the loop-based one replaced
@@ -192,6 +205,61 @@ class TestRecursion:
         plain = f_recursive(key, plain_memo)
         assert fq_recursive(key, q_memo).at_one() == plain
         assert len(plain_memo) == len(q_memo) == states
+
+
+def _patterns(r, n, c, ks):
+    return sum(1 for _ in enumerate_patterns(TopRowKey(r, n, c, ks)))
+
+
+class TestPackedWidth:
+    """fq_recursive's memo carries each state's unsigned pattern count, which
+    bounds every coefficient of F_q and so proves the packed width."""
+
+    def test_carried_count_is_the_pattern_count(self):
+        memo: dict = {}
+        keys = [key for key in _keys(2) if key.r]
+        for key in keys:
+            fq_recursive(key, memo)
+        for state in keys:
+            assert (state.r, state.n, state.c, state.ks) in memo
+        # every state reached, sub-states included
+        for state, (_, _, patterns) in memo.items():
+            assert patterns == _patterns(*state), state
+
+    def test_narrow_width_recomputes_wide(self, monkeypatch):
+        # at 8 bits, a count of 2^7 or more patterns no longer proves the
+        # width; (3,5,4;1,3) has a coefficient of 129 and (4,5,4;2) one of
+        # 564, so decoding them at 8 bits would be wrong
+        monkeypatch.setattr(counting, "PACK_BITS", 8)
+        widths = []
+
+        def recording(bounds, summand, bits):
+            widths.append(bits)
+            return exact.chained_sum_packed(bounds, summand, bits)
+
+        monkeypatch.setattr(counting, "chained_sum_packed", recording)
+        memo: dict = {}
+        for key, wide in [
+            (TopRowKey(2, 4, 3, (0, 2)), 8),  # 36 patterns
+            (TopRowKey(2, 4, 4, (1, 3)), 16),  # 129 patterns
+            (TopRowKey(3, 5, 4, (1, 3)), 16),  # 1,407 patterns
+            (TopRowKey(4, 5, 4, (2,)), 16),  # 8,910 patterns
+            (TopRowKey(3, 4, 5, (2,)), 16),  # 2,400 patterns
+        ]:
+            widths.clear()
+            assert fq_recursive(key, memo) == fq_bruteforce(key), key
+            assert widths[0] == 8
+            assert max(widths) == wide, key
+
+    def test_wide_recompute_leaves_the_memo_narrow(self, monkeypatch):
+        monkeypatch.setattr(counting, "PACK_BITS", 8)
+        memo: dict = {}
+        key = TopRowKey(4, 5, 4, (2,))
+        assert fq_recursive(key, memo) == fq_bruteforce(key)
+        # every state, the top one included, is F_q packed at 8 bits
+        for state, (packed, low, _) in memo.items():
+            poly = fq_bruteforce(TopRowKey(*state))
+            assert packed == sum(c << 8 * (e - low) for e, c in poly.terms()), state
 
 
 SWEEP = [
@@ -213,6 +281,17 @@ class TestOracleEquivalence:
             assert result.plain == f_recursive(key), key
             assert result.q_weighted == fq_recursive(key), key
             assert result.consistent(), key
+
+    def test_engines_agree_at_negative_c(self):
+        plain_memo: dict = {}
+        q_memo: dict = {}
+        keys = 0
+        for key in _negative_c_keys():
+            result = bruteforce_count(key)
+            assert result.plain == f_recursive(key, plain_memo), key
+            assert result.q_weighted == fq_recursive(key, q_memo), key
+            keys += 1
+        assert keys == 689
 
     def test_engines_are_deterministic(self):
         key = TopRowKey(2, 4, 3, (0, 2))

@@ -7,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit.exact import (
+    PACK_BITS,
     LaurentPolyQ,
     NonExactDivision,
     Q,
     QFraction,
     chained_sum,
+    chained_sum_packed,
     chained_sum_q,
     ext_sum,
     ext_terms,
@@ -19,6 +21,7 @@ from gtkit.exact import (
     q_bracket,
     q_poch,
     qfrac_exact_div,
+    unpack_q,
 )
 
 
@@ -143,6 +146,64 @@ class TestChainedSumQ:
         value = chained_sum_q(bounds, _on_tuple(_summand))
         assert isinstance(value, LaurentPolyQ)
         assert value.at_one() == chained_sum(bounds, lambda ls: _summand(*ls))
+
+
+def _pack(p: LaurentPolyQ, low: int) -> int:
+    # q^-low * p at q = 2^PACK_BITS
+    return sum(c << PACK_BITS * (e - low) for e, c in p.terms())
+
+
+_EDGE = 2 ** (PACK_BITS - 1) - 1  # the widest coefficient one digit holds
+
+
+class TestPackedQ:
+    @given(
+        terms=st.dictionaries(
+            st.integers(-12, 12),
+            st.one_of(st.integers(-50, 50), st.sampled_from([_EDGE, -_EDGE])),
+            max_size=8,
+        ),
+        below=st.integers(0, 3),
+    )
+    @example(terms={-3: -1, 0: 2, 4: -7}, below=0)  # negative exponents
+    @example(terms={0: _EDGE, 1: -_EDGE, 2: _EDGE}, below=0)
+    @example(terms={-2: -_EDGE, 5: -_EDGE}, below=0)
+    @example(terms={1: 5, 2: -3}, below=2)  # the packed value is a multiple of 2^(2B)
+    @example(terms={}, below=0)  # the zero polynomial
+    def test_unpack_inverts_pack(self, terms, below):
+        p = LaurentPolyQ(terms)
+        low = (p.min_exp if p else 0) - below
+        packed = _pack(p, low)
+        if below:
+            assert packed % (1 << PACK_BITS * below) == 0
+        assert unpack_q(packed, low, PACK_BITS) == p
+        assert unpack_q(-packed, low, PACK_BITS) == -p
+
+    def test_cancelled_lowest_term(self):
+        # (q^-1 + 3q) + (-q^-1), both packed from q^-1: the sum is divisible
+        # by 2^PACK_BITS
+        packed = _pack(LaurentPolyQ({-1: 1, 1: 3}), -1) + _pack(LaurentPolyQ({-1: -1}), -1)
+        assert packed % (1 << PACK_BITS) == 0
+        assert unpack_q(packed, -1, PACK_BITS) == LaurentPolyQ({1: 3})
+
+    @given(chain=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+    @example(chain=[0, 3, 1, 4])  # ordinary, reversed, ordinary: mixed signs
+    @example(chain=[2, -1, -3])  # two reversed links
+    @example(chain=[0, 2, 1, 5])  # a b == a - 1 link inside the chain
+    @example(chain=[3])  # no links: the single empty tuple
+    def test_chained_sum_packed_matches_chained_sum_q(self, chain):
+        bounds = list(zip(chain, chain[1:]))
+
+        def packed_summand(ls):
+            p = LaurentPolyQ() + _q_summand(*ls)
+            low = p.min_exp if p else 0
+            return _pack(p, low), low, len(ls) + 1
+
+        packed, low, count = chained_sum_packed(bounds, packed_summand, PACK_BITS)
+        assert unpack_q(packed, low, PACK_BITS) == chained_sum_q(bounds, _on_tuple(_q_summand))
+        # the count is added up unsigned: one per term, whatever the sign
+        terms = sum(1 for _ in ext_terms(bounds))
+        assert count == terms * len(chain)
 
 
 class TestPochhammer:
