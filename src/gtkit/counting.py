@@ -60,6 +60,45 @@ def _cell_range(w: int, e: int) -> range:
     return range(w, e + 1) if w <= e else range(e + 1, w)
 
 
+def _walk(
+    key: TopRowKey,
+    row_filter: Callable[[tuple[int, ...]], bool] | None = None,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int, list[range]]]:
+    """The one top-down walk of the brute-force route.
+
+    For each choice of the rows above the bottom row, yield those rows (top
+    first), their inversion parity (borders included), the sum of their
+    interior entries, and the cell ranges of the bottom row.  Every pattern
+    is one such choice completed by one value from each range.  For r = 0
+    the top row is the bottom row: nothing lies above it, and its ranges
+    are singletons.  row_filter prunes the rows above as they are generated;
+    the bottom row is left to the caller.
+    """
+    r, c = key.r, key.c
+    if r == 0:
+        yield (), 0, 0, [range(k, k + 1) for k in key.ks]
+        return
+    top = (0,) + key.ks + (c,)
+    if row_filter is not None and not row_filter(top):
+        return
+
+    def descend(rows: tuple[tuple[int, ...], ...], parity: int,
+                norm: int) -> Iterator[tuple]:
+        above = rows[-1]
+        parity ^= sum(a > b for a, b in zip(above, above[1:])) & 1
+        norm += sum(above) - c  # the borders are 0 and c
+        ranges = [_cell_range(w, e) for w, e in zip(above, above[1:])]
+        if len(rows) == r:
+            yield rows, parity, norm, ranges
+            return
+        for combo in itertools.product(*ranges):
+            row = (0,) + combo + (c,)
+            if row_filter is None or row_filter(row):
+                yield from descend(rows + (row,), parity, norm)
+
+    yield from descend((top,), 0, 0)
+
+
 def enumerate_patterns(
     key: TopRowKey,
     row_filter: Callable[[tuple[int, ...]], bool] | None = None,
@@ -70,56 +109,11 @@ def enumerate_patterns(
     by its two upper neighbours, so the stream is finite.  An optional
     row_filter prunes rows (borders included) as they are generated.
     """
-    top = (0,) + key.ks + (key.c,)
-    if row_filter is not None and not row_filter(top):
-        return
-
-    def descend(rows: tuple[tuple[int, ...], ...]) -> Iterator[GenPattern]:
-        if len(rows) == key.r + 1:
-            yield GenPattern(key.r, key.n, key.c, rows)
-            return
-        above = rows[-1]
-        ranges = [_cell_range(above[t], above[t + 1]) for t in range(len(above) - 1)]
+    for rows, _, _, ranges in _walk(key, row_filter):
         for combo in itertools.product(*ranges):
-            row = (0,) + combo + (key.c,)
-            if row_filter is not None and not row_filter(row):
-                continue
-            yield from descend(rows + (row,))
-
-    yield from descend((top,))
-
-
-def _signed_norms(key: TopRowKey) -> Iterator[tuple[int, int]]:
-    """Yield (sign_of(p), norm_of(p)) for every p of enumerate_patterns(key).
-
-    The same top-down walk as enumerate_patterns, without building the
-    patterns: the inversion parity and the running norm are carried down
-    the rows.  Every row but the bottom one adds its inversions, borders
-    included; every row adds its interior entries to the norm.
-    """
-    r, c = key.r, key.c
-    top = (0,) + key.ks + (c,)
-    norm = sum(key.ks)
-    if r == 0:  # the top row is the bottom row: no inversions count
-        yield 1, norm
-        return
-
-    def descend(above: tuple[int, ...], rows_left: int, parity: int,
-                norm: int) -> Iterator[tuple[int, int]]:
-        ranges = [_cell_range(w, e) for w, e in zip(above, above[1:])]
-        if rows_left == 1:  # the bottom row adds to the norm only
-            sign = -1 if parity else 1
-            for s in map(sum, itertools.product(*ranges)):
-                yield sign, norm + s
-            return
-        for combo in itertools.product(*ranges):
-            row = (0,) + combo + (c,)
-            inversions = sum(a > b for a, b in zip(row, row[1:]))
-            yield from descend(row, rows_left - 1, parity ^ (inversions & 1),
-                               norm + sum(combo))
-
-    top_inversions = sum(a > b for a, b in zip(top, top[1:]))
-    yield from descend(top, r, top_inversions & 1, norm)
+            bottom = (0,) + combo + (key.c,)
+            if row_filter is None or row_filter(bottom):
+                yield GenPattern(key.r, key.n, key.c, rows + (bottom,))
 
 
 def bruteforce_count(key: TopRowKey) -> CountResult:
@@ -130,9 +124,11 @@ def bruteforce_count(key: TopRowKey) -> CountResult:
     """
     total = 0
     by_norm: dict[int, int] = {}
-    for sign, norm in _signed_norms(key):
-        total += sign
-        by_norm[norm] = by_norm.get(norm, 0) + sign
+    for _, parity, norm, ranges in _walk(key):
+        sign = -1 if parity else 1
+        for s in map(sum, itertools.product(*ranges)):
+            total += sign
+            by_norm[norm + s] = by_norm.get(norm + s, 0) + sign
     offset = sum(key.ks)
     return CountResult(
         Fraction(total), LaurentPolyQ({e - offset: v for e, v in by_norm.items()})

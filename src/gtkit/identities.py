@@ -434,8 +434,6 @@ def verify_zeros(n: int, c: int) -> bool:
         key = TopRowKey(n - 1, n, c, (k,))
         if next(enumerate_patterns(key), None) is not None:
             return False  # objects exist, not even a signed cancellation
-        if f_bruteforce(key) != 0:
-            return False
     poly = interpolate_f(n, c)
     if poly.is_zero:
         return False

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from gtkit import counting, exact
+from gtkit import asm, counting, exact
 from gtkit.counting import (
     CountResult,
     TopRowKey,
@@ -20,7 +20,7 @@ from gtkit.counting import (
 )
 from gtkit.exact import LaurentPolyQ
 from gtkit.patterns import norm_of, sign_of
-from gtkit.closedforms import intro_binomial
+from gtkit.closedforms import intro_binomial, refined_asm
 
 
 class TestTopRowKey:
@@ -59,6 +59,29 @@ class TestEnumerator:
         strict = lambda row: all(row[t] < row[t + 1] for t in range(len(row) - 1))
         pats = list(enumerate_patterns(TopRowKey(2, 3, 4, (2,)), row_filter=strict))
         assert len(pats) == 3
+        # with r = 0 the filter sees the top row as the bottom row
+        assert list(enumerate_patterns(TopRowKey(0, 2, 4, (3, 1)), row_filter=strict)) == []
+        pats = list(enumerate_patterns(TopRowKey(0, 2, 4, (1, 3)), row_filter=strict))
+        assert [p.rows for p in pats] == [((0, 1, 3, 4),)]
+
+    def test_pattern_order(self):
+        # --dump-patterns prints the patterns in this order: increasing,
+        # compared row by row from the top
+        def rows(key, row_filter=None):
+            listed = [p.rows for p in enumerate_patterns(key, row_filter)]
+            assert all(a < b for a, b in zip(listed, listed[1:])), key
+            return listed
+
+        memo: dict = {}
+        for key in _keys(2):
+            fq_recursive(key, memo)
+            patterns = memo[(key.r, key.n, key.c, key.ks)][2] if key.r else 1
+            assert len(rows(key)) == patterns, key
+        for n in range(1, 6):
+            for k in range(n + 2):
+                key = TopRowKey(n - 1, n, n + 1, (k,))
+                triangles = refined_asm(n, k) if 1 <= k <= n else 0
+                assert len(rows(key, asm._strictly_increasing)) == triangles, key
 
 
 class TestBruteForce:
@@ -108,18 +131,20 @@ class TestSinglePassMatchesDefinition:
     sign_of and norm_of applied to every enumerated pattern."""
 
     def test_every_small_key(self):
-        keys = 0
-        for key in _keys(2):
-            plain, coeffs = 0, {}
-            for p in enumerate_patterns(key):
-                plain += sign_of(p)
-                e = norm_of(p) - sum(key.ks)
-                coeffs[e] = coeffs.get(e, 0) + sign_of(p)
-            result = bruteforce_count(key)
-            assert result.plain == plain, key
-            assert result.q_weighted == LaurentPolyQ(coeffs), key
-            keys += 1
-        assert keys == 521
+        # at c < 0 the right border lies below the left one
+        for keys, expected in [(_keys(2), 521), (_negative_c_keys(), 689)]:
+            seen = 0
+            for key in keys:
+                plain, coeffs = 0, {}
+                for p in enumerate_patterns(key):
+                    plain += sign_of(p)
+                    e = norm_of(p) - sum(key.ks)
+                    coeffs[e] = coeffs.get(e, 0) + sign_of(p)
+                result = bruteforce_count(key)
+                assert result.plain == plain, key
+                assert result.q_weighted == LaurentPolyQ(coeffs), key
+                seen += 1
+            assert seen == expected
 
     def test_r_zero_counts_no_top_inversions(self):
         # the top row (0,2,0,-1,5,3) has descents, but with r = 0 it is the
