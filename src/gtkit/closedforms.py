@@ -2,7 +2,9 @@
 
 Every product formula is assembled verbatim from Pochhammer or q-Pochhammer
 factors and evaluated exactly, with no algebraic shortcuts, so that any
-transcription drift is caught loudly by the oracle tests.
+transcription drift is caught loudly by the oracle tests.  Each q-product is
+one ``q_poch_product`` call that lists the formula's q-Pochhammer factors as
+written.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import LaurentPolyQ, QFraction, pochhammer, q_poch, qfrac_exact_div
+from .exact import LaurentPolyQ, QFraction, pochhammer, q_poch_product, qfrac_exact_div
 from .patterns import Partition
 
 
@@ -45,12 +47,9 @@ def theorem_main_q_fraction(n: int, c: int, k: int) -> QFraction:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    num = LaurentPolyQ.monomial(k * n)
-    num = num * q_poch(k + 1, n - 1) * q_poch(1 + c - k, n - 1)
-    den = q_poch(1, n - 1)
-    for i in range(1, n):
-        num = num * q_poch(c + i + 1, i - 1)
-        den = den * q_poch(i, i)
+    num = q_poch_product((k + 1, n - 1), (1 + c - k, n - 1),
+                         *((c + i + 1, i - 1) for i in range(1, n))).shift(k * n)
+    den = q_poch_product((1, n - 1), *((i, i) for i in range(1, n)))
     return QFraction(num, den)
 
 
@@ -77,11 +76,8 @@ def bender_knuth_gf(n: int, c: int) -> LaurentPolyQ:
     prod_{i=1}^{n} [c+i;q]_i / [i;q]_i, reduced to an exact polynomial."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    num = LaurentPolyQ.constant(1)
-    den = LaurentPolyQ.constant(1)
-    for i in range(1, n + 1):
-        num = num * q_poch(c + i, i)
-        den = den * q_poch(i, i)
+    num = q_poch_product(*((c + i, i) for i in range(1, n + 1)))
+    den = q_poch_product(*((i, i) for i in range(1, n + 1)))
     return qfrac_exact_div(QFraction(num, den))
 
 

@@ -6,14 +6,17 @@ maps, and quotients of Laurent polynomials are compared by cross-multiplication.
 Exact division keeps integer coefficients integer: a divisor with leading
 coefficient +1 or -1, such as any product of q-brackets [i;q], gives an
 integer quotient, and ``Fraction`` enters only for any other leading
-coefficient.  The q-weighted recursion keeps its values packed, one Python
-integer per polynomial (``chained_sum_packed``, ``unpack_q``).  No floating
-point is used anywhere.
+coefficient.  Products of q-Pochhammer symbols are built by
+``q_poch_product`` on one dense integer list, each bracket [x;q] multiplied
+in by one prefix-sum pass.  The q-weighted recursion keeps its values
+packed, one Python integer per polynomial (``chained_sum_packed``,
+``unpack_q``).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -407,8 +410,6 @@ def _fmt_scalar(value: Fraction) -> str:
 #: The formal variable q itself.
 Q = LaurentPolyQ.monomial(1)
 
-_ONE = LaurentPolyQ.constant(1)
-
 
 def q_bracket(x: int) -> LaurentPolyQ:
     """The q-analog [x;q] = (1 - q^x)/(1 - q) as an exact Laurent polynomial.
@@ -421,16 +422,34 @@ def q_bracket(x: int) -> LaurentPolyQ:
     return LaurentPolyQ._raw(dict.fromkeys(range(x, 0), -1))
 
 
+def q_poch_product(*pairs: tuple[int, int]) -> LaurentPolyQ:
+    """The product of the rising q-products [x;q]_n over the (x, n) pairs.
+
+    Built on one dense list of integer coefficients.  Multiplying by [x;q]
+    for x > 0 is a window sum of width x: prefix sums over the list padded
+    by x-1 zeros, then one subtraction pass, so each bracket costs O(degree)
+    whatever x is.  A bracket with x < 0 is -q^x [-x;q]; one with x == 0
+    makes the whole product zero.  The coefficients are ints.
+    """
+    for _, n in pairs:
+        if n < 0:
+            raise ValueError(f"q_poch index must be nonnegative, got {n}")
+    coeffs = [1]
+    low, sign = 0, 1
+    for x0, n in pairs:
+        for x in range(x0, x0 + n):
+            if x == 0:
+                return LaurentPolyQ()
+            if x < 0:
+                sign, low, x = -sign, low + x, -x
+            s = list(itertools.accumulate(itertools.chain(coeffs, itertools.repeat(0, x - 1))))
+            coeffs = s[:x] + list(map(operator.sub, s[x:], s))
+    return LaurentPolyQ._raw({low + e: sign * c for e, c in enumerate(coeffs) if c})
+
+
 def q_poch(x: int, n: int) -> LaurentPolyQ:
     """Rising q-product [x;q]_n = [x;q] [x+1;q] ... [x+n-1;q]."""
-    if n < 0:
-        raise ValueError(f"q_poch index must be nonnegative, got {n}")
-    out = _ONE
-    for i in range(n):
-        out = out * q_bracket(x + i)
-        if out.is_zero:
-            return out
-    return out
+    return q_poch_product((x, n))
 
 
 class QFraction:

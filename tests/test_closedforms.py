@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtkit import closedforms
 from gtkit.closedforms import (
     bender_knuth_count,
     bender_knuth_gf,
@@ -22,9 +23,49 @@ from gtkit.counting import (
     fq_bruteforce,
     spp_generating_function,
 )
-from gtkit.exact import LaurentPolyQ
+from gtkit.exact import LaurentPolyQ, QFraction, q_poch
 from gtkit.patterns import Partition
 from gtkit.tableaux import ssyt_bruteforce
+
+
+def _main_q_by_mul(n, c, k):
+    # theorem_main_q_fraction's formula assembled factor by factor with *
+    num = LaurentPolyQ.monomial(k * n) * q_poch(k + 1, n - 1) * q_poch(1 + c - k, n - 1)
+    den = q_poch(1, n - 1)
+    for i in range(1, n):
+        num = num * q_poch(c + i + 1, i - 1)
+        den = den * q_poch(i, i)
+    return num, den
+
+
+def _bender_knuth_by_mul(n, c):
+    num = den = LaurentPolyQ.constant(1)
+    for i in range(1, n + 1):
+        num = num * q_poch(c + i, i)
+        den = den * q_poch(i, i)
+    return num, den
+
+
+class TestBracketListsMatchFormulas:
+    """Each closed form's bracket list builds the same numerator and
+    denominator as its formula multiplied out factor by factor."""
+
+    def test_theorem_main_q_fraction(self):
+        for n in range(1, 8):
+            for c in range(-2, 7):
+                for k in range(-2, c + 3):
+                    frac = theorem_main_q_fraction(n, c, k)
+                    assert (frac.num, frac.den) == _main_q_by_mul(n, c, k), (n, c, k)
+
+    def test_bender_knuth_gf(self, monkeypatch):
+        # with the final division stubbed out, bender_knuth_gf hands back
+        # the QFraction it built
+        monkeypatch.setattr(closedforms, "qfrac_exact_div", lambda frac: frac)
+        for n in range(1, 8):
+            for c in range(-2, 7):
+                frac = bender_knuth_gf(n, c)
+                assert isinstance(frac, QFraction)
+                assert (frac.num, frac.den) == _bender_knuth_by_mul(n, c), (n, c)
 
 
 class TestTheoremSpecial:

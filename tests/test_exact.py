@@ -20,6 +20,7 @@ from gtkit.exact import (
     pochhammer,
     q_bracket,
     q_poch,
+    q_poch_product,
     qfrac_exact_div,
     unpack_q,
 )
@@ -317,6 +318,48 @@ class TestQPoch:
     def test_matches_bracket_product(self):
         expected = q_bracket(3) * q_bracket(4) * q_bracket(5)
         assert q_poch(3, 3) == expected
+
+
+def _bracket_product(pairs):
+    # the reference: every bracket multiplied in by the dict-of-terms __mul__
+    out = LaurentPolyQ.constant(1)
+    for x, n in pairs:
+        for i in range(n):
+            out = out * q_bracket(x + i)
+    return out
+
+
+class TestQPochProduct:
+    @pytest.mark.parametrize("x", range(-8, 9))
+    def test_every_small_pair_matches_bracket_product(self, x):
+        for n in range(7):
+            got = q_poch_product((x, n))
+            assert got == _bracket_product([(x, n)]), (x, n)
+            assert all(type(c) is int for _, c in got.terms())
+            assert q_poch(x, n) == got
+
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 6)), min_size=1, max_size=4))
+    def test_pair_lists_match_bracket_product(self, pairs):
+        got = q_poch_product(*pairs)
+        assert got == _bracket_product(pairs)
+        assert all(type(c) is int for _, c in got.terms())
+
+    def test_no_pairs_is_one(self):
+        assert q_poch_product() == 1
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            q_poch_product((3, -1))
+        with pytest.raises(ValueError):
+            q_poch_product((0, 2), (1, -1))  # even behind a zero bracket
+        with pytest.raises(ValueError):
+            q_poch(2, -1)
+
+    def test_transcription_slip_fails_division(self):
+        # [2][3][4] is not divisible by [5]: a wrong bracket list is caught
+        with pytest.raises(NonExactDivision):
+            qfrac_exact_div(QFraction(q_poch_product((2, 3)), q_bracket(5)))
 
 
 _int_poly = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=6)
