@@ -3,7 +3,6 @@ partitions and semistandard tableaux, their q-analogs, and verification of
 the closed-form counting identities they satisfy."""
 
 from .exact import (
-    BigRational,
     LaurentPolyQ,
     NonExactDivision,
     Q,

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import asm as asm_mod
 from . import closedforms, counting, identities, tableaux
 from .counting import TopRowKey
-from .exact import NonExactDivision, qfrac_exact_div
+from .exact import NonExactDivision, QFraction, q_poch_product, q_poch_quotient
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -532,12 +532,14 @@ def _table_row_q(n: int, c: int, k: int):
     # to the normalized engine count; outside 0 <= k <= c the quotient may
     # not reduce, in which case the fraction form is reported instead
     brute = counting.fq_bruteforce(TopRowKey(n - 1, n, c, (k,))).shift(k)
-    fraction = closedforms.theorem_main_q_fraction(n, c, k)
-    match = fraction.num == brute * fraction.den
+    num_pairs, shift, den_pairs = closedforms._theorem_main_q_brackets(n, c, k)
+    num = q_poch_product(*num_pairs).shift(shift)
+    den = q_poch_product(*den_pairs)
+    match = num == brute * den
     try:
-        formula = str(qfrac_exact_div(fraction))
+        formula = str(q_poch_quotient(num, *den_pairs))
     except NonExactDivision:
-        formula = str(fraction)
+        formula = str(QFraction(num, den))
     return brute, formula, match
 
 

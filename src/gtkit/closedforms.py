@@ -2,9 +2,13 @@
 
 Every product formula is assembled verbatim from Pochhammer or q-Pochhammer
 factors and evaluated exactly, with no algebraic shortcuts, so that any
-transcription drift is caught loudly by the oracle tests.  Each q-product is
-one ``q_poch_product`` call that lists the formula's q-Pochhammer factors as
-written.
+transcription drift is caught loudly by the oracle tests.  Each q-closed form
+is one private description ``(num_pairs, shift, den_pairs)`` that lists the
+formula's q-Pochhammer factors as written: the numerator is
+``q_poch_product(*num_pairs)`` times q^shift, and the denominator is the
+product over ``den_pairs``.  The quotient is ``q_poch_quotient``, which
+divides the whole numerator by each denominator bracket in turn and raises
+NonExactDivision on any remainder.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import LaurentPolyQ, QFraction, pochhammer, q_poch_product, qfrac_exact_div
+from .exact import LaurentPolyQ, QFraction, pochhammer, q_poch_product, q_poch_quotient
 from .patterns import Partition
 
 
@@ -39,25 +43,44 @@ def theorem_special(n: int, c: int, k: int) -> Fraction:
     return value
 
 
+_Pairs = tuple[tuple[int, int], ...]
+
+
+def _theorem_main_q_brackets(n: int, c: int, k: int) -> tuple[_Pairs, int, _Pairs]:
+    # theorem_main_q_fraction's factors as written: numerator pairs, the
+    # exponent of q^{kn}, denominator pairs
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    num_pairs = ((k + 1, n - 1), (1 + c - k, n - 1),
+                 *((c + i + 1, i - 1) for i in range(1, n)))
+    den_pairs = ((1, n - 1), *((i, i) for i in range(1, n)))
+    return num_pairs, k * n, den_pairs
+
+
+def _bender_knuth_brackets(n: int, c: int) -> tuple[_Pairs, int, _Pairs]:
+    # bender_knuth_gf's factors as written
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return (tuple((c + i, i) for i in range(1, n + 1)), 0,
+            tuple((i, i) for i in range(1, n + 1)))
+
+
 def theorem_main_q_fraction(n: int, c: int, k: int) -> QFraction:
     """Norm generating function of the same objects in raw quotient form:
 
         q^{kn} [k+1;q]_{n-1} [1+c-k;q]_{n-1} / [1;q]_{n-1}
             * prod_{i=1}^{n-1} [c+i+1;q]_{i-1} / [i;q]_i
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    num = q_poch_product((k + 1, n - 1), (1 + c - k, n - 1),
-                         *((c + i + 1, i - 1) for i in range(1, n))).shift(k * n)
-    den = q_poch_product((1, n - 1), *((i, i) for i in range(1, n)))
-    return QFraction(num, den)
+    num_pairs, shift, den_pairs = _theorem_main_q_brackets(n, c, k)
+    return QFraction(q_poch_product(*num_pairs).shift(shift), q_poch_product(*den_pairs))
 
 
 def theorem_main_q(n: int, c: int, k: int) -> LaurentPolyQ:
     """The generating function of theorem_main_q_fraction reduced to an exact
     Laurent polynomial.  Raises NonExactDivision if the quotient is not
     polynomial, which would indicate a transcription bug."""
-    return qfrac_exact_div(theorem_main_q_fraction(n, c, k))
+    num_pairs, shift, den_pairs = _theorem_main_q_brackets(n, c, k)
+    return q_poch_quotient(q_poch_product(*num_pairs).shift(shift), *den_pairs)
 
 
 def bender_knuth_count(n: int, c: int) -> Fraction:
@@ -74,11 +97,8 @@ def bender_knuth_count(n: int, c: int) -> Fraction:
 def bender_knuth_gf(n: int, c: int) -> LaurentPolyQ:
     """Norm generating function of the same objects:
     prod_{i=1}^{n} [c+i;q]_i / [i;q]_i, reduced to an exact polynomial."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    num = q_poch_product(*((c + i, i) for i in range(1, n + 1)))
-    den = q_poch_product(*((i, i) for i in range(1, n + 1)))
-    return qfrac_exact_div(QFraction(num, den))
+    num_pairs, shift, den_pairs = _bender_knuth_brackets(n, c)
+    return q_poch_quotient(q_poch_product(*num_pairs).shift(shift), *den_pairs)
 
 
 def ssyt_product(shape: Partition | Sequence[int], k: int) -> Fraction:

@@ -1,16 +1,18 @@
 """Exact scalar and q-polynomial arithmetic.
 
-Rationals are plain ``fractions.Fraction`` (re-exported as ``BigRational``),
-Laurent polynomials in the formal variable q are sparse exponent -> coefficient
-maps, and quotients of Laurent polynomials are compared by cross-multiplication.
-Exact division keeps integer coefficients integer: a divisor with leading
-coefficient +1 or -1, such as any product of q-brackets [i;q], gives an
-integer quotient, and ``Fraction`` enters only for any other leading
-coefficient.  Products of q-Pochhammer symbols are built by
-``q_poch_product`` on one dense integer list, each bracket [x;q] multiplied
-in by one prefix-sum pass.  The q-weighted recursion keeps its values
-packed, one Python integer per polynomial (``chained_sum_packed``,
-``unpack_q``).  No floating point is used anywhere.
+Rationals are plain ``fractions.Fraction``, Laurent polynomials in the
+formal variable q are sparse exponent -> coefficient maps, and quotients of
+Laurent polynomials are compared by cross-multiplication.  Products of
+q-Pochhammer symbols are built by ``q_poch_product`` on one dense integer
+list, each bracket [x;q] multiplied in by one prefix-sum pass, and divided
+out by ``q_poch_quotient`` one bracket at a time, each bracket's remainder
+checked, so integer coefficients stay integer; the q-closed forms reduce
+their quotients this way.  ``LaurentPolyQ.exact_div`` is general long
+division, for ``QFraction`` users: a divisor with leading coefficient +1 or
+-1 gives an integer quotient, and ``Fraction`` enters only for any other
+leading coefficient.  The q-weighted recursion keeps its values packed, one
+Python integer per polynomial (``chained_sum_packed``, ``unpack_q``).  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ import itertools
 import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
-
-#: Arbitrary-precision exact rational scalar.  Plain ints are accepted
-#: everywhere a BigRational is, since Python ints are already exact.
-BigRational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -343,7 +341,9 @@ class LaurentPolyQ:
         Fraction is built.  Any other leading coefficient gives the exact
         rational quotient.
 
-        Raises NonExactDivision if den does not divide self exactly.
+        Raises NonExactDivision if den does not divide self exactly.  The
+        closed forms divide by their bracket lists with q_poch_quotient
+        instead; this general division serves QFraction users.
         """
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -452,6 +452,55 @@ def q_poch(x: int, n: int) -> LaurentPolyQ:
     return q_poch_product((x, n))
 
 
+def q_poch_quotient(num: LaurentPolyQ, *den_pairs: tuple[int, int]) -> LaurentPolyQ:
+    """The exact quotient of num by the product of [x;q]_n over the (x, n)
+    pairs, divided out one bracket [x;q] at a time.
+
+    The coefficients sit on one dense list.  Dividing by [x;q] for x > 0 is
+    two passes: multiplying by (1 - q) is one difference pass, and dividing
+    by (1 - q^x) is x strided prefix sums, one per residue class mod x.  The
+    top x coefficients of those sums are the remainder, and must all be
+    zero.  A bracket with x < 0 is -q^x [-x;q]: the sign flips and the
+    lowest exponent rises by -x.
+
+    Every bracket divides the full numerator; no bracket is cancelled against
+    another.  Over Q[q], num is divisible by a product A B exactly when A
+    divides num and B divides num / A, so checking the remainder of each
+    bracket in turn decides the divisibility of num by the whole product,
+    and this raises exactly when dividing by the product at once would.
+    Only additions and subtractions touch the coefficients, so an integer
+    numerator gives an integer quotient.
+
+    Raises ValueError for a negative index n, before any work;
+    ZeroDivisionError for a bracket [0;q]; NonExactDivision, naming the
+    bracket, when a bracket leaves a remainder.  A zero numerator gives zero.
+    """
+    for x0, n in den_pairs:
+        if n < 0:
+            raise ValueError(f"q_poch index must be nonnegative, got {n}")
+        if x0 <= 0 < x0 + n:
+            raise ZeroDivisionError("division by the zero bracket [0;q]")
+    if num.is_zero:
+        return LaurentPolyQ()
+    low = num.min_exp
+    coeffs = [num.coeff(e) for e in range(low, num.max_exp + 1)]
+    sign = 1
+    for x0, n in den_pairs:
+        for x in range(x0, x0 + n):
+            step = x
+            if x < 0:
+                sign, low, step = -sign, low - x, -x
+            coeffs = list(map(operator.sub, coeffs + [0], [0] + coeffs))
+            for r in range(step):
+                coeffs[r::step] = itertools.accumulate(coeffs[r::step])
+            cut = len(coeffs) - step
+            if cut <= 0 or any(coeffs[cut:]):
+                raise NonExactDivision(
+                    f"bracket [{x};q] of [{x0};q]_{n} leaves a remainder")
+            del coeffs[cut:]
+    return LaurentPolyQ._raw({low + e: sign * c for e, c in enumerate(coeffs) if c})
+
+
 class QFraction:
     """Formal quotient of two Laurent polynomials in q.
 
@@ -487,7 +536,7 @@ class QFraction:
 def qfrac_exact_div(f: QFraction) -> LaurentPolyQ:
     """Reduce a QFraction whose denominator divides its numerator exactly.
 
-    Raises NonExactDivision otherwise (which indicates a transcription bug in
-    a closed-form product).
+    Raises NonExactDivision otherwise.  The closed forms no longer reduce
+    through this: they divide by their bracket lists with q_poch_quotient.
     """
     return f.num.exact_div(f.den)

@@ -23,7 +23,7 @@ from gtkit.counting import (
     fq_bruteforce,
     spp_generating_function,
 )
-from gtkit.exact import LaurentPolyQ, QFraction, q_poch
+from gtkit.exact import LaurentPolyQ, NonExactDivision, q_poch, q_poch_product
 from gtkit.patterns import Partition
 from gtkit.tableaux import ssyt_bruteforce
 
@@ -57,15 +57,56 @@ class TestBracketListsMatchFormulas:
                     frac = theorem_main_q_fraction(n, c, k)
                     assert (frac.num, frac.den) == _main_q_by_mul(n, c, k), (n, c, k)
 
-    def test_bender_knuth_gf(self, monkeypatch):
-        # with the final division stubbed out, bender_knuth_gf hands back
-        # the QFraction it built
-        monkeypatch.setattr(closedforms, "qfrac_exact_div", lambda frac: frac)
+    def test_bender_knuth_gf(self):
         for n in range(1, 8):
             for c in range(-2, 7):
-                frac = bender_knuth_gf(n, c)
-                assert isinstance(frac, QFraction)
-                assert (frac.num, frac.den) == _bender_knuth_by_mul(n, c), (n, c)
+                num_pairs, shift, den_pairs = closedforms._bender_knuth_brackets(n, c)
+                got = (q_poch_product(*num_pairs).shift(shift), q_poch_product(*den_pairs))
+                assert got == _bender_knuth_by_mul(n, c), (n, c)
+
+
+def _brackets(pairs):
+    # every x of the brackets [x;q] in the products [x0;q]_m over the pairs
+    return [x for x0, m in pairs for x in range(x0, x0 + m)]
+
+
+class TestDegreesFromBrackets:
+    """The quotient's span and lowest exponent read off the description:
+    [x;q] spans |x| - 1 exponents, and for x < 0 starts at q^x."""
+
+    @staticmethod
+    def _check(result, num_pairs, shift, den_pairs):
+        num, den = _brackets(num_pairs), _brackets(den_pairs)
+        assert all(x > 0 for x in den)
+        span = sum(abs(x) - 1 for x in num) - sum(x - 1 for x in den)
+        assert result.max_exp - result.min_exp == span
+        assert result.min_exp == shift + sum(x for x in num if x < 0)
+
+    def test_theorem_main_q(self):
+        for n in range(1, 8):
+            for c in range(7):
+                for k in range(c + 1):
+                    self._check(theorem_main_q(n, c, k),
+                                *closedforms._theorem_main_q_brackets(n, c, k))
+
+    def test_bender_knuth_gf(self):
+        for n in range(1, 8):
+            for c in range(7):
+                self._check(bender_knuth_gf(n, c), *closedforms._bender_knuth_brackets(n, c))
+
+    def test_planted_slip_raises(self, monkeypatch):
+        # c - k in place of 1 + c - k in the description
+        written = closedforms._theorem_main_q_brackets
+
+        def slipped(n, c, k):
+            num_pairs, shift, den_pairs = written(n, c, k)
+            return (num_pairs[0], (c - k, n - 1), *num_pairs[2:]), shift, den_pairs
+
+        monkeypatch.setattr(closedforms, "_theorem_main_q_brackets", slipped)
+        grid = ((n, c, k) for n in range(1, 8) for c in range(7) for k in range(c + 1))
+        with pytest.raises(NonExactDivision):
+            for n, c, k in grid:
+                theorem_main_q(n, c, k)
 
 
 class TestTheoremSpecial:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gtkit import closedforms
 from gtkit.exact import (
     PACK_BITS,
     LaurentPolyQ,
@@ -21,6 +22,7 @@ from gtkit.exact import (
     q_bracket,
     q_poch,
     q_poch_product,
+    q_poch_quotient,
     qfrac_exact_div,
     unpack_q,
 )
@@ -363,6 +365,73 @@ class TestQPochProduct:
 
 
 _int_poly = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=6)
+
+
+@st.composite
+def _bracket_pairs(draw):
+    # (x, n) pairs whose brackets [x;q] .. [x+n-1;q] lie in [-6, 8] \ {0}
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(st.sampled_from([x for x in range(-6, 9) if x]))
+        pairs.append((x, draw(st.integers(0, min(3, -x if x < 0 else 9 - x)))))
+    return pairs
+
+
+def _outcome(divide):
+    try:
+        return divide()
+    except NonExactDivision:
+        return NonExactDivision
+
+
+class TestQPochQuotient:
+    @settings(max_examples=80)
+    @given(p=_int_poly, pairs=_bracket_pairs())
+    def test_equals_exact_div_on_products(self, p, pairs):
+        num = LaurentPolyQ(p) * q_poch_product(*pairs)
+        got = q_poch_quotient(num, *pairs)
+        assert got == num.exact_div(q_poch_product(*pairs)) == LaurentPolyQ(p)
+        assert all(type(c) is int for _, c in got.terms())
+
+    def test_raises_exactly_when_exact_div_does(self):
+        # theorem_main_q_fraction's quotient is exact on this whole grid, so
+        # the slip c - k for 1 + c - k supplies the numerators that are not
+        seen = set()
+        for n in range(1, 7):
+            for c in range(-3, 7):
+                for k in range(-3, c + 4):
+                    num_pairs, shift, den_pairs = closedforms._theorem_main_q_brackets(n, c, k)
+                    den = q_poch_product(*den_pairs)
+                    slipped = (num_pairs[0], (c - k, n - 1), *num_pairs[2:])
+                    for pairs in (num_pairs, slipped):
+                        num = q_poch_product(*pairs).shift(shift)
+                        want = _outcome(lambda: num.exact_div(den))
+                        assert _outcome(lambda: q_poch_quotient(num, *den_pairs)) == want
+                        seen.add(want is NonExactDivision)
+        assert seen == {False, True}
+
+    def test_drift_guard(self):
+        with pytest.raises(NonExactDivision, match=r"\[5;q\]"):
+            q_poch_quotient(q_poch_product((2, 3)), (5, 1))
+
+    def test_zero_bracket_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            q_poch_quotient(Q, (-2, 4))
+        with pytest.raises(ZeroDivisionError):
+            q_poch_quotient(LaurentPolyQ(), (0, 1))
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            q_poch_quotient(q_poch_product((2, 3)), (2, 3), (1, -1))
+
+    def test_zero_numerator(self):
+        assert q_poch_quotient(LaurentPolyQ(), (2, 3)).is_zero
+
+    def test_negative_bracket(self):
+        # [-3;q] = -q^-3 [3;q]
+        got = q_poch_quotient(q_poch_product((-3, 1), (4, 2)), (-3, 1))
+        assert got == q_poch_product((4, 2))
+        assert all(type(c) is int for _, c in got.terms())
 
 
 @st.composite
