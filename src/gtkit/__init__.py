@@ -7,8 +7,6 @@ from .exact import (
     NonExactDivision,
     Q,
     QFraction,
-    ext_sum,
-    ext_terms,
     pochhammer,
     q_bracket,
     q_poch,

@@ -8,11 +8,9 @@ list, each bracket [x;q] multiplied in by one prefix-sum pass, and divided
 out by ``q_poch_quotient`` one bracket at a time, each bracket's remainder
 checked, so integer coefficients stay integer; the q-closed forms reduce
 their quotients this way.  ``LaurentPolyQ.exact_div`` is general long
-division, for ``QFraction`` users: a divisor with leading coefficient +1 or
--1 gives an integer quotient, and ``Fraction`` enters only for any other
-leading coefficient.  The q-weighted recursion keeps its values packed, one
-Python integer per polynomial (``chained_sum_packed``, ``unpack_q``).  No
-floating point is used anywhere.
+division, for ``QFraction`` users.  The q-weighted recursion keeps its
+values packed, one Python integer per polynomial (``chained_sum_packed``,
+``unpack_q``).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -29,26 +27,8 @@ class NonExactDivision(ArithmeticError):
     """A Laurent-polynomial division left a nonzero remainder."""
 
 
-def ext_sum(f: Callable[[int], object], a: int, b: int):
-    """Sum f(a) + ... + f(b) under the extended summation convention.
-
-    For b >= a this is the ordinary sum, for b == a - 1 it is zero, and for
-    b <= a - 2 it is -(f(b+1) + f(b+2) + ... + f(a-1)).  The convention makes
-    the telescoping rule ext_sum(f, a, b) + ext_sum(f, b+1, c) == ext_sum(f, a, c)
-    hold for all integers a, b, c.
-    """
-    if b >= a:
-        return sum(f(i) for i in range(a, b + 1))
-    if b == a - 1:
-        return 0
-    return -sum(f(i) for i in range(b + 1, a))
-
-
 def _signed_ranges(bounds: Iterable[tuple[int, int]]) -> tuple[int, list[range]]:
-    # the nested extended sums l_1 over [a_1, b_1], ..., l_m over [a_m, b_m]
-    # as one sign and a product of ranges: [a, b] is range(a, b+1) when
-    # b >= a, and range(b+1, a) with its sign flipped otherwise; a pair with
-    # b == a - 1 gets the empty range(a, a), so the whole product is empty
+    # [a, a-1] gives the empty range(a, a), so the whole product is empty
     ranges = []
     sign = 1
     for a, b in bounds:
@@ -60,22 +40,11 @@ def _signed_ranges(bounds: Iterable[tuple[int, int]]) -> tuple[int, list[range]]
     return sign, ranges
 
 
-def ext_terms(bounds: Iterable[tuple[int, int]]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The terms of the nested extended sums l_1 over [a_1, b_1], ...,
-    l_m over [a_m, b_m], as an iterator of (sign, (l_1, ..., l_m)) pairs.
-
-    The bounds (a_j, b_j) must not depend on the summation variables, so the
-    nesting is a product of ranges and the sign is the same for every term.
-    Summing sign * f(*ls) over the terms equals the nested ext_sum of f.
-    """
-    sign, ranges = _signed_ranges(bounds)
-    return zip(itertools.repeat(sign), itertools.product(*ranges))
-
-
 def chained_sum(bounds: Iterable[tuple[int, int]],
                 summand: Callable[[tuple[int, ...]], object]):
-    """The nested extended sums of summand(ls) over the chain of bounds, as
-    in ext_terms; the sign, common to every term, is applied once."""
+    """The nested extended sums l_1 over [a_1, b_1], ..., l_m over [a_m, b_m]
+    of summand((l_1, ..., l_m)), a sum over [a, b] with b < a being minus the
+    sum over [b+1, a-1]; the sign, common to every term, is applied once."""
     sign, ranges = _signed_ranges(bounds)
     total = sum(map(summand, itertools.product(*ranges)))
     return total if sign > 0 else -total
@@ -83,22 +52,27 @@ def chained_sum(bounds: Iterable[tuple[int, int]],
 
 def chained_sum_q(
     bounds: Iterable[tuple[int, int]],
-    summand: Callable[[tuple[int, ...]], "LaurentPolyQ"],
+    summand: Callable[[tuple[int, ...]], "LaurentPolyQ | Scalar"],
 ) -> "LaurentPolyQ":
     """chained_sum with each term weighted by q^(l_1 + ... + l_m).
 
-    summand(ls) must be a LaurentPolyQ.  The shifted terms are accumulated in
-    place into one coefficient map, negated once at the end if the sign is
-    -1.  The value is a LaurentPolyQ, the zero one when a link is empty.
+    summand(ls) is a LaurentPolyQ, or an int or Fraction standing for the
+    constant term q^0.  The shifted terms are added up in one coefficient
+    map, negated once if the sign is -1.  The value is a LaurentPolyQ, the
+    zero one when a link is empty.
     """
     sign, ranges = _signed_ranges(bounds)
     out: dict[int, Scalar] = {}
     get = out.get
     for ls in itertools.product(*ranges):
         shift = sum(ls)
-        for e, c in summand(ls)._terms.items():
-            e += shift
-            out[e] = get(e, 0) + c
+        term = summand(ls)
+        if isinstance(term, LaurentPolyQ):
+            for e, c in term._terms.items():
+                e += shift
+                out[e] = get(e, 0) + c
+        elif term:
+            out[shift] = get(shift, 0) + term
     if sign < 0:
         out = {e: -c for e, c in out.items()}
     return LaurentPolyQ(out)
@@ -341,9 +315,7 @@ class LaurentPolyQ:
         Fraction is built.  Any other leading coefficient gives the exact
         rational quotient.
 
-        Raises NonExactDivision if den does not divide self exactly.  The
-        closed forms divide by their bracket lists with q_poch_quotient
-        instead; this general division serves QFraction users.
+        Raises NonExactDivision if den does not divide self exactly.
         """
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -536,7 +508,6 @@ class QFraction:
 def qfrac_exact_div(f: QFraction) -> LaurentPolyQ:
     """Reduce a QFraction whose denominator divides its numerator exactly.
 
-    Raises NonExactDivision otherwise.  The closed forms no longer reduce
-    through this: they divide by their bracket lists with q_poch_quotient.
+    Raises NonExactDivision otherwise.
     """
     return f.num.exact_div(f.den)

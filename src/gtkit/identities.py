@@ -9,7 +9,6 @@ and integer zeros.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -56,23 +55,21 @@ def _swap(k: tuple[int, ...], i: int) -> tuple[int, ...]:
 def apply_phi(g: IntFunction) -> IntFunction:
     """Summation operator: arity m -> m+1, summing g over the chained ranges
     l_1 in [k_1,k_2], ..., l_m in [k_m,k_{m+1}]."""
-    m = g.arity
-
-    def fn(*k):
-        return chained_sum([(k[j], k[j + 1]) for j in range(m)], lambda ls: g(*ls))
-
-    return IntFunction(m + 1, fn)
+    return _summed(g, chained_sum)
 
 
 def apply_phi_q(g: IntFunction) -> IntFunction:
     """q-weighted summation operator: each term carries q^(l_1+...+l_m).
     The value is always a LaurentPolyQ, the zero one when a link is empty;
     g may take integer values."""
+    return _summed(g, chained_sum_q)
+
+
+def _summed(g: IntFunction, chain) -> IntFunction:
     m = g.arity
 
     def fn(*k):
-        return chained_sum_q([(k[j], k[j + 1]) for j in range(m)],
-                             lambda ls: LaurentPolyQ._coerce(g(*ls)))
+        return chain([(k[j], k[j + 1]) for j in range(m)], lambda ls: g(*ls))
 
     return IntFunction(m + 1, fn)
 
@@ -101,13 +98,11 @@ def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool)
         raise ValueError(f"index i={i} out of range 1..{m}")
     if len(sample) != m + 1:
         raise ValueError(f"sample must have {m + 1} entries")
-    phi = apply_phi_q(g) if q else apply_phi(g)
-    lhs = apply_D(i, phi)(*sample)
+    chain = chained_sum_q if q else chained_sum
+    lhs = apply_D(i, _summed(g, chain))(*sample)
 
-    def total(bounds, h):  # h takes integer values, as g does
-        if q:
-            return chained_sum_q(bounds, lambda ls: LaurentPolyQ._coerce(h(*ls)))
-        return chained_sum(bounds, lambda ls: h(*ls))
+    def total(bounds, h):
+        return chain(bounds, lambda ls: h(*ls))
 
     terms = 0
     if i >= 2:  # D_0 g = 0 kills this term for i = 1
@@ -132,13 +127,39 @@ def verify_lemma_fund_q(m: int, i: int, g: IntFunction, sample: Sequence[int]) -
 def random_int_functions(
     count: int, arity: int, seed: int, box: int = 5, value_bound: int = 5
 ) -> Iterator[IntFunction]:
-    """Seeded stream of total integer functions: random values on the box
-    [-box, box]^arity and zero outside it."""
+    """Seeded stream of total integer functions, zero outside the box
+    [-box, box]^arity.
+
+    Each function draws one 64-bit key from random.Random(seed).  Its value
+    at a point of the box is the point's output of splitmix64 seeded with the
+    key, reduced into [-value_bound, value_bound] on first read and kept in
+    the function's own dict, so the seed and the point fix every value.
+    """
     rng = random.Random(seed)
-    points = list(itertools.product(range(-box, box + 1), repeat=arity))
     for _ in range(count):
-        table = {pt: rng.randint(-value_bound, value_bound) for pt in points}
-        yield IntFunction(arity, lambda *args, _t=table: _t.get(args, 0))
+        yield IntFunction(arity, _splitmix_values(rng.getrandbits(64), box, value_bound))
+
+
+def _splitmix_values(key: int, box: int, value_bound: int) -> Callable[..., int]:
+    values = {}
+    side, width, mask = 2 * box + 1, 2 * value_bound + 1, (1 << 64) - 1
+
+    def fn(*pt):
+        value = values.get(pt)
+        if value is None:
+            value = 0
+            if all(-box <= x <= box for x in pt):
+                idx = 0  # the point's place in the box
+                for x in pt:
+                    idx = idx * side + x + box
+                z = (key + (idx + 1) * 0x9E3779B97F4A7C15) & mask
+                z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+                z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+                value = (z ^ z >> 31) % width - value_bound
+            values[pt] = value
+        return value
+
+    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,19 @@ def _sort_desc_with_sign(lam: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(lam[t] for t in order)
 
 
-def f_ext(lam: Sequence[int]) -> int:
+def ssyt_count(shape: Sequence[int], k: int, memo: dict) -> int:
+    """ssyt_bruteforce(shape, k), kept in memo under (parts, k) with the
+    trailing zero parts dropped."""
+    parts = tuple(shape)
+    while parts and not parts[-1]:
+        parts = parts[:-1]
+    count = memo.get((parts, k))
+    if count is None:
+        count = memo[parts, k] = ssyt_bruteforce(parts, k)
+    return count
+
+
+def f_ext(lam: Sequence[int], memo: dict | None = None) -> int:
     """The alternating extension of the tableau count to integer vectors.
 
     Vanishes on repeated entries; otherwise sort strictly decreasing
@@ -78,7 +90,7 @@ def f_ext(lam: Sequence[int]) -> int:
     sign, ordered = _sort_desc_with_sign(lam)
     shift = -k - ordered[-1]
     shape = tuple(ordered[t] + shift + t + 1 for t in range(k))
-    return sign * ssyt_bruteforce(Partition(shape), k)
+    return sign * ssyt_count(shape, k, {} if memo is None else memo)
 
 
 _FEXT_MEMO: dict = {}
@@ -116,7 +128,7 @@ def _f_ext_rec(lam: tuple[int, ...], memo: dict) -> int:
     return value
 
 
-def verify_sign_involution(lam: Sequence[int]) -> bool:
+def verify_sign_involution(lam: Sequence[int], memo: dict | None = None) -> bool:
     """The signed sum over tuples mu with lam_k+1 <= mu_i <= lam_i that dip
     below the next entry (mu_i <= lam_{i+1} for some i) vanishes."""
     lam = tuple(lam)
@@ -129,11 +141,11 @@ def verify_sign_involution(lam: Sequence[int]) -> bool:
     total = 0
     for mu in itertools.product(*[range(lo, lam[t] + 1) for t in range(k - 1)]):
         if any(mu[t] <= lam[t + 1] for t in range(k - 1)):
-            total += f_ext(mu)
+            total += f_ext(mu, memo)
     return total == 0
 
 
-def verify_part_formula(lam: Sequence[int]) -> bool:
+def verify_part_formula(lam: Sequence[int], memo: dict | None = None) -> bool:
     """f_ext(lam) equals prod_{i<j} (lam_i - lam_j) / (j - i)."""
     lam = tuple(lam)
     k = len(lam)
@@ -141,4 +153,4 @@ def verify_part_formula(lam: Sequence[int]) -> bool:
     for i in range(k):
         for j in range(i + 1, k):
             product *= Fraction(lam[i] - lam[j], j - i)
-    return f_ext(lam) == product
+    return f_ext(lam, memo) == product

@@ -280,6 +280,26 @@ class TestVerify:
         assert set(params[0]) == set(names)
         assert all("^3" in p and "k <=" not in p for p in params[0].values())
 
+    @pytest.mark.parametrize("suite", ["ssyt", "tableaux"])
+    def test_tableau_memo_is_scoped_per_call(self, monkeypatch, capsys, suite):
+        # each run counts every shape once, and a second run counts them again
+        counted = []
+        brute = cli.tableaux.ssyt_bruteforce
+
+        def counting_brute(shape, k):
+            counted.append((tuple(shape), k))
+            return brute(shape, k)
+
+        monkeypatch.setattr(cli.tableaux, "ssyt_bruteforce", counting_brute)
+        runs = []
+        for _ in range(2):
+            counted.clear()
+            assert cli.main(["verify", "--suite", suite]) == 0
+            capsys.readouterr()
+            runs.append(list(counted))
+        assert runs[0] == runs[1]
+        assert runs[0] and len(set(runs[0])) == len(runs[0])
+
     def test_unknown_suite_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "bogus"])

@@ -1,5 +1,6 @@
 """Tests for exact rational and Laurent-polynomial arithmetic."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,6 @@ from gtkit.exact import (
     chained_sum,
     chained_sum_packed,
     chained_sum_q,
-    ext_sum,
-    ext_terms,
     pochhammer,
     q_bracket,
     q_poch,
@@ -26,6 +25,24 @@ from gtkit.exact import (
     qfrac_exact_div,
     unpack_q,
 )
+from gtkit.exact import _signed_ranges
+
+
+def ext_sum(f, a, b):
+    """The reference extended sum f(a) + ... + f(b): the ordinary sum for
+    b >= a, zero for b == a - 1, and -(f(b+1) + ... + f(a-1)) for b <= a - 2,
+    so that ext_sum(f, a, b) + ext_sum(f, b+1, c) == ext_sum(f, a, c)."""
+    if b >= a:
+        return sum(f(i) for i in range(a, b + 1))
+    if b == a - 1:
+        return 0
+    return -sum(f(i) for i in range(b + 1, a))
+
+
+def ext_terms(bounds):
+    """The terms of chained_sum as (sign, (l_1, ..., l_m)) pairs."""
+    sign, ranges = _signed_ranges(bounds)
+    return zip(itertools.repeat(sign), itertools.product(*ranges))
 
 
 class TestExtSum:
@@ -140,6 +157,29 @@ class TestChainedSumQ:
         bounds = list(zip(chain, chain[1:]))
         for summand in (_summand, _q_summand):
             assert chained_sum_q(bounds, _on_tuple(summand)) == _nested_q_sum(bounds, summand)
+
+    @given(chain=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+    @example(chain=[0, 3, 1, 4])  # ordinary, reversed, ordinary: mixed signs
+    @example(chain=[2, -1, -3])  # two reversed links
+    @example(chain=[0, 2, 1, 5])  # a b == a - 1 link inside the chain
+    @example(chain=[3])  # no links: the single empty tuple
+    def test_scalar_terms_are_constant_terms(self, chain):
+        bounds = list(zip(chain, chain[1:]))
+        for scalar in (lambda ls: _summand(*ls) % 5 - 2,  # zero on some tuples
+                       lambda ls: Fraction(_summand(*ls), len(ls) + 2)):
+            value = chained_sum_q(bounds, scalar)
+            assert value == chained_sum_q(
+                bounds, lambda ls: LaurentPolyQ.constant(scalar(ls)))
+            assert 0 not in dict(value.terms()).values()
+
+    def test_zero_terms_leave_no_coefficient(self):
+        assert chained_sum_q([(0, 3)], lambda ls: 0).terms() == ()
+        assert chained_sum_q([(0, 2)], lambda ls: Fraction(0)).is_zero
+        # the zero term at q^2 adds no coefficient
+        assert chained_sum_q([(1, 1), (0, 2)], lambda ls: ls[1] - 1).terms() == (
+            (1, -1), (3, 1))
+        # -1 + 1 at q^1 cancels
+        assert chained_sum_q([(0, 1), (0, 1)], lambda ls: ls[0] - ls[1]).is_zero
 
     @given(chain=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
     @example(chain=[2, -1, -3])

@@ -95,6 +95,34 @@ class TestApplyPhi:
                 assert phi(0, *ks, c) == fq_recursive(TopRowKey(r, n, c, ks)), ks
 
 
+class TestRandomIntFunctions:
+    def test_values_depend_only_on_seed_and_point(self):
+        points = list(itertools.product(range(-6, 7), repeat=2))
+        first = list(random_int_functions(3, 2, seed=11))
+        again = list(random_int_functions(3, 2, seed=11))
+        # read the second construction last function first, last point first
+        backward = {(j, pt): again[j](*pt) for j in (2, 1, 0) for pt in reversed(points)}
+        for j, g in enumerate(first):
+            assert [g(*pt) for pt in points] == [backward[j, pt] for pt in points]
+        other = next(random_int_functions(1, 2, seed=12))
+        assert [other(*pt) for pt in points] != [first[0](*pt) for pt in points]
+
+    def test_box_and_bound(self):
+        for arity, box, bound in ((1, 5, 5), (2, 2, 1), (3, 1, 3)):
+            g = next(random_int_functions(1, arity, seed=arity, box=box, value_bound=bound))
+            for pt in itertools.product(range(-box - 2, box + 3), repeat=arity):
+                value = g(*pt)
+                if max(map(abs, pt)) > box:
+                    assert value == 0, pt
+                else:
+                    assert -bound <= value <= bound, pt
+
+    def test_every_value_appears(self):
+        g = next(random_int_functions(1, 3, seed=5))
+        values = {g(*pt) for pt in itertools.product(range(-3, 4), repeat=3)}
+        assert values == set(range(-5, 6))
+
+
 class TestLemmaFund:
     def test_zero_function(self):
         zero = IntFunction(2, lambda *l: 0)

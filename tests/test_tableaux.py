@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from gtkit.closedforms import ssyt_product
-from gtkit.patterns import Partition
+from gtkit.patterns import Partition, ShapeViolation
 from gtkit.tableaux import (
     f_ext,
     f_ext_recursive,
     ssyt_bruteforce,
+    ssyt_count,
     verify_part_formula,
     verify_sign_involution,
 )
@@ -74,6 +75,28 @@ class TestFExt:
             for perm, sgn in sign.items():
                 permuted = tuple(lam[p] for p in perm)
                 assert f_ext(permuted) == sgn * base, (lam, perm)
+
+
+class TestCountMemo:
+    def test_memo_gives_the_same_values(self):
+        memo: dict = {}
+        for k in (1, 2, 3):
+            for lam in itertools.product(range(-2, 4), repeat=k):
+                assert f_ext(lam, memo) == f_ext(lam), lam
+                assert verify_part_formula(lam, memo), lam
+                if all(lam[t] >= lam[t + 1] for t in range(k - 1)):
+                    assert verify_sign_involution(lam, memo), lam
+        assert all(ssyt_bruteforce(*key) == count for key, count in memo.items())
+
+    def test_trailing_zero_parts_share_a_key(self):
+        memo: dict = {}
+        assert ssyt_count((2, 1, 0, 0), 3, memo) == ssyt_count((2, 1), 3, memo) == 8
+        assert memo == {((2, 1), 3): 8}
+
+    def test_invalid_shape_still_raises(self):
+        memo = {((2, 1), 3): 8}
+        with pytest.raises(ShapeViolation):
+            ssyt_count((2, 0, 1), 3, memo)
 
 
 class TestFExtRecursive:
