@@ -60,43 +60,55 @@ def _cell_range(w: int, e: int) -> range:
     return range(w, e + 1) if w <= e else range(e + 1, w)
 
 
-def _walk(
-    key: TopRowKey,
-    row_filter: Callable[[tuple[int, ...]], bool] | None = None,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int, list[range]]]:
+def _rows_below(ranges: list[range], c: int, row_filter) -> list:
+    # one value from each range, borders added; row_filter applied
+    rows = [(0,) + combo + (c,) for combo in itertools.product(*ranges)]
+    return rows if row_filter is None else list(filter(row_filter, rows))
+
+
+def _walk(key: TopRowKey, complete: Callable[[list[range]], object],
+          row_filter: Callable[[tuple[int, ...]], bool] | None = None) -> Iterator[tuple]:
     """The one top-down walk of the brute-force route.
 
-    For each choice of the rows above the bottom row, yield those rows (top
-    first), their inversion parity (borders included), the sum of their
-    interior entries, and the cell ranges of the bottom row.  Every pattern
-    is one such choice completed by one value from each range.  For r = 0
-    the top row is the bottom row: nothing lies above it, and its ranges
-    are singletons.  row_filter prunes the rows above as they are generated;
-    the bottom row is left to the caller.
+    For each choice of the rows above the bottom row (top first, pruned by
+    row_filter), yield those rows, their inversion parity (borders
+    included), their interior sum, and complete(ranges) of the bottom row's
+    cell ranges, one value from each making a pattern.  At r = 0 the top row
+    is the bottom row and its ranges are singletons.
+
+    A table for this call maps each distinct row to its parity, interior sum
+    and next rows (complete(ranges) just above the bottom row; a row's
+    length fixes its depth), worked out on first reach.  It holds row facts,
+    never counts: every choice is still yielded.
     """
     r, c = key.r, key.c
     if r == 0:
-        yield (), 0, 0, [range(k, k + 1) for k in key.ks]
+        yield (), 0, 0, complete([range(k, k + 1) for k in key.ks])
         return
     top = (0,) + key.ks + (c,)
     if row_filter is not None and not row_filter(top):
         return
-
-    def descend(rows: tuple[tuple[int, ...], ...], parity: int,
-                norm: int) -> Iterator[tuple]:
-        above = rows[-1]
-        parity ^= sum(a > b for a, b in zip(above, above[1:])) & 1
-        norm += sum(above) - c  # the borders are 0 and c
-        ranges = [_cell_range(w, e) for w, e in zip(above, above[1:])]
-        if len(rows) == r:
-            yield rows, parity, norm, ranges
-            return
-        for combo in itertools.product(*ranges):
-            row = (0,) + combo + (c,)
-            if row_filter is None or row_filter(row):
-                yield from descend(rows + (row,), parity, norm)
-
-    yield from descend((top,), 0, 0)
+    table: dict = {}
+    stack = [((top,), 0, 0)]
+    while stack:
+        rows, parity, norm = stack.pop()
+        row, last = rows[-1], len(rows) == r
+        facts = table.get(row)
+        if facts is None:
+            ranges = [_cell_range(w, e) for w, e in zip(row, row[1:])]
+            # next rows reversed, so that the stack pops them in order
+            below = complete(ranges) if last else _rows_below(ranges, c, row_filter)[::-1]
+            facts = table[row] = (sum(a > b for a, b in zip(row, row[1:])) & 1,
+                                  sum(row) - c,  # the borders are 0 and c
+                                  below)
+        flip, interior, below = facts
+        parity ^= flip
+        norm += interior
+        if last:
+            yield rows, parity, norm, below
+        else:
+            for child in below:
+                stack.append((rows + (child,), parity, norm))
 
 
 def enumerate_patterns(
@@ -109,24 +121,29 @@ def enumerate_patterns(
     by its two upper neighbours, so the stream is finite.  An optional
     row_filter prunes rows (borders included) as they are generated.
     """
-    for rows, _, _, ranges in _walk(key, row_filter):
-        for combo in itertools.product(*ranges):
-            bottom = (0,) + combo + (key.c,)
-            if row_filter is None or row_filter(bottom):
-                yield GenPattern(key.r, key.n, key.c, rows + (bottom,))
+    r, n, c = key.r, key.n, key.c
+    bottoms = functools.partial(_rows_below, c=c, row_filter=row_filter)
+    for rows, _, _, below in _walk(key, bottoms, row_filter):
+        for bottom in below:
+            yield GenPattern(r, n, c, rows + (bottom,))
+
+
+def _bottom_sums(ranges: list[range]) -> tuple[int, ...]:
+    return tuple(map(sum, itertools.product(*ranges)))
 
 
 def bruteforce_count(key: TopRowKey) -> CountResult:
     """Plain and q-weighted brute-force counts from a single enumeration pass.
 
     Each pattern contributes its sign to the plain count and
-    sign * q^(norm - sum(ks)) to the q-weighted count.
+    sign * q^(norm - sum(ks)) to the q-weighted count, one at a time.  The
+    walk's table keeps the bottom rows' interior sums per row above them.
     """
     total = 0
     by_norm: dict[int, int] = {}
-    for _, parity, norm, ranges in _walk(key):
+    for _, parity, norm, sums in _walk(key, _bottom_sums):
         sign = -1 if parity else 1
-        for s in map(sum, itertools.product(*ranges)):
+        for s in sums:
             total += sign
             by_norm[norm + s] = by_norm.get(norm + s, 0) + sign
     offset = sum(key.ks)

@@ -41,8 +41,10 @@ def apply_D(i: int, g: IntFunction) -> IntFunction:
     if not 1 <= i <= g.arity - 1:
         raise IndexError(f"D_{i} undefined on arity-{g.arity} functions")
 
+    gfn = g.fn  # the outer call has checked the arity
+
     def fn(*k):
-        return g(*k) + g(*_swap(k, i))
+        return gfn(*k) + gfn(*_swap(k, i))
 
     return IntFunction(g.arity, fn)
 
@@ -66,10 +68,10 @@ def apply_phi_q(g: IntFunction) -> IntFunction:
 
 
 def _summed(g: IntFunction, chain) -> IntFunction:
-    m = g.arity
+    m, gfn = g.arity, g.fn  # the outer call has checked the arity
 
     def fn(*k):
-        return chain([(k[j], k[j + 1]) for j in range(m)], lambda ls: g(*ls))
+        return chain([(k[j], k[j + 1]) for j in range(m)], lambda ls: gfn(*ls))
 
     return IntFunction(m + 1, fn)
 

@@ -19,7 +19,7 @@ from gtkit.counting import (
     spp_generating_function,
 )
 from gtkit.exact import LaurentPolyQ
-from gtkit.patterns import norm_of, sign_of
+from gtkit.patterns import GenPattern, norm_of, sign_of, validate
 from gtkit.closedforms import intro_binomial, refined_asm
 
 
@@ -156,6 +156,100 @@ class TestSinglePassMatchesDefinition:
         key = TopRowKey(2, 3, 2, (-1,))
         assert list(enumerate_patterns(key)) == []
         assert bruteforce_count(key) == CountResult(0, LaurentPolyQ())
+
+
+def _box_count(key: TopRowKey) -> CountResult:
+    # the definition, without the walk: every integer array whose rows below
+    # the top take their interior entries from [min(top), max(top)], kept
+    # when validate accepts it.  Each entry of a pattern lies between its
+    # upper neighbours, so the box holds every pattern.
+    top = (0,) + key.ks + (key.c,)
+    values = range(min(top), max(top) + 1)
+    lower = [list(itertools.product(values, repeat=len(top) - 1 + d))
+             for d in range(key.r)]
+    plain, coeffs = 0, {}
+    for interiors in itertools.product(*lower):
+        p = GenPattern(key.r, key.n, key.c,
+                       (top,) + tuple((0,) + row + (key.c,) for row in interiors))
+        if validate(p):
+            plain += sign_of(p)
+            e = norm_of(p) - sum(key.ks)
+            coeffs[e] = coeffs.get(e, 0) + sign_of(p)
+    return CountResult(plain, LaurentPolyQ(coeffs))
+
+
+class TestBruteForceMatchesTheBox:
+    """bruteforce_count against the definition, with no walk in between."""
+
+    @pytest.mark.parametrize("r, n, c, ks", [
+        (0, 3, 2, (5, -1, 2)),    # r = 0, descents in the top row
+        (1, 2, 2, (3,)),          # k > c
+        (1, 3, 2, (2, -1)),       # inverted top row
+        (2, 3, 2, (0,)),
+        (2, 3, 2, (-1,)),         # no patterns
+        (2, 3, -2, (1,)),         # negative c
+        (3, 3, -2, ()),           # negative c, r = n
+        (2, 4, -1, (1, -2)),      # negative c, inverted top row
+        (3, 4, 1, (2,)),
+    ])
+    def test_box(self, r, n, c, ks):
+        key = TopRowKey(r, n, c, ks)
+        assert bruteforce_count(key) == _box_count(key)
+
+
+class TestRowTable:
+    """The walk's table of row facts lives for one call and respects the filter."""
+
+    def test_interleaved_calls_match_fresh_ones(self):
+        # the keys share rows; the filter prunes some of them for one caller
+        strict = asm._strictly_increasing
+        keys = [TopRowKey(2, 3, 4, (k,)) for k in range(1, 4)]
+        running = {(key, f): enumerate_patterns(key, f)
+                   for key in keys for f in (strict, None)}
+        listed = {run: [] for run in running}
+        counts = []
+        while running:
+            for (key, f), patterns in list(running.items()):
+                p = next(patterns, None)
+                if p is None:
+                    del running[key, f]
+                else:
+                    listed[key, f].append(p.rows)
+                    counts.append((key, bruteforce_count(key)))
+        for (key, f), rows in listed.items():
+            assert rows == [p.rows for p in enumerate_patterns(key, f)], key
+        for key in keys:
+            every = listed[key, None]
+            assert listed[key, strict] == [
+                rows for rows in every if all(map(strict, rows))], key
+            assert len(listed[key, strict]) < len(every)
+        for key, result in counts:
+            assert result == bruteforce_count(key), key
+
+    def test_no_module_level_table(self):
+        dicts = {name for name, value in vars(counting).items()
+                 if isinstance(value, dict) and not name.startswith("__")}
+        assert dicts == {"_F_MEMO", "_FQ_MEMO"}
+
+    def test_cell_ranges_once_per_distinct_row(self, monkeypatch):
+        # a walk without the table works the ranges out once per visit
+        key = TopRowKey(4, 5, 3, (1,))
+        patterns = [p.rows for p in enumerate_patterns(key)]
+        above = {row for rows in patterns for row in rows[:-1]}
+        cells = sum(len(row) - 1 for row in above)
+        visited = {rows[:d] for rows in patterns for d in range(1, key.r + 1)}
+        assert cells < sum(len(rows[-1]) - 1 for rows in visited)
+        real, calls = counting._cell_range, []
+
+        def counted(w, e):
+            calls.append((w, e))
+            return real(w, e)
+
+        monkeypatch.setattr(counting, "_cell_range", counted)
+        for run in (lambda: list(enumerate_patterns(key)), lambda: bruteforce_count(key)):
+            calls.clear()
+            run()
+            assert len(calls) == cells
 
 
 def _reflected(key: TopRowKey) -> TopRowKey:

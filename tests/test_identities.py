@@ -37,6 +37,30 @@ from gtkit.identities import (
 )
 
 
+class TestArity:
+    def test_wrong_arity_raises(self):
+        g = IntFunction(2, lambda k1, k2: k1)
+        for f, arity in [(g, 2), (apply_D(1, g), 2), (apply_phi(g), 3),
+                         (apply_phi_q(g), 3)]:
+            for args in [(1,) * (arity - 1), (1,) * (arity + 1)]:
+                with pytest.raises(TypeError, match=f"expected {arity} arguments"):
+                    f(*args)
+
+    def test_operators_call_the_inner_function_once_per_term(self):
+        # the outer call checks the arity; the terms call g.fn unchecked
+        checked, calls = [], []
+
+        class Checked(IntFunction):
+            def __call__(self, *args):
+                checked.append(args)
+                return super().__call__(*args)
+
+        g = Checked(2, lambda k1, k2: calls.append((k1, k2)) or k1)
+        assert apply_D(1, g)(4, 9) == 4 + 10
+        assert apply_phi(g)(0, 1, 2) == 0 + 0 + 1 + 1
+        assert len(calls) == 2 + 4 and checked == []
+
+
 class TestApplyD:
     def test_definition(self):
         g = IntFunction(2, lambda k1, k2: k1)
