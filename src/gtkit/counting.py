@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exact import PACK_BITS, LaurentPolyQ, chained_sum, chained_sum_packed, unpack_q
+from .exact import (PACK_BITS, LaurentPolyQ, chained_count, chained_count_packed,
+                    chained_sum, chained_sum_packed, unpack_q)
 from .patterns import GenPattern
 
 
@@ -123,9 +124,10 @@ def enumerate_patterns(
     """
     r, n, c = key.r, key.n, key.c
     bottoms = functools.partial(_rows_below, c=c, row_filter=row_filter)
+    pattern = GenPattern._trusted
     for rows, _, _, below in _walk(key, bottoms, row_filter):
         for bottom in below:
-            yield GenPattern(r, n, c, rows + (bottom,))
+            yield pattern(r, n, c, rows + (bottom,))
 
 
 def _bottom_sums(ranges: list[range]) -> tuple[int, ...]:
@@ -169,9 +171,6 @@ def fq_bruteforce(key: TopRowKey) -> LaurentPolyQ:
 _F_MEMO: dict = {}
 _FQ_MEMO: dict = {}
 
-# F_q(0,n,c;.) = 1 as a fq_recursive memo value: one pattern
-_PACKED_ONE = (1, 0, 1)
-
 
 def clear_memos() -> None:
     """Drop both global memo tables (useful for benchmarks and tests)."""
@@ -190,7 +189,7 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> Fraction:
     """
     if memo is None:
         memo = _F_MEMO
-    return Fraction(_recurse(key.r, key.n, key.c, key.ks, memo, chained_sum, 1))
+    return Fraction(_recurse(memo, chained_sum, chained_count, key.r, key.n, key.c, key.ks))
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
@@ -215,8 +214,9 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
         memo = _FQ_MEMO
 
     def packed_at(bits: int, memo: dict) -> tuple[int, int, int]:
-        return _recurse(key.r, key.n, key.c, key.ks, memo,
-                        functools.partial(chained_sum_packed, bits=bits), _PACKED_ONE)
+        return _recurse(memo, functools.partial(chained_sum_packed, bits=bits),
+                        functools.partial(chained_count_packed, bits=bits),
+                        key.r, key.n, key.c, key.ks)
 
     bits = PACK_BITS
     packed, low, patterns = packed_at(bits, memo)
@@ -226,25 +226,30 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     return unpack_q(packed, low, bits)
 
 
-def _recurse(r: int, n: int, c: int, ks: tuple[int, ...], memo: dict,
-             total: Callable, one):
+def _recurse(memo: dict, total: Callable, box: Callable,
+             r: int, n: int, c: int, ks: tuple[int, ...]):
     """The recursion engine shared by both weights.
 
     total(bounds, child) is chained_sum or a chained_sum_packed: it sums
-    child(ls), which is F(r-1,n,c;ls), over one state's chain of bounds.  one
-    is the base value F(0,n,c;.).  memo maps (r, n, c, ks) to the value of
-    that state, in whatever form total returns it: an int for the plain
-    weight, a (packed, low, patterns) triple for the q weight.  So one memo
-    serves one weight and one width.
+    child(ls) = F(r-1,n,c;ls), this function with all but ls bound, over one
+    state's chain of bounds.  box is the matching chained_count: the same
+    sum of the constant F(0,n,c;.) = 1 as a product, which closes level
+    r = 1; box(()) is that base value.  memo maps (r, n, c, ks) to the
+    state's value as total returns it: an int for the plain weight, a
+    (packed, low, patterns) triple for the q weight.  So one memo serves one
+    weight and one width.
     """
     if r == 0:
-        return one
+        return box(())
     key = (r, n, c, ks)
     value = memo.get(key)
     if value is None:
         bounds = (0,) + ks + (c,)
-        value = total(zip(bounds, bounds[1:]),
-                      lambda ls: _recurse(r - 1, n, c, ls, memo, total, one))
+        links = zip(bounds, bounds[1:])
+        if r == 1:
+            value = box(links)
+        else:
+            value = total(links, functools.partial(_recurse, memo, total, box, r - 1, n, c))
         memo[key] = value
     return value
 

@@ -1,21 +1,19 @@
 """Exact scalar and q-polynomial arithmetic.
 
-Rationals are plain ``fractions.Fraction``, Laurent polynomials in the
-formal variable q are sparse exponent -> coefficient maps, and quotients of
-Laurent polynomials are compared by cross-multiplication.  Products of
-q-Pochhammer symbols are built by ``q_poch_product`` on one dense integer
-list, each bracket [x;q] multiplied in by one prefix-sum pass, and divided
-out by ``q_poch_quotient`` one bracket at a time, each bracket's remainder
-checked, so integer coefficients stay integer; the q-closed forms reduce
-their quotients this way.  ``LaurentPolyQ.exact_div`` is general long
-division, for ``QFraction`` users.  The q-weighted recursion keeps its
-values packed, one Python integer per polynomial (``chained_sum_packed``,
-``unpack_q``).  No floating point is used anywhere.
+Rationals are plain ``fractions.Fraction``, Laurent polynomials in q are
+sparse exponent -> coefficient maps, and quotients of them are compared by
+cross-multiplication.  ``q_poch_product`` and ``q_poch_quotient`` multiply
+and divide by q-Pochhammer brackets on one dense integer list, checking each
+bracket's remainder; ``LaurentPolyQ.exact_div`` is general long division,
+for ``QFraction`` users.  The q recursion keeps each value packed in one
+Python integer (``chained_sum_packed``, ``unpack_q``).  No floating point is
+used anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -48,6 +46,13 @@ def chained_sum(bounds: Iterable[tuple[int, int]],
     sign, ranges = _signed_ranges(bounds)
     total = sum(map(summand, itertools.product(*ranges)))
     return total if sign > 0 else -total
+
+
+def chained_count(bounds: Iterable[tuple[int, int]]) -> int:
+    """chained_sum(bounds, lambda ls: 1): the sign times the product of the
+    range lengths."""
+    sign, ranges = _signed_ranges(bounds)
+    return sign * math.prod(map(len, ranges))
 
 
 def chained_sum_q(
@@ -115,6 +120,19 @@ def chained_sum_packed(
                 total = (total << bits * (low - e)) + packed
                 low = e
     return (total if sign > 0 else -total), low, count
+
+
+def chained_count_packed(bounds: Iterable[tuple[int, int]], bits: int) -> tuple[int, int, int]:
+    """chained_sum_packed(bounds, lambda ls: (1, 0, 1), bits) as a product:
+    the sign times the product over ranges R of sum_{t<|R|} 2^(bits*t), low
+    the sum of the starts, count the product of the |R|."""
+    sign, ranges = _signed_ranges(bounds)
+    count = math.prod(map(len, ranges))
+    if not count:
+        return 0, 0, 0
+    digit = (1 << bits) - 1
+    packed = math.prod([((1 << bits * len(R)) - 1) // digit for R in ranges])
+    return sign * packed, sum(R.start for R in ranges), count
 
 
 def unpack_q(packed: int, low: int, bits: int) -> "LaurentPolyQ":
@@ -426,21 +444,15 @@ def q_poch(x: int, n: int) -> LaurentPolyQ:
 
 def q_poch_quotient(num: LaurentPolyQ, *den_pairs: tuple[int, int]) -> LaurentPolyQ:
     """The exact quotient of num by the product of [x;q]_n over the (x, n)
-    pairs, divided out one bracket [x;q] at a time.
+    pairs, divided out one bracket [x;q] at a time on one dense list.
 
-    The coefficients sit on one dense list.  Dividing by [x;q] for x > 0 is
-    two passes: multiplying by (1 - q) is one difference pass, and dividing
-    by (1 - q^x) is x strided prefix sums, one per residue class mod x.  The
-    top x coefficients of those sums are the remainder, and must all be
-    zero.  A bracket with x < 0 is -q^x [-x;q]: the sign flips and the
-    lowest exponent rises by -x.
-
-    Every bracket divides the full numerator; no bracket is cancelled against
-    another.  Over Q[q], num is divisible by a product A B exactly when A
-    divides num and B divides num / A, so checking the remainder of each
-    bracket in turn decides the divisibility of num by the whole product,
-    and this raises exactly when dividing by the product at once would.
-    Only additions and subtractions touch the coefficients, so an integer
+    For x > 0, multiplying by (1 - q) is one difference pass and dividing by
+    (1 - q^x) is x strided prefix sums, one per residue class mod x; the top
+    x sums are the remainder and must be zero.  [x;q] for x < 0 is
+    -q^x [-x;q].  Over Q[q], A B divides num exactly when A divides num and
+    B divides num / A, so checking each bracket in turn decides the whole
+    product's divisibility; no bracket is cancelled against another.  Only
+    additions and subtractions touch the coefficients, so an integer
     numerator gives an integer quotient.
 
     Raises ValueError for a negative index n, before any work;

@@ -208,6 +208,14 @@ class GenPattern:
                     f"got {len(row)}"
                 )
 
+    @classmethod
+    def _trusted(cls, r: int, n: int, c: int, rows: tuple) -> "GenPattern":
+        # internal: rows already a tuple of tuples of the right lengths, as
+        # the brute-force walk builds them, so __post_init__ is skipped
+        p = object.__new__(cls)
+        object.__setattr__(p, "__dict__", {"r": r, "n": n, "c": c, "rows": rows})
+        return p
+
     def to_gt(self) -> GTPattern:
         """Strip borders of an (n-1, n, c) pattern into a GTPattern."""
         if self.r != self.n - 1:

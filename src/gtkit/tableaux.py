@@ -8,6 +8,7 @@ checks the resulting quotient-of-differences product formula.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Sequence
@@ -123,7 +124,7 @@ def _f_ext_rec(lam: tuple[int, ...], memo: dict) -> int:
     if cached is not None:
         return cached
     bounds = [(last + 1, top) for top in lam[:-1]]
-    value = chained_sum(bounds, lambda mu: _f_ext_rec(mu, memo))
+    value = chained_sum(bounds, functools.partial(_f_ext_rec, memo=memo))
     memo[lam] = value
     return value
 

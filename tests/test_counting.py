@@ -1,5 +1,6 @@
 """Tests for the two enumeration engines and their agreement."""
 
+import functools
 import itertools
 
 import pytest
@@ -82,6 +83,18 @@ class TestEnumerator:
                 key = TopRowKey(n - 1, n, n + 1, (k,))
                 triangles = refined_asm(n, k) if 1 <= k <= n else 0
                 assert len(rows(key, asm._strictly_increasing)) == triangles, key
+
+    def test_walk_built_patterns_pass_the_checked_constructor(self):
+        # enumerate_patterns builds its patterns unchecked; each must be the
+        # pattern the public constructor checks and builds from its rows
+        keys = list(_keys(1)) + [TopRowKey(2, 4, -3, (-5, 1)), TopRowKey(4, 5, 3, (1,))]
+        filters = [None, asm._strictly_increasing]
+        for key, row_filter in itertools.product(keys, filters):
+            for p in enumerate_patterns(key, row_filter):
+                checked = GenPattern(key.r, key.n, key.c, [list(row) for row in p.rows])
+                assert validate(p), p
+                assert p == checked and hash(p) == hash(checked)
+                assert type(p.rows) is tuple and all(type(row) is tuple for row in p.rows)
 
 
 class TestBruteForce:
@@ -324,6 +337,70 @@ class TestRecursion:
         plain = f_recursive(key, plain_memo)
         assert fq_recursive(key, q_memo).at_one() == plain
         assert len(plain_memo) == len(q_memo) == states
+
+
+# the benchmark's deep-recursion keys
+DEEP_KEYS = [TopRowKey(6, 7, 5, (2,)), TopRowKey(7, 8, 4, (1,)), TopRowKey(6, 8, 4, (1, 3)),
+             TopRowKey(6, 9, 4, (0, 2, 4)), TopRowKey(6, 7, 4, (1,)), TopRowKey(5, 8, 4, (0, 2, 4))]
+
+
+def _reference_recursion(state, memo, total, one):
+    # the recursion as it reads: every level, r = 1 included, sums the level
+    # below through total, down to the base value one
+    r, n, c, ks = state
+    if r == 0:
+        return one
+    value = memo.get(state)
+    if value is None:
+        bounds = (0,) + ks + (c,)
+        value = memo[state] = total(
+            zip(bounds, bounds[1:]),
+            lambda ls: _reference_recursion((r - 1, n, c, ls), memo, total, one))
+    return value
+
+
+class TestClosedLastLevel:
+    """At r = 1 the engine closes a state as a product of range lengths and
+    never sums its terms; its memo must hold what the summed recursion does."""
+
+    WEIGHTS = {
+        "plain": (f_recursive, exact.chained_sum, 1),
+        "q": (fq_recursive, functools.partial(exact.chained_sum_packed, bits=exact.PACK_BITS),
+              (1, 0, 1)),
+    }
+
+    @pytest.mark.parametrize("weight", ["plain", "q"])
+    @pytest.mark.parametrize("keys", ["sweep", "deep"])
+    def test_memo_equals_the_summed_recursion(self, weight, keys):
+        engine, total, one = self.WEIGHTS[weight]
+        memo: dict = {}
+        reference: dict = {}
+        for key in list(_keys(2)) if keys == "sweep" else DEEP_KEYS:
+            engine(key, memo)
+            _reference_recursion((key.r, key.n, key.c, key.ks), reference, total, one)
+        assert memo == reference
+
+    @pytest.mark.parametrize("weight", ["plain", "q"])
+    def test_total_runs_once_per_state_above_level_one(self, weight, monkeypatch):
+        # each key has one n, so a chain of m links belongs to level n + 1 - m
+        name = "chained_sum" if weight == "plain" else "chained_sum_packed"
+        real = getattr(counting, name)
+        chains = []
+
+        def counted(bounds, summand, *args, **kwargs):
+            bounds = list(bounds)
+            chains.append(len(bounds))
+            return real(bounds, summand, *args, **kwargs)
+
+        monkeypatch.setattr(counting, name, counted)
+        engine = self.WEIGHTS[weight][0]
+        for key in DEEP_KEYS:
+            memo: dict = {}
+            chains.clear()
+            engine(key, memo)
+            levels = sorted(key.n + 1 - m for m in chains)
+            assert levels == sorted(r for r, *_ in memo if r >= 2), key
+            assert levels[0] == 2 and any(r == 1 for r, *_ in memo), key
 
 
 def _patterns(r, n, c, ks):

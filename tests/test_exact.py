@@ -1,6 +1,7 @@
 """Tests for exact rational and Laurent-polynomial arithmetic."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from gtkit.exact import (
     NonExactDivision,
     Q,
     QFraction,
+    chained_count,
+    chained_count_packed,
     chained_sum,
     chained_sum_packed,
     chained_sum_q,
@@ -247,6 +250,48 @@ class TestPackedQ:
         # the count is added up unsigned: one per term, whatever the sign
         terms = sum(1 for _ in ext_terms(bounds))
         assert count == terms * len(chain)
+
+
+def _random_bounds(seed: int):
+    # chains of up to 4 links over [-6, 6]: ordinary, reversed and empty
+    # (b == a - 1) links, negative bounds, and the zero-length chain
+    rng = random.Random(seed)
+    for _ in range(300):
+        bounds = []
+        for _ in range(rng.randint(0, 4)):
+            a = rng.randint(-6, 6)
+            bounds.append((a, rng.choice([a - 1, rng.randint(-6, 6)])))
+        yield bounds
+
+
+class TestChainedCount:
+    """The r = 1 closures of the recursion are the chained sums of the
+    constant 1 that they replace, value for value."""
+
+    EDGES = [[], [(0, 3)], [(3, 0)], [(2, 1)], [(-4, -1), (-1, -6)],
+             [(0, 2), (2, 1), (1, 5)], [(5, -2), (-2, 3), (3, -6), (-6, 0)]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_chained_sum_of_one(self, seed):
+        for bounds in self.EDGES + list(_random_bounds(seed)):
+            assert chained_count(bounds) == chained_sum(bounds, lambda ls: 1), bounds
+            assert chained_count(iter(bounds)) == chained_count(bounds)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bits", [8, 64])
+    def test_packed_matches_chained_sum_packed_of_one(self, seed, bits):
+        for bounds in self.EDGES + list(_random_bounds(seed)):
+            expected = chained_sum_packed(bounds, lambda ls: (1, 0, 1), bits)
+            assert chained_count_packed(bounds, bits) == expected, bounds
+            assert chained_count_packed(iter(bounds), bits) == expected
+
+    def test_zero_length_chain_is_the_base_value(self):
+        assert chained_count(()) == 1
+        assert chained_count_packed((), PACK_BITS) == (1, 0, 1)
+
+    def test_empty_link_gives_zero(self):
+        assert chained_count([(0, 3), (5, 4)]) == 0
+        assert chained_count_packed([(0, 3), (5, 4), (4, 0)], 8) == (0, 0, 0)
 
 
 class TestPochhammer:
