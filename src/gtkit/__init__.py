@@ -42,6 +42,7 @@ from .counting import (
     spp_generating_function,
 )
 from .closedforms import (
+    asm_product,
     bender_knuth_count,
     bender_knuth_gf,
     intro_binomial,
@@ -55,10 +56,10 @@ from .closedforms import (
 from .identities import (
     DegreeExceeded,
     IntFunction,
-    PolyUni,
     apply_D,
     apply_phi,
     apply_phi_q,
+    interpolate,
     interpolate_f,
     verify_decomp,
     verify_decomp_q,

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import asm as asm_mod
 from . import closedforms, counting, identities, tableaux
 from .counting import TopRowKey
-from .exact import NonExactDivision, QFraction, q_poch_product, q_poch_quotient
+from .exact import NonExactDivision
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -360,12 +360,13 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
     ]
     params = f"vectors in [{lo},{hi}]^k, k <= {cfg.tableaux_max_k}"
     memo = {}  # tableau counts of this call
+    rec_memo = {}  # recursion values of this call
 
     def f_ext(lam):
         return tableaux.f_ext(lam, memo)
 
     def engines_agree(lam):
-        return f_ext(lam) == tableaux.f_ext_recursive(lam)
+        return f_ext(lam) == tableaux.f_ext_recursive(lam, rec_memo)
 
     _check(report, params, vectors,
            {"extension recursion agreement": engines_agree})
@@ -423,16 +424,11 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
 
     _check(report, params, instances, {"refined count formula": count_matches})
 
-    totals = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436}
-
     def total_matches(n):
         total = sum(
             asm_mod.count_monotone_triangles(n, k) for k in range(1, n + 1)
         )
-        expected = totals.get(n)
-        if expected is None:  # beyond the tabulated sizes, use the closed form
-            expected = sum(closedforms.refined_asm(n, k) for k in range(1, n + 1))
-        return total == expected
+        return total == closedforms.asm_product(n)
 
     _check(report, f"n <= {cfg.asm_count_max_n}",
            ((n,) for n in range(1, cfg.asm_count_max_n + 1)),
@@ -541,15 +537,12 @@ def _table_row_q(n: int, c: int, k: int):
     # to the normalized engine count; outside 0 <= k <= c the quotient may
     # not reduce, in which case the fraction form is reported instead
     brute = counting.fq_bruteforce(TopRowKey(n - 1, n, c, (k,))).shift(k)
-    num_pairs, shift, den_pairs = closedforms._theorem_main_q_brackets(n, c, k)
-    num = q_poch_product(*num_pairs).shift(shift)
-    den = q_poch_product(*den_pairs)
-    match = num == brute * den
+    frac = closedforms.theorem_main_q_fraction(n, c, k)
     try:
-        formula = str(q_poch_quotient(num, *den_pairs))
+        formula = str(closedforms.theorem_main_q(n, c, k))
     except NonExactDivision:
-        formula = str(QFraction(num, den))
-    return brute, formula, match
+        formula = str(frac)
+    return brute, formula, frac == brute
 
 
 def cmd_table(args) -> int:

@@ -131,6 +131,17 @@ def refined_asm(n: int, k: int) -> Fraction:
     return value
 
 
+def asm_product(n: int) -> Fraction:
+    """Number of alternating sign matrices of order n:
+    prod_{i=0}^{n-1} (3i+1)! / (n+i)!, each factorial m! written (1)_m."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    value = Fraction(1)
+    for i in range(n):
+        value *= pochhammer(1, 3 * i + 1) / pochhammer(1, n + i)
+    return value
+
+
 def tsspp_product(n: int) -> Fraction:
     """Number of (n-1) x (n-1) x (n-1) totally symmetric plane partitions:
     prod_{1<=i<=j<=n-1} (i+j+n-2) / (i+2j-2)."""

@@ -5,7 +5,8 @@ sparse exponent -> coefficient maps, and quotients of them are compared by
 cross-multiplication.  ``q_poch_product`` and ``q_poch_quotient`` multiply
 and divide by q-Pochhammer brackets on one dense integer list, checking each
 bracket's remainder; ``LaurentPolyQ.exact_div`` is general long division,
-for ``QFraction`` users.  The q recursion keeps each value packed in one
+for ``QFraction`` users and for the zeros check, which divides a polynomial
+in k by linear factors.  The q recursion keeps each value packed in one
 Python integer (``chained_sum_packed``, ``unpack_q``).  No floating point is
 used anywhere.
 """

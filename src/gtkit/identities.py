@@ -16,11 +16,13 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .counting import TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_recursive
-from .exact import LaurentPolyQ, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch
+from .exact import (
+    LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch,
+)
 
 
 class DegreeExceeded(ArithmeticError):
-    """Interpolation nodes beyond the stated degree bound do not match."""
+    """The interpolated count has a degree above its stated bound."""
 
 
 @dataclass(frozen=True)
@@ -341,105 +343,47 @@ def verify_qpoch_sum(n: int, y: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class PolyUni:
-    """Exact univariate polynomial over the rationals.
-
-    Coefficients are stored ascending by degree with no trailing zeros.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction | int]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int | Fraction) -> Fraction:
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyUni):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"PolyUni({list(self.coeffs)!r})"
-
-    @classmethod
-    def interpolate(
-        cls, xs: Sequence[int], ys: Sequence[Fraction | int]
-    ) -> "PolyUni":
-        """Unique polynomial through the given points, by Newton's divided
-        differences in exact rational arithmetic."""
-        if len(xs) != len(ys) or not xs:
-            raise ValueError("need equally many nodes and values, at least one")
-        if len(set(xs)) != len(xs):
-            raise ValueError("interpolation nodes must be distinct")
-        dd = [Fraction(y) for y in ys]
-        m = len(xs)
-        for order in range(1, m):
-            for t in range(m - 1, order - 1, -1):
-                dd[t] = (dd[t] - dd[t - 1]) / Fraction(xs[t] - xs[t - order])
-        # expand the Newton form into monomial coefficients
-        poly = [Fraction(0)] * m
-        basis = [Fraction(1)]  # product of (X - x_t) for t < order
-        for order in range(m):
-            for t, b in enumerate(basis):
-                poly[t] += dd[order] * b
-            new_basis = [Fraction(0)] * (len(basis) + 1)
-            for t, b in enumerate(basis):
-                new_basis[t] -= b * xs[order]
-                new_basis[t + 1] += b
-            basis = new_basis
-        return cls(poly)
-
-    def divide_linear(self, a: int | Fraction) -> tuple["PolyUni", Fraction]:
-        """Synthetic division by (X - a): returns (quotient, remainder)."""
-        if self.is_zero:
-            return PolyUni(()), Fraction(0)
-        quotient = [Fraction(0)] * (len(self.coeffs) - 1)
-        carry = Fraction(0)
-        for t in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[t] + carry * a
-            quotient[t - 1] = carry
-        remainder = self.coeffs[0] + carry * a
-        return PolyUni(quotient), remainder
+def interpolate(xs: Sequence[int], ys: Sequence[Fraction | int]) -> LaurentPolyQ:
+    """The unique polynomial in k through the points (xs[t], ys[t]), by
+    Newton's divided differences in exact rational arithmetic, held as a
+    LaurentPolyQ whose variable stands for k."""
+    if len(xs) != len(ys) or not xs:
+        raise ValueError("need equally many nodes and values, at least one")
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    dd = [Fraction(y) for y in ys]
+    m = len(xs)
+    for order in range(1, m):
+        for t in range(m - 1, order - 1, -1):
+            dd[t] = (dd[t] - dd[t - 1]) / (xs[t] - xs[t - order])
+    # the Newton form dd_0 + (k - x_0)(dd_1 + (k - x_1)(...)), inside out
+    poly = LaurentPolyQ()
+    for x, d in zip(reversed(xs), reversed(dd)):
+        poly = poly * _linear(x) + d
+    return poly
 
 
-def interpolate_f(n: int, c: int) -> PolyUni:
-    """The polynomial of degree at most 2n-2 through the brute-force counts
-    F(n-1,n,c;k) at k = 0..2n-2.
+def _linear(z: int) -> LaurentPolyQ:
+    # k - z
+    return LaurentPolyQ({1: 1, 0: -z})
 
-    As a degree-bound witness the polynomial is also checked against the
-    counts at k = 2n-1, 2n, -1 and -2; a mismatch raises DegreeExceeded.
+
+def interpolate_f(n: int, c: int) -> LaurentPolyQ:
+    """The polynomial in k through the brute-force counts F(n-1,n,c;k) at
+    k = -2..2n, 2n+3 nodes.
+
+    As a degree-bound witness it must have degree at most 2n-2, so that any
+    2n-1 of the nodes already fix it; a higher degree raises DegreeExceeded.
     """
     if n < 1 or c < 0:
         raise ValueError(f"need n >= 1 and c >= 0, got n={n}, c={c}")
-    nodes = list(range(2 * n - 1))
-    ys = [f_bruteforce(TopRowKey(n - 1, n, c, (k,))) for k in nodes]
-    poly = PolyUni.interpolate(nodes, ys)
-    for extra in (2 * n - 1, 2 * n, -1, -2):
-        expected = f_bruteforce(TopRowKey(n - 1, n, c, (extra,)))
-        if poly(extra) != expected:
-            raise DegreeExceeded(
-                f"count at k={extra} is {expected}, polynomial gives {poly(extra)}"
-            )
+    nodes = range(-2, 2 * n + 1)
+    poly = interpolate(nodes, [f_bruteforce(TopRowKey(n - 1, n, c, (k,))) for k in nodes])
+    if poly and poly.max_exp > 2 * n - 2:
+        raise DegreeExceeded(
+            f"counts at n={n}, c={c} interpolate to degree {poly.max_exp}, "
+            f"above the bound {2 * n - 2}"
+        )
     return poly
 
 
@@ -450,21 +394,20 @@ def expected_zeros(n: int, c: int) -> list[int]:
 
 def verify_zeros(n: int, c: int) -> bool:
     """No patterns exist at the predicted zeros, and the interpolated
-    polynomial has exactly those integer roots with degree exactly 2n-2."""
+    polynomial is a nonzero constant times the product of (k - z) over them,
+    by one exact division."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    for k in expected_zeros(n, c):
+    zeros = expected_zeros(n, c)
+    for k in zeros:
         key = TopRowKey(n - 1, n, c, (k,))
         if next(enumerate_patterns(key), None) is not None:
             return False  # objects exist, not even a signed cancellation
-    poly = interpolate_f(n, c)
-    if poly.is_zero:
+    try:
+        quotient = interpolate_f(n, c).exact_div(math.prod(map(_linear, zeros)))
+    except NonExactDivision:
         return False
-    for k in expected_zeros(n, c):
-        poly, remainder = poly.divide_linear(k)
-        if remainder != 0:
-            return False
-    return poly.degree == 0
+    return bool(quotient) and quotient.min_exp == quotient.max_exp == 0
 
 
 def verify_extra(n: int, c: int) -> bool:

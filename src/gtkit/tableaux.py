@@ -94,20 +94,15 @@ def f_ext(lam: Sequence[int], memo: dict | None = None) -> int:
     return sign * ssyt_count(shape, k, {} if memo is None else memo)
 
 
-_FEXT_MEMO: dict = {}
-
-
 def f_ext_recursive(lam: Sequence[int], memo: dict | None = None) -> int:
     """Evaluate the extension by the merged recursion.
 
     When every entry is at least the last one, sum the (k-1)-variable values
     over mu_i in [lam_k + 1, lam_i] with extended-summation semantics; for
     other vectors, permutation-normalize first.  The one-variable function is
-    identically 1.
+    identically 1.  Values are kept in memo, a fresh dict when none is given.
     """
-    if memo is None:
-        memo = _FEXT_MEMO
-    return _f_ext_rec(tuple(lam), memo)
+    return _f_ext_rec(tuple(lam), {} if memo is None else memo)
 
 
 def _f_ext_rec(lam: tuple[int, ...], memo: dict) -> int:

@@ -136,7 +136,7 @@ def test_criterion_5_zero_structure():
                     key = TopRowKey(n - 1, n, c, (k,))
                     assert next(enumerate_patterns(key), None) is None, (n, c, k)
                 poly = interpolate_f(n, c)  # raises DegreeExceeded on failure
-                assert poly.degree <= 2 * n - 2
+                assert poly.max_exp <= 2 * n - 2
                 assert verify_zeros(n, c), (n, c)
 
 

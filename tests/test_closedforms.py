@@ -7,6 +7,7 @@ import pytest
 
 from gtkit import closedforms
 from gtkit.closedforms import (
+    asm_product,
     bender_knuth_count,
     bender_knuth_gf,
     intro_binomial,
@@ -240,6 +241,19 @@ class TestRefinedAsm:
     def test_known_rows(self):
         assert [refined_asm(4, k) for k in range(1, 5)] == [7, 14, 14, 7]
         assert sum(refined_asm(5, k) for k in range(1, 6)) == 429
+
+
+class TestAsmProduct:
+    def test_known_totals(self):
+        assert [asm_product(n) for n in range(1, 7)] == [1, 2, 7, 42, 429, 7436]
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 8])
+    def test_sum_of_refined_counts(self, n):
+        assert asm_product(n) == sum(refined_asm(n, k) for k in range(1, n + 1))
+
+    def test_rejects_nonpositive_order(self):
+        with pytest.raises(ValueError):
+            asm_product(0)
 
 
 class TestTsspp:

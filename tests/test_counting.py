@@ -321,7 +321,7 @@ class TestRecursion:
             assert recursive(key, {}) == value
 
     # states each engine memoizes for the benchmark's deep-recursion keys, as
-    # counted by the closure-based engines the loop-based one replaced
+    # counted by the partial-based engine, whose level r = 1 is a product
     @pytest.mark.parametrize("r,n,c,ks,states", [
         (6, 7, 5, (2,), 813),
         (7, 8, 4, (1,), 665),

@@ -8,11 +8,10 @@ import pytest
 
 from gtkit.closedforms import theorem_special
 from gtkit.counting import TopRowKey, f_recursive, fq_recursive
-from gtkit.exact import LaurentPolyQ
+from gtkit.exact import LaurentPolyQ, NonExactDivision
 from gtkit.identities import (
     DegreeExceeded,
     IntFunction,
-    PolyUni,
     apply_D,
     apply_phi,
     apply_phi_q,
@@ -20,6 +19,7 @@ from gtkit.identities import (
     expected_zeros,
     hyper_final_expression,
     hyper_middle_expression,
+    interpolate,
     interpolate_f,
     random_int_functions,
     verify_decomp,
@@ -281,37 +281,52 @@ class TestQPochSum:
                 assert verify_qpoch_sum(n, y), (n, y)
 
 
+def _at(poly, k):
+    # the value of a polynomial in k, held as a LaurentPolyQ, at k
+    return sum(c * Fraction(k) ** e for e, c in poly.terms())
+
+
 class TestPolyUni:
+    """Univariate polynomials in k: interpolate, and exact division by
+    linear factors."""
+
     def test_interpolate_line(self):
-        p = PolyUni.interpolate([0, 1], [3, 5])
-        assert p.coeffs == (Fraction(3), Fraction(2))
-        assert p(10) == 23
+        p = interpolate([0, 1], [3, 5])
+        assert p == LaurentPolyQ({0: 3, 1: 2})
+        assert _at(p, 10) == 23
 
     def test_interpolate_quadratic(self):
-        p = PolyUni.interpolate([0, 1, 2], [1, 0, 1])  # (x-1)^2
-        assert p.coeffs == (Fraction(1), Fraction(-2), Fraction(1))
+        p = interpolate([0, 1, 2], [1, 0, 1])  # (x-1)^2
+        assert p == LaurentPolyQ({0: 1, 1: -2, 2: 1})
 
     def test_divide_linear(self):
-        p = PolyUni([2, -3, 1])  # (x-1)(x-2)
-        q, rem = p.divide_linear(1)
-        assert rem == 0 and q.coeffs == (Fraction(-2), Fraction(1))
-        q2, rem2 = q.divide_linear(2)
-        assert rem2 == 0 and q2.coeffs == (Fraction(1),)
+        p = LaurentPolyQ({0: 2, 1: -3, 2: 1})  # (x-1)(x-2)
+        q = p.exact_div(LaurentPolyQ({0: -1, 1: 1}))
+        assert q == LaurentPolyQ({0: -2, 1: 1})
+        assert q.exact_div(LaurentPolyQ({0: -2, 1: 1})) == 1
+        with pytest.raises(NonExactDivision):
+            p.exact_div(LaurentPolyQ({0: -3, 1: 1}))  # remainder p(3) = 2
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError):
-            PolyUni.interpolate([0, 0], [1, 2])
+            interpolate([0, 0], [1, 2])
+
+    def test_mismatched_or_empty_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            interpolate([0, 1], [1])
+        with pytest.raises(ValueError):
+            interpolate([], [])
 
 
 class TestInterpolateF:
     def test_n1_constant_one(self):
         p = interpolate_f(1, 3)
-        assert p.coeffs == (Fraction(1),)
+        assert p == LaurentPolyQ.constant(1)
 
     def test_n2_matches_closed_form_coefficientwise(self):
         # (1+k)(3-k) = 3 + 2k - k^2
         p = interpolate_f(2, 2)
-        assert p.coeffs == (Fraction(3), Fraction(2), Fraction(-1))
+        assert p == LaurentPolyQ({0: 3, 1: 2, 2: -1})
 
     @pytest.mark.parametrize(
         "n,c", [(n, c) for n in range(1, 5) for c in range(5)]
@@ -320,22 +335,25 @@ class TestInterpolateF:
         # agreement at more than 2n-1 points of two polynomials of degree at
         # most 2n-2 is a coefficient-wise identity
         p = interpolate_f(n, c)
-        assert p.degree <= 2 * n - 2
+        assert p.min_exp >= 0 and p.max_exp <= 2 * n - 2
         for k in range(-n - 2, c + n + 3):
-            assert p(k) == theorem_special(n, c, k), (n, c, k)
+            assert _at(p, k) == theorem_special(n, c, k), (n, c, k)
 
     def test_n3_zero_set(self):
         p = interpolate_f(3, 2)
-        assert p.degree <= 4
+        assert p.max_exp <= 4
         for k in (-1, -2, 3, 4):
-            assert p(k) == 0
+            assert _at(p, k) == 0
 
     def test_degree_witness_mechanism(self):
-        # the extra-node comparison does detect higher-degree data: values of
-        # k^5 interpolated at 0..4 disagree with the true value at 5
+        # values of k^5 interpolated at 0..4 disagree with the true value at
+        # 5, and interpolated at 0..5 they show their degree, 5
         nodes = list(range(5))
-        p = PolyUni.interpolate(nodes, [k**5 for k in nodes])
-        assert p(5) != 5**5
+        p = interpolate(nodes, [k**5 for k in nodes])
+        assert p.max_exp == 4
+        assert _at(p, 5) != 5**5
+        nodes.append(5)
+        assert interpolate(nodes, [k**5 for k in nodes]) == LaurentPolyQ({5: 1})
 
     def test_degree_exceeded_signal(self, monkeypatch):
         # corrupt one out-of-window count: the witness check must fire
@@ -348,7 +366,7 @@ class TestInterpolateF:
             return value + 1 if key.ks == (4,) else value
 
         monkeypatch.setattr(ident, "f_bruteforce", corrupted)
-        with pytest.raises(DegreeExceeded):
+        with pytest.raises(DegreeExceeded, match="n=2, c=1.*above the bound 2"):
             interpolate_f(2, 1)
 
 
@@ -365,6 +383,49 @@ class TestVerifyZeros:
 
         for k in expected_zeros(3, 2):
             assert list(enumerate_patterns(TopRowKey(2, 3, 2, (k,)))) == []
+
+    @staticmethod
+    def _watch_division(monkeypatch):
+        # record every exact_div call's outcome: a quotient or the error
+        outcomes = []
+        real = LaurentPolyQ.exact_div
+
+        def watched(self, den):
+            try:
+                outcomes.append(real(self, den))
+            except NonExactDivision as exc:
+                outcomes.append(exc)
+                raise
+            return outcomes[-1]
+
+        monkeypatch.setattr(LaurentPolyQ, "exact_div", watched)
+        return outcomes
+
+    def test_planted_wrong_zero_fails_the_division(self, monkeypatch):
+        # move the zero c+n-1 to c+n, where patterns exist; with the
+        # empty-set check taken out, the division alone must reject it
+        import gtkit.identities as ident
+
+        n, c = 3, 2
+        real = ident.expected_zeros
+        monkeypatch.setattr(ident, "expected_zeros",
+                            lambda n, c: real(n, c)[:-1] + [c + n])
+        monkeypatch.setattr(ident, "enumerate_patterns", lambda key: iter(()))
+        outcomes = self._watch_division(monkeypatch)
+        assert not verify_zeros(n, c)
+        assert len(outcomes) == 1
+        assert isinstance(outcomes[0], NonExactDivision)
+
+    def test_dropped_zero_leaves_a_linear_quotient(self, monkeypatch):
+        import gtkit.identities as ident
+
+        n, c = 3, 2
+        real = ident.expected_zeros
+        monkeypatch.setattr(ident, "expected_zeros", lambda n, c: real(n, c)[1:])
+        outcomes = self._watch_division(monkeypatch)
+        assert not verify_zeros(n, c)
+        assert len(outcomes) == 1
+        assert outcomes[0].min_exp == 0 and outcomes[0].max_exp == 1
 
 
 class TestVerifyExtra:
@@ -395,5 +456,5 @@ class TestQuotientIndependence:
         for k in range(-n - 2, c + n + 3):
             den = pochhammer(1 + k, n - 1) * pochhammer(1 + c - k, n - 1)
             if den != 0:
-                quotients.add(p(k) / den)
+                quotients.add(_at(p, k) / den)
         assert len(quotients) == 1
