@@ -18,7 +18,6 @@ from .patterns import (
     GenPattern,
     MonotoneTriangle,
     Partition,
-    SemistandardTableau,
     ShapeViolation,
     StrictPlanePartition,
     enumerate_spps,
@@ -38,7 +37,6 @@ from .counting import (
     f_recursive,
     fq_bruteforce,
     fq_recursive,
-    recursive_count,
     spp_generating_function,
 )
 from .closedforms import (

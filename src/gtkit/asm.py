@@ -36,18 +36,28 @@ def count_monotone_triangles(n: int, k: int) -> int:
     return sum(1 for _ in enumerate_monotone_triangles(n, k))
 
 
-def verify_ratio_independence(n: int) -> tuple[bool, Fraction]:
+def triangle_count(n: int, k: int, memo: dict) -> int:
+    """count_monotone_triangles(n, k), kept in memo under (n, k)."""
+    count = memo.get((n, k))
+    if count is None:
+        count = memo[n, k] = count_monotone_triangles(n, k)
+    return count
+
+
+def verify_ratio_independence(n: int, memo: dict | None = None) -> tuple[bool, Fraction]:
     """The (n-1,n,n-1)-pattern count at top entry k-1, divided by the number
     of monotone triangles of size n with top entry k, is the same for every
     k in 1..n and equals the totally symmetric plane partition product.
 
+    The triangle counts are kept in memo, a fresh dict when none is given.
     Returns (verdict, common ratio).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    memo = {} if memo is None else memo
     ratios = []
     for k in range(1, n + 1):
-        triangles = count_monotone_triangles(n, k)
+        triangles = triangle_count(n, k, memo)
         patterns = f_bruteforce(TopRowKey(n - 1, n, n - 1, (k - 1,)))
         ratios.append(Fraction(patterns, triangles))
     common = ratios[0]

@@ -418,16 +418,15 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
         for k in range(1, n + 1)
     )
     params = f"n <= {cfg.asm_count_max_n}, 1 <= k <= n"
+    memo = {}  # triangle counts of this call, shared by all three checks
 
     def count_matches(n, k):
-        return asm_mod.count_monotone_triangles(n, k) == closedforms.refined_asm(n, k)
+        return asm_mod.triangle_count(n, k, memo) == closedforms.refined_asm(n, k)
 
     _check(report, params, instances, {"refined count formula": count_matches})
 
     def total_matches(n):
-        total = sum(
-            asm_mod.count_monotone_triangles(n, k) for k in range(1, n + 1)
-        )
+        total = sum(asm_mod.triangle_count(n, k, memo) for k in range(1, n + 1))
         return total == closedforms.asm_product(n)
 
     _check(report, f"n <= {cfg.asm_count_max_n}",
@@ -440,7 +439,7 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
                          f"for 2 <= n <= {cfg.asm_ratio_max_n}")
     for n in ratio_ns:
         # one verdict per n, each on the ratio the result line reports
-        ok, ratio = asm_mod.verify_ratio_independence(n)
+        ok, ratio = asm_mod.verify_ratio_independence(n, memo)
         _check(report, f"n={n}", [(n,)],
                {"pattern-to-triangle ratio independence": lambda n: ok})
         report.add_result(f"common ratio at n={n}", ratio, "ratio independence")

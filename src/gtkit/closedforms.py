@@ -101,14 +101,13 @@ def bender_knuth_gf(n: int, c: int) -> LaurentPolyQ:
     return q_poch_quotient(q_poch_product(*num_pairs).shift(shift), *den_pairs)
 
 
-def ssyt_product(shape: Partition | Sequence[int], k: int) -> Fraction:
+def ssyt_product(shape: Sequence[int], k: int) -> Fraction:
     """Number of semistandard tableaux of the given shape with entries in
     {1..k}: prod_{1<=i<j<=k} (lam_i - lam_j + j - i) / (j - i), the shape
     padded with zeros to k parts."""
     if k < 1:
         raise ValueError(f"entry bound must be positive, got {k}")
-    parts = shape.parts if isinstance(shape, Partition) else tuple(shape)
-    lam = Partition(parts).padded(k)
+    lam = Partition(tuple(shape)).padded(k)
     value = Fraction(1)
     for i in range(k):
         for j in range(i + 1, k):

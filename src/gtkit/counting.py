@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 from .exact import (PACK_BITS, LaurentPolyQ, chained_count, chained_count_packed,
                     chained_sum, chained_sum_packed, unpack_q)
-from .patterns import GenPattern
+from .patterns import GenPattern, enumerate_spps
 
 
 @dataclass(frozen=True)
@@ -254,12 +254,6 @@ def _recurse(memo: dict, total: Callable, box: Callable,
     return value
 
 
-def recursive_count(key: TopRowKey, plain_memo: dict | None = None,
-                    q_memo: dict | None = None) -> CountResult:
-    """Plain and q-weighted counts via the recursion engines."""
-    return CountResult(f_recursive(key, plain_memo), fq_recursive(key, q_memo))
-
-
 # ---------------------------------------------------------------------------
 # Bounded partitions (the introductory one-row count)
 # ---------------------------------------------------------------------------
@@ -291,8 +285,6 @@ def spp_generating_function(
     and at most max_cols columns, optionally restricted to those with the
     given number of parts equal to max_part.  Enumerates directly; used as an
     oracle against the pattern engines and the closed forms."""
-    from .patterns import enumerate_spps
-
     coeffs: dict[int, int] = {}
     for spp in enumerate_spps(max_part, max_cols):
         if (

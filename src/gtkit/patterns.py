@@ -1,9 +1,9 @@
 """Combinatorial domain objects.
 
 Partitions, strict plane partitions, Gelfand-Tsetlin patterns, generalized
-(r,n,c)-patterns, semistandard tableaux and monotone triangles, together with
-validation, sign, norm, the pattern <-> strict plane partition bijection and
-canonical JSON (de)serialization.
+(r,n,c)-patterns and monotone triangles, together with validation, sign,
+norm, the pattern <-> strict plane partition bijection, and the JSON form of
+a generalized pattern that ``count --dump-patterns`` writes.
 
 Conventions for generalized patterns: row i = 1 is the bottom row of the
 display and row i = r+1 is the top row.  Row i carries entries a[i][j] for
@@ -44,22 +44,11 @@ class Partition:
             if i and self.parts[i - 1] < p:
                 raise ShapeViolation(f"parts not weakly decreasing: {self.parts}")
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
     def padded(self, length: int) -> tuple[int, ...]:
         """Parts padded with zeros to the given length."""
         if len(self.parts) > length:
             raise ShapeViolation(f"{self.parts} has more than {length} parts")
         return self.parts + (0,) * (length - len(self.parts))
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "partition", "parts": list(self.parts)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Partition":
-        return cls(tuple(obj["parts"]))
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +85,6 @@ class StrictPlanePartition:
         return sum(sum(row) for row in self.rows)
 
     @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(row) for row in self.rows))
-
-    @property
     def num_columns(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
@@ -108,13 +93,6 @@ class StrictPlanePartition:
 
     def max_part(self) -> int:
         return self.rows[0][0] if self.rows else 0
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "strict_plane_partition", "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "StrictPlanePartition":
-        return cls(tuple(tuple(r) for r in obj["rows"]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +134,6 @@ class GTPattern:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def as_gen_pattern(self, c: int) -> "GenPattern":
-        """Read the pattern as an (n-1, n, c) generalized pattern."""
-        return GenPattern(
-            self.n - 1,
-            self.n,
-            c,
-            tuple((0,) + row + (c,) for row in self.rows),
-        )
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "gt_pattern", "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GTPattern":
-        return cls(tuple(tuple(r) for r in obj["rows"]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +194,6 @@ class GenPattern:
             "c": self.c,
             "rows": [list(row[1:-1]) for row in self.rows],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GenPattern":
-        r, n, c = obj["r"], obj["n"], obj["c"]
-        return cls(r, n, c, tuple((0,) + tuple(row) + (c,) for row in obj["rows"]))
 
 
 def validate(p: GenPattern) -> bool:
@@ -325,46 +282,6 @@ def spp_to_gt(s: StrictPlanePartition, n: int, c: int) -> GTPattern:
 
 
 # ---------------------------------------------------------------------------
-# Semistandard tableaux
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SemistandardTableau:
-    """Ferrers-shaped filling with weakly increasing rows and strictly
-    increasing columns."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for p, row in enumerate(rows):
-            if not row:
-                raise ShapeViolation("empty tableau row")
-            if p and len(row) > len(rows[p - 1]):
-                raise ShapeViolation("row lengths must be weakly decreasing")
-            for j, v in enumerate(row):
-                if v < 1:
-                    raise ShapeViolation(f"entry {v} is not positive")
-                if j and row[j - 1] > v:
-                    raise ShapeViolation(f"row {row} not weakly increasing")
-                if p and rows[p - 1][j] >= v:
-                    raise ShapeViolation("columns must be strictly increasing")
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(row) for row in self.rows))
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "semistandard_tableau", "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SemistandardTableau":
-        return cls(tuple(tuple(r) for r in obj["rows"]))
-
-
-# ---------------------------------------------------------------------------
 # Monotone triangles
 # ---------------------------------------------------------------------------
 
@@ -388,21 +305,6 @@ class MonotoneTriangle:
         for row in p.rows:
             if any(row[t] >= row[t + 1] for t in range(len(row) - 1)):
                 raise ShapeViolation(f"row {row} is not strictly increasing")
-
-    @property
-    def size(self) -> int:
-        return self.pattern.n
-
-    @property
-    def top_value(self) -> int:
-        return self.pattern.rows[0][1]
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "monotone_triangle", "pattern": self.pattern.to_json_obj()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MonotoneTriangle":
-        return cls(GenPattern.from_json_obj(obj["pattern"]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from .exact import chained_sum
 from .patterns import Partition
 
 
-def ssyt_bruteforce(shape: Partition | Sequence[int], k: int) -> int:
+def ssyt_bruteforce(shape: Sequence[int], k: int) -> int:
     """Count fillings of the shape with entries in {1..k}, rows weakly
     increasing and columns strictly increasing, by direct backtracking."""
     if k < 1:
         raise ValueError(f"entry bound must be positive, got {k}")
-    parts = shape.parts if isinstance(shape, Partition) else Partition(tuple(shape)).parts
-    rows = [p for p in parts if p > 0]
+    rows = [p for p in Partition(tuple(shape)).parts if p > 0]
     if len(rows) > k:
         return 0  # a column of more than k strictly increasing entries
     if not rows:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gtkit import asm, cli
 from gtkit.asm import (
     count_monotone_triangles,
     enumerate_monotone_triangles,
@@ -49,3 +50,26 @@ class TestRatioIndependence:
         ok, ratio = verify_ratio_independence(n)
         assert ok
         assert ratio == tsspp_product(n)
+
+
+class TestSuiteCountsOnce:
+    def test_verify_asm_counts_each_key_once(self, monkeypatch, capsys):
+        # the refined, totals and ratio checks share one dict of counts:
+        # n <= 4 with 1 <= k <= n, and n = 5 for the ratio, 15 keys
+        calls = []
+        count = asm.count_monotone_triangles
+
+        def counted(n, k):
+            calls.append((n, k))
+            return count(n, k)
+
+        monkeypatch.setattr(asm, "count_monotone_triangles", counted)
+        assert cli.main(["verify", "--suite", "asm"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert sorted(calls) == [(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+
+    def test_ratio_reads_the_given_counts(self):
+        memo = {(3, k): v for k, v in zip((1, 2, 3), (2, 3, 2))}
+        assert verify_ratio_independence(3, memo) == (True, 5)
+        memo[3, 2] = 4
+        assert verify_ratio_independence(3, memo)[0] is False

@@ -25,7 +25,6 @@ from gtkit.counting import (
     spp_generating_function,
 )
 from gtkit.exact import LaurentPolyQ, NonExactDivision, q_poch, q_poch_product
-from gtkit.patterns import Partition
 from gtkit.tableaux import ssyt_bruteforce
 
 
@@ -210,14 +209,14 @@ class TestBenderKnuth:
 
 class TestSsytProduct:
     def test_single_box(self):
-        assert ssyt_product(Partition((1,)), 2) == 2
+        assert ssyt_product((1,), 2) == 2
 
     def test_hook_shape(self):
-        assert ssyt_product(Partition((2, 1)), 3) == 8
+        assert ssyt_product((2, 1), 3) == 8
 
     def test_single_row_single_entry(self):
         for c in range(6):
-            assert ssyt_product(Partition((c,)), 1) == 1
+            assert ssyt_product((c,), 1) == 1
 
     def test_matches_bruteforce(self):
         shapes = set()

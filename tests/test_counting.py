@@ -16,7 +16,6 @@ from gtkit.counting import (
     f_recursive,
     fq_bruteforce,
     fq_recursive,
-    recursive_count,
     spp_generating_function,
 )
 from gtkit.exact import LaurentPolyQ
@@ -287,7 +286,7 @@ class TestReflectionSymmetry:
         def count(key):
             if engine == "bruteforce":
                 return bruteforce_count(key)
-            return recursive_count(key, plain_memo, q_memo)
+            return CountResult(f_recursive(key, plain_memo), fq_recursive(key, q_memo))
 
         for key in _keys(3):
             r, n, c = key.r, key.n, key.c

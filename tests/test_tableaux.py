@@ -7,7 +7,7 @@ import pytest
 
 from gtkit import tableaux
 from gtkit.closedforms import ssyt_product
-from gtkit.patterns import Partition, ShapeViolation
+from gtkit.patterns import ShapeViolation
 from gtkit.tableaux import (
     f_ext,
     f_ext_recursive,
@@ -20,13 +20,13 @@ from gtkit.tableaux import (
 
 class TestSsytBruteforce:
     def test_single_box(self):
-        assert ssyt_bruteforce(Partition((1,)), 2) == 2
+        assert ssyt_bruteforce((1,), 2) == 2
 
     def test_hook(self):
-        assert ssyt_bruteforce(Partition((2, 1)), 3) == 8
+        assert ssyt_bruteforce((2, 1), 3) == 8
 
     def test_too_many_rows(self):
-        assert ssyt_bruteforce(Partition((1, 1, 1)), 2) == 0
+        assert ssyt_bruteforce((1, 1, 1), 2) == 0
 
     def test_column_is_a_subset_choice(self):
         # single column of height h with entries <= k: binomial(k, h)
@@ -34,11 +34,11 @@ class TestSsytBruteforce:
 
         for h in range(1, 5):
             for k in range(1, 6):
-                shape = Partition((1,) * h)
+                shape = (1,) * h
                 assert ssyt_bruteforce(shape, k) == math.comb(k, h)
 
     def test_zero_parts_ignored(self):
-        assert ssyt_bruteforce(Partition((2, 1, 0, 0)), 3) == 8
+        assert ssyt_bruteforce((2, 1, 0, 0), 3) == 8
 
 
 class TestFExt:
@@ -114,7 +114,7 @@ class TestFExtRecursive:
     def test_strict_partition_case(self):
         # lam = (mu_1 - 1, ..., mu_k - k) for mu = (3,1) padded to k=3
         lam = (2, -1, -3)
-        assert f_ext_recursive(lam) == ssyt_bruteforce(Partition((3, 1)), 3)
+        assert f_ext_recursive(lam) == ssyt_bruteforce((3, 1), 3)
 
     def test_isolated_memo(self):
         memo: dict = {}
