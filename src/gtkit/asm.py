@@ -21,19 +21,21 @@ def _strictly_increasing(row: tuple[int, ...]) -> bool:
     return all(row[t] < row[t + 1] for t in range(len(row) - 1))
 
 
-def enumerate_monotone_triangles(n: int, k: int) -> Iterator[MonotoneTriangle]:
-    """All monotone triangles of size n whose single top entry equals k."""
+def _triangle_patterns(n: int, k: int) -> Iterator:
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
-    key = TopRowKey(n - 1, n, n + 1, (k,))
-    for p in enumerate_patterns(key, row_filter=_strictly_increasing):
-        yield MonotoneTriangle(p)
+    return enumerate_patterns(TopRowKey(n - 1, n, n + 1, (k,)), row_filter=_strictly_increasing)
+
+
+def enumerate_monotone_triangles(n: int, k: int) -> Iterator[MonotoneTriangle]:
+    """All monotone triangles of size n whose single top entry equals k."""
+    return map(MonotoneTriangle, _triangle_patterns(n, k))
 
 
 def count_monotone_triangles(n: int, k: int) -> int:
     """Number of monotone triangles of size n with top entry k; zero outside
-    1 <= k <= n."""
-    return sum(1 for _ in enumerate_monotone_triangles(n, k))
+    1 <= k <= n.  The filter made the rows strict: nothing to validate."""
+    return sum(1 for _ in _triangle_patterns(n, k))
 
 
 def triangle_count(n: int, k: int, memo: dict) -> int:

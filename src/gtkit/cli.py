@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 stdout closed before the report was written (as by
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -215,9 +216,10 @@ def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
         for y in range(-xy, xy + 1)
     )
     params = f"r in {LEMMA2_RS}, d in [{-d},{d}], x,y in [{-xy},{xy}]"
+    # one summand table per check
     _check(report, params, grid, {
-        "double-sum evaluation (plain)": identities.verify_lemma_2,
-        "double-sum evaluation (q)": identities.verify_lemma_2q,
+        "double-sum evaluation (plain)": functools.partial(identities.verify_lemma_2, memo={}),
+        "double-sum evaluation (q)": functools.partial(identities.verify_lemma_2q, memo={}),
     })
 
 
@@ -233,10 +235,10 @@ def _suite_decomp(report: RunReport, cfg: SweepConfig) -> None:
         f"(r,n) in {DECOMP_RN}, c={c}, ks in [{lo},{hi}]^(n-r), all i"
     )
     # plain, then q: alternating the recursions per instance ran 4-10% slower
-    _check(report, params, instances,
-           {"swap-operator factorization (plain)": identities.verify_decomp})
-    _check(report, params, instances,
-           {"swap-operator factorization (q)": identities.verify_decomp_q})
+    _check(report, params, instances, {"swap-operator factorization (plain)":
+           functools.partial(identities.verify_decomp, memo={})})
+    _check(report, params, instances, {"swap-operator factorization (q)":
+           functools.partial(identities.verify_decomp_q, memo={})})
 
 
 def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:

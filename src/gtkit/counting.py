@@ -155,8 +155,12 @@ def bruteforce_count(key: TopRowKey) -> CountResult:
 
 
 def f_bruteforce(key: TopRowKey) -> Fraction:
-    """Signed count of all (r,n,c)-patterns with the given top row."""
-    return bruteforce_count(key).plain
+    """Signed count of all (r,n,c)-patterns with the given top row: the
+    sign of each choice of upper rows times its number of bottom rows."""
+    total = 0
+    for _, parity, _, sums in _walk(key, _bottom_sums):
+        total += -len(sums) if parity else len(sums)
+    return Fraction(total)
 
 
 def fq_bruteforce(key: TopRowKey) -> LaurentPolyQ:

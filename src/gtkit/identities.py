@@ -106,7 +106,8 @@ def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool)
     lhs = apply_D(i, _summed(g, chain))(*sample)
 
     def total(bounds, h):
-        return chain(bounds, lambda ls: h(*ls))
+        hfn = h.fn  # the terms have h's arity
+        return chain(bounds, lambda ls: hfn(*ls))
 
     terms = 0
     if i >= 2:  # D_0 g = 0 kills this term for i = 1
@@ -171,15 +172,36 @@ def _splitmix_values(key: int, box: int, value_bound: int) -> Callable[..., int]
 # ---------------------------------------------------------------------------
 
 
-def verify_lemma_2(r: int, d: int, x: int, y: int) -> bool:
+def _tabled(memo: dict | None, key: tuple[int, int], build: Callable):
+    # memo[key], built as build(*key) on first read
+    if memo is None:
+        return build(*key)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*key)
+    return value
+
+
+def _lemma2_term(r: int, diff: int) -> int:
+    # the summand at diff = y'-x'
+    return math.prod(range(diff - r + 3, diff + r)) * (diff + 1)
+
+
+def _lemma2q_term(r: int, diff: int) -> LaurentPolyQ:
+    # the q summand at diff, before its shift
+    return q_poch(diff - r + 3, 2 * r - 3) * q_bracket(diff + 1) * LaurentPolyQ({0: 1, r - 1: 1})
+
+
+def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
     """Double extended sum of (y'-x'-r+3)_{2r-3} (y'-x'+1) over the shifted
-    box against its closed form (y-x-r+2)_{2r-1} (y-x+1) / (r(2r-1))."""
+    box against its closed form (y-x-r+2)_{2r-1} (y-x+1) / (r(2r-1)).
+    memo: this check's own dict of summands, keyed by (r, y'-x')."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
 
     def term(ls):
         xp, yp = ls
-        return pochhammer(yp - xp - r + 3, 2 * r - 3) * (yp - xp + 1)
+        return _tabled(memo, (r, yp - xp), _lemma2_term)
 
     lhs = chained_sum([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
     rhs = (
@@ -190,18 +212,15 @@ def verify_lemma_2(r: int, d: int, x: int, y: int) -> bool:
     return lhs == rhs
 
 
-def verify_lemma_2q(r: int, d: int, x: int, y: int) -> bool:
+def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
     """q-analog of verify_lemma_2, checked by cross-multiplication with the
-    denominator [2r-1;q][2r;q]."""
+    denominator [2r-1;q][2r;q]; memo as there, holding unshifted summands."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
-    lift = LaurentPolyQ({0: 1, r - 1: 1})  # 1 + q^(r-1)
 
     def term(ls):
         xp, yp = ls
-        return (
-            q_poch(yp - xp - r + 3, 2 * r - 3) * q_bracket(yp - xp + 1) * lift
-        ).shift((2 * r - 2) * xp)
+        return _tabled(memo, (r, yp - xp), _lemma2q_term).shift((2 * r - 2) * xp)
 
     lhs = chained_sum_q([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
     rhs_num = (
@@ -218,9 +237,23 @@ def _decomp_rhs_args(ks: tuple[int, ...], i: int) -> tuple[int, ...]:
     return ks[: i - 1] + tuple(v + 2 for v in ks[i + 1 :])
 
 
-def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int]) -> bool:
+def _decomp_factor(r: int, diff: int) -> Fraction:
+    # (-1)^r 2/(2r)! (diff-r+2)_{2r-1} (diff+1) at diff = k_{i+1}-k_i
+    poch = pochhammer(diff - r + 2, 2 * r - 1)
+    return (-1) ** r * Fraction(2, math.factorial(2 * r)) * poch * (diff + 1)
+
+
+def _decomp_q_factor(r: int, diff: int) -> tuple[LaurentPolyQ, LaurentPolyQ]:
+    # its q-analog, and [1;q]_{2r}
+    num = LaurentPolyQ({0: 1, r: 1}) * q_poch(diff - r + 2, 2 * r - 1) * q_bracket(diff + 1)
+    return (-1) ** r * num, q_poch(1, 2 * r)
+
+
+def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int],
+                  memo: dict | None = None) -> bool:
     """D_i F(r,n,c;.) at ks against the explicit product times the smaller
-    count F(r,n-2,c+2;...), both sides through the recursion engine."""
+    count F(r,n-2,c+2;...), both sides through the recursion engine.
+    memo: this check's own dict of products, keyed by (r, k_{i+1}-k_i)."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
@@ -229,15 +262,8 @@ def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int]) -> bool:
     lhs = f_recursive(TopRowKey(r, n, c, ks)) + f_recursive(
         TopRowKey(r, n, c, _swap(ks, i))
     )
-    diff = ks[i] - ks[i - 1]
-    sign = -1 if r & 1 else 1
-    rhs = (
-        sign
-        * Fraction(2, math.factorial(2 * r))
-        * pochhammer(diff - r + 2, 2 * r - 1)
-        * (diff + 1)
-        * f_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
-    )
+    factor = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_factor)
+    rhs = factor * f_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
     return lhs == rhs
 
 
@@ -254,8 +280,10 @@ def decomp_q_exponent(r: int, n: int, i: int) -> int:
     return num // 2
 
 
-def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int]) -> bool:
-    """q-analog of verify_decomp, cross-multiplied with [1;q]_{2r}."""
+def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
+                    memo: dict | None = None) -> bool:
+    """q-analog of verify_decomp, cross-multiplied with [1;q]_{2r}; memo as
+    there, each entry also holding [1;q]_{2r}."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
@@ -264,17 +292,12 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int]) -> bool:
     lhs = fq_recursive(TopRowKey(r, n, c, ks)) + fq_recursive(
         TopRowKey(r, n, c, _swap(ks, i))
     )
-    diff = ks[i] - ks[i - 1]
-    sign = -1 if r & 1 else 1
+    factor, den = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_q_factor)
     shift = 2 * r * ks[i - 1] + decomp_q_exponent(r, n, i)
     rhs_num = (
-        sign
-        * LaurentPolyQ({0: 1, r: 1})  # 1 + q^r
-        * q_poch(diff - r + 2, 2 * r - 1)
-        * q_bracket(diff + 1)
-        * fq_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
+        factor * fq_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
     ).shift(shift)
-    return lhs * q_poch(1, 2 * r) == rhs_num
+    return lhs * den == rhs_num
 
 
 # ---------------------------------------------------------------------------

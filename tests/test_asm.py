@@ -15,6 +15,12 @@ class TestCounting:
     def test_size_one(self):
         assert count_monotone_triangles(1, 1) == 1
 
+    def test_count_equals_the_validated_triangles(self):
+        for n in range(1, 6):
+            for k in range(0, n + 2):
+                triangles = list(enumerate_monotone_triangles(n, k))
+                assert count_monotone_triangles(n, k) == len(triangles), (n, k)
+
     def test_size_three(self):
         assert [count_monotone_triangles(3, k) for k in (1, 2, 3)] == [2, 3, 2]
 

@@ -238,6 +238,14 @@ class TestRowTable:
         for key, result in counts:
             assert result == bruteforce_count(key), key
 
+    def test_plain_reader_matches_the_full_count(self):
+        for key in _keys(2):
+            assert f_bruteforce(key) == bruteforce_count(key).plain, key
+        # (6,7,5;2) takes bruteforce_count seconds: match the recursion,
+        # which test_cli's deep q count matches to bruteforce_count
+        key = TopRowKey(6, 7, 5, (2,))
+        assert f_bruteforce(key) == f_recursive(key, {}) == 13_325_312
+
     def test_no_module_level_table(self):
         dicts = {name for name, value in vars(counting).items()
                  if isinstance(value, dict) and not name.startswith("__")}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtkit import cli, identities
 from gtkit.closedforms import theorem_special
 from gtkit.counting import TopRowKey, f_recursive, fq_recursive
 from gtkit.exact import LaurentPolyQ, NonExactDivision
@@ -169,6 +170,23 @@ class TestLemmaFund:
         with pytest.raises(ValueError):
             verify_lemma_fund(3, 1, g, (0, 0, 0, 0))
 
+    def test_terms_skip_the_arity_check(self, monkeypatch):
+        # only the left side's one outer call goes through IntFunction.__call__
+        calls = []
+        real = IntFunction.__call__
+
+        def counted(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(IntFunction, "__call__", counted)
+        g = next(random_int_functions(1, 3, 7))
+        for verify in (verify_lemma_fund, verify_lemma_fund_q):
+            for i in (1, 2, 3):
+                calls.clear()
+                assert verify(3, i, g, (-1, 0, 2, 3))
+                assert calls == [(-1, 0, 2, 3)], (verify, i)
+
 
 class TestLemma2:
     def test_four_term_hand_sum(self):
@@ -235,6 +253,81 @@ class TestDecomp:
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
             verify_decomp(1, 3, 2, 2, (0, 0))
+
+
+LEMMA2_SWEEP = [(r, d, x, y) for r in cli.LEMMA2_RS for d in range(-2, 3)
+                for x in range(-3, 4) for y in range(-3, 4)]
+DECOMP_SWEEP = [(r, n, 2, i, ks) for r, n in cli.DECOMP_RN
+                for ks in itertools.product(range(-2, 5), repeat=n - r) for i in range(1, n - r)]
+
+
+class InsertCounting(dict):
+    def __init__(self):
+        super().__init__()
+        self.inserts = 0
+
+    def __setitem__(self, key, value):
+        self.inserts += 1
+        super().__setitem__(key, value)
+
+
+class TestSummandTables:
+    """Each of lemma 2's and decomp's checks keeps its summands in a memo of
+    its own, keyed by (r, difference)."""
+
+    @pytest.mark.parametrize("check,sweep", [
+        (verify_lemma_2, LEMMA2_SWEEP), (verify_lemma_2q, LEMMA2_SWEEP),
+        (verify_decomp, DECOMP_SWEEP), (verify_decomp_q, DECOMP_SWEEP)])
+    def test_shared_memo_gives_the_fresh_verdicts(self, check, sweep):
+        memo = InsertCounting()
+        for inst in sweep:
+            assert check(*inst, memo=memo) == check(*inst, memo={}) == check(*inst), inst
+        assert len(memo) == memo.inserts == 26
+
+    @pytest.mark.parametrize("check,inst,wrong", [
+        (verify_lemma_2, (2, 0, 0, 1), lambda v: v + 1),
+        (verify_lemma_2, (3, 1, -2, 3), lambda v: v + 1),
+        (verify_lemma_2q, (2, 0, 0, 1), lambda v: v.shift(1)),
+        (verify_lemma_2q, (3, 1, -2, 3), lambda v: v.shift(1)),
+        (verify_decomp, (1, 3, 2, 1, (0, 0)), lambda v: v + 1),
+        (verify_decomp, (2, 4, 2, 1, (1, 3)), lambda v: v + 1),
+        (verify_decomp_q, (1, 3, 2, 1, (0, 0)), lambda v: (v[0].shift(1), v[1])),
+        (verify_decomp_q, (2, 4, 2, 1, (1, 3)), lambda v: (v[0].shift(1), v[1])),
+    ])
+    def test_a_wrong_term_in_the_table_fails(self, check, inst, wrong):
+        memo: dict = {}
+        assert check(*inst, memo=memo)
+        planted = 0
+        for key, value in list(memo.items()):
+            if wrong(value) == value:
+                continue  # a zero q-term is unchanged by the shift
+            memo[key] = wrong(value)
+            assert not check(*inst, memo=memo), key
+            memo[key] = value
+            planted += 1
+        assert planted and check(*inst, memo=memo)
+
+    @pytest.mark.parametrize("suite,builders", [
+        ("lemma2", ("_lemma2_term", "_lemma2q_term")),
+        ("decomp", ("_decomp_factor", "_decomp_q_factor"))])
+    def test_suite_builds_each_term_once(self, suite, builders, monkeypatch, capsys):
+        # 26 distinct (r, difference) among 4,410 lemma 2 terms and 784 decomp
+        # instances, per check
+        built = {name: 0 for name in builders}
+        for name in builders:
+            def counted(r, diff, name=name, real=getattr(identities, name)):
+                built[name] += 1
+                return real(r, diff)
+
+            monkeypatch.setattr(identities, name, counted)
+        assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert built == {name: 26 for name in builders}
+
+    def test_no_module_level_table(self):
+        dicts = {name for name, value in vars(identities).items()
+                 if isinstance(value, dict) and not name.startswith("__")}
+        assert dicts == set()
 
 
 class TestHyper:

@@ -23,6 +23,7 @@ REFERENCE_DEFINITIONS = {
     "intro_binomial": "the introduction's closed form for the one-row count",
     "apply_phi": "the paper's operator Phi, checked against its product form",
     "apply_phi_q": "the q-analog of Phi, checked against its product form",
+    "enumerate_monotone_triangles": "the validated triangles the asm counts are tested against",
 }
 
 
