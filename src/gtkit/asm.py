@@ -46,13 +46,13 @@ def triangle_count(n: int, k: int, memo: dict) -> int:
     return count
 
 
-def verify_ratio_independence(n: int, memo: dict | None = None) -> tuple[bool, Fraction]:
+def verify_ratio_independence(n: int, memo: dict | None = None) -> tuple[bool, Fraction | None]:
     """The (n-1,n,n-1)-pattern count at top entry k-1, divided by the number
     of monotone triangles of size n with top entry k, is the same for every
     k in 1..n and equals the totally symmetric plane partition product.
 
-    The triangle counts are kept in memo, a fresh dict when none is given.
-    Returns (verdict, common ratio).
+    memo holds the triangle counts.  Returns (verdict, common ratio), or
+    (False, None) when a triangle count is zero and a ratio is undefined.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -60,6 +60,8 @@ def verify_ratio_independence(n: int, memo: dict | None = None) -> tuple[bool, F
     ratios = []
     for k in range(1, n + 1):
         triangles = triangle_count(n, k, memo)
+        if not triangles:
+            return False, None
         patterns = f_bruteforce(TopRowKey(n - 1, n, n - 1, (k - 1,)))
         ratios.append(Fraction(patterns, triangles))
     common = ratios[0]

@@ -302,7 +302,7 @@ def _suite_extra(report: RunReport, cfg: SweepConfig) -> None:
     )
     params = f"2 <= n <= {cfg.extra_max_n}, c <= {cfg.extra_max_c}"
     _check(report, params, grid,
-           {"boundary recursion (plain)": identities.verify_extra})
+           {"boundary recursion (plain)": functools.partial(identities.verify_extra, memo={})})
     grid_q = (
         (n, c)
         for n in range(2, cfg.extra_max_n + 1)
@@ -310,7 +310,7 @@ def _suite_extra(report: RunReport, cfg: SweepConfig) -> None:
     )
     params_q = f"2 <= n <= {cfg.extra_max_n}, c <= {cfg.extra_q_max_c}"
     _check(report, params_q, grid_q,
-           {"boundary recursion (q)": identities.verify_extra_q})
+           {"boundary recursion (q)": functools.partial(identities.verify_extra_q, memo={})})
 
 
 def _partitions_in_box(max_rows: int, max_part: int):
@@ -336,7 +336,7 @@ def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
         f"k <= {cfg.ssyt_max_k}"
     )
 
-    memo = {}  # tableau counts of this call
+    memo = {}  # tableau counts
 
     def product_matches(shape, k):
         return closedforms.ssyt_product(shape, k) == tableaux.ssyt_count(shape, k, memo)
@@ -361,8 +361,8 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
         for v in itertools.product(span, repeat=k)
     ]
     params = f"vectors in [{lo},{hi}]^k, k <= {cfg.tableaux_max_k}"
-    memo = {}  # tableau counts of this call
-    rec_memo = {}  # recursion values of this call
+    memo = {}  # tableau counts
+    rec_memo = {}  # recursion values
 
     def f_ext(lam):
         return tableaux.f_ext(lam, memo)
@@ -420,7 +420,7 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
         for k in range(1, n + 1)
     )
     params = f"n <= {cfg.asm_count_max_n}, 1 <= k <= n"
-    memo = {}  # triangle counts of this call, shared by all three checks
+    memo = {}  # triangle counts, shared by all three checks
 
     def count_matches(n, k):
         return asm_mod.triangle_count(n, k, memo) == closedforms.refined_asm(n, k)
@@ -444,7 +444,8 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
         ok, ratio = asm_mod.verify_ratio_independence(n, memo)
         _check(report, f"n={n}", [(n,)],
                {"pattern-to-triangle ratio independence": lambda n: ok})
-        report.add_result(f"common ratio at n={n}", ratio, "ratio independence")
+        if ratio is not None:
+            report.add_result(f"common ratio at n={n}", ratio, "ratio independence")
 
 
 #: The verify suites by name: ``--suite all`` runs them in sorted order.

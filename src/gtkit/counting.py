@@ -172,14 +172,9 @@ def fq_bruteforce(key: TopRowKey) -> LaurentPolyQ:
 # The extended-summation recursion
 # ---------------------------------------------------------------------------
 
-_F_MEMO: dict = {}
-_FQ_MEMO: dict = {}
-
 
 def clear_memos() -> None:
-    """Drop both global memo tables (useful for benchmarks and tests)."""
-    _F_MEMO.clear()
-    _FQ_MEMO.clear()
+    """A no-op, still called by perfbench/run.py."""
 
 
 def f_recursive(key: TopRowKey, memo: dict | None = None) -> Fraction:
@@ -188,12 +183,11 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> Fraction:
     Each recursion level sums F(r-1,n,c;l_1..l_{n-r+1}) over the chained
     extended ranges l_1 in [0,k_1], l_2 in [k_1,k_2], ..., l_{n-r+1} in
     [k_{n-r},c], down to the base case F(0,n,c;.) = 1.  Memoized on the full
-    key (r, n, c, ks); a memo value is the count as an int.  A memo= dict
-    belongs to this engine alone: never pass it to fq_recursive.
+    key (r, n, c, ks); a memo value is the count as an int.  Never pass the
+    memo to fq_recursive.
     """
-    if memo is None:
-        memo = _F_MEMO
-    return Fraction(_recurse(memo, chained_sum, chained_count, key.r, key.n, key.c, key.ks))
+    return Fraction(_recurse({} if memo is None else memo, chained_sum, chained_count,
+                             key.r, key.n, key.c, key.ks))
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
@@ -204,8 +198,7 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     (packed, low, patterns) of exact.chained_sum_packed at width
     PACK_BITS: F_q = q^low * P(q) with P(2^PACK_BITS) == packed, and
     patterns is the number of patterns with that top row, counted without
-    sign.  A memo= dict belongs to this engine alone: never pass it to
-    f_recursive.
+    sign.  memo as there; never pass it to f_recursive.
 
     The value is unpacked once, here.  The terms of a state's sum are the
     next rows of enumerate_patterns, so no coefficient of F_q exceeds
@@ -214,8 +207,6 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     private memo, at the smallest multiple of PACK_BITS that is wide enough;
     the caller's memo keeps its one width.
     """
-    if memo is None:
-        memo = _FQ_MEMO
 
     def packed_at(bits: int, memo: dict) -> tuple[int, int, int]:
         return _recurse(memo, functools.partial(chained_sum_packed, bits=bits),
@@ -223,7 +214,7 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
                         key.r, key.n, key.c, key.ks)
 
     bits = PACK_BITS
-    packed, low, patterns = packed_at(bits, memo)
+    packed, low, patterns = packed_at(bits, {} if memo is None else memo)
     if patterns.bit_length() >= bits:
         bits *= patterns.bit_length() // bits + 1
         packed, low, _ = packed_at(bits, {})

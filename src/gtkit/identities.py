@@ -253,17 +253,18 @@ def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int],
                   memo: dict | None = None) -> bool:
     """D_i F(r,n,c;.) at ks against the explicit product times the smaller
     count F(r,n-2,c+2;...), both sides through the recursion engine.
-    memo: this check's own dict of products, keyed by (r, k_{i+1}-k_i)."""
+    memo: this check's own dict of products, keyed by (r, k_{i+1}-k_i), and
+    of recursion states, keyed by (r, n, c, ks): no key is both."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
     if r == 0:
         return True  # both sides are the constant 2
-    lhs = f_recursive(TopRowKey(r, n, c, ks)) + f_recursive(
-        TopRowKey(r, n, c, _swap(ks, i))
+    lhs = f_recursive(TopRowKey(r, n, c, ks), memo) + f_recursive(
+        TopRowKey(r, n, c, _swap(ks, i)), memo
     )
     factor = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_factor)
-    rhs = factor * f_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
+    rhs = factor * f_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)), memo)
     return lhs == rhs
 
 
@@ -283,19 +284,19 @@ def decomp_q_exponent(r: int, n: int, i: int) -> int:
 def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
                     memo: dict | None = None) -> bool:
     """q-analog of verify_decomp, cross-multiplied with [1;q]_{2r}; memo as
-    there, each entry also holding [1;q]_{2r}."""
+    there, each product also holding [1;q]_{2r}."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
     if r == 0:
         return True
-    lhs = fq_recursive(TopRowKey(r, n, c, ks)) + fq_recursive(
-        TopRowKey(r, n, c, _swap(ks, i))
+    lhs = fq_recursive(TopRowKey(r, n, c, ks), memo) + fq_recursive(
+        TopRowKey(r, n, c, _swap(ks, i)), memo
     )
     factor, den = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_q_factor)
     shift = 2 * r * ks[i - 1] + decomp_q_exponent(r, n, i)
     rhs_num = (
-        factor * fq_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
+        factor * fq_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)), memo)
     ).shift(shift)
     return lhs * den == rhs_num
 
@@ -417,8 +418,8 @@ def expected_zeros(n: int, c: int) -> list[int]:
 
 def verify_zeros(n: int, c: int) -> bool:
     """No patterns exist at the predicted zeros, and the interpolated
-    polynomial is a nonzero constant times the product of (k - z) over them,
-    by one exact division."""
+    polynomial is within the degree bound and a nonzero constant times the
+    product of (k - z) over them, by one exact division."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     zeros = expected_zeros(n, c)
@@ -428,28 +429,30 @@ def verify_zeros(n: int, c: int) -> bool:
             return False  # objects exist, not even a signed cancellation
     try:
         quotient = interpolate_f(n, c).exact_div(math.prod(map(_linear, zeros)))
-    except NonExactDivision:
+    except (NonExactDivision, DegreeExceeded):
         return False
     return bool(quotient) and quotient.min_exp == quotient.max_exp == 0
 
 
-def verify_extra(n: int, c: int) -> bool:
-    """F(n-1,n,c;c) == sum_{k=0}^{c} F(n-2,n-1,c;k), by the recursion engine."""
+def verify_extra(n: int, c: int, memo: dict | None = None) -> bool:
+    """F(n-1,n,c;c) == sum_{k=0}^{c} F(n-2,n-1,c;k), by the recursion engine;
+    memo: this check's own dict of its states."""
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
-    lhs = f_recursive(TopRowKey(n - 1, n, c, (c,)))
+    lhs = f_recursive(TopRowKey(n - 1, n, c, (c,)), memo)
     rhs = chained_sum(
-        [(0, c)], lambda ks: f_recursive(TopRowKey(n - 2, n - 1, c, ks))
+        [(0, c)], lambda ks: f_recursive(TopRowKey(n - 2, n - 1, c, ks), memo)
     )
     return lhs == rhs
 
 
-def verify_extra_q(n: int, c: int) -> bool:
-    """F_q(n-1,n,c;c) == q^{cn-c} sum_{k=0}^{c} F_q(n-2,n-1,c;k) q^k."""
+def verify_extra_q(n: int, c: int, memo: dict | None = None) -> bool:
+    """F_q(n-1,n,c;c) == q^{cn-c} sum_{k=0}^{c} F_q(n-2,n-1,c;k) q^k;
+    memo as there."""
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
-    lhs = fq_recursive(TopRowKey(n - 1, n, c, (c,)))
+    lhs = fq_recursive(TopRowKey(n - 1, n, c, (c,)), memo)
     rhs = chained_sum_q(
-        [(0, c)], lambda ks: fq_recursive(TopRowKey(n - 2, n - 1, c, ks))
+        [(0, c)], lambda ks: fq_recursive(TopRowKey(n - 2, n - 1, c, ks), memo)
     )
     return lhs == rhs.shift(c * n - c)

@@ -99,7 +99,7 @@ def f_ext_recursive(lam: Sequence[int], memo: dict | None = None) -> int:
     When every entry is at least the last one, sum the (k-1)-variable values
     over mu_i in [lam_k + 1, lam_i] with extended-summation semantics; for
     other vectors, permutation-normalize first.  The one-variable function is
-    identically 1.  Values are kept in memo, a fresh dict when none is given.
+    identically 1.  memo holds the values.
     """
     return _f_ext_rec(tuple(lam), {} if memo is None else memo)
 

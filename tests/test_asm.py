@@ -79,3 +79,5 @@ class TestSuiteCountsOnce:
         assert verify_ratio_independence(3, memo) == (True, 5)
         memo[3, 2] = 4
         assert verify_ratio_independence(3, memo)[0] is False
+        memo[3, 2] = 0  # no ratio at k = 2
+        assert verify_ratio_independence(3, memo) == (False, None)

@@ -300,6 +300,61 @@ class TestVerify:
         assert runs[0] == runs[1]
         assert runs[0] and len(set(runs[0])) == len(runs[0])
 
+    @pytest.mark.parametrize("suite", ["decomp", "extra"])
+    def test_recursion_memo_is_scoped_per_call(self, monkeypatch, capsys, suite):
+        # each check keeps the recursion's states for one suite call, so it
+        # computes a state once per run, and a second run computes them again
+        computed = []
+        real = cli.counting._recurse
+
+        def counted(memo, total, box, r, n, c, ks):
+            if r and (r, n, c, ks) not in memo:
+                computed.append((box is cli.counting.chained_count, r, n, c, ks))
+            return real(memo, total, box, r, n, c, ks)
+
+        monkeypatch.setattr(cli.counting, "_recurse", counted)
+        runs = []
+        for _ in range(2):
+            computed.clear()
+            assert cli.main(["verify", "--suite", suite]) == 0
+            capsys.readouterr()
+            runs.append(sorted(computed))
+            assert len(set(computed)) == len(computed)
+        assert runs[0] == runs[1]
+        assert runs[0]
+
+    def test_a_wrong_count_fails_the_zeros_suite(self, monkeypatch, capsys):
+        # one count too high at k = 2n lifts the interpolant above its degree
+        # bound: a failing verdict, not an exception
+        real = cli.identities.f_bruteforce
+
+        def planted(key):
+            return real(key) + 1 if key.ks == (2 * key.n,) else real(key)
+
+        monkeypatch.setattr(cli.identities, "f_bruteforce", planted)
+        code, out = run_cli(capsys, "verify", "--suite", "zeros")
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        (verdict,) = json.loads(out)["verdicts"]
+        assert not verdict["pass"] and verdict["counterexample"] == "(2, 0)"
+        assert not cli.identities.verify_zeros(2, 0)
+
+    def test_a_zero_triangle_count_fails_the_asm_suite(self, monkeypatch, capsys):
+        real = cli.asm_mod.count_monotone_triangles
+
+        def planted(n, k):
+            return 0 if (n, k) == (3, 2) else real(n, k)
+
+        monkeypatch.setattr(cli.asm_mod, "count_monotone_triangles", planted)
+        code, out = run_cli(capsys, "verify", "--suite", "asm")
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        report = json.loads(out)
+        ratio = [v for v in report["verdicts"]
+                 if v["identity"] == "pattern-to-triangle ratio independence"]
+        assert [v["pass"] for v in ratio] == [True, False, True, True]
+        assert ratio[1]["counterexample"] == "(3,)"
+        labels = [r["label"] for r in report["results"]]
+        assert "common ratio at n=3" not in labels and "common ratio at n=4" in labels
+
     def test_unknown_suite_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "bogus"])

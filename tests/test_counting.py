@@ -246,11 +246,6 @@ class TestRowTable:
         key = TopRowKey(6, 7, 5, (2,))
         assert f_bruteforce(key) == f_recursive(key, {}) == 13_325_312
 
-    def test_no_module_level_table(self):
-        dicts = {name for name, value in vars(counting).items()
-                 if isinstance(value, dict) and not name.startswith("__")}
-        assert dicts == {"_F_MEMO", "_FQ_MEMO"}
-
     def test_cell_ranges_once_per_distinct_row(self, monkeypatch):
         # a walk without the table works the ranges out once per visit
         key = TopRowKey(4, 5, 3, (1,))
@@ -326,6 +321,26 @@ class TestRecursion:
             assert value == bruteforce(key)
             assert memo  # sub-keys were recorded
             assert recursive(key, {}) == value
+
+    @pytest.mark.parametrize("recursive", [f_recursive, fq_recursive])
+    def test_no_memo_starts_fresh_each_call(self, recursive, monkeypatch):
+        # with no memo= nothing outlives a call: a second call computes the
+        # same states as the first
+        key = TopRowKey(3, 5, 3, (0, 2))
+        real, computed = counting._recurse, []
+
+        def counted(memo, total, box, r, n, c, ks):
+            if r and (r, n, c, ks) not in memo:
+                computed.append((r, n, c, ks))
+            return real(memo, total, box, r, n, c, ks)
+
+        monkeypatch.setattr(counting, "_recurse", counted)
+        runs = []
+        for _ in range(2):
+            computed.clear()
+            runs.append((recursive(key), list(computed)))
+        assert runs[0] == runs[1]
+        assert len(set(runs[0][1])) == len(runs[0][1]) > 1
 
     # states each engine memoizes for the benchmark's deep-recursion keys, as
     # counted by the partial-based engine, whose level r = 1 is a product

@@ -7,6 +7,7 @@ tests call fails here, unless it is one of the reference definitions below.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +73,18 @@ def _unused_exports() -> set[str]:
 
 def test_every_export_is_used_outside_the_tests():
     assert _unused_exports() - set(REFERENCE_DEFINITIONS) == set()
+
+
+def test_no_module_level_container():
+    # a memo, cache or table belongs to the call or the suite call that
+    # makes it; the only module-level container is the suites' registry
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "gtkit" if path.stem == "__init__" else f"gtkit.{path.stem}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                found.add(f"{name}.{attr}")
+    assert found == {"gtkit.cli.SUITES"}
 
 
 def test_reference_definitions_are_exported_and_unused():
