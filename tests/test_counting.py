@@ -246,6 +246,12 @@ class TestRowTable:
         key = TopRowKey(6, 7, 5, (2,))
         assert f_bruteforce(key) == f_recursive(key, {}) == 13_325_312
 
+    def test_no_module_level_table(self):
+        # the recursion's memos and the walk's row table live for one call
+        dicts = {name for name, value in vars(counting).items()
+                 if isinstance(value, dict) and not name.startswith("__")}
+        assert dicts == set()
+
     def test_cell_ranges_once_per_distinct_row(self, monkeypatch):
         # a walk without the table works the ranges out once per visit
         key = TopRowKey(4, 5, 3, (1,))

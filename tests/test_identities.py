@@ -331,6 +331,11 @@ class TestSummandTables:
         capsys.readouterr()
         assert built == {name: 26 for name in builders}
 
+    def test_no_module_level_table(self):
+        dicts = {name for name, value in vars(identities).items()
+                 if isinstance(value, dict) and not name.startswith("__")}
+        assert dicts == set()
+
 
 class TestHyper:
     def test_small_case(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtkit import tableaux
 from gtkit.closedforms import ssyt_product
 from gtkit.patterns import ShapeViolation
 from gtkit.tableaux import (
@@ -119,6 +120,11 @@ class TestFExtRecursive:
         memo: dict = {}
         assert f_ext_recursive((2, 0, -1), memo) == f_ext((2, 0, -1))
         assert memo
+
+    def test_no_module_level_table(self):
+        dicts = {name for name, value in vars(tableaux).items()
+                 if isinstance(value, dict) and not name.startswith("__")}
+        assert dicts == set()
 
     def test_memo_state_count(self):
         # the tableaux suite's vectors, [-2,3]^k for k <= 3, reach 55 states
