@@ -137,9 +137,12 @@ def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
         if name == "seed":
             raise ValueError(f"override {item!r}: set the seed with --seed, "
                              "so that the report records it")
-        if name not in valid or not raw:
+        if name not in valid:
             raise ValueError(f"unknown override {item!r}; fields: {sorted(valid)}")
-        updates[name] = int(raw)
+        try:
+            updates[name] = int(raw)
+        except ValueError:
+            raise ValueError(f"override {item!r}: the value must be an integer") from None
         if updates[name] < 0 and _is_size(name):
             raise ValueError(f"override {item!r} is negative: a size, bound or "
                              "count below 0 leaves no instances to check")

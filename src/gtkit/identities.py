@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Sequence
 from .counting import TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_recursive
 from .exact import (
     LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch,
+    q_poch_quotient,
 )
 
 
@@ -96,6 +97,8 @@ def _fund_rhs_bounds(m: int, i: int, k: Sequence[int], first_term: bool):
 
 
 def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool) -> bool:
+    """D_i of the summed g at sample against -1/2 times the expansion's
+    terms, compared in integers as -2 lhs == terms."""
     if g.arity != m:
         raise ValueError(f"function arity {g.arity} does not match m={m}")
     if not 1 <= i <= m:
@@ -114,8 +117,7 @@ def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool)
         terms += total(_fund_rhs_bounds(m, i, sample, True), apply_D(i - 1, g))
     if i <= m - 1:  # D_m g = 0 kills this term for i = m
         terms += total(_fund_rhs_bounds(m, i, sample, False), apply_D(i, g))
-    rhs = Fraction(-1, 2) * terms
-    return lhs == rhs
+    return -2 * lhs == terms
 
 
 def verify_lemma_fund(m: int, i: int, g: IntFunction, sample: Sequence[int]) -> bool:
@@ -194,7 +196,8 @@ def _lemma2q_term(r: int, diff: int) -> LaurentPolyQ:
 
 def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
     """Double extended sum of (y'-x'-r+3)_{2r-3} (y'-x'+1) over the shifted
-    box against its closed form (y-x-r+2)_{2r-1} (y-x+1) / (r(2r-1)).
+    box against its closed form (y-x-r+2)_{2r-1} (y-x+1) / (r(2r-1)), the
+    denominator multiplied across.
     memo: this check's own dict of summands, keyed by (r, y'-x')."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
@@ -204,17 +207,19 @@ def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> 
         return _tabled(memo, (r, yp - xp), _lemma2_term)
 
     lhs = chained_sum([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
-    rhs = (
-        Fraction(1, r * (2 * r - 1))
-        * pochhammer(y - x - r + 2, 2 * r - 1)
-        * (y - x + 1)
-    )
-    return lhs == rhs
+    return lhs * r * (2 * r - 1) == math.prod(range(y - x - r + 2, y - x + r + 1)) * (y - x + 1)
+
+
+def _lemma2q_rhs(r: int, diff: int, _side: str) -> LaurentPolyQ:
+    # 2 [diff-r+2;q]_{2r-1} [diff+1;q] (1+q^r) / ([2r-1;q][2r;q]), diff = y-x
+    num = q_poch(diff - r + 2, 2 * r - 1) * q_bracket(diff + 1) * LaurentPolyQ({0: 2, r: 2})
+    return q_poch_quotient(num, (2 * r - 1, 2))
 
 
 def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
-    """q-analog of verify_lemma_2, checked by cross-multiplication with the
-    denominator [2r-1;q][2r;q]; memo as there, holding unshifted summands."""
+    """q-analog of verify_lemma_2, its right side divided exactly (False on
+    a remainder); memo as there, holding unshifted summands and, apart under
+    (r, y-x, "rhs"), unshifted right sides."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
 
@@ -223,13 +228,11 @@ def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) ->
         return _tabled(memo, (r, yp - xp), _lemma2q_term).shift((2 * r - 2) * xp)
 
     lhs = chained_sum_q([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
-    rhs_num = (
-        2
-        * q_poch(y - x - r + 2, 2 * r - 1)
-        * q_bracket(y - x + 1)
-        * LaurentPolyQ({0: 1, r: 1})  # 1 + q^r
-    ).shift(2 * r * x + 2 * d * r + r - 2)
-    return lhs * q_bracket(2 * r - 1) * q_bracket(2 * r) == rhs_num
+    try:
+        rhs = _tabled(memo, (r, y - x, "rhs"), _lemma2q_rhs)
+    except NonExactDivision:
+        return False
+    return lhs == rhs.shift(2 * r * x + 2 * d * r + r - 2)
 
 
 def _decomp_rhs_args(ks: tuple[int, ...], i: int) -> tuple[int, ...]:

@@ -228,12 +228,15 @@ class TestVerify:
         for override, message in [
             ("nonsense=1", "unknown override"),
             ("seed=7", "--seed"),  # the report records --seed only
+            ("lemma2_d=x", "'lemma2_d=x': the value must be an integer"),
+            ("lemma2_d=", "'lemma2_d=': the value must be an integer"),
         ]:
             code = cli.main(["verify", "--suite", "qvand", "--override", override])
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
             assert message in captured.err
+            assert "invalid literal" not in captured.err
 
     @pytest.mark.parametrize("override", [
         "fund_sample_bound=-1",

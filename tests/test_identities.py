@@ -1,6 +1,8 @@
 """Tests for the operator calculus, identity sweeps and interpolation."""
 
+import ast
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +11,10 @@ import pytest
 from gtkit import cli, identities
 from gtkit.closedforms import theorem_special
 from gtkit.counting import TopRowKey, f_recursive, fq_recursive
-from gtkit.exact import LaurentPolyQ, NonExactDivision
+from gtkit.exact import (
+    LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch,
+    q_poch_quotient,
+)
 from gtkit.identities import (
     DegreeExceeded,
     IntFunction,
@@ -187,6 +192,53 @@ class TestLemmaFund:
                 assert verify(3, i, g, (-1, 0, 2, 3))
                 assert calls == [(-1, 0, 2, 3)], (verify, i)
 
+    def test_an_off_by_one_bound_fails_both_verdicts(self, monkeypatch, capsys):
+        real = identities._fund_rhs_bounds
+
+        def off_by_one(m, i, k, first_term):
+            bounds = real(m, i, k, first_term)
+            lo, hi = bounds[i - 1]
+            bounds[i - 1] = (lo, hi + 1)  # l_i runs one past k_{i+1}
+            return bounds
+
+        monkeypatch.setattr(identities, "_fund_rhs_bounds", off_by_one)
+        assert cli.main(["verify", "--suite", "fund"]) == cli.EXIT_VERIFICATION_FAILED
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert [v["pass"] for v in verdicts] == [False, False]
+        for verdict, verify in zip(verdicts, (verify_lemma_fund, verify_lemma_fund_q)):
+            # the counterexample (m, i, seed, sample) replays the failure
+            m, i, seed, sample = ast.literal_eval(verdict["counterexample"])
+            g = next(random_int_functions(1, m, seed))
+            assert not verify(m, i, g, sample)
+            monkeypatch.setattr(identities, "_fund_rhs_bounds", real)
+            assert verify(m, i, g, sample)
+            monkeypatch.setattr(identities, "_fund_rhs_bounds", off_by_one)
+
+
+def _parent_lemma_2(r, d, x, y, memo):
+    # lemma 2 as it was checked before: the right side as a Fraction
+    def term(ls):
+        xp, yp = ls
+        return identities._tabled(memo, (r, yp - xp), identities._lemma2_term)
+
+    lhs = chained_sum([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
+    rhs = Fraction(1, r * (2 * r - 1)) * pochhammer(y - x - r + 2, 2 * r - 1) * (y - x + 1)
+    return lhs == rhs
+
+
+def _parent_lemma_2q(r, d, x, y, memo):
+    # lemma 2 q as it was checked before: cross-multiplied per instance
+    def term(ls):
+        xp, yp = ls
+        value = identities._tabled(memo, (r, yp - xp), identities._lemma2q_term)
+        return value.shift((2 * r - 2) * xp)
+
+    lhs = chained_sum_q([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
+    rhs_num = (
+        2 * q_poch(y - x - r + 2, 2 * r - 1) * q_bracket(y - x + 1) * LaurentPolyQ({0: 1, r: 1})
+    ).shift(2 * r * x + 2 * d * r + r - 2)
+    return lhs * q_bracket(2 * r - 1) * q_bracket(2 * r) == rhs_num
+
 
 class TestLemma2:
     def test_four_term_hand_sum(self):
@@ -223,6 +275,26 @@ class TestLemma2:
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError):
             verify_lemma_2(1, 0, 0, 0)
+
+    @pytest.mark.parametrize("check,parent,wrong", [
+        (verify_lemma_2, _parent_lemma_2, lambda v: v + 1),
+        (verify_lemma_2q, _parent_lemma_2q, lambda v: v.shift(1))])
+    def test_verdicts_match_the_parent_forms(self, check, parent, wrong):
+        memo: dict = {}
+        for inst in LEMMA2_SWEEP:
+            assert check(*inst, memo=memo) and parent(*inst, memo), inst
+        keys = _summand_keys(memo)
+        planted_any = False
+        for key in keys[::5]:
+            if wrong(memo[key]) == memo[key]:
+                continue  # a zero q-term is unchanged by the shift
+            planted = dict(memo)
+            planted[key] = wrong(memo[key])
+            verdicts = [check(*inst, memo=planted) for inst in LEMMA2_SWEEP]
+            assert verdicts == [parent(*inst, planted) for inst in LEMMA2_SWEEP], key
+            assert not all(verdicts), key
+            planted_any = True
+        assert planted_any
 
 
 class TestDecomp:
@@ -274,6 +346,11 @@ class InsertCounting(dict):
 def _summand_keys(memo: dict) -> list:
     # decomp's memo also holds the recursion's states, keyed by (r, n, c, ks)
     return [key for key in memo if len(key) == 2]
+
+
+def _rhs_keys(memo: dict) -> list:
+    # lemma 2 q's memo also holds its right sides, keyed by (r, y-x, "rhs")
+    return [key for key in memo if len(key) == 3]
 
 
 class TestSummandTables:
@@ -330,6 +407,85 @@ class TestSummandTables:
         assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
         capsys.readouterr()
         assert built == {name: 26 for name in builders}
+
+    def test_lemma2q_tables_each_side_under_its_own_keys(self):
+        memo = InsertCounting()
+        for inst in LEMMA2_SWEEP:
+            assert verify_lemma_2q(*inst, memo=memo), inst
+        assert len(_summand_keys(memo)) == len(_rhs_keys(memo)) == 26
+        assert len(memo) == memo.inserts == 52
+        assert all(key[2] == "rhs" for key in _rhs_keys(memo))
+
+    @pytest.mark.parametrize("keep,drop", [(_summand_keys, _rhs_keys), (_rhs_keys, _summand_keys)])
+    def test_no_side_is_built_from_the_other(self, keep, drop):
+        # wrong entries of one side kept in the memo leave the other side's
+        # rebuilt entries as a fresh memo builds them
+        fresh: dict = {}
+        for inst in LEMMA2_SWEEP:
+            verify_lemma_2q(*inst, memo=fresh)
+        memo = {key: fresh[key].shift(1) for key in keep(fresh)}
+        for inst in LEMMA2_SWEEP:
+            verify_lemma_2q(*inst, memo=memo)
+        assert {key: memo[key] for key in drop(fresh)} == {key: fresh[key] for key in drop(fresh)}
+
+    @pytest.mark.parametrize("inst", [(2, 0, 0, 1), (3, 1, -2, 3), (3, -2, 3, -3), (2, 1, 3, 2)])
+    def test_a_wrong_right_side_in_the_table_fails(self, inst):
+        memo: dict = {}
+        assert verify_lemma_2q(*inst, memo=memo)
+        (key,) = _rhs_keys(memo)
+        value = memo[key]
+        # shifted by one; at y-x = -1 both sides vanish, so plant a 1 there
+        memo[key] = value.shift(1) if value else value + 1
+        assert not verify_lemma_2q(*inst, memo=memo)
+        memo[key] = value
+        assert verify_lemma_2q(*inst, memo=memo)
+
+    def test_suite_builds_each_right_side_once(self, monkeypatch, capsys):
+        # 26 distinct (r, y-x) among the 2 * 5 * 49 q instances
+        built = []
+        real = identities._lemma2q_rhs
+
+        def counted(r, diff, side):
+            built.append((r, diff))
+            return real(r, diff, side)
+
+        monkeypatch.setattr(identities, "_lemma2q_rhs", counted)
+        assert cli.main(["verify", "--suite", "lemma2"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(built) == len(set(built)) == 26
+
+    def test_an_inexact_right_side_fails_without_a_traceback(self, monkeypatch, capsys):
+        def without_one_plus_q_r(r, diff, side):
+            num = 2 * q_poch(diff - r + 2, 2 * r - 1) * q_bracket(diff + 1)
+            return q_poch_quotient(num, (2 * r - 1, 2))
+
+        monkeypatch.setattr(identities, "_lemma2q_rhs", without_one_plus_q_r)
+        with pytest.raises(NonExactDivision):
+            without_one_plus_q_r(2, 1, "rhs")  # [4;q] = (1+q)(1+q^2) does not divide
+        assert not verify_lemma_2q(2, 0, 0, 1)
+        assert not verify_lemma_2q(2, 0, 0, 1, memo={})
+        assert cli.main(["verify", "--suite", "lemma2"]) == cli.EXIT_VERIFICATION_FAILED
+        captured = capsys.readouterr()
+        plain, q = json.loads(captured.out)["verdicts"]
+        assert plain["pass"] and not q["pass"] and q["counterexample"]
+        assert "Traceback" not in captured.err
+
+    def test_lemma2_suite_multiplies_at_most_110_times(self, monkeypatch, capsys):
+        # 26 summands and 26 right sides, two products each; 2,502 when every
+        # instance cross-multiplied
+        calls = 0
+        real = LaurentPolyQ.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPolyQ, "__mul__", counted)
+        monkeypatch.setattr(LaurentPolyQ, "__rmul__", counted)  # 2 * poly
+        assert cli.main(["verify", "--suite", "lemma2"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert calls <= 110
 
     def test_no_module_level_table(self):
         dicts = {name for name, value in vars(identities).items()
