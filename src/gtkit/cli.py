@@ -539,15 +539,14 @@ def cmd_count(args) -> int:
 
 def _table_row_q(n: int, c: int, k: int):
     # the closed form is the plain generating function, carrying q^k relative
-    # to the normalized engine count; outside 0 <= k <= c the quotient may
-    # not reduce, in which case the fraction form is reported instead
+    # to the normalized engine count; a row whose quotient leaves a remainder
+    # reports the fraction form, compared by cross-multiplication
     brute = counting.fq_bruteforce(TopRowKey(n - 1, n, c, (k,))).shift(k)
-    frac = closedforms.theorem_main_q_fraction(n, c, k)
     try:
-        formula = str(closedforms.theorem_main_q(n, c, k))
+        formula = closedforms.theorem_main_q(n, c, k)
     except NonExactDivision:
-        formula = str(frac)
-    return brute, formula, frac == brute
+        formula = closedforms.theorem_main_q_fraction(n, c, k)
+    return brute, str(formula), formula == brute
 
 
 def cmd_table(args) -> int:

@@ -2,48 +2,49 @@
 
 Every product formula is assembled verbatim from Pochhammer or q-Pochhammer
 factors and evaluated exactly, with no algebraic shortcuts, so that any
-transcription drift is caught loudly by the oracle tests.  Each q-closed form
-is one private description ``(num_pairs, shift, den_pairs)`` that lists the
-formula's q-Pochhammer factors as written: the numerator is
-``q_poch_product(*num_pairs)`` times q^shift, and the denominator is the
-product over ``den_pairs``.  The quotient is ``q_poch_quotient``, which
-divides the whole numerator by each denominator bracket in turn and raises
-NonExactDivision on any remainder.
+transcription drift is caught loudly by the oracle tests.  Each formula is
+written once, as pairs (x, m) listing its factors (x)_m or [x;q]_m, and a
+q-closed form's description ``(num_pairs, shift, den_pairs)`` serves both
+weights.  The plain value ``_at_one`` divides the product of ``pochhammer``
+over the numerator pairs once by that over the denominator pairs.  The q value
+divides ``q_poch_product(*num_pairs)`` times q^shift by each denominator
+bracket in turn with ``q_poch_quotient``, which raises NonExactDivision on any
+remainder.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact import LaurentPolyQ, QFraction, pochhammer, q_poch_product, q_poch_quotient
 from .patterns import Partition
 
+_Pairs = tuple[tuple[int, int], ...]
+
+
+def _at_one(num_pairs: Iterable, den_pairs: Iterable) -> Fraction:
+    return Fraction(math.prod(pochhammer(x, m) for x, m in num_pairs),
+                    math.prod(pochhammer(x, m) for x, m in den_pairs))
+
 
 def intro_binomial(r: int, k: int) -> Fraction:
-    """binomial(k+r, r) = (k+1)_r / r!, extended to arbitrary integer k."""
+    """binomial(k+r, r) = (k+1)_r / (1)_r, extended to arbitrary integer k."""
     if r < 0:
         raise ValueError(f"length must be nonnegative, got {r}")
-    return pochhammer(k + 1, r) / Fraction(math.factorial(r))
+    return _at_one(((k + 1, r),), ((1, r),))
 
 
 def theorem_special(n: int, c: int, k: int) -> Fraction:
     """Number of strict plane partitions with parts in {1..n}, at most c
-    columns and k parts equal to n:
+    columns and k parts equal to n, theorem_main_q_fraction at q = 1:
 
         (1+k)_{n-1} (1+c-k)_{n-1} / (1)_{n-1}
             * prod_{i=1}^{n-1} (c+i+1)_{i-1} / (i)_i
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    value = pochhammer(1 + k, n - 1) * pochhammer(1 + c - k, n - 1) / pochhammer(1, n - 1)
-    for i in range(1, n):
-        value *= pochhammer(c + i + 1, i - 1) / pochhammer(i, i)
-    return value
-
-
-_Pairs = tuple[tuple[int, int], ...]
+    num_pairs, _, den_pairs = _theorem_main_q_brackets(n, c, k)
+    return _at_one(num_pairs, den_pairs)
 
 
 def _theorem_main_q_brackets(n: int, c: int, k: int) -> tuple[_Pairs, int, _Pairs]:
@@ -85,13 +86,9 @@ def theorem_main_q(n: int, c: int, k: int) -> LaurentPolyQ:
 
 def bender_knuth_count(n: int, c: int) -> Fraction:
     """Number of strict plane partitions with parts in {1..n} and at most c
-    columns: prod_{i=1}^{n} (c+i)_i / (i)_i."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    value = Fraction(1)
-    for i in range(1, n + 1):
-        value *= pochhammer(c + i, i) / pochhammer(i, i)
-    return value
+    columns: prod_{i=1}^{n} (c+i)_i / (i)_i, bender_knuth_gf at q = 1."""
+    num_pairs, _, den_pairs = _bender_knuth_brackets(n, c)
+    return _at_one(num_pairs, den_pairs)
 
 
 def bender_knuth_gf(n: int, c: int) -> LaurentPolyQ:
@@ -124,10 +121,8 @@ def refined_asm(n: int, k: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    value = pochhammer(k, n - 1) * pochhammer(1 + n - k, n - 1) / pochhammer(1, n - 1)
-    for i in range(1, n):
-        value *= pochhammer(1, 3 * i - 2) / pochhammer(1, n + i - 1)
-    return value
+    return _at_one(((k, n - 1), (1 + n - k, n - 1), *((1, 3 * i - 2) for i in range(1, n))),
+                   ((1, n - 1), *((1, n + i - 1) for i in range(1, n))))
 
 
 def asm_product(n: int) -> Fraction:
@@ -135,10 +130,7 @@ def asm_product(n: int) -> Fraction:
     prod_{i=0}^{n-1} (3i+1)! / (n+i)!, each factorial m! written (1)_m."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    value = Fraction(1)
-    for i in range(n):
-        value *= pochhammer(1, 3 * i + 1) / pochhammer(1, n + i)
-    return value
+    return _at_one(((1, 3 * i + 1) for i in range(n)), ((1, n + i) for i in range(n)))
 
 
 def tsspp_product(n: int) -> Fraction:

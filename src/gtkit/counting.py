@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .exact import (PACK_BITS, LaurentPolyQ, chained_count, chained_count_packed,
@@ -42,7 +41,7 @@ class TopRowKey:
 class CountResult:
     """Plain signed count together with its q-weighted refinement."""
 
-    plain: Fraction
+    plain: int
     q_weighted: LaurentPolyQ
 
     def consistent(self) -> bool:
@@ -149,18 +148,16 @@ def bruteforce_count(key: TopRowKey) -> CountResult:
             total += sign
             by_norm[norm + s] = by_norm.get(norm + s, 0) + sign
     offset = sum(key.ks)
-    return CountResult(
-        Fraction(total), LaurentPolyQ({e - offset: v for e, v in by_norm.items()})
-    )
+    return CountResult(total, LaurentPolyQ({e - offset: v for e, v in by_norm.items()}))
 
 
-def f_bruteforce(key: TopRowKey) -> Fraction:
+def f_bruteforce(key: TopRowKey) -> int:
     """Signed count of all (r,n,c)-patterns with the given top row: the
     sign of each choice of upper rows times its number of bottom rows."""
     total = 0
     for _, parity, _, sums in _walk(key, _bottom_sums):
         total += -len(sums) if parity else len(sums)
-    return Fraction(total)
+    return total
 
 
 def fq_bruteforce(key: TopRowKey) -> LaurentPolyQ:
@@ -177,7 +174,7 @@ def clear_memos() -> None:
     """A no-op, still called by perfbench/run.py."""
 
 
-def f_recursive(key: TopRowKey, memo: dict | None = None) -> Fraction:
+def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
     """Evaluate F(r,n,c;ks) by the fundamental recursion.
 
     Each recursion level sums F(r-1,n,c;l_1..l_{n-r+1}) over the chained
@@ -186,8 +183,8 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> Fraction:
     key (r, n, c, ks); a memo value is the count as an int.  Never pass the
     memo to fq_recursive.
     """
-    return Fraction(_recurse({} if memo is None else memo, chained_sum, chained_count,
-                             key.r, key.n, key.c, key.ks))
+    return _recurse({} if memo is None else memo, chained_sum, chained_count,
+                    key.r, key.n, key.c, key.ks)
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:

@@ -240,10 +240,9 @@ def _decomp_rhs_args(ks: tuple[int, ...], i: int) -> tuple[int, ...]:
     return ks[: i - 1] + tuple(v + 2 for v in ks[i + 1 :])
 
 
-def _decomp_factor(r: int, diff: int) -> Fraction:
-    # (-1)^r 2/(2r)! (diff-r+2)_{2r-1} (diff+1) at diff = k_{i+1}-k_i
-    poch = pochhammer(diff - r + 2, 2 * r - 1)
-    return (-1) ** r * Fraction(2, math.factorial(2 * r)) * poch * (diff + 1)
+def _decomp_factor(r: int, diff: int) -> int:
+    # (-1)^r 2/(2r)! (diff-r+2)_{2r-1} (diff+1) at diff = k_{i+1}-k_i, times (2r)!
+    return (-1) ** r * 2 * math.prod(range(diff - r + 2, diff + r + 1)) * (diff + 1)
 
 
 def _decomp_q_factor(r: int, diff: int) -> tuple[LaurentPolyQ, LaurentPolyQ]:
@@ -255,7 +254,8 @@ def _decomp_q_factor(r: int, diff: int) -> tuple[LaurentPolyQ, LaurentPolyQ]:
 def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int],
                   memo: dict | None = None) -> bool:
     """D_i F(r,n,c;.) at ks against the explicit product times the smaller
-    count F(r,n-2,c+2;...), both sides through the recursion engine.
+    count F(r,n-2,c+2;...), both sides through the recursion engine, (2r)!
+    multiplied across.
     memo: this check's own dict of products, keyed by (r, k_{i+1}-k_i), and
     of recursion states, keyed by (r, n, c, ks): no key is both."""
     ks = tuple(ks)
@@ -268,7 +268,7 @@ def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int],
     )
     factor = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_factor)
     rhs = factor * f_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)), memo)
-    return lhs == rhs
+    return lhs * math.factorial(2 * r) == rhs
 
 
 def decomp_q_exponent(r: int, n: int, i: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
+import math
 from typing import Sequence
 
 from .exact import chained_sum
@@ -141,11 +141,9 @@ def verify_sign_involution(lam: Sequence[int], memo: dict | None = None) -> bool
 
 
 def verify_part_formula(lam: Sequence[int], memo: dict | None = None) -> bool:
-    """f_ext(lam) equals prod_{i<j} (lam_i - lam_j) / (j - i)."""
+    """f_ext(lam) equals prod_{i<j} (lam_i - lam_j) / (j - i), the
+    denominator multiplied across."""
     lam = tuple(lam)
-    k = len(lam)
-    product = Fraction(1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            product *= Fraction(lam[i] - lam[j], j - i)
-    return f_ext(lam, memo) == product
+    pairs = list(itertools.combinations(range(len(lam)), 2))
+    return (f_ext(lam, memo) * math.prod(j - i for i, j in pairs)
+            == math.prod(lam[i] - lam[j] for i, j in pairs))

@@ -177,6 +177,17 @@ class TestTable:
         assert captured.out == ""
         assert "no table rows" in captured.err
 
+    @pytest.mark.parametrize("argv,golden", [
+        (("--n", "1:4", "--c", "0:4", "--kmin", "-4", "--kmax", "9"),
+         "table_n1-4_c0-4_k-4-9.csv"),
+        (("--n", "1:4", "--c", "0:3", "--kmin", "-3", "--kmax", "6", "--q"),
+         "table_q_n1-4_c0-3_k-3-6.csv"),
+    ])
+    def test_csv_matches_golden_table(self, capsys, argv, golden):
+        code, out = run_cli(capsys, "table", *argv, "--format", "csv")
+        assert code == 0
+        assert out == (ROOT / "tests" / "data" / golden).read_text()
+
     def test_range_spec(self, capsys):
         code, out = run_cli(
             capsys, "table", "--n", "1:2", "--c", "0:1", "--format", "csv"

@@ -103,10 +103,13 @@ class TestDegreesFromBrackets:
             return (num_pairs[0], (c - k, n - 1), *num_pairs[2:]), shift, den_pairs
 
         monkeypatch.setattr(closedforms, "_theorem_main_q_brackets", slipped)
-        grid = ((n, c, k) for n in range(1, 8) for c in range(7) for k in range(c + 1))
+        grid = [(n, c, k) for n in range(1, 8) for c in range(7) for k in range(c + 1)]
         with pytest.raises(NonExactDivision):
             for n, c, k in grid:
                 theorem_main_q(n, c, k)
+        # the plain count reads the same description, so the slip shows there too
+        assert any(theorem_special(n, c, k) != f_bruteforce(TopRowKey(n - 1, n, c, (k,)))
+                   for n, c, k in grid if n <= 4)
 
 
 class TestTheoremSpecial:
@@ -118,6 +121,12 @@ class TestTheoremSpecial:
     def test_small_values(self):
         assert theorem_special(2, 2, 1) == 4
         assert theorem_special(3, 2, 0) == 10
+
+    def test_plain_closed_forms_are_fractions(self):
+        # one evaluator, exact.pochhammer's quotient, for every Pochhammer form
+        for value in (theorem_special(3, 2, 1), bender_knuth_count(3, 2), intro_binomial(0, 5),
+                      refined_asm(4, 2), asm_product(1)):
+            assert type(value) is Fraction, value
 
     def test_matches_bruteforce(self):
         for n in range(1, 5):

@@ -556,6 +556,13 @@ class TestCountBoundedPartitions:
 
 
 class TestCountResult:
+    @pytest.mark.parametrize("key", [TopRowKey(0, 3, 2, (0, 1, 2)), TopRowKey(1, 2, 2, (1,)),
+                                     TopRowKey(2, 3, 2, (0,)), TopRowKey(2, 4, 1, (-1, 3))])
+    def test_plain_counts_are_ints(self, key):
+        # the plain route carries one value type, the int it computes
+        for value in (f_bruteforce(key), f_recursive(key), bruteforce_count(key).plain):
+            assert type(value) is int, (key, value)
+
     def test_consistency_flag(self):
         good = CountResult(2, LaurentPolyQ({0: 1, 3: 1}))
         bad = CountResult(3, LaurentPolyQ({0: 1, 3: 1}))
