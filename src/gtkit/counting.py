@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .exact import (PACK_BITS, LaurentPolyQ, chained_count, chained_count_packed,
-                    chained_sum, chained_sum_packed, unpack_q)
+from .exact import (PACK_BITS, LaurentPolyQ, chained_count, chained_count2,
+                    chained_count_packed, chained_sum, chained_sum_packed, unpack_q)
 from .patterns import GenPattern, enumerate_spps
 
 
@@ -179,19 +179,22 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
 
     Each recursion level sums F(r-1,n,c;l_1..l_{n-r+1}) over the chained
     extended ranges l_1 in [0,k_1], l_2 in [k_1,k_2], ..., l_{n-r+1} in
-    [k_{n-r},c], down to the base case F(0,n,c;.) = 1.  Memoized on the full
-    key (r, n, c, ks); a memo value is the count as an int.  Never pass the
-    memo to fq_recursive.
+    [k_{n-r},c], down to the base case F(0,n,c;.) = 1.  Levels r = 1 and
+    r = 2 are closed by exact.chained_count and exact.chained_count2, so the
+    sums run only at levels r >= 3 and no state below the key is at level
+    r = 1.  Memoized on the full key (r, n, c, ks); a memo value is the
+    count as an int.  Never pass the memo to fq_recursive.
     """
-    return _recurse({} if memo is None else memo, chained_sum, chained_count,
-                    key.r, key.n, key.c, key.ks)
+    return _recurse({} if memo is None else memo, chained_sum,
+                    (chained_count, chained_count2), key.r, key.n, key.c, key.ks)
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     """Evaluate F_q(r,n,c;ks) by the q-weighted recursion.
 
     Identical nesting to f_recursive, with every innermost term weighted by
-    q^(l_1 + ... + l_{n-r+1}).  A memo value is the triple
+    q^(l_1 + ... + l_{n-r+1}); only level r = 1 is closed, by
+    exact.chained_count_packed.  A memo value is the triple
     (packed, low, patterns) of exact.chained_sum_packed at width
     PACK_BITS: F_q = q^low * P(q) with P(2^PACK_BITS) == packed, and
     patterns is the number of patterns with that top row, counted without
@@ -207,7 +210,7 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
 
     def packed_at(bits: int, memo: dict) -> tuple[int, int, int]:
         return _recurse(memo, functools.partial(chained_sum_packed, bits=bits),
-                        functools.partial(chained_count_packed, bits=bits),
+                        (functools.partial(chained_count_packed, bits=bits),),
                         key.r, key.n, key.c, key.ks)
 
     bits = PACK_BITS
@@ -218,30 +221,31 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     return unpack_q(packed, low, bits)
 
 
-def _recurse(memo: dict, total: Callable, box: Callable,
+def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
              r: int, n: int, c: int, ks: tuple[int, ...]):
     """The recursion engine shared by both weights.
 
     total(bounds, child) is chained_sum or a chained_sum_packed: it sums
     child(ls) = F(r-1,n,c;ls), this function with all but ls bound, over one
-    state's chain of bounds.  box is the matching chained_count: the same
-    sum of the constant F(0,n,c;.) = 1 as a product, which closes level
-    r = 1; box(()) is that base value.  memo maps (r, n, c, ks) to the
-    state's value as total returns it: an int for the plain weight, a
-    (packed, low, patterns) triple for the q weight.  So one memo serves one
-    weight and one width.
+    state's chain of bounds.  closers[j](bounds) is the same value of a
+    level j + 1 state in closed form, so the levels up to len(closers) are
+    never summed: (chained_count, chained_count2) for the plain weight, the
+    one packed chained_count for the q weight.  closers[0](()) is the base
+    value F(0,n,c;.) = 1.  memo maps (r, n, c, ks) to the state's value as
+    total returns it: an int for the plain weight, a (packed, low, patterns)
+    triple for the q weight.  So one memo serves one weight and one width.
     """
     if r == 0:
-        return box(())
+        return closers[0](())
     key = (r, n, c, ks)
     value = memo.get(key)
     if value is None:
         bounds = (0,) + ks + (c,)
         links = zip(bounds, bounds[1:])
-        if r == 1:
-            value = box(links)
+        if r <= len(closers):
+            value = closers[r - 1](links)
         else:
-            value = total(links, functools.partial(_recurse, memo, total, box, r - 1, n, c))
+            value = total(links, functools.partial(_recurse, memo, total, closers, r - 1, n, c))
         memo[key] = value
     return value
 

@@ -8,7 +8,9 @@ bracket's remainder; ``LaurentPolyQ.exact_div`` is general long division,
 for ``QFraction`` users and for the zeros check, which divides a polynomial
 in k by linear factors.  The q recursion keeps each value packed in one
 Python integer (``chained_sum_packed``, ``unpack_q``).  No floating point is
-used anywhere.
+used anywhere.  The plain recursion closes its lowest two levels with
+``chained_count`` and ``chained_count2``, the q recursion its lowest one with
+``chained_count_packed``.
 """
 
 from __future__ import annotations
@@ -50,10 +52,32 @@ def chained_sum(bounds: Iterable[tuple[int, int]],
 
 
 def chained_count(bounds: Iterable[tuple[int, int]]) -> int:
-    """chained_sum(bounds, lambda ls: 1): the sign times the product of the
-    range lengths."""
-    sign, ranges = _signed_ranges(bounds)
-    return sign * math.prod(map(len, ranges))
+    """chained_sum(bounds, lambda ls: 1): the product of the b - a + 1, an
+    extended range [a, b] holding that many terms counted with their sign."""
+    return math.prod([b - a + 1 for a, b in bounds])
+
+
+def _link_sums(a: int, b: int) -> tuple[int, int, int]:
+    # the sums of 1, y and y^2 over the extended range [a, b], each a
+    # Faulhaber difference P(b+1) - P(a), which holds for b < a too
+    return (b - a + 1, (b * (b + 1) - a * (a - 1)) // 2,
+            (b * (b + 1) * (2 * b + 1) - (a - 1) * a * (2 * a - 1)) // 6)
+
+
+def chained_count2(bounds: Iterable[tuple[int, int]]) -> int:
+    """chained_sum(bounds, lambda ls: chained_count(links of (0,) + ls + (c,))),
+    c the last bound's upper end: F(2,n,c;ks) on the links of (0,) + ks + (c,).
+
+    Every factor of the summand is linear in its two ends, so the sum is
+    carried link by link as the moments S0 = sum A(x) and S1 = sum x A(x) of
+    the partial products A, from (1, 0), and the state is (c+1) S0 - S1.
+    Each link costs a few products; bounds must hold at least one link.
+    """
+    s0, s1 = 1, 0
+    for a, b in bounds:
+        n, y1, y2 = _link_sums(a, b)
+        s0, s1 = s0 * (y1 + n) - s1 * n, s0 * (y2 + y1) - s1 * y1
+    return (b + 1) * s0 - s1  # b is now c
 
 
 def chained_sum_q(
@@ -124,16 +148,23 @@ def chained_sum_packed(
 
 
 def chained_count_packed(bounds: Iterable[tuple[int, int]], bits: int) -> tuple[int, int, int]:
-    """chained_sum_packed(bounds, lambda ls: (1, 0, 1), bits) as a product:
-    the sign times the product over ranges R of sum_{t<|R|} 2^(bits*t), low
-    the sum of the starts, count the product of the |R|."""
-    sign, ranges = _signed_ranges(bounds)
-    count = math.prod(map(len, ranges))
-    if not count:
-        return 0, 0, 0
+    """chained_sum_packed(bounds, lambda ls: (1, 0, 1), bits) as a product,
+    one link at a time: a link [a, b] with b < a stands for minus the range
+    [b+1, a-1].  Over the ranges R, packed is the sign times the product of
+    sum_{t<|R|} 2^(bits*t), low the sum of the starts, count the product of
+    the |R|; an empty link makes the triple (0, 0, 0)."""
     digit = (1 << bits) - 1
-    packed = math.prod([((1 << bits * len(R)) - 1) // digit for R in ranges])
-    return sign * packed, sum(R.start for R in ranges), count
+    packed, low, count = 1, 0, 1
+    for a, b in bounds:
+        if b < a:
+            a, b, packed = b + 1, a - 1, -packed
+        length = b - a + 1
+        if not length:
+            return 0, 0, 0
+        packed *= ((1 << bits * length) - 1) // digit
+        low += a
+        count *= length
+    return packed, low, count
 
 
 def unpack_q(packed: int, low: int, bits: int) -> "LaurentPolyQ":
@@ -158,14 +189,11 @@ def unpack_q(packed: int, low: int, bits: int) -> "LaurentPolyQ":
     return LaurentPolyQ._raw(terms)
 
 
-def pochhammer(a: int, n: int) -> Fraction:
+def pochhammer(a: int, n: int) -> int:
     """Rising product (a)_n = a (a+1) ... (a+n-1); the empty product is 1."""
     if n < 0:
         raise ValueError(f"pochhammer index must be nonnegative, got {n}")
-    out = 1
-    for i in range(n):
-        out *= a + i
-    return Fraction(out)
+    return math.prod(range(a, a + n))
 
 
 class LaurentPolyQ:

@@ -219,15 +219,20 @@ def _lemma2q_rhs(r: int, diff: int, _side: str) -> LaurentPolyQ:
 def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
     """q-analog of verify_lemma_2, its right side divided exactly (False on
     a remainder); memo as there, holding unshifted summands and, apart under
-    (r, y-x, "rhs"), unshifted right sides."""
+    (r, y-x, "rhs"), unshifted right sides.  The unshifted summands are
+    summed over y' for each x', and each x' partial sum is shifted once."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
 
-    def term(ls):
-        xp, yp = ls
-        return _tabled(memo, (r, yp - xp), _lemma2q_term).shift((2 * r - 2) * xp)
+    def row(xs):
+        (xp,) = xs
 
-    lhs = chained_sum_q([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
+        def term(ys):
+            return _tabled(memo, (r, ys[0] - xp), _lemma2q_term)
+
+        return chained_sum_q([(x - 1 + d, y - 1 + d)], term).shift((2 * r - 2) * xp)
+
+    lhs = chained_sum_q([(x + d, y + d)], row)
     try:
         rhs = _tabled(memo, (r, y - x, "rhs"), _lemma2q_rhs)
     except NonExactDivision:
@@ -309,7 +314,7 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
-def hyper_middle_expression(m: int, c: int) -> Fraction:
+def hyper_middle_expression(m: int, c: int) -> int:
     """(1)_{m-1}^2 binomial(c+2m-1, 2m-1), the Chu-Vandermonde evaluation."""
     return pochhammer(1, m - 1) ** 2 * math.comb(c + 2 * m - 1, 2 * m - 1)
 
@@ -318,7 +323,8 @@ def hyper_final_expression(m: int, c: int) -> Fraction:
     """(1)_{m-1}^2 (c+1)_{2m-2} / (1)_{2m-2}, as displayed; disagrees with the
     middle expression already at m = 2, c = 2 (6 versus 10), so the middle
     form is the one verified."""
-    return pochhammer(1, m - 1) ** 2 * pochhammer(c + 1, 2 * m - 2) / pochhammer(1, 2 * m - 2)
+    return Fraction(pochhammer(1, m - 1) ** 2 * pochhammer(c + 1, 2 * m - 2),
+                    pochhammer(1, 2 * m - 2))
 
 
 def verify_hyper(m: int, c: int) -> bool:

@@ -321,10 +321,10 @@ class TestVerify:
         computed = []
         real = cli.counting._recurse
 
-        def counted(memo, total, box, r, n, c, ks):
+        def counted(memo, total, closers, r, n, c, ks):
             if r and (r, n, c, ks) not in memo:
-                computed.append((box is cli.counting.chained_count, r, n, c, ks))
-            return real(memo, total, box, r, n, c, ks)
+                computed.append((closers[0] is cli.counting.chained_count, r, n, c, ks))
+            return real(memo, total, closers, r, n, c, ks)
 
         monkeypatch.setattr(cli.counting, "_recurse", counted)
         runs = []

@@ -335,10 +335,10 @@ class TestRecursion:
         key = TopRowKey(3, 5, 3, (0, 2))
         real, computed = counting._recurse, []
 
-        def counted(memo, total, box, r, n, c, ks):
+        def counted(memo, total, closers, r, n, c, ks):
             if r and (r, n, c, ks) not in memo:
                 computed.append((r, n, c, ks))
-            return real(memo, total, box, r, n, c, ks)
+            return real(memo, total, closers, r, n, c, ks)
 
         monkeypatch.setattr(counting, "_recurse", counted)
         runs = []
@@ -348,23 +348,25 @@ class TestRecursion:
         assert runs[0] == runs[1]
         assert len(set(runs[0][1])) == len(runs[0][1]) > 1
 
-    # states each engine memoizes for the benchmark's deep-recursion keys, as
-    # counted by the partial-based engine, whose level r = 1 is a product
-    @pytest.mark.parametrize("r,n,c,ks,states", [
-        (6, 7, 5, (2,), 813),
-        (7, 8, 4, (1,), 665),
-        (6, 8, 4, (1, 3), 537),
-        (6, 9, 4, (0, 2, 4), 407),
-        (6, 7, 4, (1,), 372),
-        (5, 8, 4, (0, 2, 4), 211),
+    # states each engine memoizes for the benchmark's deep-recursion keys:
+    # the q engine closes level r = 1 as a product and memoizes it, the plain
+    # engine closes level r = 2 by its moments and never reaches level 1
+    @pytest.mark.parametrize("r,n,c,ks,q_states,plain_states", [
+        (6, 7, 5, (2,), 813, 386),
+        (7, 8, 4, (1,), 665, 372),
+        (6, 8, 4, (1, 3), 537, 282),
+        (6, 9, 4, (0, 2, 4), 407, 211),
+        (6, 7, 4, (1,), 372, 191),
+        (5, 8, 4, (0, 2, 4), 211, 97),
     ])
-    def test_memo_state_counts(self, r, n, c, ks, states):
+    def test_memo_state_counts(self, r, n, c, ks, q_states, plain_states):
         key = TopRowKey(r, n, c, ks)
         plain_memo: dict = {}
         q_memo: dict = {}
         plain = f_recursive(key, plain_memo)
         assert fq_recursive(key, q_memo).at_one() == plain
-        assert len(plain_memo) == len(q_memo) == states
+        assert len(q_memo) == q_states
+        assert len(plain_memo) == plain_states
 
 
 # the benchmark's deep-recursion keys
@@ -388,25 +390,34 @@ def _reference_recursion(state, memo, total, one):
 
 
 class TestClosedLastLevel:
-    """At r = 1 the engine closes a state as a product of range lengths and
-    never sums its terms; its memo must hold what the summed recursion does."""
+    """The engine closes its lowest levels without summing their terms: the
+    q weight level r = 1 as a product of range lengths, the plain weight
+    levels r = 1 and 2 by chained_count and chained_count2.  Every state its
+    memo holds must hold what the summed recursion does, and the memo holds
+    every state of the summed recursion at or above the lowest level it
+    reaches below a key: r = 1 for the q weight, r = 2 for the plain
+    weight."""
 
     WEIGHTS = {
-        "plain": (f_recursive, exact.chained_sum, 1),
+        "plain": (f_recursive, exact.chained_sum, 1, 2),
         "q": (fq_recursive, functools.partial(exact.chained_sum_packed, bits=exact.PACK_BITS),
-              (1, 0, 1)),
+              (1, 0, 1), 1),
     }
 
     @pytest.mark.parametrize("weight", ["plain", "q"])
     @pytest.mark.parametrize("keys", ["sweep", "deep"])
     def test_memo_equals_the_summed_recursion(self, weight, keys):
-        engine, total, one = self.WEIGHTS[weight]
+        engine, total, one, lowest = self.WEIGHTS[weight]
         memo: dict = {}
         reference: dict = {}
+        tops = set()
         for key in list(_keys(2)) if keys == "sweep" else DEEP_KEYS:
             engine(key, memo)
+            tops.add((key.r, key.n, key.c, key.ks))
             _reference_recursion((key.r, key.n, key.c, key.ks), reference, total, one)
-        assert memo == reference
+        # the sweep's own keys at r = 1 are closed and memoized as well
+        assert memo == {state: value for state, value in reference.items()
+                        if state[0] >= lowest or state in tops}
 
     @pytest.mark.parametrize("weight", ["plain", "q"])
     def test_total_runs_once_per_state_above_level_one(self, weight, monkeypatch):
@@ -421,14 +432,14 @@ class TestClosedLastLevel:
             return real(bounds, summand, *args, **kwargs)
 
         monkeypatch.setattr(counting, name, counted)
-        engine = self.WEIGHTS[weight][0]
+        engine, lowest = self.WEIGHTS[weight][0], self.WEIGHTS[weight][3]
         for key in DEEP_KEYS:
             memo: dict = {}
             chains.clear()
             engine(key, memo)
             levels = sorted(key.n + 1 - m for m in chains)
-            assert levels == sorted(r for r, *_ in memo if r >= 2), key
-            assert levels[0] == 2 and any(r == 1 for r, *_ in memo), key
+            assert levels == sorted(r for r, *_ in memo if r > lowest), key
+            assert levels[0] == lowest + 1 and any(r == lowest for r, *_ in memo), key
 
 
 def _patterns(r, n, c, ks):

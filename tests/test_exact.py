@@ -1,6 +1,7 @@
 """Tests for exact rational and Laurent-polynomial arithmetic."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtkit import closedforms
+from gtkit import closedforms, exact
 from gtkit.exact import (
     PACK_BITS,
     LaurentPolyQ,
@@ -16,6 +17,7 @@ from gtkit.exact import (
     Q,
     QFraction,
     chained_count,
+    chained_count2,
     chained_count_packed,
     chained_sum,
     chained_sum_packed,
@@ -294,9 +296,59 @@ class TestChainedCount:
         assert chained_count_packed([(0, 3), (5, 4), (4, 0)], 8) == (0, 0, 0)
 
 
+def _count2_by_sum(bounds):
+    # the level r = 2 state as the recursion sums it: chained_count of the
+    # links of (0,) + ls + (c,) over the chain, c the last upper end
+    c = bounds[-1][1]
+
+    def level_one(ls):
+        row = (0,) + ls + (c,)
+        return chained_count(zip(row, row[1:]))
+
+    return chained_sum(bounds, level_one)
+
+
+class TestChainedCount2:
+    """The r = 2 closure of the plain recursion is the chained sum of the
+    r = 1 products that it replaces, value for value."""
+
+    EDGES = [[(0, 3)], [(3, 0)], [(2, 1)], [(0, -4)], [(-4, -1), (-1, -6)],
+             [(0, 2), (2, 1), (1, 5)], [(5, -2), (-2, 3), (3, -6), (-6, 0)],
+             [(0, 0), (0, 0)], [(0, -1), (-1, 3)]]
+
+    @staticmethod
+    def _chains(seed: int):
+        # one to four links: ordinary, reversed and empty ones
+        return [bounds for bounds in _random_bounds(seed) if bounds]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_summed_level_one(self, seed):
+        for bounds in self.EDGES + self._chains(seed):
+            assert chained_count2(bounds) == _count2_by_sum(bounds), bounds
+            assert chained_count2(iter(bounds)) == chained_count2(bounds)
+
+    def test_one_link_is_a_binomial_sum(self):
+        # F(2,2,c;) sums (l+1)(c-l+1) over l in ext[0, c]: binomial(c+3, 3),
+        # a polynomial in c, negative c included
+        for c in range(-6, 8):
+            assert chained_count2([(0, c)]) == (c + 1) * (c + 2) * (c + 3) // 6, c
+
+    def test_planted_faulhaber_off_by_one_fails(self, monkeypatch):
+        # S(b) - S(a) in place of S(b+1) - S(a) drops the last term of each link
+        real = exact._link_sums
+        monkeypatch.setattr(exact, "_link_sums", lambda a, b: real(a, b - 1))
+        wrong = [bounds for bounds in self.EDGES + self._chains(0)
+                 if chained_count2(bounds) != _count2_by_sum(bounds)]
+        assert [(0, 3)] in wrong and [(3, 0)] in wrong
+
+
 class TestPochhammer:
     def test_basic(self):
         assert pochhammer(3, 2) == 12
+
+    def test_returns_the_int_it_builds(self):
+        for a, n in [(3, 2), (17, 0), (-2, 5), (-7, 3), (1, 6)]:
+            assert type(pochhammer(a, n)) is int, (a, n)
 
     def test_empty_product(self):
         assert pochhammer(17, 0) == 1
@@ -307,8 +359,6 @@ class TestPochhammer:
 
     @pytest.mark.parametrize("n", range(8))
     def test_factorial(self, n):
-        import math
-
         assert pochhammer(1, n) == math.factorial(n)
 
 

@@ -276,6 +276,23 @@ class TestLemma2:
         with pytest.raises(ValueError):
             verify_lemma_2(1, 0, 0, 0)
 
+    def test_q_shifts_once_per_x_prime(self, monkeypatch):
+        # each x' partial sum is shifted once and the right side once, where
+        # shifting every summand made one shift per (x', y') term
+        shifts = []
+        real = LaurentPolyQ.shift
+
+        def counted(self, exponent):
+            shifts.append(exponent)
+            return real(self, exponent)
+
+        monkeypatch.setattr(LaurentPolyQ, "shift", counted)
+        memo: dict = {}
+        for r, d, x, y in LEMMA2_SWEEP:
+            shifts.clear()
+            assert verify_lemma_2q(r, d, x, y, memo=memo)
+            assert len(shifts) == (y - x + 1 if y >= x else x - y - 1) + 1, (r, d, x, y)
+
     @pytest.mark.parametrize("check,parent,wrong", [
         (verify_lemma_2, _parent_lemma_2, lambda v: v + 1),
         (verify_lemma_2q, _parent_lemma_2q, lambda v: v.shift(1))])
@@ -513,6 +530,12 @@ class TestHyper:
         # the displayed final form disagrees with the verified binomial form
         assert hyper_final_expression(2, 2) == 6
         assert hyper_middle_expression(2, 2) == 10
+
+    def test_final_expression_is_an_exact_fraction(self):
+        # its quotient is built as a Fraction, never as a float
+        value = hyper_final_expression(2, 2)
+        assert type(value) is Fraction and value == Fraction(6)
+        assert type(hyper_final_expression(3, 1)) is Fraction
 
 
 class TestQVandermonde:
