@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .closedforms import tsspp_product
-from .counting import TopRowKey, enumerate_patterns, f_bruteforce
+from .counting import TopRowKey, count_patterns, enumerate_patterns, f_bruteforce
 from .patterns import MonotoneTriangle
 
 
@@ -21,21 +21,22 @@ def _strictly_increasing(row: tuple[int, ...]) -> bool:
     return all(row[t] < row[t + 1] for t in range(len(row) - 1))
 
 
-def _triangle_patterns(n: int, k: int) -> Iterator:
+def _triangle_key(n: int, k: int) -> TopRowKey:
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
-    return enumerate_patterns(TopRowKey(n - 1, n, n + 1, (k,)), row_filter=_strictly_increasing)
+    return TopRowKey(n - 1, n, n + 1, (k,))
 
 
 def enumerate_monotone_triangles(n: int, k: int) -> Iterator[MonotoneTriangle]:
     """All monotone triangles of size n whose single top entry equals k."""
-    return map(MonotoneTriangle, _triangle_patterns(n, k))
+    return map(MonotoneTriangle,
+               enumerate_patterns(_triangle_key(n, k), row_filter=_strictly_increasing))
 
 
 def count_monotone_triangles(n: int, k: int) -> int:
     """Number of monotone triangles of size n with top entry k; zero outside
     1 <= k <= n.  The filter made the rows strict: nothing to validate."""
-    return sum(1 for _ in _triangle_patterns(n, k))
+    return count_patterns(_triangle_key(n, k), _strictly_increasing)
 
 
 def triangle_count(n: int, k: int, memo: dict) -> int:

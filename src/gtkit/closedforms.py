@@ -14,6 +14,7 @@ remainder.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -105,11 +106,9 @@ def ssyt_product(shape: Sequence[int], k: int) -> Fraction:
     if k < 1:
         raise ValueError(f"entry bound must be positive, got {k}")
     lam = Partition(tuple(shape)).padded(k)
-    value = Fraction(1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            value *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    return value
+    pairs = list(itertools.combinations(range(k), 2))
+    return _at_one(((lam[i] - lam[j] + j - i, 1) for i, j in pairs),
+                   ((j - i, 1) for i, j in pairs))
 
 
 def refined_asm(n: int, k: int) -> Fraction:
@@ -138,9 +137,6 @@ def tsspp_product(n: int) -> Fraction:
     prod_{1<=i<=j<=n-1} (i+j+n-2) / (i+2j-2)."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    value = Fraction(1)
-    for i in range(1, n):
-        for j in range(i, n):
-            value *= Fraction(i + j + n - 2, i + 2 * j - 2)
-    return value
+    pairs = list(itertools.combinations_with_replacement(range(1, n), 2))
+    return _at_one(((i + j + n - 2, 1) for i, j in pairs), ((i + 2 * j - 2, 1) for i, j in pairs))
 

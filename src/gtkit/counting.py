@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -129,6 +130,13 @@ def enumerate_patterns(
             yield pattern(r, n, c, rows + (bottom,))
 
 
+def count_patterns(key: TopRowKey, row_filter: Callable | None = None) -> int:
+    """Number of patterns enumerate_patterns(key, row_filter) yields, added
+    up per choice of the upper rows without building one."""
+    bottoms = functools.partial(_rows_below, c=key.c, row_filter=row_filter)
+    return sum(len(below) for _, _, _, below in _walk(key, bottoms, row_filter))
+
+
 def _bottom_sums(ranges: list[range]) -> tuple[int, ...]:
     return tuple(map(sum, itertools.product(*ranges)))
 
@@ -151,12 +159,17 @@ def bruteforce_count(key: TopRowKey) -> CountResult:
     return CountResult(total, LaurentPolyQ({e - offset: v for e, v in by_norm.items()}))
 
 
+def _bottom_count(ranges: list[range]) -> int:
+    return math.prod(map(len, ranges))
+
+
 def f_bruteforce(key: TopRowKey) -> int:
     """Signed count of all (r,n,c)-patterns with the given top row: the
-    sign of each choice of upper rows times its number of bottom rows."""
+    sign of each choice of upper rows times its number of bottom rows, the
+    product of their cells' range lengths."""
     total = 0
-    for _, parity, _, sums in _walk(key, _bottom_sums):
-        total += -len(sums) if parity else len(sums)
+    for _, parity, _, count in _walk(key, _bottom_count):
+        total += -count if parity else count
     return total
 
 

@@ -174,7 +174,7 @@ def _splitmix_values(key: int, box: int, value_bound: int) -> Callable[..., int]
 # ---------------------------------------------------------------------------
 
 
-def _tabled(memo: dict | None, key: tuple[int, int], build: Callable):
+def _tabled(memo: dict | None, key: tuple, build: Callable):
     # memo[key], built as build(*key) on first read
     if memo is None:
         return build(*key)
@@ -292,19 +292,24 @@ def decomp_q_exponent(r: int, n: int, i: int) -> int:
 def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
                     memo: dict | None = None) -> bool:
     """q-analog of verify_decomp, cross-multiplied with [1;q]_{2r}; memo as
-    there, each product also holding [1;q]_{2r}."""
+    there, each product also holding [1;q]_{2r}; each F_q is unpacked once,
+    under (r, n, c, ks, "q")."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
     if r == 0:
         return True
-    lhs = fq_recursive(TopRowKey(r, n, c, ks), memo) + fq_recursive(
-        TopRowKey(r, n, c, _swap(ks, i)), memo
+
+    def count(*key):  # (r, n, c, ks, "q")
+        return fq_recursive(TopRowKey(*key[:4]), memo)
+
+    lhs = _tabled(memo, (r, n, c, ks, "q"), count) + _tabled(
+        memo, (r, n, c, _swap(ks, i), "q"), count
     )
     factor, den = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_q_factor)
     shift = 2 * r * ks[i - 1] + decomp_q_exponent(r, n, i)
     rhs_num = (
-        factor * fq_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)), memo)
+        factor * _tabled(memo, (r, n - 2, c + 2, _decomp_rhs_args(ks, i), "q"), count)
     ).shift(shift)
     return lhs * den == rhs_num
 

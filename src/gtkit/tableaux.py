@@ -19,7 +19,9 @@ from .patterns import Partition
 
 def ssyt_bruteforce(shape: Sequence[int], k: int) -> int:
     """Count fillings of the shape with entries in {1..k}, rows weakly
-    increasing and columns strictly increasing, by direct backtracking."""
+    increasing and columns strictly increasing, by backtracking row by row.
+    Cell (i, j) is capped at k - h_j + 1 + i, h_j the height of column j, so
+    every partial filling completes; the last cell adds its range's size."""
     if k < 1:
         raise ValueError(f"entry bound must be positive, got {k}")
     rows = [p for p in Partition(tuple(shape)).parts if p > 0]
@@ -27,38 +29,34 @@ def ssyt_bruteforce(shape: Sequence[int], k: int) -> int:
         return 0  # a column of more than k strictly increasing entries
     if not rows:
         return 1
+    heights = [sum(p > j for p in rows) for j in range(rows[0])]
+    # per cell: the slots of its left and upper neighbours (slot -1, always
+    # 0, if none) and its cap
+    cells = [(i, j) for i, p in enumerate(rows) for j in range(p)]
+    plan = [(t - 1 if j else -1, t - rows[i - 1] if i else -1, k - heights[j] + 1 + i)
+            for t, (i, j) in enumerate(cells)]
+    last = len(plan) - 1
+    values = [0] * (last + 2)
 
-    def fill(row_idx: int, col_idx: int, current: list[list[int]]) -> int:
-        if row_idx == len(rows):
-            return 1
-        if col_idx == rows[row_idx]:
-            return fill(row_idx + 1, 0, current)
-        lo = 1
-        if col_idx > 0:
-            lo = max(lo, current[row_idx][col_idx - 1])
-        if row_idx > 0 and col_idx < rows[row_idx - 1]:
-            lo = max(lo, current[row_idx - 1][col_idx] + 1)
+    def fill(t: int) -> int:
+        left, above, hi = plan[t]
+        lo = max(values[left], values[above] + 1)
+        if t == last:
+            return hi - lo + 1
         total = 0
-        for v in range(lo, k + 1):
-            current[row_idx].append(v)
-            total += fill(row_idx, col_idx + 1, current)
-            current[row_idx].pop()
+        for v in range(lo, hi + 1):
+            values[t] = v
+            total += fill(t + 1)
         return total
 
-    return fill(0, 0, [[] for _ in rows])
+    return fill(0)
 
 
 def _sort_desc_with_sign(lam: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # sign of the permutation that sorts lam weakly decreasing
-    order = sorted(range(len(lam)), key=lambda t: (-lam[t], t))
-    inversions = sum(
-        1
-        for a in range(len(order))
-        for b in range(a + 1, len(order))
-        if order[a] > order[b]
-    )
-    sign = -1 if inversions & 1 else 1
-    return sign, tuple(lam[t] for t in order)
+    # sign of the permutation that sorts lam weakly decreasing: the parity of
+    # the pairs a < b with lam[a] < lam[b]
+    ascents = sum(x < y for x, y in itertools.combinations(lam, 2))
+    return -1 if ascents & 1 else 1, tuple(sorted(lam, reverse=True))
 
 
 def ssyt_count(shape: Sequence[int], k: int, memo: dict) -> int:

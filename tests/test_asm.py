@@ -9,6 +9,7 @@ from gtkit.asm import (
     verify_ratio_independence,
 )
 from gtkit.closedforms import refined_asm, tsspp_product
+from gtkit.patterns import GenPattern
 
 
 class TestCounting:
@@ -23,6 +24,16 @@ class TestCounting:
 
     def test_size_three(self):
         assert [count_monotone_triangles(3, k) for k in (1, 2, 3)] == [2, 3, 2]
+
+    def test_counts_without_building_patterns(self, monkeypatch):
+        expected = [count_monotone_triangles(4, k) for k in range(6)]
+
+        def fail(*args):
+            raise AssertionError("a pattern was built")
+
+        monkeypatch.setattr(GenPattern, "_trusted", fail)
+        assert [count_monotone_triangles(4, k) for k in range(6)] == expected
+        assert expected == [0, 7, 14, 14, 7, 0]
 
     def test_out_of_range_top(self):
         assert count_monotone_triangles(3, 0) == 0

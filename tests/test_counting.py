@@ -246,6 +246,27 @@ class TestRowTable:
         key = TopRowKey(6, 7, 5, (2,))
         assert f_bruteforce(key) == f_recursive(key, {}) == 13_325_312
 
+    @pytest.mark.parametrize("row_filter", [None, asm._strictly_increasing],
+                             ids=["all", "strict"])
+    def test_count_patterns_counts_the_enumeration(self, row_filter):
+        for key in _keys(2):
+            expected = sum(1 for _ in enumerate_patterns(key, row_filter))
+            assert counting.count_patterns(key, row_filter) == expected, key
+
+    def test_counting_readers_build_no_bottom_row(self, monkeypatch):
+        # f_bruteforce multiplies the bottom cells' range lengths, and
+        # count_patterns adds up rows without building a pattern
+        expected = {key: (f_bruteforce(key), counting.count_patterns(key))
+                    for key in _keys(1)}
+
+        def fail(*args):
+            raise AssertionError("built what was only counted")
+
+        monkeypatch.setattr(counting, "_bottom_sums", fail)
+        monkeypatch.setattr(GenPattern, "_trusted", fail)
+        for key, counts in expected.items():
+            assert (f_bruteforce(key), counting.count_patterns(key)) == counts, key
+
     def test_no_module_level_table(self):
         # the recursion's memos and the walk's row table live for one call
         dicts = {name for name, value in vars(counting).items()

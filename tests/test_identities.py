@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtkit import cli, identities
+from gtkit import cli, counting, identities
 from gtkit.closedforms import theorem_special
 from gtkit.counting import TopRowKey, f_recursive, fq_recursive
 from gtkit.exact import (
@@ -424,6 +424,32 @@ class TestSummandTables:
         assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
         capsys.readouterr()
         assert built == {name: 26 for name in builders}
+
+    def test_decomp_suite_unpacks_each_top_count_once(self, monkeypatch, capsys):
+        # the q check reads 2,352 counts F_q of 660 distinct top rows, and
+        # keeps each unpacked count under (r, n, c, ks, "q")
+        tops = {top for r, n, c, i, ks in DECOMP_SWEEP
+                for top in ((r, n, c, ks), (r, n, c, identities._swap(ks, i)),
+                            (r, n - 2, c + 2, identities._decomp_rhs_args(ks, i)))}
+        unpacked = []
+
+        def counted(*args, real=counting.unpack_q):
+            unpacked.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(counting, "unpack_q", counted)
+        assert cli.main(["verify", "--suite", "decomp"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(unpacked) == len(tops) == 660
+
+    def test_decomp_q_tables_counts_apart_from_states(self):
+        memo: dict = {}
+        for inst in DECOMP_SWEEP:
+            assert verify_decomp_q(*inst, memo=memo), inst
+        counts = {key[:4]: value for key, value in memo.items() if len(key) == 5}
+        assert len(counts) == 660 and {key[4] for key in memo if len(key) == 5} == {"q"}
+        for (r, n, c, ks), value in counts.items():
+            assert value == fq_recursive(TopRowKey(r, n, c, ks)), (r, n, c, ks)
 
     def test_lemma2q_tables_each_side_under_its_own_keys(self):
         memo = InsertCounting()

@@ -41,6 +41,55 @@ class TestSsytBruteforce:
         assert ssyt_bruteforce((2, 1, 0, 0), 3) == 8
 
 
+def _shapes(max_cells: int):
+    # every partition with at most max_cells cells, the empty one included
+    def parts(total, largest):
+        if not total:
+            yield ()
+        for first in range(min(total, largest), 0, -1):
+            for rest in parts(total - first, first):
+                yield (first,) + rest
+
+    return [shape for m in range(max_cells + 1) for shape in parts(m, m)]
+
+
+def _fillings(shape, k):
+    # the definition: every filling of the cells from {1..k}, rows weakly
+    # and columns strictly increasing
+    cells = [(i, j) for i, p in enumerate(shape) for j in range(p)]
+    count = 0
+    for values in itertools.product(range(1, k + 1), repeat=len(cells)):
+        t = dict(zip(cells, values))
+        if all(t[i, j - 1] <= v for (i, j), v in t.items() if j) and all(
+                t[i - 1, j] < v for (i, j), v in t.items() if i):
+            count += 1
+    return count
+
+
+class TestSsytBruteforceMatchesTheDefinition:
+    def test_small_shapes(self):
+        shapes = _shapes(6)
+        assert len(shapes) == 30
+        for shape in shapes:
+            for k in range(1, 5):
+                assert ssyt_bruteforce(shape, k) == _fillings(shape, k), (shape, k)
+
+
+def _old_sort_desc_with_sign(lam):
+    # the form before the ascent count: inversions of the stable sorting order
+    order = sorted(range(len(lam)), key=lambda t: (-lam[t], t))
+    inversions = sum(1 for a in range(len(order)) for b in range(a + 1, len(order))
+                     if order[a] > order[b])
+    return -1 if inversions & 1 else 1, tuple(lam[t] for t in order)
+
+
+class TestSortDescWithSign:
+    def test_matches_the_sorting_permutation(self):
+        for k in range(5):
+            for lam in itertools.product(range(-3, 4), repeat=k):
+                assert tableaux._sort_desc_with_sign(lam) == _old_sort_desc_with_sign(lam), lam
+
+
 class TestFExt:
     def test_staircase_is_one(self):
         for k in range(1, 5):
