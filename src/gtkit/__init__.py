@@ -5,7 +5,6 @@ the closed-form counting identities they satisfy."""
 from .exact import (
     LaurentPolyQ,
     NonExactDivision,
-    Q,
     QFraction,
     pochhammer,
     q_bracket,

@@ -106,15 +106,12 @@ class SweepConfig:
     zeros_max_c: int = 4
     extra_max_n: int = 4
     extra_max_c: int = 4
-    extra_q_max_c: int = 3
     ssyt_max_part: int = 4
-    ssyt_max_rows: int = 4
     ssyt_max_k: int = 4
     tableaux_max_k: int = 3
     tableaux_lo: int = -2
     tableaux_hi: int = 3
-    asm_count_max_n: int = 4
-    asm_ratio_max_n: int = 5
+    asm_max_n: int = 5
 
 
 #: (lo, hi) field pairs that bound one range of a sweep.
@@ -304,16 +301,10 @@ def _suite_extra(report: RunReport, cfg: SweepConfig) -> None:
         for c in range(cfg.extra_max_c + 1)
     )
     params = f"2 <= n <= {cfg.extra_max_n}, c <= {cfg.extra_max_c}"
-    _check(report, params, grid,
-           {"boundary recursion (plain)": functools.partial(identities.verify_extra, memo={})})
-    grid_q = (
-        (n, c)
-        for n in range(2, cfg.extra_max_n + 1)
-        for c in range(cfg.extra_q_max_c + 1)
-    )
-    params_q = f"2 <= n <= {cfg.extra_max_n}, c <= {cfg.extra_q_max_c}"
-    _check(report, params_q, grid_q,
-           {"boundary recursion (q)": functools.partial(identities.verify_extra_q, memo={})})
+    _check(report, params, grid, {
+        "boundary recursion (plain)": functools.partial(identities.verify_extra, memo={}),
+        "boundary recursion (q)": functools.partial(identities.verify_extra_q, memo={}),
+    })
 
 
 def _partitions_in_box(max_rows: int, max_part: int):
@@ -323,11 +314,12 @@ def _partitions_in_box(max_rows: int, max_part: int):
             range(max_part, 0, -1), rows
         ):
             out.append(parts)
-    return sorted(set(out))
+    return sorted(out)
 
 
 def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
-    shapes = _partitions_in_box(cfg.ssyt_max_rows, cfg.ssyt_max_part)
+    # a shape with more than k rows has no tableau, so k bounds the rows too
+    shapes = _partitions_in_box(cfg.ssyt_max_k, cfg.ssyt_max_part)
     instances = (
         (shape, k)
         for shape in shapes
@@ -335,7 +327,7 @@ def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
         if len(shape) <= k
     )
     params = (
-        f"shapes with <= {cfg.ssyt_max_rows} parts <= {cfg.ssyt_max_part}, "
+        f"shapes with <= {cfg.ssyt_max_k} parts <= {cfg.ssyt_max_part}, "
         f"k <= {cfg.ssyt_max_k}"
     )
 
@@ -417,12 +409,13 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
+    max_n = cfg.asm_max_n
     instances = (
         (n, k)
-        for n in range(1, cfg.asm_count_max_n + 1)
+        for n in range(1, max_n + 1)
         for k in range(1, n + 1)
     )
-    params = f"n <= {cfg.asm_count_max_n}, 1 <= k <= n"
+    params = f"n <= {max_n}, 1 <= k <= n"
     memo = {}  # triangle counts, shared by all three checks
 
     def count_matches(n, k):
@@ -434,14 +427,13 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
         total = sum(asm_mod.triangle_count(n, k, memo) for k in range(1, n + 1))
         return total == closedforms.asm_product(n)
 
-    _check(report, f"n <= {cfg.asm_count_max_n}",
-           ((n,) for n in range(1, cfg.asm_count_max_n + 1)),
+    _check(report, f"n <= {max_n}", ((n,) for n in range(1, max_n + 1)),
            {"total counts": total_matches})
 
-    ratio_ns = range(2, cfg.asm_ratio_max_n + 1)
+    ratio_ns = range(2, max_n + 1)
     if not ratio_ns:
         raise EmptySweep("pattern-to-triangle ratio independence: no instances "
-                         f"for 2 <= n <= {cfg.asm_ratio_max_n}")
+                         f"for 2 <= n <= {max_n}")
     for n in ratio_ns:
         # one verdict per n, each on the ratio the result line reports
         ok, ratio = asm_mod.verify_ratio_independence(n, memo)

@@ -144,19 +144,18 @@ def _bottom_sums(ranges: list[range]) -> tuple[int, ...]:
 def bruteforce_count(key: TopRowKey) -> CountResult:
     """Plain and q-weighted brute-force counts from a single enumeration pass.
 
-    Each pattern contributes its sign to the plain count and
-    sign * q^(norm - sum(ks)) to the q-weighted count, one at a time.  The
-    walk's table keeps the bottom rows' interior sums per row above them.
+    Each pattern adds its sign to the coefficient of q^(norm - sum(ks)), one
+    at a time; the plain count is the sum of those coefficients.  The walk's
+    table keeps the bottom rows' interior sums per row above them.
     """
-    total = 0
     by_norm: dict[int, int] = {}
     for _, parity, norm, sums in _walk(key, _bottom_sums):
         sign = -1 if parity else 1
         for s in sums:
-            total += sign
             by_norm[norm + s] = by_norm.get(norm + s, 0) + sign
     offset = sum(key.ks)
-    return CountResult(total, LaurentPolyQ({e - offset: v for e, v in by_norm.items()}))
+    return CountResult(sum(by_norm.values()),
+                       LaurentPolyQ({e - offset: v for e, v in by_norm.items()}))
 
 
 def _bottom_count(ranges: list[range]) -> int:

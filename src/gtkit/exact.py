@@ -318,18 +318,6 @@ class LaurentPolyQ:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = LaurentPolyQ({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, exponent: int) -> "LaurentPolyQ":
         """Multiply by the monomial q**exponent."""
         if exponent == 0:
@@ -424,10 +412,6 @@ def _fmt_scalar(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-#: The formal variable q itself.
-Q = LaurentPolyQ.monomial(1)
 
 
 def q_bracket(x: int) -> LaurentPolyQ:

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 from .counting import TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_recursive
 from .exact import (
     LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch,
-    q_poch_quotient,
+    q_poch_product, q_poch_quotient,
 )
 
 
@@ -191,7 +191,8 @@ def _lemma2_term(r: int, diff: int) -> int:
 
 def _lemma2q_term(r: int, diff: int) -> LaurentPolyQ:
     # the q summand at diff, before its shift
-    return q_poch(diff - r + 3, 2 * r - 3) * q_bracket(diff + 1) * LaurentPolyQ({0: 1, r - 1: 1})
+    return (q_poch_product((diff - r + 3, 2 * r - 3), (diff + 1, 1))
+            * LaurentPolyQ({0: 1, r - 1: 1}))
 
 
 def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
@@ -212,7 +213,7 @@ def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> 
 
 def _lemma2q_rhs(r: int, diff: int, _side: str) -> LaurentPolyQ:
     # 2 [diff-r+2;q]_{2r-1} [diff+1;q] (1+q^r) / ([2r-1;q][2r;q]), diff = y-x
-    num = q_poch(diff - r + 2, 2 * r - 1) * q_bracket(diff + 1) * LaurentPolyQ({0: 2, r: 2})
+    num = q_poch_product((diff - r + 2, 2 * r - 1), (diff + 1, 1)) * LaurentPolyQ({0: 2, r: 2})
     return q_poch_quotient(num, (2 * r - 1, 2))
 
 
@@ -252,7 +253,7 @@ def _decomp_factor(r: int, diff: int) -> int:
 
 def _decomp_q_factor(r: int, diff: int) -> tuple[LaurentPolyQ, LaurentPolyQ]:
     # its q-analog, and [1;q]_{2r}
-    num = LaurentPolyQ({0: 1, r: 1}) * q_poch(diff - r + 2, 2 * r - 1) * q_bracket(diff + 1)
+    num = LaurentPolyQ({0: 1, r: 1}) * q_poch_product((diff - r + 2, 2 * r - 1), (diff + 1, 1))
     return (-1) ** r * num, q_poch(1, 2 * r)
 
 
@@ -353,7 +354,7 @@ def verify_qvand(m: int, c: int) -> bool:
 
     def term(ls):
         (k,) = ls
-        return q_poch(k + 1, m - 1) * q_poch(k - c - m + 1, m - 1)
+        return q_poch_product((k + 1, m - 1), (k - c - m + 1, m - 1))
 
     lhs = chained_sum_q([(0, c)], term)
     num = (1 - m) * (2 * c + m)
@@ -362,7 +363,7 @@ def verify_qvand(m: int, c: int) -> bool:
         raise ArithmeticError(f"half-integer exponent at m={m}, c={c}")
     sign = -1 if (m - 1) & 1 else 1
     rhs_num = (
-        sign * q_poch(1, m - 1) ** 2 * q_poch(c + 1, 2 * m - 1)
+        sign * q_poch_product((1, m - 1), (1, m - 1), (c + 1, 2 * m - 1))
     ).shift(num // 2)
     return lhs * q_poch(1, 2 * m - 1) == rhs_num
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -235,12 +236,65 @@ class TestVerify:
         report = json.loads(out)
         assert "m <= 2" in report["verdicts"][0]["parameters"]
 
+    def test_extra_checks_both_weights_on_one_grid(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "extra")
+        assert code == 0
+        plain, q = json.loads(out)["verdicts"]
+        assert (plain["identity"], q["identity"]) == (
+            "boundary recursion (plain)", "boundary recursion (q)")
+        assert plain["parameters"] == q["parameters"] == "2 <= n <= 4, c <= 4"
+
+    def test_one_asm_bound_for_counts_and_ratios(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "asm",
+                            "--override", "asm_max_n=4")
+        assert code == 0
+        params = {}
+        for v in json.loads(out)["verdicts"]:
+            params.setdefault(v["identity"], []).append(v["parameters"])
+        assert params == {
+            "refined count formula": ["n <= 4, 1 <= k <= n"],
+            "total counts": ["n <= 4"],
+            "pattern-to-triangle ratio independence": ["n=2", "n=3", "n=4"],
+        }
+
+    def test_ssyt_rows_follow_max_k(self, monkeypatch):
+        # a shape with more than k rows has no tableau, so ssyt_max_k bounds
+        # the rows of every shape the suite checks
+        checked = []
+        product = cli.closedforms.ssyt_product
+
+        def recording_product(shape, k):
+            checked.append((shape, k))
+            return product(shape, k)
+
+        monkeypatch.setattr(cli.closedforms, "ssyt_product", recording_product)
+        report = cli.RunReport("ssyt", {})
+        cli._suite_ssyt(report, replace(cli.SweepConfig(), ssyt_max_k=3))
+        assert all(v["pass"] for v in report.verdicts)
+        assert {v["parameters"] for v in report.verdicts} == {
+            "shapes with <= 3 parts <= 4, k <= 3"}
+        expected = {
+            (shape, k)
+            for k in range(1, 4)
+            for rows in range(k + 1)
+            for shape in itertools.product(range(1, 5), repeat=rows)
+            if list(shape) == sorted(shape, reverse=True)
+        }
+        assert len(checked) == len(set(checked))
+        assert set(checked) == expected
+        assert max(len(shape) for shape, _ in checked) == 3
+
     def test_bad_override_exit_two(self, capsys):
         for override, message in [
             ("nonsense=1", "unknown override"),
             ("seed=7", "--seed"),  # the report records --seed only
             ("lemma2_d=x", "'lemma2_d=x': the value must be an integer"),
             ("lemma2_d=", "'lemma2_d=': the value must be an integer"),
+            # bounds that another field already sets
+            ("extra_q_max_c=3", "unknown override"),
+            ("ssyt_max_rows=4", "unknown override"),
+            ("asm_count_max_n=4", "unknown override"),
+            ("asm_ratio_max_n=5", "unknown override"),
         ]:
             code = cli.main(["verify", "--suite", "qvand", "--override", override])
             captured = capsys.readouterr()
@@ -378,8 +432,8 @@ class TestVerify:
         ("zeros", "zeros_max_n=-5"),
         ("zeros", "zeros_max_c=-1"),
         ("fund", "fund_functions=0"),
-        ("asm", "asm_ratio_max_n=1"),
-        ("asm", "asm_ratio_max_n=0"),
+        ("asm", "asm_max_n=1"),
+        ("asm", "asm_max_n=0"),
     ])
     def test_empty_sweep_exit_two(self, capsys, suite, override):
         code = cli.main(["verify", "--suite", suite, "--override", override])

@@ -14,7 +14,6 @@ from gtkit.exact import (
     PACK_BITS,
     LaurentPolyQ,
     NonExactDivision,
-    Q,
     QFraction,
     chained_count,
     chained_count2,
@@ -31,6 +30,8 @@ from gtkit.exact import (
     unpack_q,
 )
 from gtkit.exact import _signed_ranges
+
+Q = LaurentPolyQ.monomial(1)
 
 
 def ext_sum(f, a, b):
@@ -79,7 +80,7 @@ class TestExtSum:
 
 
 def _nested_ext_sum(bounds, f, prefix=()):
-    # the closure-per-level evaluation that ext_terms flattens
+    # the closure-per-level evaluation that exact.chained_sum flattens
     if not bounds:
         return f(*prefix)
     a, b = bounds[0]
@@ -387,10 +388,6 @@ class TestLaurentPolyQ:
         assert (p * Q).terms() == ((-1, 3),)
         assert p.shift(2) == LaurentPolyQ.constant(3)
 
-    def test_pow(self):
-        assert (1 + Q) ** 0 == 1
-        assert (1 + Q) ** 3 == LaurentPolyQ({0: 1, 1: 3, 2: 3, 3: 1})
-
     def test_at_one(self):
         assert LaurentPolyQ({-1: Fraction(1, 2), 4: Fraction(3, 2)}).at_one() == 2
 
@@ -587,7 +584,7 @@ class TestQFractionAndDivision:
         assert qfrac_exact_div(QFraction(q_poch(3, 2), q_bracket(3))) == q_bracket(4)
 
     def test_monomial_division(self):
-        num = Q + Q ** 3
+        num = Q + Q * Q * Q
         assert qfrac_exact_div(QFraction(num, Q)) == 1 + Q * Q
 
     def test_non_exact_division_raises(self):

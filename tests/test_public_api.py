@@ -44,9 +44,10 @@ def _reads(path: Path) -> set[tuple[str, frozenset]]:
     found = set()
 
     def visit(node, scopes):
-        if isinstance(node, ast.Name):
+        # a store or a del is not a read
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add((node.id, scopes))
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add((node.attr, scopes))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scopes = scopes | {node.name}
