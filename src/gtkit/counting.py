@@ -233,19 +233,47 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     return unpack_q(packed, low, bits)
 
 
+class _Level(dict):
+    """The states of one level r below a key, keyed by ks, for one call of
+    _recurse.  A missing ks is read from the caller's memo under
+    (r, n, c, ks) or, failing that, computed as value_of(links) and written
+    to both, so a repeat read is a C-level dict lookup."""
+
+    __slots__ = ("memo", "r", "n", "c", "value_of")
+
+    def __init__(self, memo: dict, r: int, n: int, c: int, value_of: Callable):
+        self.memo, self.r, self.n, self.c, self.value_of = memo, r, n, c, value_of
+
+    def __missing__(self, ks):
+        key = (self.r, self.n, self.c, ks)
+        value = self.memo.get(key)
+        if value is None:
+            bounds = (0,) + ks + (self.c,)
+            value = self.memo[key] = self.value_of(zip(bounds, bounds[1:]))
+        self[ks] = value
+        return value
+
+
 def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
              r: int, n: int, c: int, ks: tuple[int, ...]):
     """The recursion engine shared by both weights.
 
-    total(bounds, child) is chained_sum or a chained_sum_packed: it sums
-    child(ls) = F(r-1,n,c;ls), this function with all but ls bound, over one
-    state's chain of bounds.  closers[j](bounds) is the same value of a
-    level j + 1 state in closed form, so the levels up to len(closers) are
-    never summed: (chained_count, chained_count2) for the plain weight, the
-    one packed chained_count for the q weight.  closers[0](()) is the base
-    value F(0,n,c;.) = 1.  memo maps (r, n, c, ks) to the state's value as
-    total returns it: an int for the plain weight, a (packed, low, patterns)
+    total(bounds, summand) is chained_sum or a chained_sum_packed: it sums
+    summand(ls) = F(r-1,n,c;ls) over one state's chain of bounds.
+    closers[j](bounds) is the same value of a level j + 1 state in closed
+    form, so the levels up to len(closers) are never summed:
+    (chained_count, chained_count2) for the plain weight, the one packed
+    chained_count for the q weight.  closers[0](()) is the base value
+    F(0,n,c;.) = 1.  memo maps (r, n, c, ks) to the state's value as total
+    returns it: an int for the plain weight, a (packed, low, patterns)
     triple for the q weight.  So one memo serves one weight and one width.
+
+    A key with one summed level reads each term through this function, with
+    all but ls bound: it reads each state below it once, so a table would
+    not pay.  A key with two or more (r >= len(closers) + 2) sums through
+    one _Level per level below it, from the closed level up: each state
+    below it costs one Python call, and a repeat read none.  The tables live
+    for this call; the memo holds the same states either way.
     """
     if r == 0:
         return closers[0](())
@@ -254,10 +282,17 @@ def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
     if value is None:
         bounds = (0,) + ks + (c,)
         links = zip(bounds, bounds[1:])
-        if r <= len(closers):
+        closed = len(closers)
+        if r <= closed:
             value = closers[r - 1](links)
-        else:
+        elif r == closed + 1:
             value = total(links, functools.partial(_recurse, memo, total, closers, r - 1, n, c))
+        else:
+            below = _Level(memo, closed, n, c, closers[closed - 1])
+            for level in range(closed + 1, r):
+                below = _Level(memo, level, n, c,
+                               functools.partial(total, summand=below.__getitem__))
+            value = total(links, below.__getitem__)
         memo[key] = value
     return value
 

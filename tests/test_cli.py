@@ -371,13 +371,23 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["decomp", "extra"])
     def test_recursion_memo_is_scoped_per_call(self, monkeypatch, capsys, suite):
         # each check keeps the recursion's states for one suite call, so it
-        # computes a state once per run, and a second run computes them again
+        # computes a state once per run, and a second run computes them again.
+        # _recurse sees only the checks' own keys, so it gets a memo that
+        # records every state written to it, the states below a key included
         computed = []
         real = cli.counting._recurse
 
+        class Recording:
+            def __init__(self, memo, plain):
+                self.get, self.memo, self.plain = memo.get, memo, plain
+
+            def __setitem__(self, key, value):
+                computed.append((self.plain, *key))
+                self.memo[key] = value
+
         def counted(memo, total, closers, r, n, c, ks):
-            if r and (r, n, c, ks) not in memo:
-                computed.append((closers[0] is cli.counting.chained_count, r, n, c, ks))
+            if not isinstance(memo, Recording):  # a key's own reads come back here
+                memo = Recording(memo, closers[0] is cli.counting.chained_count)
             return real(memo, total, closers, r, n, c, ks)
 
         monkeypatch.setattr(cli.counting, "_recurse", counted)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import sys
 
 import pytest
 
@@ -120,10 +121,14 @@ class TestBruteForce:
 SHAPES = [(r, n) for r in range(4) for n in range(max(1, r), 6) if 0 <= n - r <= 2]
 
 
-def _keys(max_c: int):
-    # every key of SHAPES with 0 <= c <= max_c and ks in [-2, c+2]^(n-r): the
-    # criterion-1 sweep, and the benchmark's oracle-sweep at max_c = 2
-    for r, n in SHAPES:
+# the smallest keys on which the plain engine sums through level tables
+R4_SHAPES = [(4, n) for n in range(4, 7)]
+
+
+def _keys(max_c: int, shapes=SHAPES):
+    # every key of shapes with 0 <= c <= max_c and ks in [-2, c+2]^(n-r): on
+    # SHAPES the criterion-1 sweep, and the benchmark's oracle-sweep at max_c = 2
+    for r, n in shapes:
         for c in range(max_c + 1):
             for ks in itertools.product(range(-2, c + 3), repeat=n - r):
                 yield TopRowKey(r, n, c, ks)
@@ -352,16 +357,22 @@ class TestRecursion:
     @pytest.mark.parametrize("recursive", [f_recursive, fq_recursive])
     def test_no_memo_starts_fresh_each_call(self, recursive, monkeypatch):
         # with no memo= nothing outlives a call: a second call computes the
-        # same states as the first
+        # same states as the first.  Every state is computed by a closer or a
+        # total; the key has one n, so a chain of m links is level n + 1 - m
         key = TopRowKey(3, 5, 3, (0, 2))
-        real, computed = counting._recurse, []
+        computed = []
 
-        def counted(memo, total, closers, r, n, c, ks):
-            if r and (r, n, c, ks) not in memo:
-                computed.append((r, n, c, ks))
-            return real(memo, total, closers, r, n, c, ks)
+        def counted(real):
+            def compute(bounds, *args, **kwargs):
+                bounds = list(bounds)
+                ks, c = tuple(b for _, b in bounds[:-1]), bounds[-1][1]
+                computed.append((key.n + 1 - len(bounds), key.n, c, ks))
+                return real(bounds, *args, **kwargs)
+            return compute
 
-        monkeypatch.setattr(counting, "_recurse", counted)
+        for name in ("chained_sum", "chained_count", "chained_count2",
+                     "chained_sum_packed", "chained_count_packed"):
+            monkeypatch.setattr(counting, name, counted(getattr(counting, name)))
         runs = []
         for _ in range(2):
             computed.clear()
@@ -444,7 +455,7 @@ class TestClosedLastLevel:
         memo: dict = {}
         reference: dict = {}
         tops = set()
-        for key in list(_keys(2)) if keys == "sweep" else DEEP_KEYS:
+        for key in list(_keys(2, SHAPES + R4_SHAPES)) if keys == "sweep" else DEEP_KEYS:
             engine(key, memo)
             tops.add((key.r, key.n, key.c, key.ks))
             _reference_recursion((key.r, key.n, key.c, key.ks), reference, total, one)
@@ -473,6 +484,35 @@ class TestClosedLastLevel:
             levels = sorted(key.n + 1 - m for m in chains)
             assert levels == sorted(r for r, *_ in memo if r > lowest), key
             assert levels[0] == lowest + 1 and any(r == lowest for r, *_ in memo), key
+
+
+class TestLevelTables:
+    """A key with two or more summed levels sums through tables that live
+    for one call: each state below it costs one Python call, and a repeat
+    read of a state is a dict lookup."""
+
+    @pytest.mark.parametrize("engine", [f_recursive, fq_recursive])
+    def test_one_python_call_per_state(self, engine):
+        # the engine's Python frames on a fresh memo, less its entry points
+        # and the set-up of its tables, one per level
+        entry = {"f_recursive", "fq_recursive", "packed_at", "__init__"}
+        frames = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_filename == counting.__file__
+                    and code.co_name not in entry):
+                frames.append(code.co_name)
+
+        for key in DEEP_KEYS:
+            memo: dict = {}
+            frames.clear()
+            sys.setprofile(profile)
+            try:
+                engine(key, memo)
+            finally:
+                sys.setprofile(None)
+            assert len(frames) == len(memo), key
 
 
 def _patterns(r, n, c, ks):
