@@ -268,12 +268,10 @@ def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
     returns it: an int for the plain weight, a (packed, low, patterns)
     triple for the q weight.  So one memo serves one weight and one width.
 
-    A key with one summed level reads each term through this function, with
-    all but ls bound: it reads each state below it once, so a table would
-    not pay.  A key with two or more (r >= len(closers) + 2) sums through
-    one _Level per level below it, from the closed level up: each state
-    below it costs one Python call, and a repeat read none.  The tables live
-    for this call; the memo holds the same states either way.
+    A summed key (r > len(closers)) sums through one _Level per level below
+    it, from the closed level up: each state below it costs one Python call,
+    and a repeat read none.  The tables live for this call; the memo holds
+    each state the recursion reaches.
     """
     if r == 0:
         return closers[0](())
@@ -285,8 +283,6 @@ def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
         closed = len(closers)
         if r <= closed:
             value = closers[r - 1](links)
-        elif r == closed + 1:
-            value = total(links, functools.partial(_recurse, memo, total, closers, r - 1, n, c))
         else:
             below = _Level(memo, closed, n, c, closers[closed - 1])
             for level in range(closed + 1, r):

@@ -121,7 +121,7 @@ class TestBruteForce:
 SHAPES = [(r, n) for r in range(4) for n in range(max(1, r), 6) if 0 <= n - r <= 2]
 
 
-# the smallest keys on which the plain engine sums through level tables
+# the smallest keys on which the plain engine chains two level tables
 R4_SHAPES = [(4, n) for n in range(4, 7)]
 
 
@@ -487,9 +487,9 @@ class TestClosedLastLevel:
 
 
 class TestLevelTables:
-    """A key with two or more summed levels sums through tables that live
-    for one call: each state below it costs one Python call, and a repeat
-    read of a state is a dict lookup."""
+    """A summed key sums through tables that live for one call: each state
+    below it costs one Python call, and a repeat read of a state is a dict
+    lookup."""
 
     @pytest.mark.parametrize("engine", [f_recursive, fq_recursive])
     def test_one_python_call_per_state(self, engine):
@@ -504,6 +504,7 @@ class TestLevelTables:
                     and code.co_name not in entry):
                 frames.append(code.co_name)
 
+        outer = sys.getprofile()
         for key in DEEP_KEYS:
             memo: dict = {}
             frames.clear()
@@ -511,7 +512,7 @@ class TestLevelTables:
             try:
                 engine(key, memo)
             finally:
-                sys.setprofile(None)
+                sys.setprofile(outer)
             assert len(frames) == len(memo), key
 
 
