@@ -194,8 +194,8 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
     [k_{n-r},c], down to the base case F(0,n,c;.) = 1.  Levels r = 1 and
     r = 2 are closed by exact.chained_count and exact.chained_count2, so the
     sums run only at levels r >= 3 and no state below the key is at level
-    r = 1.  Memoized on the full key (r, n, c, ks); a memo value is the
-    count as an int.  Never pass the memo to fq_recursive.
+    r = 1.  memo maps each level (r, n, c) to its table of states, keyed by
+    ks, each the count as an int.  Never pass the memo to fq_recursive.
     """
     return _recurse({} if memo is None else memo, chained_sum,
                     (chained_count, chained_count2), key.r, key.n, key.c, key.ks)
@@ -206,11 +206,11 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
 
     Identical nesting to f_recursive, with every innermost term weighted by
     q^(l_1 + ... + l_{n-r+1}); only level r = 1 is closed, by
-    exact.chained_count_packed.  A memo value is the triple
-    (packed, low, patterns) of exact.chained_sum_packed at width
+    exact.chained_count_packed.  memo as there, but a state's value is the
+    triple (packed, low, patterns) of exact.chained_sum_packed at width
     PACK_BITS: F_q = q^low * P(q) with P(2^PACK_BITS) == packed, and
     patterns is the number of patterns with that top row, counted without
-    sign.  memo as there; never pass it to f_recursive.
+    sign.  Never pass the memo to f_recursive.
 
     The value is unpacked once, here.  The terms of a state's sum are the
     next rows of enumerate_patterns, so no coefficient of F_q exceeds
@@ -234,24 +234,33 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
 
 
 class _Level(dict):
-    """The states of one level r below a key, keyed by ks, for one call of
-    _recurse.  A missing ks is read from the caller's memo under
-    (r, n, c, ks) or, failing that, computed as value_of(links) and written
-    to both, so a repeat read is a C-level dict lookup."""
+    """One level (r, n, c) of a recursion memo: its states, keyed by ks.
+    _table sets c and value_of, the level's closer or its total over the
+    table below.  A missing ks is computed once, as value_of(links) over
+    its chain of bounds, and stored, so a repeat read is a C-level dict
+    lookup."""
 
-    __slots__ = ("memo", "r", "n", "c", "value_of")
-
-    def __init__(self, memo: dict, r: int, n: int, c: int, value_of: Callable):
-        self.memo, self.r, self.n, self.c, self.value_of = memo, r, n, c, value_of
+    __slots__ = ("c", "value_of")
 
     def __missing__(self, ks):
-        key = (self.r, self.n, self.c, ks)
-        value = self.memo.get(key)
-        if value is None:
-            bounds = (0,) + ks + (self.c,)
-            value = self.memo[key] = self.value_of(zip(bounds, bounds[1:]))
-        self[ks] = value
+        bounds = (0,) + ks + (self.c,)
+        value = self[ks] = self.value_of(zip(bounds, bounds[1:]))
         return value
+
+
+def _table(memo: dict, total: Callable, closers: tuple[Callable, ...],
+           r: int, n: int, c: int) -> _Level:
+    # memo's table of level r, built on first reach over the table below it
+    table = memo.get((r, n, c))
+    if table is None:
+        if r <= len(closers):
+            value_of = closers[r - 1]
+        else:
+            below = _table(memo, total, closers, r - 1, n, c)
+            value_of = functools.partial(total, summand=below.__getitem__)
+        table = memo[r, n, c] = _Level()
+        table.c, table.value_of = c, value_of
+    return table
 
 
 def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
@@ -264,33 +273,19 @@ def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
     form, so the levels up to len(closers) are never summed:
     (chained_count, chained_count2) for the plain weight, the one packed
     chained_count for the q weight.  closers[0](()) is the base value
-    F(0,n,c;.) = 1.  memo maps (r, n, c, ks) to the state's value as total
-    returns it: an int for the plain weight, a (packed, low, patterns)
-    triple for the q weight.  So one memo serves one weight and one width.
+    F(0,n,c;.) = 1.  memo maps (r, n, c) to that level's _Level table, whose
+    values are as total returns them: ints for the plain weight,
+    (packed, low, patterns) triples for the q weight.  So one memo serves
+    one weight and one width.
 
-    A summed key (r > len(closers)) sums through one _Level per level below
-    it, from the closed level up: each state below it costs one Python call,
-    and a repeat read none.  The tables live for this call; the memo holds
-    each state the recursion reaches.
+    The key is read from its level's table like every state below it: the
+    tables from the closed level up to r are found in memo or built, each
+    summing over the one below, so each state costs one Python call and a
+    repeat read, in this call or a later one on the same memo, none.
     """
     if r == 0:
         return closers[0](())
-    key = (r, n, c, ks)
-    value = memo.get(key)
-    if value is None:
-        bounds = (0,) + ks + (c,)
-        links = zip(bounds, bounds[1:])
-        closed = len(closers)
-        if r <= closed:
-            value = closers[r - 1](links)
-        else:
-            below = _Level(memo, closed, n, c, closers[closed - 1])
-            for level in range(closed + 1, r):
-                below = _Level(memo, level, n, c,
-                               functools.partial(total, summand=below.__getitem__))
-            value = total(links, below.__getitem__)
-        memo[key] = value
-    return value
+    return _table(memo, total, closers, r, n, c)[ks]
 
 
 # ---------------------------------------------------------------------------

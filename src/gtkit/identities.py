@@ -263,7 +263,7 @@ def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int],
     count F(r,n-2,c+2;...), both sides through the recursion engine, (2r)!
     multiplied across.
     memo: this check's own dict of products, keyed by (r, k_{i+1}-k_i), and
-    of recursion states, keyed by (r, n, c, ks): no key is both."""
+    of the recursion's level tables, keyed by (r, n, c): no key is both."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
@@ -294,23 +294,23 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
                     memo: dict | None = None) -> bool:
     """q-analog of verify_decomp, cross-multiplied with [1;q]_{2r}; memo as
     there, each product also holding [1;q]_{2r}; each F_q is unpacked once,
-    under (r, n, c, ks, "q")."""
+    under (r, n, c, ks)."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
     if r == 0:
         return True
 
-    def count(*key):  # (r, n, c, ks, "q")
-        return fq_recursive(TopRowKey(*key[:4]), memo)
+    def count(*key):  # (r, n, c, ks)
+        return fq_recursive(TopRowKey(*key), memo)
 
-    lhs = _tabled(memo, (r, n, c, ks, "q"), count) + _tabled(
-        memo, (r, n, c, _swap(ks, i), "q"), count
+    lhs = _tabled(memo, (r, n, c, ks), count) + _tabled(
+        memo, (r, n, c, _swap(ks, i)), count
     )
     factor, den = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_q_factor)
     shift = 2 * r * ks[i - 1] + decomp_q_exponent(r, n, i)
     rhs_num = (
-        factor * _tabled(memo, (r, n - 2, c + 2, _decomp_rhs_args(ks, i), "q"), count)
+        factor * _tabled(memo, (r, n - 2, c + 2, _decomp_rhs_args(ks, i)), count)
     ).shift(shift)
     return lhs * den == rhs_num
 
@@ -451,7 +451,7 @@ def verify_zeros(n: int, c: int) -> bool:
 
 def verify_extra(n: int, c: int, memo: dict | None = None) -> bool:
     """F(n-1,n,c;c) == sum_{k=0}^{c} F(n-2,n-1,c;k), by the recursion engine;
-    memo: this check's own dict of its states."""
+    memo: this check's own dict of the recursion's level tables."""
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
     lhs = f_recursive(TopRowKey(n - 1, n, c, (c,)), memo)

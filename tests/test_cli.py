@@ -372,24 +372,24 @@ class TestVerify:
     def test_recursion_memo_is_scoped_per_call(self, monkeypatch, capsys, suite):
         # each check keeps the recursion's states for one suite call, so it
         # computes a state once per run, and a second run computes them again.
-        # _recurse sees only the checks' own keys, so it gets a memo that
-        # records every state written to it, the states below a key included
+        # _recurse sees only the checks' own keys, so every level table the
+        # engine finds or builds is tagged with its weight and level, and
+        # records each state stored in it, the states below a key included
         computed = []
-        real = cli.counting._recurse
+        real = cli.counting._table
 
-        class Recording:
-            def __init__(self, memo, plain):
-                self.get, self.memo, self.plain = memo.get, memo, plain
+        class Table(cli.counting._Level):
+            def __setitem__(self, ks, value):
+                computed.append((*self.level, ks))
+                super().__setitem__(ks, value)
 
-            def __setitem__(self, key, value):
-                computed.append((self.plain, *key))
-                self.memo[key] = value
+        def tagged(memo, total, closers, r, n, c):
+            table = real(memo, total, closers, r, n, c)
+            table.level = (closers[0] is cli.counting.chained_count, r, n, c)
+            return table
 
-        def counted(memo, total, closers, r, n, c, ks):
-            memo = Recording(memo, closers[0] is cli.counting.chained_count)
-            return real(memo, total, closers, r, n, c, ks)
-
-        monkeypatch.setattr(cli.counting, "_recurse", counted)
+        monkeypatch.setattr(cli.counting, "_Level", Table)
+        monkeypatch.setattr(cli.counting, "_table", tagged)
         runs = []
         for _ in range(2):
             computed.clear()

@@ -24,6 +24,13 @@ from gtkit.patterns import GenPattern, norm_of, sign_of, validate
 from gtkit.closedforms import intro_binomial, refined_asm
 
 
+def _states(memo: dict) -> dict:
+    # a recursion memo, which maps each level (r, n, c) to its table of
+    # states keyed by ks, flattened to {(r, n, c, ks): value}
+    return {(r, n, c, ks): value
+            for (r, n, c), table in memo.items() for ks, value in table.items()}
+
+
 class TestTopRowKey:
     def test_arity_enforced(self):
         with pytest.raises(ValueError):
@@ -76,7 +83,7 @@ class TestEnumerator:
         memo: dict = {}
         for key in _keys(2):
             fq_recursive(key, memo)
-            patterns = memo[(key.r, key.n, key.c, key.ks)][2] if key.r else 1
+            patterns = _states(memo)[(key.r, key.n, key.c, key.ks)][2] if key.r else 1
             assert len(rows(key)) == patterns, key
         for n in range(1, 6):
             for k in range(n + 2):
@@ -394,7 +401,7 @@ class TestRecursion:
         key = TopRowKey(r, n, c, ks)
         q_memo: dict = {}
         assert fq_recursive(key, q_memo).at_one() == f_recursive(key)
-        assert len(q_memo) == states
+        assert len(_states(q_memo)) == states
 
     # states the plain engine memoizes for the same keys: it closes level
     # r = 2 by its moments and never reaches level 1
@@ -410,7 +417,7 @@ class TestRecursion:
         key = TopRowKey(r, n, c, ks)
         plain_memo: dict = {}
         assert f_recursive(key, plain_memo) == fq_recursive(key).at_one()
-        assert len(plain_memo) == states
+        assert len(_states(plain_memo)) == states
 
 
 # the benchmark's deep-recursion keys
@@ -437,10 +444,10 @@ class TestClosedLastLevel:
     """The engine closes its lowest levels without summing their terms: the
     q weight level r = 1 as a product of range lengths, the plain weight
     levels r = 1 and 2 by chained_count and chained_count2.  Every state its
-    memo holds must hold what the summed recursion does, and the memo holds
-    every state of the summed recursion at or above the lowest level it
-    reaches below a key: r = 1 for the q weight, r = 2 for the plain
-    weight."""
+    memo's level tables hold must hold what the summed recursion does, and
+    they hold every state of the summed recursion at or above the lowest
+    level it reaches below a key: r = 1 for the q weight, r = 2 for the
+    plain weight."""
 
     WEIGHTS = {
         "plain": (f_recursive, exact.chained_sum, 1, 2),
@@ -460,8 +467,8 @@ class TestClosedLastLevel:
             tops.add((key.r, key.n, key.c, key.ks))
             _reference_recursion((key.r, key.n, key.c, key.ks), reference, total, one)
         # the sweep's own keys at r = 1 are closed and memoized as well
-        assert memo == {state: value for state, value in reference.items()
-                        if state[0] >= lowest or state in tops}
+        assert _states(memo) == {state: value for state, value in reference.items()
+                                 if state[0] >= lowest or state in tops}
 
     @pytest.mark.parametrize("weight", ["plain", "q"])
     def test_total_runs_once_per_state_above_level_one(self, weight, monkeypatch):
@@ -481,39 +488,63 @@ class TestClosedLastLevel:
             memo: dict = {}
             chains.clear()
             engine(key, memo)
+            states = _states(memo)
             levels = sorted(key.n + 1 - m for m in chains)
-            assert levels == sorted(r for r, *_ in memo if r > lowest), key
-            assert levels[0] == lowest + 1 and any(r == lowest for r, *_ in memo), key
+            assert levels == sorted(r for r, *_ in states if r > lowest), key
+            assert levels[0] == lowest + 1 and any(r == lowest for r, *_ in states), key
 
 
 class TestLevelTables:
-    """A summed key sums through tables that live for one call: each state
-    below it costs one Python call, and a repeat read of a state is a dict
-    lookup."""
+    """A recursion memo holds one table per level (r, n, c), keyed by ks,
+    and a key is read from its level's table like every state below it:
+    each state costs one Python call, once, and a repeat read of it, in the
+    same call or a later one on the same memo, is a dict lookup."""
 
-    @pytest.mark.parametrize("engine", [f_recursive, fq_recursive])
-    def test_one_python_call_per_state(self, engine):
-        # the engine's Python frames on a fresh memo, less its entry points
-        # and the set-up of its tables, one per level
-        entry = {"f_recursive", "fq_recursive", "packed_at", "__init__"}
+    # the engine's entry points, and the frame that finds or builds a table
+    ENTRY = {"f_recursive", "fq_recursive", "packed_at", "_recurse"}
+    SETUP = "_table"
+
+    def _frames(self, run) -> list:
+        # the names of the engine's Python frames while run() runs
         frames = []
 
         def profile(frame, event, arg):
             code = frame.f_code
             if (event == "call" and code.co_filename == counting.__file__
-                    and code.co_name not in entry):
+                    and code.co_name not in self.ENTRY):
                 frames.append(code.co_name)
 
         outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(outer)
+        return frames
+
+    @pytest.mark.parametrize("engine", [f_recursive, fq_recursive])
+    def test_one_python_call_per_state(self, engine):
+        # on a fresh memo: one set-up frame per table, one frame per state
         for key in DEEP_KEYS:
             memo: dict = {}
-            frames.clear()
-            sys.setprofile(profile)
-            try:
-                engine(key, memo)
-            finally:
-                sys.setprofile(outer)
-            assert len(frames) == len(memo), key
+            frames = self._frames(lambda: engine(key, memo))
+            assert frames.count(self.SETUP) == len(memo), key
+            assert len(frames) - len(memo) == len(_states(memo)), key
+
+    @pytest.mark.parametrize("engine", [f_recursive, fq_recursive])
+    def test_a_warm_memo_computes_only_new_states(self, engine):
+        # (6,7,5;2) sums over level (5,7,5), which (5,7,5;2,3) has partly
+        # filled: the second call computes only the states it adds, and
+        # reads the others from the tables
+        memo: dict = {}
+        engine(TopRowKey(5, 7, 5, (2, 3)), memo)
+        before = _states(memo)
+        key = TopRowKey(6, 7, 5, (2,))
+        frames = self._frames(lambda: engine(key, memo))
+        added = _states(memo).keys() - before.keys()
+        assert len(added) == (115 if engine is f_recursive else 172)
+        assert len(frames) - frames.count(self.SETUP) == len(added)
+        assert engine(key, memo) == engine(key)
 
 
 def _patterns(r, n, c, ks):
@@ -529,10 +560,11 @@ class TestPackedWidth:
         keys = [key for key in _keys(2) if key.r]
         for key in keys:
             fq_recursive(key, memo)
+        states = _states(memo)
         for state in keys:
-            assert (state.r, state.n, state.c, state.ks) in memo
+            assert (state.r, state.n, state.c, state.ks) in states
         # every state reached, sub-states included
-        for state, (_, _, patterns) in memo.items():
+        for state, (_, _, patterns) in states.items():
             assert patterns == _patterns(*state), state
 
     def test_narrow_width_recomputes_wide(self, monkeypatch):
@@ -566,7 +598,7 @@ class TestPackedWidth:
         key = TopRowKey(4, 5, 4, (2,))
         assert fq_recursive(key, memo) == fq_bruteforce(key)
         # every state, the top one included, is F_q packed at 8 bits
-        for state, (packed, low, _) in memo.items():
+        for state, (packed, low, _) in _states(memo).items():
             poly = fq_bruteforce(TopRowKey(*state))
             assert packed == sum(c << 8 * (e - low) for e, c in poly.terms()), state
 

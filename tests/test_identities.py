@@ -361,7 +361,8 @@ class InsertCounting(dict):
 
 
 def _summand_keys(memo: dict) -> list:
-    # decomp's memo also holds the recursion's states, keyed by (r, n, c, ks)
+    # decomp's memo also holds the recursion's level tables, keyed by
+    # (r, n, c), and decomp q's its counts, keyed by (r, n, c, ks)
     return [key for key in memo if len(key) == 2]
 
 
@@ -427,7 +428,7 @@ class TestSummandTables:
 
     def test_decomp_suite_unpacks_each_top_count_once(self, monkeypatch, capsys):
         # the q check reads 2,352 counts F_q of 660 distinct top rows, and
-        # keeps each unpacked count under (r, n, c, ks, "q")
+        # keeps each unpacked count under (r, n, c, ks)
         tops = {top for r, n, c, i, ks in DECOMP_SWEEP
                 for top in ((r, n, c, ks), (r, n, c, identities._swap(ks, i)),
                             (r, n - 2, c + 2, identities._decomp_rhs_args(ks, i)))}
@@ -446,10 +447,13 @@ class TestSummandTables:
         memo: dict = {}
         for inst in DECOMP_SWEEP:
             assert verify_decomp_q(*inst, memo=memo), inst
-        counts = {key[:4]: value for key, value in memo.items() if len(key) == 5}
-        assert len(counts) == 660 and {key[4] for key in memo if len(key) == 5} == {"q"}
-        for (r, n, c, ks), value in counts.items():
-            assert value == fq_recursive(TopRowKey(r, n, c, ks)), (r, n, c, ks)
+        # the recursion's level tables sit under (r, n, c), the counts under
+        # (r, n, c, ks)
+        counts = {key: value for key, value in memo.items() if len(key) == 4}
+        assert len(counts) == 660
+        assert not any(isinstance(value, dict) for value in counts.values())
+        for key, value in counts.items():
+            assert value == fq_recursive(TopRowKey(*key)), key
 
     def test_lemma2q_tables_each_side_under_its_own_keys(self):
         memo = InsertCounting()
