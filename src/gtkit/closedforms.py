@@ -7,9 +7,10 @@ written once, as pairs (x, m) listing its factors (x)_m or [x;q]_m, and a
 q-closed form's description ``(num_pairs, shift, den_pairs)`` serves both
 weights.  The plain value ``_at_one`` divides the product of ``pochhammer``
 over the numerator pairs once by that over the denominator pairs.  The q value
-divides ``q_poch_product(*num_pairs)`` times q^shift by each denominator
-bracket in turn with ``q_poch_quotient``, which raises NonExactDivision on any
-remainder.
+is one ``q_poch_ratio`` call, which divides the whole numerator times q^shift
+by each denominator bracket in turn and raises NonExactDivision on any
+remainder; both forms have as many brackets above as below, so it makes no
+(1 - q) pass.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import LaurentPolyQ, QFraction, pochhammer, q_poch_product, q_poch_quotient
+from .exact import LaurentPolyQ, QFraction, pochhammer, q_poch_product, q_poch_ratio
 from .patterns import Partition
 
 _Pairs = tuple[tuple[int, int], ...]
@@ -82,7 +83,7 @@ def theorem_main_q(n: int, c: int, k: int) -> LaurentPolyQ:
     Laurent polynomial.  Raises NonExactDivision if the quotient is not
     polynomial, which would indicate a transcription bug."""
     num_pairs, shift, den_pairs = _theorem_main_q_brackets(n, c, k)
-    return q_poch_quotient(q_poch_product(*num_pairs).shift(shift), *den_pairs)
+    return q_poch_ratio(LaurentPolyQ.monomial(shift), num_pairs, den_pairs)
 
 
 def bender_knuth_count(n: int, c: int) -> Fraction:
@@ -96,7 +97,7 @@ def bender_knuth_gf(n: int, c: int) -> LaurentPolyQ:
     """Norm generating function of the same objects:
     prod_{i=1}^{n} [c+i;q]_i / [i;q]_i, reduced to an exact polynomial."""
     num_pairs, shift, den_pairs = _bender_knuth_brackets(n, c)
-    return q_poch_quotient(q_poch_product(*num_pairs).shift(shift), *den_pairs)
+    return q_poch_ratio(LaurentPolyQ.monomial(shift), num_pairs, den_pairs)
 
 
 def ssyt_product(shape: Sequence[int], k: int) -> Fraction:

@@ -2,14 +2,15 @@
 
 Rationals are plain ``fractions.Fraction``, Laurent polynomials in q are
 sparse exponent -> coefficient maps, and quotients of them are compared by
-cross-multiplication.  ``q_poch_product`` and ``q_poch_quotient`` multiply
-and divide by q-Pochhammer brackets on one dense integer list, checking each
-bracket's remainder; ``LaurentPolyQ.exact_div`` is general long division,
-for ``QFraction`` users and for the zeros check, which divides a polynomial
-in k by linear factors.  The q recursion keeps each value packed in one
-Python integer (``chained_sum_packed``, ``unpack_q``).  No floating point is
-used anywhere.  The plain recursion closes its lowest two levels with
-``chained_count`` and ``chained_count2``, the q recursion its lowest one with
+cross-multiplication.  ``q_poch_ratio``, which ``q_poch_product`` and
+``q_poch_quotient`` call, multiplies and divides by q-Pochhammer brackets on
+one dense list, counting their (1 - q) factors rather than applying them,
+and checks each bracket's remainder; ``LaurentPolyQ.exact_div`` is general
+long division, for ``QFraction`` users and for the zeros check.  The q
+recursion keeps each value packed in one Python integer
+(``chained_sum_packed``, ``unpack_q``).  No floating point is used anywhere.
+The plain recursion closes its lowest two levels with ``chained_count`` and
+``chained_count2``, the q recursion its lowest one with
 ``chained_count_packed``.
 """
 
@@ -19,7 +20,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -425,77 +426,97 @@ def q_bracket(x: int) -> LaurentPolyQ:
     return LaurentPolyQ._raw(dict.fromkeys(range(x, 0), -1))
 
 
-def q_poch_product(*pairs: tuple[int, int]) -> LaurentPolyQ:
-    """The product of the rising q-products [x;q]_n over the (x, n) pairs.
+def q_poch_ratio(num: LaurentPolyQ, num_pairs: Sequence[tuple[int, int]],
+                 den_pairs: Sequence[tuple[int, int]]) -> LaurentPolyQ:
+    """num times the product of [x;q]_n over num_pairs, divided exactly by
+    that of [y;q]_m over den_pairs, on one dense list.
 
-    Built on one dense list of integer coefficients.  Multiplying by [x;q]
-    for x > 0 is a window sum of width x: prefix sums over the list padded
-    by x-1 zeros, then one subtraction pass, so each bracket costs O(degree)
-    whatever x is.  A bracket with x < 0 is -q^x [-x;q]; one with x == 0
-    makes the whole product zero.  The coefficients are ints.
+    [x;q] is (1 - q^x)/(1 - q), and -q^x [-x;q] for x < 0.  Of the A
+    numerator and B denominator brackets, the first A - B numerator ones are
+    window sums, the rest (1 - q^x) passes; if B > A the list is multiplied
+    by (1 - q)^(B - A).  Each denominator bracket divides the whole list as
+    (1 - q^y), by strided prefix sums whose top y entries are the remainder.
+    As (1 - q) is prime to every [y;q], a step leaves a remainder exactly
+    when dividing by [y;q] there would; no bracket is cancelled against
+    another.  Integer input gives integer coefficients.
+
+    Raises ValueError for a negative index, before any work;
+    ZeroDivisionError for a denominator [0;q]; NonExactDivision, naming the
+    bracket, on a remainder.  A numerator [0;q] gives zero.
     """
-    for _, n in pairs:
+    terms = num._terms
+    zero = not terms
+    whole = 0  # A - B
+    for x0, n in num_pairs:
         if n < 0:
             raise ValueError(f"q_poch index must be nonnegative, got {n}")
-    coeffs = [1]
-    low, sign = 0, 1
-    for x0, n in pairs:
+        zero = zero or x0 <= 0 < x0 + n
+        whole += n
+    for y0, m in den_pairs:
+        if m < 0:
+            raise ValueError(f"q_poch index must be nonnegative, got {m}")
+        if y0 <= 0 < y0 + m:
+            raise ZeroDivisionError("division by the zero bracket [0;q]")
+        whole -= m
+    if zero:
+        return LaurentPolyQ()
+    if len(terms) == 1:  # a monomial, as in every product and closed form
+        ((low, lead),) = terms.items()
+        coeffs = [lead]
+    else:
+        low = min(terms)
+        coeffs = [terms.get(e, 0) for e in range(low, max(terms) + 1)]
+    sign = 1
+    for x0, n in num_pairs:
         for x in range(x0, x0 + n):
-            if x == 0:
-                return LaurentPolyQ()
             if x < 0:
                 sign, low, x = -sign, low + x, -x
-            s = list(itertools.accumulate(itertools.chain(coeffs, itertools.repeat(0, x - 1))))
-            coeffs = s[:x] + list(map(operator.sub, s[x:], s))
-    return LaurentPolyQ._raw({low + e: sign * c for e, c in enumerate(coeffs) if c})
-
-
-def q_poch(x: int, n: int) -> LaurentPolyQ:
-    """Rising q-product [x;q]_n = [x;q] [x+1;q] ... [x+n-1;q]."""
-    return q_poch_product((x, n))
-
-
-def q_poch_quotient(num: LaurentPolyQ, *den_pairs: tuple[int, int]) -> LaurentPolyQ:
-    """The exact quotient of num by the product of [x;q]_n over the (x, n)
-    pairs, divided out one bracket [x;q] at a time on one dense list.
-
-    For x > 0, multiplying by (1 - q) is one difference pass and dividing by
-    (1 - q^x) is x strided prefix sums, one per residue class mod x; the top
-    x sums are the remainder and must be zero.  [x;q] for x < 0 is
-    -q^x [-x;q].  Over Q[q], A B divides num exactly when A divides num and
-    B divides num / A, so checking each bracket in turn decides the whole
-    product's divisibility; no bracket is cancelled against another.  Only
-    additions and subtractions touch the coefficients, so an integer
-    numerator gives an integer quotient.
-
-    Raises ValueError for a negative index n, before any work;
-    ZeroDivisionError for a bracket [0;q]; NonExactDivision, naming the
-    bracket, when a bracket leaves a remainder.  A zero numerator gives zero.
-    """
-    for x0, n in den_pairs:
-        if n < 0:
-            raise ValueError(f"q_poch index must be nonnegative, got {n}")
-        if x0 <= 0 < x0 + n:
-            raise ZeroDivisionError("division by the zero bracket [0;q]")
-    if num.is_zero:
-        return LaurentPolyQ()
-    low = num.min_exp
-    coeffs = [num.coeff(e) for e in range(low, num.max_exp + 1)]
-    sign = 1
-    for x0, n in den_pairs:
-        for x in range(x0, x0 + n):
-            step = x
-            if x < 0:
-                sign, low, step = -sign, low - x, -x
-            coeffs = list(map(operator.sub, coeffs + [0], [0] + coeffs))
+            if whole <= 0:
+                pad = [0] * x
+                coeffs = list(map(operator.sub, coeffs + pad, pad + coeffs))
+                continue
+            whole -= 1
+            if x > 1:  # [1;q] is 1
+                s = list(itertools.accumulate(itertools.chain(coeffs, itertools.repeat(0, x - 1))))
+                coeffs = s[:x] + list(map(operator.sub, s[x:], s))
+    while whole < 0:
+        whole += 1
+        coeffs = list(map(operator.sub, coeffs + [0], [0] + coeffs))
+    for y0, m in den_pairs:
+        for y in range(y0, y0 + m):
+            step = y
+            if y < 0:
+                sign, low, step = -sign, low - y, -y
             for r in range(step):
                 coeffs[r::step] = itertools.accumulate(coeffs[r::step])
             cut = len(coeffs) - step
             if cut <= 0 or any(coeffs[cut:]):
                 raise NonExactDivision(
-                    f"bracket [{x};q] of [{x0};q]_{n} leaves a remainder")
+                    f"bracket [{y};q] of [{y0};q]_{m} leaves a remainder")
             del coeffs[cut:]
     return LaurentPolyQ._raw({low + e: sign * c for e, c in enumerate(coeffs) if c})
+
+
+_ONE = LaurentPolyQ._raw({0: 1})
+
+
+def q_poch_product(*pairs: tuple[int, int]) -> LaurentPolyQ:
+    """The product of the rising q-products [x;q]_n over the (x, n) pairs:
+    q_poch_ratio with no denominator, each bracket a window sum, O(degree)
+    whatever x is.  The coefficients are ints."""
+    return q_poch_ratio(_ONE, pairs, ())
+
+
+def q_poch(x: int, n: int) -> LaurentPolyQ:
+    """Rising q-product [x;q]_n = [x;q] [x+1;q] ... [x+n-1;q]."""
+    return q_poch_ratio(_ONE, ((x, n),), ())
+
+
+def q_poch_quotient(num: LaurentPolyQ, *den_pairs: tuple[int, int]) -> LaurentPolyQ:
+    """The exact quotient of num by the product of [x;q]_n over the (x, n)
+    pairs: q_poch_ratio with no numerator brackets, which checks each
+    bracket in turn against what is left of the full numerator."""
+    return q_poch_ratio(num, (), den_pairs)
 
 
 class QFraction:

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 from .counting import TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_recursive
 from .exact import (
     LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch,
-    q_poch_product, q_poch_quotient,
+    q_poch_product, q_poch_ratio,
 )
 
 
@@ -213,8 +213,8 @@ def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> 
 
 def _lemma2q_rhs(r: int, diff: int, _side: str) -> LaurentPolyQ:
     # 2 [diff-r+2;q]_{2r-1} [diff+1;q] (1+q^r) / ([2r-1;q][2r;q]), diff = y-x
-    num = q_poch_product((diff - r + 2, 2 * r - 1), (diff + 1, 1)) * LaurentPolyQ({0: 2, r: 2})
-    return q_poch_quotient(num, (2 * r - 1, 2))
+    return q_poch_ratio(LaurentPolyQ({0: 2, r: 2}), ((diff - r + 2, 2 * r - 1), (diff + 1, 1)),
+                        ((2 * r - 1, 2),))
 
 
 def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:

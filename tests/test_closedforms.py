@@ -65,6 +65,22 @@ class TestBracketListsMatchFormulas:
                 assert got == _bender_knuth_by_mul(n, c), (n, c)
 
 
+def _bracket_count(pairs):
+    return sum(m for _, m in pairs)
+
+
+def test_closed_forms_have_as_many_brackets_above_as_below():
+    # so q_poch_ratio makes no (1 - q) pass on them; a slip here would only
+    # be slower
+    for n in range(1, 10):
+        for c in range(-3, 8):
+            num_pairs, _, den_pairs = closedforms._bender_knuth_brackets(n, c)
+            assert _bracket_count(num_pairs) == _bracket_count(den_pairs), (n, c)
+            for k in range(-3, c + 4):
+                num_pairs, _, den_pairs = closedforms._theorem_main_q_brackets(n, c, k)
+                assert _bracket_count(num_pairs) == _bracket_count(den_pairs), (n, c, k)
+
+
 def _brackets(pairs):
     # every x of the brackets [x;q] in the products [x0;q]_m over the pairs
     return [x for x0, m in pairs for x in range(x0, x0 + m)]

@@ -26,6 +26,7 @@ from gtkit.exact import (
     q_poch,
     q_poch_product,
     q_poch_quotient,
+    q_poch_ratio,
     qfrac_exact_div,
     unpack_q,
 )
@@ -539,6 +540,9 @@ class TestQPochQuotient:
                         num = q_poch_product(*pairs).shift(shift)
                         want = _outcome(lambda: num.exact_div(den))
                         assert _outcome(lambda: q_poch_quotient(num, *den_pairs)) == want
+                        ratio = _outcome(lambda: q_poch_ratio(
+                            LaurentPolyQ.monomial(shift), pairs, den_pairs))
+                        assert ratio == want
                         seen.add(want is NonExactDivision)
         assert seen == {False, True}
 
@@ -564,6 +568,47 @@ class TestQPochQuotient:
         got = q_poch_quotient(q_poch_product((-3, 1), (4, 2)), (-3, 1))
         assert got == q_poch_product((4, 2))
         assert all(type(c) is int for _, c in got.terms())
+
+
+_ratio_pair = st.tuples(st.integers(-6, 8), st.sampled_from([-1, 0, 1, 2, 2, 3, 3]))
+
+
+@st.composite
+def _ratio_pairs(draw):
+    # numerator and denominator pairs, with [0;q] and negative indices among
+    # them; the denominator is independent or part of the numerator reordered
+    num = draw(st.lists(_ratio_pair, max_size=4))
+    if draw(st.booleans()):
+        return num, draw(st.lists(_ratio_pair, max_size=4))
+    return num, draw(st.permutations(num))[:draw(st.integers(0, len(num)))]
+
+
+def _attempt(compute):
+    # the value, or the exception's type and message
+    try:
+        return compute()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestQPochRatio:
+    @settings(max_examples=300)
+    @given(case=_ratio_pairs(), s=st.integers(-5, 5))
+    @example(case=([(-4, 2), (3, 2)], [(3, 1)]), s=2)  # A > B, negative brackets
+    @example(case=([(2, 3)], [(1, 3)]), s=0)  # A = B
+    @example(case=([(6, 1)], [(1, 3)]), s=-1)  # A < B: [6;q] / [2;q][3;q]
+    @example(case=([(4, 1)], [(1, 2), (2, 1)]), s=0)  # A < B, a remainder
+    @example(case=([(-1, 3)], [(2, 1)]), s=3)  # [0;q] above
+    @example(case=([(2, 2)], [(0, 1)]), s=0)  # [0;q] below
+    @example(case=([(2, 2)], [(5, 1), (3, -1)]), s=0)  # index checked before [5;q]
+    @example(case=([(0, 2), (1, -1)], []), s=0)  # index checked behind [0;q]
+    def test_matches_quotient_of_product(self, case, s):
+        num, den = case
+        got = _attempt(lambda: q_poch_ratio(LaurentPolyQ.monomial(s), num, den))
+        assert got == _attempt(lambda: q_poch_quotient(q_poch_product(*num).shift(s), *den))
+        if isinstance(got, LaurentPolyQ):
+            assert got * q_poch_product(*den) == q_poch_product(*num).shift(s)
+            assert all(type(c) is int for _, c in got.terms())
 
 
 @st.composite
