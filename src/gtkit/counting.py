@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -71,45 +72,56 @@ def _walk(key: TopRowKey, complete: Callable[[list[range]], object],
           row_filter: Callable[[tuple[int, ...]], bool] | None = None) -> Iterator[tuple]:
     """The one top-down walk of the brute-force route.
 
-    For each choice of the rows above the bottom row (top first, pruned by
-    row_filter), yield those rows, their inversion parity (borders
-    included), their interior sum, and complete(ranges) of the bottom row's
+    For each choice of the upper rows (every row but the bottom one, top
+    first, pruned by row_filter), yield the rows above the last upper row,
+    the last upper row itself, the choice's inversion parity (borders
+    included), its interior sum, and complete(ranges) of the bottom row's
     cell ranges, one value from each making a pattern.  At r = 0 the top row
-    is the bottom row and its ranges are singletons.
+    is the bottom row: the one choice has no upper rows, its last row is
+    None and its ranges are singletons.
 
     A table for this call maps each distinct row to its parity, interior sum
-    and next rows (complete(ranges) just above the bottom row; a row's
-    length fixes its depth), worked out on first reach.  It holds row facts,
-    never counts: every choice is still yielded.
+    and next rows (complete(ranges) for a last upper row; a row's length
+    fixes its depth), worked out on first reach.  The stack holds the rows
+    whose next rows are still to be chosen; a row just above the last upper
+    row yields each of its next rows in one loop, read from the table, so a
+    last upper row is never pushed.  The table holds row facts, never
+    counts: every choice is still yielded.
     """
-    r, c = key.r, key.c
+    r, n, c = key.r, key.n, key.c
     if r == 0:
-        yield (), 0, 0, complete([range(k, k + 1) for k in key.ks])
+        yield (), None, 0, 0, complete([range(k, k + 1) for k in key.ks])
         return
     top = (0,) + key.ks + (c,)
     if row_filter is not None and not row_filter(top):
         return
     table: dict = {}
-    stack = [((top,), 0, 0)]
+
+    def facts(row):
+        following = row[1:]
+        ranges = list(map(_cell_range, row, following))
+        below = complete(ranges) if len(row) > n else _rows_below(ranges, c, row_filter)
+        table[row] = found = (sum(map(operator.gt, row, following)) & 1,
+                              sum(row) - c,  # the borders are 0 and c
+                              below)
+        return found
+
+    get = table.get
+    # the rows chosen so far, their parity and interior sum, and the
+    # candidates for the next row; the top row is the one candidate for the
+    # first
+    stack = [((), 0, 0, (top,))]
     while stack:
-        rows, parity, norm = stack.pop()
-        row, last = rows[-1], len(rows) == r
-        facts = table.get(row)
-        if facts is None:
-            ranges = [_cell_range(w, e) for w, e in zip(row, row[1:])]
-            # next rows reversed, so that the stack pops them in order
-            below = complete(ranges) if last else _rows_below(ranges, c, row_filter)[::-1]
-            facts = table[row] = (sum(a > b for a, b in zip(row, row[1:])) & 1,
-                                  sum(row) - c,  # the borders are 0 and c
-                                  below)
-        flip, interior, below = facts
-        parity ^= flip
-        norm += interior
-        if last:
-            yield rows, parity, norm, below
+        rows, parity, norm, nexts = stack.pop()
+        if len(rows) == r - 1:
+            for row in nexts:
+                flip, interior, below = get(row) or facts(row)
+                yield rows, row, parity ^ flip, norm + interior, below
         else:
-            for child in below:
-                stack.append((rows + (child,), parity, norm))
+            # reversed, so that the stack pops them in order
+            for row in reversed(nexts):
+                flip, interior, below = get(row) or facts(row)
+                stack.append((rows + (row,), parity ^ flip, norm + interior, below))
 
 
 def enumerate_patterns(
@@ -120,12 +132,15 @@ def enumerate_patterns(
 
     Rows are filled top-down; each cell ranges over the interval determined
     by its two upper neighbours, so the stream is finite.  An optional
-    row_filter prunes rows (borders included) as they are generated.
+    row_filter prunes rows (borders included) as they are generated.  The
+    walk yields a choice's last upper row apart from the rows above it;
+    they are joined once per choice, then completed by each bottom row.
     """
     r, n, c = key.r, key.n, key.c
     bottoms = functools.partial(_rows_below, c=c, row_filter=row_filter)
     pattern = GenPattern._trusted
-    for rows, _, _, below in _walk(key, bottoms, row_filter):
+    for above, last, _, _, below in _walk(key, bottoms, row_filter):
+        rows = above + (last,) if r else above
         for bottom in below:
             yield pattern(r, n, c, rows + (bottom,))
 
@@ -134,25 +149,32 @@ def count_patterns(key: TopRowKey, row_filter: Callable | None = None) -> int:
     """Number of patterns enumerate_patterns(key, row_filter) yields, added
     up per choice of the upper rows without building one."""
     bottoms = functools.partial(_rows_below, c=key.c, row_filter=row_filter)
-    return sum(len(below) for _, _, _, below in _walk(key, bottoms, row_filter))
+    return sum(len(below) for *_, below in _walk(key, bottoms, row_filter))
 
 
-def _bottom_sums(ranges: list[range]) -> tuple[int, ...]:
-    return tuple(map(sum, itertools.product(*ranges)))
+def _bottom_sums(ranges: list[range]) -> tuple[tuple[int, int], ...]:
+    # the bottom rows' tally: each distinct interior sum with its number of rows
+    tally: dict[int, int] = {}
+    for s in map(sum, itertools.product(*ranges)):
+        tally[s] = tally.get(s, 0) + 1
+    return tuple(tally.items())
 
 
 def bruteforce_count(key: TopRowKey) -> CountResult:
     """Plain and q-weighted brute-force counts from a single enumeration pass.
 
-    Each pattern adds its sign to the coefficient of q^(norm - sum(ks)), one
-    at a time; the plain count is the sum of those coefficients.  The walk's
-    table keeps the bottom rows' interior sums per row above them.
+    Each choice of the upper rows adds its sign times the number of bottom
+    rows with each interior sum to the coefficient of q^(norm - sum(ks)), one
+    add per distinct sum; the plain count is the sum of those coefficients.
+    The walk's table keeps that tally per last upper row: every bottom row
+    is generated once per distinct last row, and every choice still adds
+    its own tally.
     """
     by_norm: dict[int, int] = {}
-    for _, parity, norm, sums in _walk(key, _bottom_sums):
-        sign = -1 if parity else 1
-        for s in sums:
-            by_norm[norm + s] = by_norm.get(norm + s, 0) + sign
+    get = by_norm.get
+    for _, _, parity, norm, tally in _walk(key, _bottom_sums):
+        for s, rows in tally:
+            by_norm[norm + s] = get(norm + s, 0) + (-rows if parity else rows)
     offset = sum(key.ks)
     return CountResult(sum(by_norm.values()),
                        LaurentPolyQ({e - offset: v for e, v in by_norm.items()}))
@@ -167,7 +189,7 @@ def f_bruteforce(key: TopRowKey) -> int:
     sign of each choice of upper rows times its number of bottom rows, the
     product of their cells' range lengths."""
     total = 0
-    for _, parity, _, count in _walk(key, _bottom_count):
+    for _, _, parity, _, count in _walk(key, _bottom_count):
         total += -count if parity else count
     return total
 

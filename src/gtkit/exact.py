@@ -3,8 +3,8 @@
 Rationals are plain ``fractions.Fraction``, Laurent polynomials in q are
 sparse exponent -> coefficient maps, and quotients of them are compared by
 cross-multiplication.  ``q_poch_ratio``, which ``q_poch_product`` and
-``q_poch_quotient`` call, multiplies and divides by q-Pochhammer brackets on
-one dense list, counting their (1 - q) factors rather than applying them,
+``q_poch`` call, multiplies and divides by q-Pochhammer brackets on one
+dense list, counting their (1 - q) factors rather than applying them,
 and checks each bracket's remainder; ``LaurentPolyQ.exact_div`` is general
 long division, for ``QFraction`` users and for the zeros check.  The q
 recursion keeps each value packed in one Python integer
@@ -510,13 +510,6 @@ def q_poch_product(*pairs: tuple[int, int]) -> LaurentPolyQ:
 def q_poch(x: int, n: int) -> LaurentPolyQ:
     """Rising q-product [x;q]_n = [x;q] [x+1;q] ... [x+n-1;q]."""
     return q_poch_ratio(_ONE, ((x, n),), ())
-
-
-def q_poch_quotient(num: LaurentPolyQ, *den_pairs: tuple[int, int]) -> LaurentPolyQ:
-    """The exact quotient of num by the product of [x;q]_n over the (x, n)
-    pairs: q_poch_ratio with no numerator brackets, which checks each
-    bracket in turn against what is left of the full numerator."""
-    return q_poch_ratio(num, (), den_pairs)
 
 
 class QFraction:

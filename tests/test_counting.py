@@ -306,6 +306,88 @@ class TestRowTable:
             assert len(calls) == cells
 
 
+def _upper_choices(key: TopRowKey, row_filter=None) -> list:
+    # every choice of the upper rows, top first, in increasing order, listed
+    # without the walk: a cell lies in [w, e] below ordered neighbours w <= e
+    # and in [e+1, w-1] below inverted ones, i.e. in range(min, max) of w
+    # and e+1; a choice with no bottom row is listed like any other
+    if key.r == 0:
+        return [()]
+    keep = row_filter or (lambda row: True)
+    top = (0, *key.ks, key.c)
+    choices = [(top,)] if keep(top) else []
+    for _ in range(key.r - 1):
+        choices = [
+            rows + ((0, *interior, key.c),)
+            for rows in choices
+            for interior in itertools.product(*(
+                range(min(w, e + 1), max(w, e + 1))
+                for w, e in zip(rows[-1], rows[-1][1:])))
+            if keep((0, *interior, key.c))
+        ]
+    return choices
+
+
+# r = 0 to 3, negative c, inverted top rows, and keys without patterns
+WALK_KEYS = [*_keys(1), *_negative_c_keys(),
+             TopRowKey(3, 5, 2, (4, -2)), TopRowKey(3, 4, -2, (-3,)),
+             TopRowKey(2, 4, -1, (1, -2)), TopRowKey(2, 3, 2, (-1,))]
+
+
+class TestWalkVisitsEveryChoice:
+    """The walk yields each choice of the upper rows once, in order, with
+    the parity and interior sum of its rows, whether or not a bottom row
+    completes it."""
+
+    @pytest.mark.parametrize("row_filter", [None, asm._strictly_increasing],
+                             ids=["all", "strict"])
+    def test_yields_equal_the_choices(self, row_filter):
+        empty = 0
+        for key in WALK_KEYS:
+            walked, bottoms = [], []
+            complete = functools.partial(counting._rows_below, c=key.c, row_filter=row_filter)
+            for above, last, parity, norm, below in counting._walk(key, complete, row_filter):
+                walked.append((above + (last,) if key.r else above, parity, norm))
+                bottoms.append(len(below))
+            expected = [
+                (rows,
+                 sum(a > b for row in rows for a, b in zip(row, row[1:])) & 1,
+                 sum(sum(row) - key.c for row in rows))
+                for rows in _upper_choices(key, row_filter)
+            ]
+            assert walked == expected, key
+            empty += bottoms.count(0)
+        assert empty > 0
+        assert {key.r for key in WALK_KEYS} == {0, 1, 2, 3}
+        assert min(key.c for key in WALK_KEYS) < 0
+
+    def test_tally_per_last_row(self):
+        # each tally is the multiset of its bottom rows' interior sums,
+        # one pair per distinct sum
+        for key in WALK_KEYS:
+            for *_, ranges in counting._walk(key, list):
+                tally = counting._bottom_sums(ranges)
+                sums = [s for s, _ in tally]
+                assert len(sums) == len(set(sums)) and all(rows > 0 for _, rows in tally)
+                assert sum(rows for _, rows in tally) == counting._bottom_count(ranges)
+                expanded = [s for s, rows in tally for _ in range(rows)]
+                assert sorted(expanded) == sorted(map(sum, itertools.product(*ranges))), key
+
+    def test_tally_built_once_per_distinct_last_row(self, monkeypatch):
+        real, built = counting._bottom_sums, []
+
+        def counted(ranges):
+            built.append(tuple(ranges))
+            return real(ranges)
+
+        monkeypatch.setattr(counting, "_bottom_sums", counted)
+        for key in WALK_KEYS:
+            built.clear()
+            bruteforce_count(key)
+            last_rows = {rows[-1] for rows in _upper_choices(key)} if key.r else {None}
+            assert len(built) == len(set(built)) == len(last_rows), key
+
+
 def _reflected(key: TopRowKey) -> TopRowKey:
     return TopRowKey(key.r, key.n, key.c, tuple(key.c - k for k in reversed(key.ks)))
 

@@ -25,7 +25,6 @@ from gtkit.exact import (
     q_bracket,
     q_poch,
     q_poch_product,
-    q_poch_quotient,
     q_poch_ratio,
     qfrac_exact_div,
     unpack_q,
@@ -518,11 +517,13 @@ def _outcome(divide):
 
 
 class TestQPochQuotient:
+    """q_poch_ratio with no numerator brackets: an exact quotient by a product."""
+
     @settings(max_examples=80)
     @given(p=_int_poly, pairs=_bracket_pairs())
     def test_equals_exact_div_on_products(self, p, pairs):
         num = LaurentPolyQ(p) * q_poch_product(*pairs)
-        got = q_poch_quotient(num, *pairs)
+        got = q_poch_ratio(num, (), pairs)
         assert got == num.exact_div(q_poch_product(*pairs)) == LaurentPolyQ(p)
         assert all(type(c) is int for _, c in got.terms())
 
@@ -539,7 +540,7 @@ class TestQPochQuotient:
                     for pairs in (num_pairs, slipped):
                         num = q_poch_product(*pairs).shift(shift)
                         want = _outcome(lambda: num.exact_div(den))
-                        assert _outcome(lambda: q_poch_quotient(num, *den_pairs)) == want
+                        assert _outcome(lambda: q_poch_ratio(num, (), den_pairs)) == want
                         ratio = _outcome(lambda: q_poch_ratio(
                             LaurentPolyQ.monomial(shift), pairs, den_pairs))
                         assert ratio == want
@@ -548,24 +549,24 @@ class TestQPochQuotient:
 
     def test_drift_guard(self):
         with pytest.raises(NonExactDivision, match=r"\[5;q\]"):
-            q_poch_quotient(q_poch_product((2, 3)), (5, 1))
+            q_poch_ratio(q_poch_product((2, 3)), (), [(5, 1)])
 
     def test_zero_bracket_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            q_poch_quotient(Q, (-2, 4))
+            q_poch_ratio(Q, (), [(-2, 4)])
         with pytest.raises(ZeroDivisionError):
-            q_poch_quotient(LaurentPolyQ(), (0, 1))
+            q_poch_ratio(LaurentPolyQ(), (), [(0, 1)])
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            q_poch_quotient(q_poch_product((2, 3)), (2, 3), (1, -1))
+            q_poch_ratio(q_poch_product((2, 3)), (), [(2, 3), (1, -1)])
 
     def test_zero_numerator(self):
-        assert q_poch_quotient(LaurentPolyQ(), (2, 3)).is_zero
+        assert q_poch_ratio(LaurentPolyQ(), (), [(2, 3)]).is_zero
 
     def test_negative_bracket(self):
         # [-3;q] = -q^-3 [3;q]
-        got = q_poch_quotient(q_poch_product((-3, 1), (4, 2)), (-3, 1))
+        got = q_poch_ratio(q_poch_product((-3, 1), (4, 2)), (), [(-3, 1)])
         assert got == q_poch_product((4, 2))
         assert all(type(c) is int for _, c in got.terms())
 
@@ -605,7 +606,7 @@ class TestQPochRatio:
     def test_matches_quotient_of_product(self, case, s):
         num, den = case
         got = _attempt(lambda: q_poch_ratio(LaurentPolyQ.monomial(s), num, den))
-        assert got == _attempt(lambda: q_poch_quotient(q_poch_product(*num).shift(s), *den))
+        assert got == _attempt(lambda: q_poch_ratio(q_poch_product(*num).shift(s), (), den))
         if isinstance(got, LaurentPolyQ):
             assert got * q_poch_product(*den) == q_poch_product(*num).shift(s)
             assert all(type(c) is int for _, c in got.terms())

@@ -13,7 +13,7 @@ from gtkit.closedforms import theorem_special
 from gtkit.counting import TopRowKey, f_recursive, fq_recursive
 from gtkit.exact import (
     LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch,
-    q_poch_quotient,
+    q_poch_ratio,
 )
 from gtkit.identities import (
     DegreeExceeded,
@@ -504,7 +504,7 @@ class TestSummandTables:
     def test_an_inexact_right_side_fails_without_a_traceback(self, monkeypatch, capsys):
         def without_one_plus_q_r(r, diff, side):
             num = 2 * q_poch(diff - r + 2, 2 * r - 1) * q_bracket(diff + 1)
-            return q_poch_quotient(num, (2 * r - 1, 2))
+            return q_poch_ratio(num, (), [(2 * r - 1, 2)])
 
         monkeypatch.setattr(identities, "_lemma2q_rhs", without_one_plus_q_r)
         with pytest.raises(NonExactDivision):
