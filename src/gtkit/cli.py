@@ -53,9 +53,7 @@ class RunReport:
     verdicts: list = field(default_factory=list)
 
     def add_result(self, label: str, value, provenance: str) -> None:
-        self.results.append(
-            {"label": label, "provenance": provenance, "value": fmt_value(value)}
-        )
+        self.results.append({"label": label, "provenance": provenance, "value": fmt_value(value)})
 
     def add_verdict(self, identity: str, parameters: str, passed: bool,
                     counterexample: str | None = None) -> None:
@@ -208,13 +206,8 @@ def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
 
 def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
     d, xy = cfg.lemma2_d, cfg.lemma2_xy
-    grid = (
-        (r, dd, x, y)
-        for r in LEMMA2_RS
-        for dd in range(-d, d + 1)
-        for x in range(-xy, xy + 1)
-        for y in range(-xy, xy + 1)
-    )
+    grid = ((r, dd, x, y) for r in LEMMA2_RS for dd in range(-d, d + 1)
+            for x in range(-xy, xy + 1) for y in range(-xy, xy + 1))
     params = f"r in {LEMMA2_RS}, d in [{-d},{d}], x,y in [{-xy},{xy}]"
     # one summand table per check
     _check(report, params, grid, {
@@ -225,15 +218,10 @@ def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
 
 def _suite_decomp(report: RunReport, cfg: SweepConfig) -> None:
     lo, hi, c = cfg.decomp_klo, cfg.decomp_khi, cfg.decomp_c
-    instances = [
-        (r, n, c, i, ks)
-        for r, n in DECOMP_RN
-        for ks in itertools.product(range(lo, hi + 1), repeat=n - r)
-        for i in range(1, n - r)
-    ]
-    params = (
-        f"(r,n) in {DECOMP_RN}, c={c}, ks in [{lo},{hi}]^(n-r), all i"
-    )
+    instances = [(r, n, c, i, ks) for r, n in DECOMP_RN
+                 for ks in itertools.product(range(lo, hi + 1), repeat=n - r)
+                 for i in range(1, n - r)]
+    params = f"(r,n) in {DECOMP_RN}, c={c}, ks in [{lo},{hi}]^(n-r), all i"
     # plain, then q: alternating the recursions per instance ran 4-10% slower
     _check(report, params, instances, {"swap-operator factorization (plain)":
            functools.partial(identities.verify_decomp, memo={})})
@@ -242,11 +230,7 @@ def _suite_decomp(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
-    grid = (
-        (m, c)
-        for m in range(1, cfg.hyper_max_m + 1)
-        for c in range(cfg.hyper_max_c + 1)
-    )
+    grid = ((m, c) for m in range(1, cfg.hyper_max_m + 1) for c in range(cfg.hyper_max_c + 1))
     params = f"m <= {cfg.hyper_max_m}, c <= {cfg.hyper_max_c}"
     _check(report, params, grid,
            {"hypergeometric sum (binomial form)": identities.verify_hyper})
@@ -261,45 +245,28 @@ def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_qvand(report: RunReport, cfg: SweepConfig) -> None:
-    grid = (
-        (m, c)
-        for m in range(1, cfg.qvand_max_m + 1)
-        for c in range(cfg.qvand_max_c + 1)
-    )
+    grid = ((m, c) for m in range(1, cfg.qvand_max_m + 1) for c in range(cfg.qvand_max_c + 1))
     params = f"m <= {cfg.qvand_max_m}, c <= {cfg.qvand_max_c}"
     _check(report, params, grid, {"q-Vandermonde sum": identities.verify_qvand})
 
 
 def _suite_qpoch(report: RunReport, cfg: SweepConfig) -> None:
-    grid = (
-        (n, y)
-        for n in range(cfg.qpoch_max_n + 1)
-        for y in range(cfg.qpoch_ylo, cfg.qpoch_yhi + 1)
-    )
-    params = (
-        f"n <= {cfg.qpoch_max_n}, y in [{cfg.qpoch_ylo},{cfg.qpoch_yhi}]"
-    )
+    grid = ((n, y) for n in range(cfg.qpoch_max_n + 1)
+            for y in range(cfg.qpoch_ylo, cfg.qpoch_yhi + 1))
+    params = f"n <= {cfg.qpoch_max_n}, y in [{cfg.qpoch_ylo},{cfg.qpoch_yhi}]"
     _check(report, params, grid,
            {"q-Pochhammer telescoping sum": identities.verify_qpoch_sum})
 
 
 def _suite_zeros(report: RunReport, cfg: SweepConfig) -> None:
-    grid = (
-        (n, c)
-        for n in range(2, cfg.zeros_max_n + 1)
-        for c in range(cfg.zeros_max_c + 1)
-    )
+    grid = ((n, c) for n in range(2, cfg.zeros_max_n + 1) for c in range(cfg.zeros_max_c + 1))
     params = f"2 <= n <= {cfg.zeros_max_n}, c <= {cfg.zeros_max_c}"
     _check(report, params, grid,
            {"zero structure and degree bound": identities.verify_zeros})
 
 
 def _suite_extra(report: RunReport, cfg: SweepConfig) -> None:
-    grid = (
-        (n, c)
-        for n in range(2, cfg.extra_max_n + 1)
-        for c in range(cfg.extra_max_c + 1)
-    )
+    grid = ((n, c) for n in range(2, cfg.extra_max_n + 1) for c in range(cfg.extra_max_c + 1))
     params = f"2 <= n <= {cfg.extra_max_n}, c <= {cfg.extra_max_c}"
     _check(report, params, grid, {
         "boundary recursion (plain)": functools.partial(identities.verify_extra, memo={}),
@@ -308,28 +275,17 @@ def _suite_extra(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _partitions_in_box(max_rows: int, max_part: int):
-    out = []
-    for rows in range(max_rows + 1):
-        for parts in itertools.combinations_with_replacement(
-            range(max_part, 0, -1), rows
-        ):
-            out.append(parts)
-    return sorted(out)
+    parts = range(max_part, 0, -1)
+    return sorted(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(parts, rows) for rows in range(max_rows + 1)))
 
 
 def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
     # a shape with more than k rows has no tableau, so k bounds the rows too
     shapes = _partitions_in_box(cfg.ssyt_max_k, cfg.ssyt_max_part)
-    instances = (
-        (shape, k)
-        for shape in shapes
-        for k in range(1, cfg.ssyt_max_k + 1)
-        if len(shape) <= k
-    )
-    params = (
-        f"shapes with <= {cfg.ssyt_max_k} parts <= {cfg.ssyt_max_part}, "
-        f"k <= {cfg.ssyt_max_k}"
-    )
+    instances = ((shape, k) for shape in shapes for k in range(1, cfg.ssyt_max_k + 1)
+                 if len(shape) <= k)
+    params = f"shapes with <= {cfg.ssyt_max_k} parts <= {cfg.ssyt_max_part}, k <= {cfg.ssyt_max_k}"
 
     memo = {}  # tableau counts
 
@@ -350,11 +306,8 @@ def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
 def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
     lo, hi = cfg.tableaux_lo, cfg.tableaux_hi
     span = range(lo, hi + 1)
-    vectors = [
-        (v,)
-        for k in range(1, cfg.tableaux_max_k + 1)
-        for v in itertools.product(span, repeat=k)
-    ]
+    vectors = [(v,) for k in range(1, cfg.tableaux_max_k + 1)
+               for v in itertools.product(span, repeat=k)]
     params = f"vectors in [{lo},{hi}]^k, k <= {cfg.tableaux_max_k}"
     memo = {}  # tableau counts
     rec_memo = {}  # recursion values
@@ -379,12 +332,7 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
     def antisymmetric(lam):
         base = f_ext(lam)
         for perm in itertools.permutations(range(3)):
-            inv = sum(
-                1
-                for a in range(3)
-                for b in range(a + 1, 3)
-                if perm[a] > perm[b]
-            )
+            inv = sum(perm[a] > perm[b] for a in range(3) for b in range(a + 1, 3))
             sign = -1 if inv & 1 else 1
             if f_ext(tuple(lam[p] for p in perm)) != sign * base:
                 return False
@@ -394,11 +342,7 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
            ((v,) for v in itertools.product(span, repeat=3)),
            {"alternating in the arguments": antisymmetric})
 
-    decreasing = (
-        (v,)
-        for v in itertools.product(span, repeat=3)
-        if v[0] >= v[1] >= v[2]
-    )
+    decreasing = ((v,) for v in itertools.product(span, repeat=3) if v[0] >= v[1] >= v[2])
     _check(report, f"weakly decreasing vectors in [{lo},{hi}]^3", decreasing,
            {"sign-reversing involution sum":
             lambda lam: tableaux.verify_sign_involution(lam, memo)})
@@ -410,11 +354,7 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
 
 def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
     max_n = cfg.asm_max_n
-    instances = (
-        (n, k)
-        for n in range(1, max_n + 1)
-        for k in range(1, n + 1)
-    )
+    instances = ((n, k) for n in range(1, max_n + 1) for k in range(1, n + 1))
     params = f"n <= {max_n}, 1 <= k <= n"
     memo = {}  # triangle counts, shared by all three checks
 
@@ -486,31 +426,14 @@ def cmd_count(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = RunReport(
-        "count",
-        {
-            "r": args.r,
-            "n": args.n,
-            "c": args.c,
-            "ks": list(ks),
-            "engine": args.engine,
-            "q": args.q,
-        },
-    )
-    label = (
-        f"F_q({args.r},{args.n},{args.c};{','.join(map(str, ks))})"
-        if args.q
-        else f"F({args.r},{args.n},{args.c};{','.join(map(str, ks))})"
-    )
+    report = RunReport("count", {"r": args.r, "n": args.n, "c": args.c, "ks": list(ks),
+                                 "engine": args.engine, "q": args.q})
+    label = f"F{'_q' if args.q else ''}({args.r},{args.n},{args.c};{','.join(map(str, ks))})"
     values = {}
     if args.engine in ("brute", "both"):
-        values["bruteforce"] = (
-            counting.fq_bruteforce(key) if args.q else counting.f_bruteforce(key)
-        )
+        values["bruteforce"] = (counting.fq_bruteforce if args.q else counting.f_bruteforce)(key)
     if args.engine in ("rec", "both"):
-        values["recursion"] = (
-            counting.fq_recursive(key) if args.q else counting.f_recursive(key)
-        )
+        values["recursion"] = (counting.fq_recursive if args.q else counting.f_recursive)(key)
     for provenance in sorted(values):
         report.add_result(label, values[provenance], provenance)
     mismatch = False
@@ -520,11 +443,8 @@ def cmd_count(args) -> int:
         mismatch = not agree
     if args.dump_patterns:
         for idx, p in enumerate(counting.enumerate_patterns(key)):
-            report.add_result(
-                f"pattern {idx}",
-                json.dumps(p.to_json_obj(), sort_keys=True),
-                "enumeration",
-            )
+            report.add_result(f"pattern {idx}", json.dumps(p.to_json_obj(), sort_keys=True),
+                              "enumeration")
     print(report.to_json())
     return EXIT_ENGINE_MISMATCH if mismatch else EXIT_OK
 
@@ -573,17 +493,11 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         lines = ["n,c,k,brute,formula,match"]
         for n, c, k, brute, formula, match in rows:
-            lines.append(
-                f"{n},{c},{k},{fmt_value(brute)},{fmt_value(formula)},"
-                f"{fmt_value(match)}"
-            )
+            lines.append(f"{n},{c},{k},{fmt_value(brute)},{fmt_value(formula)},{fmt_value(match)}")
         print("\n".join(lines))
     else:
-        report = RunReport(
-            "table",
-            {"n": args.n, "c": args.c, "kmin": args.kmin,
-             "kmax": args.kmax, "format": args.format, "q": args.q},
-        )
+        report = RunReport("table", {"n": args.n, "c": args.c, "kmin": args.kmin,
+                                     "kmax": args.kmax, "format": args.format, "q": args.q})
         for n, c, k, brute, formula, match in rows:
             label = f"F({n - 1},{n},{c};{k})"
             report.add_result(label, brute, "bruteforce")
@@ -602,11 +516,8 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    report = RunReport(
-        "verify",
-        {"suite": args.suite, "seed": args.seed,
-         "overrides": sorted(args.override or [])},
-    )
+    report = RunReport("verify", {"suite": args.suite, "seed": args.seed,
+                                  "overrides": sorted(args.override or [])})
     for name in names:
         sub = RunReport(name, {})
         try:
@@ -650,9 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="include every enumerated pattern as JSON")
     p_count.set_defaults(func=cmd_count)
 
-    p_table = sub.add_parser(
-        "table", help="tabulate counts against the closed form"
-    )
+    p_table = sub.add_parser("table", help="tabulate counts against the closed form")
     p_table.add_argument("--n", required=True, help="value or range lo:hi")
     p_table.add_argument("--c", required=True, help="value or range lo:hi")
     p_table.add_argument("--kmin", type=int, default=None)
@@ -665,10 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument(
-        "--override", action="append", metavar="FIELD=VALUE",
-        help="override a sweep bound (repeatable)",
-    )
+    p_verify.add_argument("--override", action="append", metavar="FIELD=VALUE",
+                          help="override a sweep bound (repeatable)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

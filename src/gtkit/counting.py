@@ -72,21 +72,21 @@ def _walk(key: TopRowKey, complete: Callable[[list[range]], object],
           row_filter: Callable[[tuple[int, ...]], bool] | None = None) -> Iterator[tuple]:
     """The one top-down walk of the brute-force route.
 
-    For each choice of the upper rows (every row but the bottom one, top
-    first, pruned by row_filter), yield the rows above the last upper row,
-    the last upper row itself, the choice's inversion parity (borders
-    included), its interior sum, and complete(ranges) of the bottom row's
-    cell ranges, one value from each making a pattern.  At r = 0 the top row
-    is the bottom row: the one choice has no upper rows, its last row is
-    None and its ranges are singletons.
+    For each choice of the upper rows (all but the bottom row, top first,
+    pruned by row_filter), yield the rows above the last upper row, that
+    row, the choice's inversion parity (borders included), its interior
+    sum, and complete(ranges) of the bottom row's cell ranges, one value
+    from each making a pattern.  At r = 0 the top row is the bottom row:
+    the one choice has no upper rows, its last row is None and its ranges
+    are singletons.
 
     A table for this call maps each distinct row to its parity, interior sum
     and next rows (complete(ranges) for a last upper row; a row's length
     fixes its depth), worked out on first reach.  The stack holds the rows
     whose next rows are still to be chosen; a row just above the last upper
-    row yields each of its next rows in one loop, read from the table, so a
-    last upper row is never pushed.  The table holds row facts, never
-    counts: every choice is still yielded.
+    row yields its next rows in one loop, so a last upper row is never
+    pushed.  The table holds row facts, never counts: every choice is still
+    yielded.
     """
     r, n, c = key.r, key.n, key.c
     if r == 0:
@@ -224,35 +224,33 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
-    """Evaluate F_q(r,n,c;ks) by the q-weighted recursion.
-
-    Identical nesting to f_recursive, with every innermost term weighted by
-    q^(l_1 + ... + l_{n-r+1}); only level r = 1 is closed, by
-    exact.chained_count_packed.  memo as there, but a state's value is the
-    triple (packed, low, patterns) of exact.chained_sum_packed at width
-    PACK_BITS: F_q = q^low * P(q) with P(2^PACK_BITS) == packed, and
-    patterns is the number of patterns with that top row, counted without
-    sign.  Never pass the memo to f_recursive.
-
-    The value is unpacked once, here.  The terms of a state's sum are the
-    next rows of enumerate_patterns, so no coefficient of F_q exceeds
-    patterns in absolute value, and the unpacking is exact when
-    patterns < 2^(PACK_BITS-1).  Otherwise the key is recomputed, in a fresh
-    private memo, at the smallest multiple of PACK_BITS that is wide enough;
-    the caller's memo keeps its one width.
+    """Evaluate F_q(r,n,c;ks) by the q-weighted recursion: fq_packed at
+    width PACK_BITS, unpacked once.  Each pattern adds +1 or -1 to one
+    coefficient, so the unpacking is exact when the pattern count is below
+    2^(PACK_BITS-1).  Otherwise the key is recomputed, in a fresh memo, at
+    the smallest multiple of PACK_BITS that is wide enough; the caller's
+    memo keeps its one width.
     """
-
-    def packed_at(bits: int, memo: dict) -> tuple[int, int, int]:
-        return _recurse(memo, functools.partial(chained_sum_packed, bits=bits),
-                        (functools.partial(chained_count_packed, bits=bits),),
-                        key.r, key.n, key.c, key.ks)
-
     bits = PACK_BITS
-    packed, low, patterns = packed_at(bits, {} if memo is None else memo)
+    packed, low, patterns = fq_packed(key, {} if memo is None else memo, bits)
     if patterns.bit_length() >= bits:
         bits *= patterns.bit_length() // bits + 1
-        packed, low, _ = packed_at(bits, {})
+        packed, low, _ = fq_packed(key, {}, bits)
     return unpack_q(packed, low, bits)
+
+
+def fq_packed(key: TopRowKey, memo: dict, bits: int) -> tuple[int, int, int]:
+    """F_q(r,n,c;ks) packed at width bits, as the triple (packed, low,
+    patterns) of exact.chained_sum_packed; patterns, the unsigned number of
+    patterns with that top row, bounds the sum of |coefficient|.
+    The nesting is f_recursive's, each innermost term weighted by
+    q^(l_1 + ... + l_{n-r+1}); only level r = 1 is closed, by
+    exact.chained_count_packed.  memo as there, each state such a triple at
+    width bits.  Never pass the memo to f_recursive.
+    """
+    return _recurse(memo, functools.partial(chained_sum_packed, bits=bits),
+                    (functools.partial(chained_count_packed, bits=bits),),
+                    key.r, key.n, key.c, key.ks)
 
 
 class _Level(dict):
@@ -291,19 +289,14 @@ def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
 
     total(bounds, summand) is chained_sum or a chained_sum_packed: it sums
     summand(ls) = F(r-1,n,c;ls) over one state's chain of bounds.
-    closers[j](bounds) is the same value of a level j + 1 state in closed
-    form, so the levels up to len(closers) are never summed:
-    (chained_count, chained_count2) for the plain weight, the one packed
-    chained_count for the q weight.  closers[0](()) is the base value
-    F(0,n,c;.) = 1.  memo maps (r, n, c) to that level's _Level table, whose
-    values are as total returns them: ints for the plain weight,
-    (packed, low, patterns) triples for the q weight.  So one memo serves
-    one weight and one width.
-
-    The key is read from its level's table like every state below it: the
-    tables from the closed level up to r are found in memo or built, each
-    summing over the one below, so each state costs one Python call and a
-    repeat read, in this call or a later one on the same memo, none.
+    closers[j](bounds) is a level j + 1 state in closed form, so the levels
+    up to len(closers) are never summed; closers[0](()) is the base value
+    F(0,n,c;.) = 1.  memo maps (r, n, c) to that level's _Level table of
+    values as total returns them, so one memo serves one weight and one
+    width.  The key is read from its level's table like every state below
+    it: the tables up to r are found in memo or built, each summing over
+    the one below, so each state costs one Python call and a repeat read,
+    in this call or a later one on the same memo, none.
     """
     if r == 0:
         return closers[0](())

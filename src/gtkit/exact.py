@@ -1,17 +1,15 @@
 """Exact scalar and q-polynomial arithmetic.
 
-Rationals are plain ``fractions.Fraction``, Laurent polynomials in q are
-sparse exponent -> coefficient maps, and quotients of them are compared by
-cross-multiplication.  ``q_poch_ratio``, which ``q_poch_product`` and
-``q_poch`` call, multiplies and divides by q-Pochhammer brackets on one
-dense list, counting their (1 - q) factors rather than applying them,
-and checks each bracket's remainder; ``LaurentPolyQ.exact_div`` is general
-long division, for ``QFraction`` users and for the zeros check.  The q
-recursion keeps each value packed in one Python integer
-(``chained_sum_packed``, ``unpack_q``).  No floating point is used anywhere.
-The plain recursion closes its lowest two levels with ``chained_count`` and
-``chained_count2``, the q recursion its lowest one with
-``chained_count_packed``.
+Rationals are ``fractions.Fraction``, Laurent polynomials in q sparse
+exponent -> coefficient maps.  ``q_poch_ratio`` (behind ``q_poch_product``
+and ``q_poch``) multiplies and divides by q-Pochhammer brackets on one dense
+list, counting their (1 - q) factors, and checks each remainder;
+``LaurentPolyQ.exact_div`` is long division, for ``QFraction`` and the zeros
+check.  The q recursion and the lemma 2 and decomposition q checks keep each
+q-polynomial packed in one int (``pack_q``, ``chained_sum_packed``,
+``unpack_q``).  The plain recursion closes its lowest two levels with
+``chained_count`` and ``chained_count2``, the q recursion its lowest one
+with ``chained_count_packed``.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -122,14 +120,11 @@ def chained_sum_packed(
 ) -> tuple[int, int, int]:
     """chained_sum_q over packed q-polynomials, by Kronecker substitution.
 
-    summand(ls) returns a triple (packed, low, count): the q-polynomial
-    q^low * P(q) with P(2^bits) == packed, and a nonnegative count that is
-    added up unsigned and unweighted.  The result is the same kind of triple.
-    Multiplying a term by q^(l_1 + ... + l_m) is a left shift, so a state's
-    total costs one shift and one add per term; low is the running minimum
-    exponent, and the total is shifted up once whenever it drops.  The
-    values are exact at any width: only unpack_q needs every coefficient
-    below 2^(bits-1) in absolute value.
+    summand(ls) and the sum are triples (packed, low, count): q^low * P(q)
+    with P(2^bits) == packed, and a nonnegative count added up unsigned.
+    The weight q^(l_1 + ... + l_m) is a left shift, so a term costs one
+    shift and one add; low is the running minimum exponent, the total
+    shifted up once whenever it drops.  Exact at any width.
     """
     sign, ranges = _signed_ranges(bounds)
     total = low = count = 0
@@ -190,6 +185,16 @@ def unpack_q(packed: int, low: int, bits: int) -> "LaurentPolyQ":
     return LaurentPolyQ._raw(terms)
 
 
+def pack_q(poly: "LaurentPolyQ", bits: int) -> tuple[int, int, int]:
+    """The inverse of unpack_q: (packed, low, weight), poly = q^low * P(q)
+    with P(2^bits) == packed, weight the sum of |coefficient|.  Exact at any
+    width; int coefficients only, a Fraction raises TypeError."""
+    terms = poly._terms
+    low = min(terms, default=0)
+    return (sum([c << bits * (e - low) for e, c in terms.items()]), low,
+            sum(map(abs, terms.values())))
+
+
 def pochhammer(a: int, n: int) -> int:
     """Rising product (a)_n = a (a+1) ... (a+n-1); the empty product is 1."""
     if n < 0:
@@ -208,12 +213,7 @@ class LaurentPolyQ:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        cleaned: dict[int, Scalar] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    cleaned[e] = c
-        self._terms = cleaned
+        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     @classmethod
     def constant(cls, value: Scalar) -> "LaurentPolyQ":
@@ -329,12 +329,7 @@ class LaurentPolyQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self._terms) != len(o._terms):
-            return False
-        for e, c in self._terms.items():
-            if o._terms.get(e, 0) != c:
-                return False
-        return True
+        return self._terms == o._terms  # both hold nonzero coefficients only
 
     def __hash__(self):
         return hash(frozenset((e, Fraction(c)) for e, c in self._terms.items()))
@@ -342,14 +337,11 @@ class LaurentPolyQ:
     # -- division -----------------------------------------------------------
 
     def exact_div(self, den: "LaurentPolyQ") -> "LaurentPolyQ":
-        """Exact quotient self / den in the Laurent ring.
-
-        Long division from the top down on a dense coefficient list, indexed
-        by exponent minus the lowest exponent of self.  The leading
-        coefficient of den is inverted once; when it is +1 or -1 it is its
-        own inverse, so integer inputs give an integer quotient and no
-        Fraction is built.  Any other leading coefficient gives the exact
-        rational quotient.
+        """Exact quotient self / den in the Laurent ring, by long division
+        from the top down on a dense coefficient list.  den's leading
+        coefficient is inverted once; +1 and -1 are their own inverses, so
+        integer inputs give an integer quotient and build no Fraction, and
+        any other gives the exact rational quotient.
 
         Raises NonExactDivision if den does not divide self exactly.
         """

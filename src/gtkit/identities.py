@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .counting import TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_recursive
+from .counting import (
+    TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_packed, fq_recursive,
+)
 from .exact import (
-    LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch,
-    q_poch_product, q_poch_ratio,
+    PACK_BITS, LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q,
+    pack_q, pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q,
 )
 
 
@@ -219,26 +221,42 @@ def _lemma2q_rhs(r: int, diff: int, _side: str) -> LaurentPolyQ:
 
 def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
     """q-analog of verify_lemma_2, its right side divided exactly (False on
-    a remainder); memo as there, holding unshifted summands and, apart under
-    (r, y-x, "rhs"), unshifted right sides.  The unshifted summands are
-    summed over y' for each x', and each x' partial sum is shifted once."""
+    a remainder); memo as there, holding unshifted summands packed at
+    PACK_BITS and, apart under (r, y-x, "rhs"), unshifted right sides.  The
+    left side is one chained_sum_packed, each summand's low raised by
+    (2r-2) x', unpacked at the width _widened gives its count."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
 
-    def row(xs):
-        (xp,) = xs
+    def lhs_at(bits):
+        table = memo if bits == PACK_BITS else None
 
-        def term(ys):
-            return _tabled(memo, (r, ys[0] - xp), _lemma2q_term)
+        def summand(r, diff):
+            return pack_q(_lemma2q_term(r, diff), bits)
 
-        return chained_sum_q([(x - 1 + d, y - 1 + d)], term).shift((2 * r - 2) * xp)
+        def term(ls):
+            packed, low, weight = _tabled(table, (r, ls[1] - ls[0]), summand)
+            return packed, low + (2 * r - 2) * ls[0], weight
 
-    lhs = chained_sum_q([(x + d, y + d)], row)
+        return chained_sum_packed([(x + d, y + d), (x - 1 + d, y - 1 + d)], term, bits)
+
+    bits, packed, low, _ = _widened(lhs_at)
     try:
         rhs = _tabled(memo, (r, y - x, "rhs"), _lemma2q_rhs)
     except NonExactDivision:
         return False
-    return lhs == rhs.shift(2 * r * x + 2 * d * r + r - 2)
+    return unpack_q(packed, low, bits) == rhs.shift(2 * r * x + 2 * d * r + r - 2)
+
+
+def _widened(packed_at: Callable[[int], tuple]) -> tuple:
+    """(bits,) + packed_at(bits), its last entry a weight bounding each
+    packed q-polynomial's sum of |coefficient|, and bits the narrowest
+    multiple of PACK_BITS above the weight's bit length.  So every
+    coefficient is one balanced digit: packed ints unpack, and compare at
+    one low, exactly."""
+    found = packed_at(PACK_BITS)
+    bits = PACK_BITS * (found[-1].bit_length() // PACK_BITS + 1)
+    return (bits,) + (found if bits == PACK_BITS else packed_at(bits))
 
 
 def _decomp_rhs_args(ks: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -293,26 +311,37 @@ def decomp_q_exponent(r: int, n: int, i: int) -> int:
 def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
                     memo: dict | None = None) -> bool:
     """q-analog of verify_decomp, cross-multiplied with [1;q]_{2r}; memo as
-    there, each product also holding [1;q]_{2r}; each F_q is unpacked once,
-    under (r, n, c, ks)."""
+    there, each product packed with [1;q]_{2r}, and each F_q from fq_packed
+    under (r, n, c, ks).  Both sides are packed ints at one low; the product
+    of a side's weights (an F_q's is its pattern count) bounds its
+    coefficients, so _widened picks the compare's width."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
     if r == 0:
         return True
-
-    def count(*key):  # (r, n, c, ks)
-        return fq_recursive(TopRowKey(*key), memo)
-
-    lhs = _tabled(memo, (r, n, c, ks), count) + _tabled(
-        memo, (r, n, c, _swap(ks, i)), count
-    )
-    factor, den = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_q_factor)
+    tops = ((r, n, c, ks), (r, n, c, _swap(ks, i)), (r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
     shift = 2 * r * ks[i - 1] + decomp_q_exponent(r, n, i)
-    rhs_num = (
-        factor * _tabled(memo, (r, n - 2, c + 2, _decomp_rhs_args(ks, i)), count)
-    ).shift(shift)
-    return lhs * den == rhs_num
+
+    def sides(bits):
+        table = {} if memo is None or bits != PACK_BITS else memo
+
+        def count(*key):  # (r, n, c, ks)
+            return fq_packed(TopRowKey(*key), table, bits)
+
+        def factor(r, diff):
+            return tuple(pack_q(p, bits) for p in _decomp_q_factor(r, diff))
+
+        (a, a_low, a_w), (b, b_low, b_w), (f, f_low, f_w) = [
+            _tabled(table, top, count) for top in tops]
+        (x, x_low, x_w), (den, den_low, den_w) = _tabled(table, (r, ks[i] - ks[i - 1]), factor)
+        right_low = x_low + f_low + shift - den_low
+        low = min(a_low, b_low, right_low)
+        return (((a << bits * (a_low - low)) + (b << bits * (b_low - low))) * den,
+                x * f << bits * (right_low - low), max((a_w + b_w) * den_w, x_w * f_w))
+
+    _, left, right, _ = _widened(sides)
+    return left == right
 
 
 # ---------------------------------------------------------------------------

@@ -119,17 +119,13 @@ class GTPattern:
             raise DimensionMismatch("a Gelfand-Tsetlin pattern needs a row")
         for d, row in enumerate(rows):
             if len(row) != d + 1:
-                raise DimensionMismatch(
-                    f"row {d} of a {n}-row pattern must have {d + 1} entries"
-                )
+                raise DimensionMismatch(f"row {d} of a {n}-row pattern must have {d + 1} entries")
         for d in range(n - 1):
             upper, lower = rows[d], rows[d + 1]
             for t, v in enumerate(upper):
                 if not lower[t] <= v <= lower[t + 1]:
                     raise ShapeViolation(
-                        f"entry {v} not between lower neighbours "
-                        f"{lower[t]}, {lower[t + 1]}"
-                    )
+                        f"entry {v} not between lower neighbours {lower[t]}, {lower[t + 1]}")
 
     @property
     def n(self) -> int:
@@ -160,15 +156,11 @@ class GenPattern:
         if self.r < 0 or self.n < 1 or self.r > self.n:
             raise DimensionMismatch(f"bad parameters r={self.r}, n={self.n}")
         if len(rows) != self.r + 1:
-            raise DimensionMismatch(
-                f"expected {self.r + 1} rows, got {len(rows)}"
-            )
+            raise DimensionMismatch(f"expected {self.r + 1} rows, got {len(rows)}")
         for d, row in enumerate(rows):
             if len(row) != self.n - self.r + 2 + d:
                 raise DimensionMismatch(
-                    f"row {d} must have {self.n - self.r + 2 + d} entries, "
-                    f"got {len(row)}"
-                )
+                    f"row {d} must have {self.n - self.r + 2 + d} entries, got {len(row)}")
 
     @classmethod
     def _trusted(cls, r: int, n: int, c: int, rows: tuple) -> "GenPattern":
@@ -182,18 +174,12 @@ class GenPattern:
         """Strip borders of an (n-1, n, c) pattern into a GTPattern."""
         if self.r != self.n - 1:
             raise DimensionMismatch(
-                f"only (n-1, n, c) patterns are Gelfand-Tsetlin, got r={self.r}"
-            )
+                f"only (n-1, n, c) patterns are Gelfand-Tsetlin, got r={self.r}")
         return GTPattern(tuple(row[1:-1] for row in self.rows))
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": "gen_pattern",
-            "r": self.r,
-            "n": self.n,
-            "c": self.c,
-            "rows": [list(row[1:-1]) for row in self.rows],
-        }
+        return {"kind": "gen_pattern", "r": self.r, "n": self.n, "c": self.c,
+                "rows": [list(row[1:-1]) for row in self.rows]}
 
 
 def validate(p: GenPattern) -> bool:
@@ -256,11 +242,8 @@ def gt_to_spp(g: GTPattern) -> StrictPlanePartition:
     full = shapes[0]
     rows = []
     for p in range(len(full)):
-        row = tuple(
-            sum(1 for lam in shapes if p < len(lam) and lam[p] > j)
-            for j in range(full[p])
-        )
-        rows.append(row)
+        rows.append(tuple(sum(1 for lam in shapes if p < len(lam) and lam[p] > j)
+                          for j in range(full[p])))
     return StrictPlanePartition(tuple(rows))
 
 
@@ -297,9 +280,7 @@ class MonotoneTriangle:
         p = self.pattern
         if p.r != p.n - 1 or p.c != p.n + 1:
             raise DimensionMismatch(
-                f"monotone triangles are (n-1, n, n+1)-patterns, got "
-                f"({p.r}, {p.n}, {p.c})"
-            )
+                f"monotone triangles are (n-1, n, n+1)-patterns, got ({p.r}, {p.n}, {p.c})")
         if not validate(p):
             raise ShapeViolation("underlying pattern is not valid")
         for row in p.rows:

@@ -583,7 +583,7 @@ class TestLevelTables:
     same call or a later one on the same memo, is a dict lookup."""
 
     # the engine's entry points, and the frame that finds or builds a table
-    ENTRY = {"f_recursive", "fq_recursive", "packed_at", "_recurse"}
+    ENTRY = {"f_recursive", "fq_recursive", "fq_packed", "_recurse"}
     SETUP = "_table"
 
     def _frames(self, run) -> list:

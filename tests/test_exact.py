@@ -21,6 +21,7 @@ from gtkit.exact import (
     chained_sum,
     chained_sum_packed,
     chained_sum_q,
+    pack_q,
     pochhammer,
     q_bracket,
     q_poch,
@@ -253,6 +254,48 @@ class TestPackedQ:
         # the count is added up unsigned: one per term, whatever the sign
         terms = sum(1 for _ in ext_terms(bounds))
         assert count == terms * len(chain)
+
+
+def _digit_polys(bits: int):
+    # int polynomials whose coefficients are balanced digits at bits
+    edge = 2 ** (bits - 1) - 1
+    return st.dictionaries(
+        st.integers(-12, 12),
+        st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge])),
+        max_size=8,
+    ).map(LaurentPolyQ)
+
+
+class TestPackQ:
+    @pytest.mark.parametrize("bits", [8, 64])
+    @given(data=st.data())
+    def test_unpack_inverts_pack_q(self, bits, data):
+        p = data.draw(_digit_polys(bits))
+        packed, low, weight = pack_q(p, bits)
+        assert unpack_q(packed, low, bits) == p
+        assert low == (p.min_exp if p else 0)
+        assert packed == sum(c << bits * (e - low) for e, c in p.terms())
+        assert weight == sum(abs(c) for _, c in p.terms())
+
+    @pytest.mark.parametrize("bits", [8, 64])
+    def test_zero_and_negative_exponents(self, bits):
+        assert pack_q(LaurentPolyQ(), bits) == (0, 0, 0)
+        assert unpack_q(0, 0, bits) == LaurentPolyQ()
+        p = LaurentPolyQ({-3: -1, 0: 2, 4: -7})
+        assert pack_q(p, bits)[1:] == (-3, 10)
+        assert unpack_q(*pack_q(p, bits)[:2], bits) == p
+
+    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2)])
+    def test_fraction_coefficient_raises(self, coeff):
+        with pytest.raises(TypeError):
+            pack_q(LaurentPolyQ({0: 1, 2: coeff}), PACK_BITS)
+
+    def test_differing_polynomials_pack_alike_past_the_width(self):
+        # 16 is no digit at 4 bits: at a common low, 16 and q are one int
+        sixteen, q = pack_q(LaurentPolyQ({0: 16}), 4), pack_q(LaurentPolyQ({1: 1}), 4)
+        assert sixteen == (16, 0, 16) and q == (1, 1, 1)
+        assert sixteen[0] == q[0] << 4
+        assert pack_q(LaurentPolyQ({0: 16}), 8)[0] != pack_q(LaurentPolyQ({1: 1}), 8)[0] << 8
 
 
 def _random_bounds(seed: int):

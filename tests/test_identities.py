@@ -5,15 +5,16 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gtkit import cli, counting, identities
 from gtkit.closedforms import theorem_special
-from gtkit.counting import TopRowKey, f_recursive, fq_recursive
+from gtkit.counting import TopRowKey, enumerate_patterns, f_recursive, fq_packed, fq_recursive
 from gtkit.exact import (
-    LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pochhammer, q_bracket, q_poch,
-    q_poch_ratio,
+    PACK_BITS, LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pack_q, pochhammer,
+    q_bracket, q_poch, q_poch_ratio, unpack_q,
 )
 from gtkit.identities import (
     DegreeExceeded,
@@ -226,12 +227,24 @@ def _parent_lemma_2(r, d, x, y, memo):
     return lhs == rhs
 
 
+def _packed_lemma2q_term(r, diff):
+    return pack_q(identities._lemma2q_term(r, diff), PACK_BITS)
+
+
+def _shifted(value):
+    # a table entry times q: a LaurentPolyQ, or a triple packed at PACK_BITS
+    if isinstance(value, LaurentPolyQ):
+        return value.shift(1)
+    return (value[0] << PACK_BITS,) + value[1:]
+
+
 def _parent_lemma_2q(r, d, x, y, memo):
-    # lemma 2 q as it was checked before: cross-multiplied per instance
+    # lemma 2 q as it was checked before: cross-multiplied per instance, each
+    # summand unpacked from the table and shifted
     def term(ls):
         xp, yp = ls
-        value = identities._tabled(memo, (r, yp - xp), identities._lemma2q_term)
-        return value.shift((2 * r - 2) * xp)
+        packed, low, _ = identities._tabled(memo, (r, yp - xp), _packed_lemma2q_term)
+        return unpack_q(packed, low, PACK_BITS).shift((2 * r - 2) * xp)
 
     lhs = chained_sum_q([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
     rhs_num = (
@@ -276,26 +289,42 @@ class TestLemma2:
         with pytest.raises(ValueError):
             verify_lemma_2(1, 0, 0, 0)
 
-    def test_q_shifts_once_per_x_prime(self, monkeypatch):
-        # each x' partial sum is shifted once and the right side once, where
-        # shifting every summand made one shift per (x', y') term
-        shifts = []
+    def test_q_left_side_is_one_packed_sum(self, monkeypatch):
+        # the left side is one packed sum over the box, unpacked once, and
+        # only the right side is shifted, where shifting every x' partial
+        # sum made one shift per x' and shifting every summand one per
+        # (x', y') term
+        shifts, sums, unpacked = [], [], []
         real = LaurentPolyQ.shift
 
         def counted(self, exponent):
             shifts.append(exponent)
             return real(self, exponent)
 
+        def summed(bounds, summand, bits, real=identities.chained_sum_packed):
+            sums.append(bounds)
+            return real(bounds, summand, bits)
+
+        def unpack(*args, real=identities.unpack_q):
+            unpacked.append(args)
+            return real(*args)
+
         monkeypatch.setattr(LaurentPolyQ, "shift", counted)
+        monkeypatch.setattr(identities, "chained_sum_packed", summed)
+        monkeypatch.setattr(identities, "unpack_q", unpack)
+        monkeypatch.setattr(identities, "chained_sum_q", None)
         memo: dict = {}
         for r, d, x, y in LEMMA2_SWEEP:
-            shifts.clear()
+            for log in (shifts, sums, unpacked):
+                log.clear()
             assert verify_lemma_2q(r, d, x, y, memo=memo)
-            assert len(shifts) == (y - x + 1 if y >= x else x - y - 1) + 1, (r, d, x, y)
+            assert shifts == [2 * r * x + 2 * d * r + r - 2], (r, d, x, y)
+            assert sums == [[(x + d, y + d), (x - 1 + d, y - 1 + d)]], (r, d, x, y)
+            assert len(unpacked) == 1 and unpacked[0][2] == PACK_BITS, (r, d, x, y)
 
     @pytest.mark.parametrize("check,parent,wrong", [
         (verify_lemma_2, _parent_lemma_2, lambda v: v + 1),
-        (verify_lemma_2q, _parent_lemma_2q, lambda v: v.shift(1))])
+        (verify_lemma_2q, _parent_lemma_2q, _shifted)])
     def test_verdicts_match_the_parent_forms(self, check, parent, wrong):
         memo: dict = {}
         for inst in LEMMA2_SWEEP:
@@ -388,12 +417,13 @@ class TestSummandTables:
     @pytest.mark.parametrize("check,inst,wrong", [
         (verify_lemma_2, (2, 0, 0, 1), lambda v: v + 1),
         (verify_lemma_2, (3, 1, -2, 3), lambda v: v + 1),
-        (verify_lemma_2q, (2, 0, 0, 1), lambda v: v.shift(1)),
-        (verify_lemma_2q, (3, 1, -2, 3), lambda v: v.shift(1)),
+        (verify_lemma_2q, (2, 0, 0, 1), _shifted),
+        (verify_lemma_2q, (3, 1, -2, 3), _shifted),
         (verify_decomp, (1, 3, 2, 1, (0, 0)), lambda v: v + 1),
         (verify_decomp, (2, 4, 2, 1, (1, 3)), lambda v: v + 1),
-        (verify_decomp_q, (1, 3, 2, 1, (0, 0)), lambda v: (v[0].shift(1), v[1])),
-        (verify_decomp_q, (2, 4, 2, 1, (1, 3)), lambda v: (v[0].shift(1), v[1])),
+        # the packed factor times q, [1;q]_{2r} kept
+        (verify_decomp_q, (1, 3, 2, 1, (0, 0)), lambda v: (_shifted(v[0]), v[1])),
+        (verify_decomp_q, (2, 4, 2, 1, (1, 3)), lambda v: (_shifted(v[0]), v[1])),
     ])
     def test_a_wrong_term_in_the_table_fails(self, check, inst, wrong):
         memo: dict = {}
@@ -426,34 +456,44 @@ class TestSummandTables:
         capsys.readouterr()
         assert built == {name: 26 for name in builders}
 
-    def test_decomp_suite_unpacks_each_top_count_once(self, monkeypatch, capsys):
+    def test_decomp_suite_reads_each_top_count_once(self, monkeypatch, capsys):
         # the q check reads 2,352 counts F_q of 660 distinct top rows, and
-        # keeps each unpacked count under (r, n, c, ks)
+        # keeps each packed count under (r, n, c, ks): one packed read per
+        # top row, and none is unpacked
         tops = {top for r, n, c, i, ks in DECOMP_SWEEP
                 for top in ((r, n, c, ks), (r, n, c, identities._swap(ks, i)),
                             (r, n - 2, c + 2, identities._decomp_rhs_args(ks, i)))}
-        unpacked = []
+        read, unpacked = [], []
+
+        def packed(key, memo, bits, real=identities.fq_packed):
+            read.append((key.r, key.n, key.c, key.ks))
+            return real(key, memo, bits)
 
         def counted(*args, real=counting.unpack_q):
             unpacked.append(args)
             return real(*args)
 
+        monkeypatch.setattr(identities, "fq_packed", packed)
         monkeypatch.setattr(counting, "unpack_q", counted)
+        monkeypatch.setattr(identities, "unpack_q", counted)
         assert cli.main(["verify", "--suite", "decomp"]) == cli.EXIT_OK
         capsys.readouterr()
-        assert len(unpacked) == len(tops) == 660
+        assert len(read) == len(set(read)) == len(tops) == 660
+        assert set(read) == tops and unpacked == []
 
     def test_decomp_q_tables_counts_apart_from_states(self):
         memo: dict = {}
         for inst in DECOMP_SWEEP:
             assert verify_decomp_q(*inst, memo=memo), inst
         # the recursion's level tables sit under (r, n, c), the counts under
-        # (r, n, c, ks)
+        # (r, n, c, ks), each F_q packed at PACK_BITS with its pattern count
         counts = {key: value for key, value in memo.items() if len(key) == 4}
         assert len(counts) == 660
         assert not any(isinstance(value, dict) for value in counts.values())
-        for key, value in counts.items():
-            assert value == fq_recursive(TopRowKey(*key)), key
+        for key, (packed, low, patterns) in counts.items():
+            assert unpack_q(packed, low, PACK_BITS) == fq_recursive(TopRowKey(*key)), key
+            assert (packed, low, patterns) == fq_packed(TopRowKey(*key), {}, PACK_BITS), key
+            assert patterns == sum(1 for _ in enumerate_patterns(TopRowKey(*key))), key
 
     def test_lemma2q_tables_each_side_under_its_own_keys(self):
         memo = InsertCounting()
@@ -470,7 +510,7 @@ class TestSummandTables:
         fresh: dict = {}
         for inst in LEMMA2_SWEEP:
             verify_lemma_2q(*inst, memo=fresh)
-        memo = {key: fresh[key].shift(1) for key in keep(fresh)}
+        memo = {key: _shifted(fresh[key]) for key in keep(fresh)}
         for inst in LEMMA2_SWEEP:
             verify_lemma_2q(*inst, memo=memo)
         assert {key: memo[key] for key in drop(fresh)} == {key: fresh[key] for key in drop(fresh)}
@@ -538,6 +578,103 @@ class TestSummandTables:
         dicts = {name for name, value in vars(identities).items()
                  if isinstance(value, dict) and not name.startswith("__")}
         assert dicts == set()
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "verify_all_seed42.json"
+
+
+class TestCheckedWidth:
+    """The packed q checks never trust a width they have not checked."""
+
+    def test_an_overflow_pair_differs_by_widening(self, monkeypatch):
+        # 16 and q pack alike at 4 bits, but the weight 16 is no 4-bit digit:
+        # decomp's compare widens to 8 bits, where they differ
+        monkeypatch.setattr(identities, "PACK_BITS", 4)
+        widths = []
+
+        def sides(first, second):
+            def packed_at(bits):
+                # both at the common low 0, under the larger weight
+                widths.append(bits)
+                (a, a_low, a_w), (b, b_low, b_w) = pack_q(first, bits), pack_q(second, bits)
+                return a << bits * a_low, b << bits * b_low, max(a_w, b_w)
+
+            return packed_at
+
+        sixteen, q = LaurentPolyQ({0: 16}), LaurentPolyQ({1: 1})
+        assert sides(sixteen, q)(4)[:2] == (16, 16)
+        widths.clear()
+        assert identities._widened(sides(sixteen, q))[:3] == (8, 16, 256)
+        assert widths == [4, 8]
+        both = LaurentPolyQ({0: 16, 1: -1})
+        bits, left, right, _ = identities._widened(sides(both, both))
+        assert left == right and bits == 8
+
+    def test_decomp_weight_is_the_larger_side_bound(self, monkeypatch):
+        # each instance's weight is the larger product of weights: the two
+        # F_q pattern counts added, times [1;q]_{2r}'s sum of |coefficient|,
+        # or the factor's times the smaller F_q's pattern count
+        weights, widths = [], []
+
+        def recording(packed_at, real=identities._widened):
+            weights.append(packed_at(PACK_BITS)[-1])
+            found = real(packed_at)
+            widths.append(found[0])
+            return found
+
+        monkeypatch.setattr(identities, "_widened", recording)
+        memo: dict = {}
+        for inst in DECOMP_SWEEP:
+            assert verify_decomp_q(*inst, memo=memo), inst
+        patterns: dict = {}
+
+        def count(*key):
+            if key not in patterns:
+                patterns[key] = sum(1 for _ in enumerate_patterns(TopRowKey(*key)))
+            return patterns[key]
+
+        def weight(poly):
+            return sum(abs(c) for _, c in poly.terms())
+
+        expected = []
+        for r, n, c, i, ks in DECOMP_SWEEP:
+            factor, den = identities._decomp_q_factor(r, ks[i] - ks[i - 1])
+            left = (count(r, n, c, ks) + count(r, n, c, identities._swap(ks, i))) * weight(den)
+            right = weight(factor) * count(r, n - 2, c + 2, identities._decomp_rhs_args(ks, i))
+            expected.append(max(left, right))
+        assert weights == expected and set(widths) == {PACK_BITS}
+        # a weight planted on a factor's entry lifts the right side's
+        # product above the left's: the compare widens, from fresh entries
+        r, n, c, i, ks = inst = DECOMP_SWEEP[0]
+        key = (r, ks[i] - ks[i - 1])
+        (x, x_low, _), den = memo[key]
+        memo[key] = ((x, x_low, 2 ** 70), den)
+        weights.clear()
+        widths.clear()
+        assert verify_decomp_q(*inst, memo=memo)
+        assert weights == [2 ** 70 * count(r, n - 2, c + 2, identities._decomp_rhs_args(ks, i))]
+        assert widths == [2 * PACK_BITS]
+
+    @pytest.mark.parametrize("suite,tabled", [("lemma2", 26), ("decomp", 52)])
+    def test_suite_verdicts_hold_at_8_bits(self, suite, tabled, monkeypatch, capsys):
+        # at 8 bits the tables are packed once, 26 summands or 26 factors
+        # and their [1;q]_{2r}; some sides outgrow a digit and are packed
+        # again wider, and every verdict is the golden report's
+        monkeypatch.setattr(identities, "PACK_BITS", 8)
+        monkeypatch.setattr(counting, "PACK_BITS", 8)
+        widths = []
+
+        def packing(poly, bits, real=identities.pack_q):
+            widths.append(bits)
+            return real(poly, bits)
+
+        monkeypatch.setattr(identities, "pack_q", packing)
+        assert cli.main(["verify", "--suite", suite, "--seed", "42"]) == cli.EXIT_OK
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        golden = json.loads(GOLDEN.read_text())["verdicts"]
+        assert verdicts == [v for v in golden if v["suite"] == suite] and len(verdicts) == 2
+        assert widths.count(8) == tabled
+        assert sum(bits > 8 for bits in widths) > 0
 
 
 class TestHyper:
