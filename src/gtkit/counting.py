@@ -15,8 +15,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .exact import (PACK_BITS, LaurentPolyQ, chained_count, chained_count2,
-                    chained_count_packed, chained_sum, chained_sum_packed, unpack_q)
+from .exact import (LaurentPolyQ, chained_count, chained_count2, chained_count_packed,
+                    chained_sum, chained_sum_packed, unpack_q, widened)
 from .patterns import GenPattern, enumerate_spps
 
 
@@ -224,18 +224,13 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
-    """Evaluate F_q(r,n,c;ks) by the q-weighted recursion: fq_packed at
-    width PACK_BITS, unpacked once.  Each pattern adds +1 or -1 to one
-    coefficient, so the unpacking is exact when the pattern count is below
-    2^(PACK_BITS-1).  Otherwise the key is recomputed, in a fresh memo, at
-    the smallest multiple of PACK_BITS that is wide enough; the caller's
-    memo keeps its one width.
+    """Evaluate F_q(r,n,c;ks) by the q-weighted recursion: fq_packed at the
+    width exact.widened proves from its pattern count, unpacked once.  Each
+    pattern adds +1 or -1 to one coefficient, so the count bounds them all;
+    a count too wide for PACK_BITS recomputes the key in a fresh memo, and
+    the caller's memo keeps its one width.
     """
-    bits = PACK_BITS
-    packed, low, patterns = fq_packed(key, {} if memo is None else memo, bits)
-    if patterns.bit_length() >= bits:
-        bits *= patterns.bit_length() // bits + 1
-        packed, low, _ = fq_packed(key, {}, bits)
+    bits, packed, low, _ = widened(functools.partial(fq_packed, key), memo)
     return unpack_q(packed, low, bits)
 
 
@@ -246,7 +241,8 @@ def fq_packed(key: TopRowKey, memo: dict, bits: int) -> tuple[int, int, int]:
     The nesting is f_recursive's, each innermost term weighted by
     q^(l_1 + ... + l_{n-r+1}); only level r = 1 is closed, by
     exact.chained_count_packed.  memo as there, each state such a triple at
-    width bits.  Never pass the memo to f_recursive.
+    width bits (exact.widened keeps one memo at one width).  Never pass the
+    memo to f_recursive.
     """
     return _recurse(memo, functools.partial(chained_sum_packed, bits=bits),
                     (functools.partial(chained_count_packed, bits=bits),),

@@ -4,10 +4,11 @@ Rationals are ``fractions.Fraction``, Laurent polynomials in q sparse
 exponent -> coefficient maps.  ``q_poch_ratio`` (behind ``q_poch_product``
 and ``q_poch``) multiplies and divides by q-Pochhammer brackets on one dense
 list, counting their (1 - q) factors, and checks each remainder;
-``LaurentPolyQ.exact_div`` is long division, for ``QFraction`` and the zeros
-check.  The q recursion and the lemma 2 and decomposition q checks keep each
-q-polynomial packed in one int (``pack_q``, ``chained_sum_packed``,
-``unpack_q``).  The plain recursion closes its lowest two levels with
+``LaurentPolyQ.exact_div`` is long division, for ``qfrac_exact_div`` and the
+zeros check (``QFraction`` itself cross-multiplies).  The q recursion and the
+lemma 2 and decomposition q checks keep each q-polynomial packed in one int
+(``pack_q``, ``chained_sum_packed``, ``unpack_q``), at the width that
+``widened`` proves.  The plain recursion closes its lowest two levels with
 ``chained_count`` and ``chained_count2``, the q recursion its lowest one
 with ``chained_count_packed``.  No floating point is used anywhere.
 """
@@ -193,6 +194,19 @@ def pack_q(poly: "LaurentPolyQ", bits: int) -> tuple[int, int, int]:
     low = min(terms, default=0)
     return (sum([c << bits * (e - low) for e, c in terms.items()]), low,
             sum(map(abs, terms.values())))
+
+
+def widened(packed_at: Callable[[dict, int], tuple], memo: dict | None) -> tuple:
+    """(bits,) + packed_at(table, bits), its last entry a weight bounding
+    each packed q-polynomial's sum of |coefficient|.  It packs at PACK_BITS
+    from memo (a fresh table if None); a weight of PACK_BITS bits or more
+    packs again from a fresh table at the narrowest multiple of PACK_BITS
+    above its bit length, so a memo holds PACK_BITS values only.  Every
+    coefficient is then one balanced digit: packed ints unpack, and compare
+    at one low, exactly."""
+    found = packed_at({} if memo is None else memo, PACK_BITS)
+    bits = PACK_BITS * (found[-1].bit_length() // PACK_BITS + 1)
+    return (bits,) + (found if bits == PACK_BITS else packed_at({}, bits))
 
 
 def pochhammer(a: int, n: int) -> int:

@@ -19,8 +19,8 @@ from .counting import (
     TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_packed, fq_recursive,
 )
 from .exact import (
-    PACK_BITS, LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q,
-    pack_q, pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q,
+    LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q, pack_q,
+    pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q, widened,
 )
 
 
@@ -222,15 +222,13 @@ def _lemma2q_rhs(r: int, diff: int, _side: str) -> LaurentPolyQ:
 def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
     """q-analog of verify_lemma_2, its right side divided exactly (False on
     a remainder); memo as there, holding unshifted summands packed at
-    PACK_BITS and, apart under (r, y-x, "rhs"), unshifted right sides.  The
-    left side is one chained_sum_packed, each summand's low raised by
-    (2r-2) x', unpacked at the width _widened gives its count."""
+    exact.PACK_BITS and, apart under (r, y-x, "rhs"), unshifted right sides.
+    The left side is one chained_sum_packed, each summand's low raised by
+    (2r-2) x', unpacked at the width exact.widened proves from its count."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
 
-    def lhs_at(bits):
-        table = memo if bits == PACK_BITS else None
-
+    def lhs_at(table, bits):
         def summand(r, diff):
             return pack_q(_lemma2q_term(r, diff), bits)
 
@@ -240,23 +238,12 @@ def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) ->
 
         return chained_sum_packed([(x + d, y + d), (x - 1 + d, y - 1 + d)], term, bits)
 
-    bits, packed, low, _ = _widened(lhs_at)
+    bits, packed, low, _ = widened(lhs_at, memo)
     try:
         rhs = _tabled(memo, (r, y - x, "rhs"), _lemma2q_rhs)
     except NonExactDivision:
         return False
     return unpack_q(packed, low, bits) == rhs.shift(2 * r * x + 2 * d * r + r - 2)
-
-
-def _widened(packed_at: Callable[[int], tuple]) -> tuple:
-    """(bits,) + packed_at(bits), its last entry a weight bounding each
-    packed q-polynomial's sum of |coefficient|, and bits the narrowest
-    multiple of PACK_BITS above the weight's bit length.  So every
-    coefficient is one balanced digit: packed ints unpack, and compare at
-    one low, exactly."""
-    found = packed_at(PACK_BITS)
-    bits = PACK_BITS * (found[-1].bit_length() // PACK_BITS + 1)
-    return (bits,) + (found if bits == PACK_BITS else packed_at(bits))
 
 
 def _decomp_rhs_args(ks: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -314,7 +301,7 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
     there, each product packed with [1;q]_{2r}, and each F_q from fq_packed
     under (r, n, c, ks).  Both sides are packed ints at one low; the product
     of a side's weights (an F_q's is its pattern count) bounds its
-    coefficients, so _widened picks the compare's width."""
+    coefficients, so exact.widened picks the compare's width and table."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
@@ -323,9 +310,7 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
     tops = ((r, n, c, ks), (r, n, c, _swap(ks, i)), (r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
     shift = 2 * r * ks[i - 1] + decomp_q_exponent(r, n, i)
 
-    def sides(bits):
-        table = {} if memo is None or bits != PACK_BITS else memo
-
+    def sides(table, bits):
         def count(*key):  # (r, n, c, ks)
             return fq_packed(TopRowKey(*key), table, bits)
 
@@ -340,7 +325,7 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
         return (((a << bits * (a_low - low)) + (b << bits * (b_low - low))) * den,
                 x * f << bits * (right_low - low), max((a_w + b_w) * den_w, x_w * f_w))
 
-    _, left, right, _ = _widened(sides)
+    _, left, right, _ = widened(sides, memo)
     return left == right
 
 

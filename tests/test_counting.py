@@ -653,7 +653,7 @@ class TestPackedWidth:
         # at 8 bits, a count of 2^7 or more patterns no longer proves the
         # width; (3,5,4;1,3) has a coefficient of 129 and (4,5,4;2) one of
         # 564, so decoding them at 8 bits would be wrong
-        monkeypatch.setattr(counting, "PACK_BITS", 8)
+        monkeypatch.setattr(exact, "PACK_BITS", 8)
         widths = []
 
         def recording(bounds, summand, bits):
@@ -674,8 +674,24 @@ class TestPackedWidth:
             assert widths[0] == 8
             assert max(widths) == wide, key
 
+    def test_narrow_width_without_a_memo(self, monkeypatch):
+        # without memo= the narrow pass and the wide one each start from a
+        # fresh table, and the unpacking is still exact
+        monkeypatch.setattr(exact, "PACK_BITS", 8)
+        widths = []
+
+        def recording(bounds, summand, bits):
+            widths.append(bits)
+            return exact.chained_sum_packed(bounds, summand, bits)
+
+        monkeypatch.setattr(counting, "chained_sum_packed", recording)
+        for key in [TopRowKey(4, 5, 4, (2,)), TopRowKey(3, 5, 4, (1, 3))]:
+            widths.clear()
+            assert fq_recursive(key) == fq_bruteforce(key), key
+            assert widths[0] == 8 and max(widths) == 16, key
+
     def test_wide_recompute_leaves_the_memo_narrow(self, monkeypatch):
-        monkeypatch.setattr(counting, "PACK_BITS", 8)
+        monkeypatch.setattr(exact, "PACK_BITS", 8)
         memo: dict = {}
         key = TopRowKey(4, 5, 4, (2,))
         assert fq_recursive(key, memo) == fq_bruteforce(key)

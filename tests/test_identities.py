@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from gtkit import cli, counting, identities
+from gtkit import cli, counting, exact, identities
 from gtkit.closedforms import theorem_special
 from gtkit.counting import TopRowKey, enumerate_patterns, f_recursive, fq_packed, fq_recursive
 from gtkit.exact import (
     PACK_BITS, LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pack_q, pochhammer,
-    q_bracket, q_poch, q_poch_ratio, unpack_q,
+    q_bracket, q_poch, q_poch_ratio, unpack_q, widened,
 )
 from gtkit.identities import (
     DegreeExceeded,
@@ -589,11 +589,11 @@ class TestCheckedWidth:
     def test_an_overflow_pair_differs_by_widening(self, monkeypatch):
         # 16 and q pack alike at 4 bits, but the weight 16 is no 4-bit digit:
         # decomp's compare widens to 8 bits, where they differ
-        monkeypatch.setattr(identities, "PACK_BITS", 4)
+        monkeypatch.setattr(exact, "PACK_BITS", 4)
         widths = []
 
         def sides(first, second):
-            def packed_at(bits):
+            def packed_at(_memo, bits):
                 # both at the common low 0, under the larger weight
                 widths.append(bits)
                 (a, a_low, a_w), (b, b_low, b_w) = pack_q(first, bits), pack_q(second, bits)
@@ -602,12 +602,12 @@ class TestCheckedWidth:
             return packed_at
 
         sixteen, q = LaurentPolyQ({0: 16}), LaurentPolyQ({1: 1})
-        assert sides(sixteen, q)(4)[:2] == (16, 16)
+        assert sides(sixteen, q)({}, 4)[:2] == (16, 16)
         widths.clear()
-        assert identities._widened(sides(sixteen, q))[:3] == (8, 16, 256)
+        assert widened(sides(sixteen, q), {})[:3] == (8, 16, 256)
         assert widths == [4, 8]
         both = LaurentPolyQ({0: 16, 1: -1})
-        bits, left, right, _ = identities._widened(sides(both, both))
+        bits, left, right, _ = widened(sides(both, both), {})
         assert left == right and bits == 8
 
     def test_decomp_weight_is_the_larger_side_bound(self, monkeypatch):
@@ -616,13 +616,13 @@ class TestCheckedWidth:
         # or the factor's times the smaller F_q's pattern count
         weights, widths = [], []
 
-        def recording(packed_at, real=identities._widened):
-            weights.append(packed_at(PACK_BITS)[-1])
-            found = real(packed_at)
+        def recording(packed_at, memo, real=widened):
+            weights.append(packed_at(memo, PACK_BITS)[-1])
+            found = real(packed_at, memo)
             widths.append(found[0])
             return found
 
-        monkeypatch.setattr(identities, "_widened", recording)
+        monkeypatch.setattr(identities, "widened", recording)
         memo: dict = {}
         for inst in DECOMP_SWEEP:
             assert verify_decomp_q(*inst, memo=memo), inst
@@ -655,13 +655,34 @@ class TestCheckedWidth:
         assert weights == [2 ** 70 * count(r, n - 2, c + 2, identities._decomp_rhs_args(ks, i))]
         assert widths == [2 * PACK_BITS]
 
+    @pytest.mark.parametrize("check,sweep", [(verify_lemma_2q, LEMMA2_SWEEP),
+                                             (verify_decomp_q, DECOMP_SWEEP)],
+                             ids=["lemma2", "decomp"])
+    def test_memoless_verdicts_equal_the_memo_ones_at_8_bits(self, check, sweep, monkeypatch):
+        # without memo= each call packs from a fresh table; some sides
+        # widen, and every verdict is the one a shared memo gives
+        monkeypatch.setattr(exact, "PACK_BITS", 8)
+        widths = []
+
+        def recording(packed_at, memo, real=widened):
+            found = real(packed_at, memo)
+            widths.append(found[0])
+            return found
+
+        monkeypatch.setattr(identities, "widened", recording)
+        memo: dict = {}
+        verdicts = [check(*inst, memo=memo) for inst in sweep]
+        assert all(verdicts) and max(widths) > 8
+        widths.clear()
+        assert [check(*inst) for inst in sweep] == verdicts
+        assert len(widths) == len(sweep) and max(widths) > 8
+
     @pytest.mark.parametrize("suite,tabled", [("lemma2", 26), ("decomp", 52)])
     def test_suite_verdicts_hold_at_8_bits(self, suite, tabled, monkeypatch, capsys):
         # at 8 bits the tables are packed once, 26 summands or 26 factors
         # and their [1;q]_{2r}; some sides outgrow a digit and are packed
         # again wider, and every verdict is the golden report's
-        monkeypatch.setattr(identities, "PACK_BITS", 8)
-        monkeypatch.setattr(counting, "PACK_BITS", 8)
+        monkeypatch.setattr(exact, "PACK_BITS", 8)
         widths = []
 
         def packing(poly, bits, real=identities.pack_q):

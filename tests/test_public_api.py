@@ -88,6 +88,17 @@ def test_no_module_level_container():
     assert found == {"gtkit.cli.SUITES"}
 
 
+def test_pack_bits_is_bound_in_exact_only():
+    # the packed width has one owner, exact.widened: a module that binds
+    # PACK_BITS could widen by a rule of its own
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "gtkit" if path.stem == "__init__" else f"gtkit.{path.stem}"
+        if "PACK_BITS" in vars(importlib.import_module(name)):
+            found.add(name)
+    assert found == {"gtkit.exact"}
+
+
 def test_reference_definitions_are_exported_and_unused():
     # an entry that the package or the benchmark starts to use, or that is
     # no longer exported, leaves this list
