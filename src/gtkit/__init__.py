@@ -51,13 +51,10 @@ from .closedforms import (
     tsspp_product,
 )
 from .identities import (
-    DegreeExceeded,
     IntFunction,
     apply_D,
     apply_phi,
     apply_phi_q,
-    interpolate,
-    interpolate_f,
     verify_decomp,
     verify_decomp_q,
     verify_extra,

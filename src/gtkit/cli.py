@@ -181,26 +181,25 @@ def _check(report: RunReport, parameters: str, instances, checks: dict) -> None:
 def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
     rng = random.Random(cfg.seed)
     b = cfg.fund_sample_bound
-    g = None  # the current instance's function
+    functions = {}  # (m, seed) -> that instance's function
 
     def instances():
         # the seed names the function and fixes its values, so
         # random_int_functions(1, m, seed) replays a counterexample
-        nonlocal g
         for idx in range(cfg.fund_functions):
             m = idx % 3 + 1
             seed = rng.randrange(2**32)
-            g = next(identities.random_int_functions(1, m, seed))
+            functions[m, seed] = next(identities.random_int_functions(1, m, seed))
             sample = tuple(rng.randint(-b, b) for _ in range(m + 1))
             for i in range(1, m + 1):
                 yield m, i, seed, sample
 
     params = f"{cfg.fund_functions} random functions, m <= 3, samples in [{-b},{b}]"
     _check(report, params, instances(), {
-        "operator commutation (plain)":
-            lambda m, i, seed, sample: identities.verify_lemma_fund(m, i, g, sample),
-        "operator commutation (q)":
-            lambda m, i, seed, sample: identities.verify_lemma_fund_q(m, i, g, sample),
+        "operator commutation (plain)": lambda m, i, seed, sample:
+            identities.verify_lemma_fund(m, i, functions[m, seed], sample),
+        "operator commutation (q)": lambda m, i, seed, sample:
+            identities.verify_lemma_fund_q(m, i, functions[m, seed], sample),
     })
 
 

@@ -4,8 +4,8 @@ Rationals are ``fractions.Fraction``, Laurent polynomials in q sparse
 exponent -> coefficient maps.  ``q_poch_ratio`` (behind ``q_poch_product``
 and ``q_poch``) multiplies and divides by q-Pochhammer brackets on one dense
 list, counting their (1 - q) factors, and checks each remainder;
-``LaurentPolyQ.exact_div`` is long division, for ``qfrac_exact_div`` and the
-zeros check (``QFraction`` itself cross-multiplies).  The q recursion and the
+``LaurentPolyQ.exact_div`` is long division, for ``qfrac_exact_div``
+(``QFraction`` itself cross-multiplies).  The q recursion and the
 lemma 2 and decomposition q checks keep each q-polynomial packed in one int
 (``pack_q``, ``chained_sum_packed``, ``unpack_q``), at the width that
 ``widened`` proves.  The plain recursion closes its lowest two levels with

@@ -2,9 +2,9 @@
 
 Implements the swap operator D_i and the summation operators acting on
 integer functions, verifies each lemma-level identity at sample points by
-evaluating both sides independently, and reconstructs the one-variable count
-as an exact polynomial by Newton interpolation to witness its degree bound
-and integer zeros.
+evaluating both sides independently, and checks the one-variable count's
+degree bound and integer zeros on consecutive integers, by finite
+differences.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from .exact import (
     LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q, pack_q,
     pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q, widened,
 )
-
-
-class DegreeExceeded(ArithmeticError):
-    """The interpolated count has a degree above its stated bound."""
 
 
 @dataclass(frozen=True)
@@ -396,59 +392,18 @@ def verify_qpoch_sum(n: int, y: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def interpolate(xs: Sequence[int], ys: Sequence[Fraction | int]) -> LaurentPolyQ:
-    """The unique polynomial in k through the points (xs[t], ys[t]), by
-    Newton's divided differences in exact rational arithmetic, held as a
-    LaurentPolyQ whose variable stands for k."""
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need equally many nodes and values, at least one")
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    dd = [Fraction(y) for y in ys]
-    m = len(xs)
-    for order in range(1, m):
-        for t in range(m - 1, order - 1, -1):
-            dd[t] = (dd[t] - dd[t - 1]) / (xs[t] - xs[t - order])
-    # the Newton form dd_0 + (k - x_0)(dd_1 + (k - x_1)(...)), inside out
-    poly = LaurentPolyQ()
-    for x, d in zip(reversed(xs), reversed(dd)):
-        poly = poly * _linear(x) + d
-    return poly
-
-
-def _linear(z: int) -> LaurentPolyQ:
-    # k - z
-    return LaurentPolyQ({1: 1, 0: -z})
-
-
-def interpolate_f(n: int, c: int) -> LaurentPolyQ:
-    """The polynomial in k through the brute-force counts F(n-1,n,c;k) at
-    k = -2..2n, 2n+3 nodes.
-
-    As a degree-bound witness it must have degree at most 2n-2, so that any
-    2n-1 of the nodes already fix it; a higher degree raises DegreeExceeded.
-    """
-    if n < 1 or c < 0:
-        raise ValueError(f"need n >= 1 and c >= 0, got n={n}, c={c}")
-    nodes = range(-2, 2 * n + 1)
-    poly = interpolate(nodes, [f_bruteforce(TopRowKey(n - 1, n, c, (k,))) for k in nodes])
-    if poly and poly.max_exp > 2 * n - 2:
-        raise DegreeExceeded(
-            f"counts at n={n}, c={c} interpolate to degree {poly.max_exp}, "
-            f"above the bound {2 * n - 2}"
-        )
-    return poly
-
-
 def expected_zeros(n: int, c: int) -> list[int]:
     """The 2n-2 predicted integer zeros of the one-variable count."""
     return list(range(-1, -n, -1)) + list(range(c + 1, c + n))
 
 
 def verify_zeros(n: int, c: int) -> bool:
-    """No patterns exist at the predicted zeros, and the interpolated
-    polynomial is within the degree bound and a nonzero constant times the
-    product of (k - z) over them, by one exact division."""
+    """The count F(n-1,n,c;k) on the consecutive nodes k = -n-1..c+n+1,
+    which hold every predicted zero: no patterns exist at a zero and the
+    count there is 0, the counts are not all 0, and every difference of
+    order one above the number of zeros vanishes.  So on the nodes the count
+    is a polynomial of degree at most 2n-2 with those 2n-2 zeros, a nonzero
+    constant times the product of (k - z) over them."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     zeros = expected_zeros(n, c)
@@ -456,11 +411,13 @@ def verify_zeros(n: int, c: int) -> bool:
         key = TopRowKey(n - 1, n, c, (k,))
         if next(enumerate_patterns(key), None) is not None:
             return False  # objects exist, not even a signed cancellation
-    try:
-        quotient = interpolate_f(n, c).exact_div(math.prod(map(_linear, zeros)))
-    except (NonExactDivision, DegreeExceeded):
+    nodes = range(-n - 1, c + n + 2)
+    counts = [f_bruteforce(TopRowKey(n - 1, n, c, (k,))) for k in nodes]
+    if not any(counts) or any(counts[nodes.index(k)] for k in zeros):
         return False
-    return bool(quotient) and quotient.min_exp == quotient.max_exp == 0
+    for _ in range(len(zeros) + 1):
+        counts = [b - a for a, b in zip(counts, counts[1:])]
+    return not any(counts)
 
 
 def verify_extra(n: int, c: int, memo: dict | None = None) -> bool:

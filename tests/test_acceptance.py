@@ -38,7 +38,6 @@ from gtkit.identities import (
     expected_zeros,
     hyper_final_expression,
     hyper_middle_expression,
-    interpolate_f,
     random_int_functions,
     verify_decomp,
     verify_decomp_q,
@@ -135,8 +134,12 @@ def test_criterion_5_zero_structure():
                 for k in expected_zeros(n, c):
                     key = TopRowKey(n - 1, n, c, (k,))
                     assert next(enumerate_patterns(key), None) is None, (n, c, k)
-                poly = interpolate_f(n, c)  # raises DegreeExceeded on failure
-                assert poly.max_exp <= 2 * n - 2
+                # vanishing (2n-1)-th differences at the nodes -2..2n: the
+                # interpolant through them has degree at most 2n-2
+                counts = [f_bruteforce(TopRowKey(n - 1, n, c, (k,))) for k in range(-2, 2 * n + 1)]
+                for _ in range(2 * n - 1):
+                    counts = [b - a for a, b in zip(counts, counts[1:])]
+                assert not any(counts), (n, c)
                 assert verify_zeros(n, c), (n, c)
 
 

@@ -401,12 +401,13 @@ class TestVerify:
         assert runs[0]
 
     def test_a_wrong_count_fails_the_zeros_suite(self, monkeypatch, capsys):
-        # one count too high at k = 2n lifts the interpolant above its degree
-        # bound: a failing verdict, not an exception
+        # one count too high at k = c+n+1, the last node the check reads,
+        # lifts the counts above their degree bound: a failing verdict, not
+        # an exception
         real = cli.identities.f_bruteforce
 
         def planted(key):
-            return real(key) + 1 if key.ks == (2 * key.n,) else real(key)
+            return real(key) + 1 if key.ks == (key.c + key.n + 1,) else real(key)
 
         monkeypatch.setattr(cli.identities, "f_bruteforce", planted)
         code, out = run_cli(capsys, "verify", "--suite", "zeros")
@@ -497,3 +498,43 @@ class TestCheck:
         assert 1 <= i <= m and len(sample) == m + 1
         g = next(cli.identities.random_int_functions(1, m, seed))
         assert not fake(m, i, g, sample)
+
+    def test_fund_checks_read_their_own_instance(self, monkeypatch):
+        # with the instances buffered before any check runs, each check
+        # still gets the function its instance's seed names
+        seen = {"plain": [], "q": []}
+        real_check = cli._check
+
+        def buffered(report, parameters, instances, checks):
+            real_check(report, parameters, list(instances), checks)
+
+        def watched(kind, verify):
+            def check(m, i, g, sample):
+                seen[kind].append((m, g))
+                return verify(m, i, g, sample)
+            return check
+
+        monkeypatch.setattr(cli, "_check", buffered)
+        monkeypatch.setattr(cli.identities, "verify_lemma_fund",
+                            watched("plain", cli.identities.verify_lemma_fund))
+        monkeypatch.setattr(cli.identities, "verify_lemma_fund_q",
+                            watched("q", cli.identities.verify_lemma_fund_q))
+        seeds = []
+        real_draw = cli.identities.random_int_functions
+
+        def draw(count, m, seed):
+            seeds.append((m, seed))
+            return real_draw(count, m, seed)
+
+        monkeypatch.setattr(cli.identities, "random_int_functions", draw)
+        report = cli.RunReport("fund", {})
+        cli._suite_fund(report, cli.SweepConfig())
+        assert all(v["pass"] for v in report.verdicts)
+        assert len(seeds) == cli.SweepConfig().fund_functions == 200
+        instances = [(m, seed) for m, seed in seeds for _ in range(m)]
+        for calls in seen.values():
+            assert len({id(g) for _, g in calls}) == 200
+            for (m, g), (m_seed, seed) in zip(calls, instances, strict=True):
+                rebuilt = next(real_draw(1, m, seed))
+                assert m == m_seed and all(
+                    g(*pt) == rebuilt(*pt) for pt in itertools.product(range(-2, 3), repeat=m))

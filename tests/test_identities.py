@@ -1,4 +1,4 @@
-"""Tests for the operator calculus, identity sweeps and interpolation."""
+"""Tests for the operator calculus, identity sweeps and the zeros check."""
 
 import ast
 import itertools
@@ -11,13 +11,14 @@ import pytest
 
 from gtkit import cli, counting, exact, identities
 from gtkit.closedforms import theorem_special
-from gtkit.counting import TopRowKey, enumerate_patterns, f_recursive, fq_packed, fq_recursive
+from gtkit.counting import (
+    TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_packed, fq_recursive,
+)
 from gtkit.exact import (
     PACK_BITS, LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pack_q, pochhammer,
     q_bracket, q_poch, q_poch_ratio, unpack_q, widened,
 )
 from gtkit.identities import (
-    DegreeExceeded,
     IntFunction,
     apply_D,
     apply_phi,
@@ -26,8 +27,6 @@ from gtkit.identities import (
     expected_zeros,
     hyper_final_expression,
     hyper_middle_expression,
-    interpolate,
-    interpolate_f,
     random_int_functions,
     verify_decomp,
     verify_decomp_q,
@@ -748,23 +747,20 @@ class TestQPochSum:
                 assert verify_qpoch_sum(n, y), (n, y)
 
 
-def _at(poly, k):
-    # the value of a polynomial in k, held as a LaurentPolyQ, at k
-    return sum(c * Fraction(k) ** e for e, c in poly.terms())
+def _counts(n, c, ks):
+    # the brute-force counts F(n-1,n,c;k) at each k of ks
+    return [f_bruteforce(TopRowKey(n - 1, n, c, (k,))) for k in ks]
+
+
+def _differences(values, order):
+    # the order-th forward differences of values at consecutive nodes
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
 
 
 class TestPolyUni:
-    """Univariate polynomials in k: interpolate, and exact division by
-    linear factors."""
-
-    def test_interpolate_line(self):
-        p = interpolate([0, 1], [3, 5])
-        assert p == LaurentPolyQ({0: 3, 1: 2})
-        assert _at(p, 10) == 23
-
-    def test_interpolate_quadratic(self):
-        p = interpolate([0, 1, 2], [1, 0, 1])  # (x-1)^2
-        assert p == LaurentPolyQ({0: 1, 1: -2, 2: 1})
+    """Exact division of a polynomial by linear factors."""
 
     def test_divide_linear(self):
         p = LaurentPolyQ({0: 2, 1: -3, 2: 1})  # (x-1)(x-2)
@@ -774,56 +770,47 @@ class TestPolyUni:
         with pytest.raises(NonExactDivision):
             p.exact_div(LaurentPolyQ({0: -3, 1: 1}))  # remainder p(3) = 2
 
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate([0, 0], [1, 2])
-
-    def test_mismatched_or_empty_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate([0, 1], [1])
-        with pytest.raises(ValueError):
-            interpolate([], [])
-
 
 class TestInterpolateF:
+    """The counts F(n-1,n,c;k) as a polynomial in k, read off their finite
+    differences at consecutive k: values of degree at most d are exactly
+    those whose (d+1)-th differences vanish."""
+
     def test_n1_constant_one(self):
-        p = interpolate_f(1, 3)
-        assert p == LaurentPolyQ.constant(1)
+        assert _counts(1, 3, range(-2, 3)) == [1] * 5
 
     def test_n2_matches_closed_form_coefficientwise(self):
-        # (1+k)(3-k) = 3 + 2k - k^2
-        p = interpolate_f(2, 2)
-        assert p == LaurentPolyQ({0: 3, 1: 2, 2: -1})
+        # (1+k)(3-k) = 3 + 2k - k^2 at the nodes -2..4, so the interpolant
+        # through them is that quadratic
+        ks = range(-2, 5)
+        assert _counts(2, 2, ks) == [3 + 2 * k - k * k for k in ks]
 
     @pytest.mark.parametrize(
         "n,c", [(n, c) for n in range(1, 5) for c in range(5)]
     )
     def test_matches_theorem_special_as_polynomial(self, n, c):
-        # agreement at more than 2n-1 points of two polynomials of degree at
-        # most 2n-2 is a coefficient-wise identity
-        p = interpolate_f(n, c)
-        assert p.min_exp >= 0 and p.max_exp <= 2 * n - 2
-        for k in range(-n - 2, c + n + 3):
-            assert _at(p, k) == theorem_special(n, c, k), (n, c, k)
+        # degree at most 2n-2 on more than 2n-1 nodes, and agreement there
+        ks = range(-n - 2, c + n + 3)
+        counts = _counts(n, c, ks)
+        assert not any(_differences(counts, 2 * n - 1))
+        assert counts == [theorem_special(n, c, k) for k in ks]
 
     def test_n3_zero_set(self):
-        p = interpolate_f(3, 2)
-        assert p.max_exp <= 4
-        for k in (-1, -2, 3, 4):
-            assert _at(p, k) == 0
+        ks = range(-2, 7)
+        counts = _counts(3, 2, ks)
+        assert not any(_differences(counts, 5))
+        assert [counts[ks.index(k)] for k in (-1, -2, 3, 4)] == [0] * 4
 
     def test_degree_witness_mechanism(self):
-        # values of k^5 interpolated at 0..4 disagree with the true value at
-        # 5, and interpolated at 0..5 they show their degree, 5
-        nodes = list(range(5))
-        p = interpolate(nodes, [k**5 for k in nodes])
-        assert p.max_exp == 4
-        assert _at(p, 5) != 5**5
-        nodes.append(5)
-        assert interpolate(nodes, [k**5 for k in nodes]) == LaurentPolyQ({5: 1})
+        # k^5 at 0..4 has no fifth difference, so five nodes cannot refute
+        # degree 4; at 0..5 the one fifth difference is 5! and shows degree
+        # 5, and at 0..6 the sixth difference vanishes
+        assert _differences([k**5 for k in range(5)], 5) == []
+        assert _differences([k**5 for k in range(6)], 5) == [120]
+        assert _differences([k**5 for k in range(7)], 6) == [0]
 
     def test_degree_exceeded_signal(self, monkeypatch):
-        # corrupt one out-of-window count: the witness check must fire
+        # corrupt one count off the zeros: the differences must catch it
         import gtkit.identities as ident
 
         real = ident.f_bruteforce
@@ -832,9 +819,13 @@ class TestInterpolateF:
             value = real(key)
             return value + 1 if key.ks == (4,) else value
 
+        assert verify_zeros(2, 1)
         monkeypatch.setattr(ident, "f_bruteforce", corrupted)
-        with pytest.raises(DegreeExceeded, match="n=2, c=1.*above the bound 2"):
-            interpolate_f(2, 1)
+        ks = range(-3, 5)
+        counts = [corrupted(TopRowKey(1, 2, 1, (k,))) for k in ks]
+        assert counts[ks.index(-1)] == counts[ks.index(2)] == 0
+        assert any(_differences(counts, 3))
+        assert not verify_zeros(2, 1)
 
 
 class TestVerifyZeros:
@@ -846,31 +837,35 @@ class TestVerifyZeros:
         assert verify_zeros(n, c)
 
     def test_stream_is_empty_at_zeros(self):
-        from gtkit.counting import enumerate_patterns
-
         for k in expected_zeros(3, 2):
             assert list(enumerate_patterns(TopRowKey(2, 3, 2, (k,)))) == []
 
-    @staticmethod
-    def _watch_division(monkeypatch):
-        # record every exact_div call's outcome: a quotient or the error
-        outcomes = []
-        real = LaurentPolyQ.exact_div
+    @pytest.mark.parametrize("n,c", [(2, 0), (2, 4), (3, 2), (4, 1)])
+    def test_nodes_are_consecutive_and_hold_every_zero(self, n, c, monkeypatch):
+        import gtkit.identities as ident
 
-        def watched(self, den):
-            try:
-                outcomes.append(real(self, den))
-            except NonExactDivision as exc:
-                outcomes.append(exc)
-                raise
-            return outcomes[-1]
+        read = []
+        real = ident.f_bruteforce
+        monkeypatch.setattr(ident, "f_bruteforce", lambda key: read.append(key.ks[0]) or real(key))
+        assert verify_zeros(n, c)
+        assert read == list(range(read[0], read[-1] + 1))
+        assert set(expected_zeros(n, c)) <= set(read) and len(read) >= 2 * n + 3
 
-        monkeypatch.setattr(LaurentPolyQ, "exact_div", watched)
-        return outcomes
+    def test_a_planted_count_beyond_2n_fails(self, monkeypatch):
+        # the zero c+1 = 5 at (2, 4) lies beyond 2n = 4: its count is read,
+        # not extrapolated, so one planted there fails
+        import gtkit.identities as ident
 
-    def test_planted_wrong_zero_fails_the_division(self, monkeypatch):
+        real = ident.f_bruteforce
+        assert 5 in expected_zeros(2, 4) and verify_zeros(2, 4)
+        monkeypatch.setattr(ident, "f_bruteforce",
+                            lambda key: real(key) + (key.ks == (5,)))
+        assert not verify_zeros(2, 4)
+
+    def test_a_moved_zero_fails_on_its_count(self, monkeypatch):
         # move the zero c+n-1 to c+n, where patterns exist; with the
-        # empty-set check taken out, the division alone must reject it
+        # empty-set check taken out and the degree still within its bound,
+        # the count at c+n alone must reject it
         import gtkit.identities as ident
 
         n, c = 3, 2
@@ -878,21 +873,45 @@ class TestVerifyZeros:
         monkeypatch.setattr(ident, "expected_zeros",
                             lambda n, c: real(n, c)[:-1] + [c + n])
         monkeypatch.setattr(ident, "enumerate_patterns", lambda key: iter(()))
-        outcomes = self._watch_division(monkeypatch)
+        assert _counts(n, c, [c + n]) != [0]
+        assert not any(_differences(_counts(n, c, range(-n - 1, c + n + 2)), 2 * n - 1))
         assert not verify_zeros(n, c)
-        assert len(outcomes) == 1
-        assert isinstance(outcomes[0], NonExactDivision)
 
-    def test_dropped_zero_leaves_a_linear_quotient(self, monkeypatch):
+    def test_a_dropped_zero_fails_the_degree(self, monkeypatch):
+        # with one zero fewer the differences of one order lower must
+        # vanish: they are a nonzero constant, the count's degree being 2n-2
         import gtkit.identities as ident
 
         n, c = 3, 2
         real = ident.expected_zeros
         monkeypatch.setattr(ident, "expected_zeros", lambda n, c: real(n, c)[1:])
-        outcomes = self._watch_division(monkeypatch)
+        (step,) = set(_differences(_counts(n, c, range(-n - 1, c + n + 2)), 2 * n - 2))
+        assert step != 0
         assert not verify_zeros(n, c)
-        assert len(outcomes) == 1
-        assert outcomes[0].min_exp == 0 and outcomes[0].max_exp == 1
+
+    def test_the_zeros_suite_builds_no_fraction(self, monkeypatch, capsys):
+        # the verdicts come from integers alone: no Fraction, no polynomial
+        built = []
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return real_new(cls, *args, **kwargs)
+
+        def counted_raw(cls, terms):
+            built.append(cls)
+            return real_raw(terms)
+
+        # LaurentPolyQ inherits __new__, so its two constructors are counted
+        real_new, real_init, real_raw = Fraction.__new__, LaurentPolyQ.__init__, LaurentPolyQ._raw
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        monkeypatch.setattr(LaurentPolyQ, "__init__",
+                            lambda self, *args: built.append(type(self)) or real_init(self, *args))
+        monkeypatch.setattr(LaurentPolyQ, "_raw", classmethod(counted_raw))
+        assert cli.main(["verify", "--suite", "zeros"]) == 0
+        capsys.readouterr()
+        assert built == []
+        assert Fraction(1, 3) and -LaurentPolyQ({0: 1}) == LaurentPolyQ({0: -1})
+        assert built == [Fraction] + [LaurentPolyQ] * 3  # the counters count
 
 
 class TestVerifyExtra:
@@ -916,12 +935,12 @@ class TestQuotientIndependence:
         "n,c", [(n, c) for n in range(1, 5) for c in range(5)]
     )
     def test_count_over_linear_factors_is_constant(self, n, c):
-        from gtkit.exact import pochhammer
-
-        p = interpolate_f(n, c)
+        ks = range(-n - 2, c + n + 3)
         quotients = set()
-        for k in range(-n - 2, c + n + 3):
+        for k, count in zip(ks, _counts(n, c, ks)):
             den = pochhammer(1 + k, n - 1) * pochhammer(1 + c - k, n - 1)
             if den != 0:
-                quotients.add(_at(p, k) / den)
+                quotients.add(Fraction(count, den))
+            else:
+                assert count == 0, k
         assert len(quotients) == 1
