@@ -88,24 +88,29 @@ def chained_sum_q(
 
     summand(ls) is a LaurentPolyQ, or an int or Fraction standing for the
     constant term q^0.  The shifted terms are added up in one coefficient
-    map, negated once if the sign is -1.  The value is a LaurentPolyQ, the
-    zero one when a link is empty.
+    map by _add_chained_sum_q.  The value is a LaurentPolyQ, the zero one
+    when a link is empty.
     """
-    sign, ranges = _signed_ranges(bounds)
     out: dict[int, Scalar] = {}
+    _add_chained_sum_q(out, bounds, summand)
+    return LaurentPolyQ(out)
+
+
+def _add_chained_sum_q(out: dict[int, Scalar], bounds: Iterable[tuple[int, int]],
+                       summand: Callable) -> None:
+    # adds chained_sum_q(bounds, summand)'s coefficients into out, which may
+    # hold zeros, each term times the chain's sign
+    sign, ranges = _signed_ranges(bounds)
     get = out.get
-    for ls in itertools.product(*ranges):
-        shift = sum(ls)
-        term = summand(ls)
+    # the shifts and the terms, each mapped over its own pass of the box
+    terms = map(summand, itertools.product(*ranges))
+    for shift, term in zip(map(sum, itertools.product(*ranges)), terms):
         if isinstance(term, LaurentPolyQ):
             for e, c in term._terms.items():
                 e += shift
-                out[e] = get(e, 0) + c
+                out[e] = get(e, 0) + sign * c
         elif term:
-            out[shift] = get(shift, 0) + term
-    if sign < 0:
-        out = {e: -c for e, c in out.items()}
-    return LaurentPolyQ(out)
+            out[shift] = get(shift, 0) + sign * term
 
 
 #: Bits per coefficient of a packed q-polynomial: (packed, low) stands for

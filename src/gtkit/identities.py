@@ -19,22 +19,24 @@ from .counting import (
     TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_packed, fq_recursive,
 )
 from .exact import (
-    LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q, pack_q,
-    pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q, widened,
+    LaurentPolyQ, NonExactDivision, _add_chained_sum_q, chained_sum, chained_sum_packed,
+    chained_sum_q, pack_q, pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q,
+    widened,
 )
 
 
 @dataclass(frozen=True)
 class IntFunction:
-    """Total function from integer vectors of fixed arity to exact values."""
+    """Total function from integer vectors of fixed arity to exact values;
+    fn takes the point as one tuple."""
 
     arity: int
-    fn: Callable[..., object]
+    fn: Callable[[tuple[int, ...]], object]
 
     def __call__(self, *args):
         if len(args) != self.arity:
             raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
-        return self.fn(*args)
+        return self.fn(args)
 
 
 def apply_D(i: int, g: IntFunction) -> IntFunction:
@@ -44,8 +46,8 @@ def apply_D(i: int, g: IntFunction) -> IntFunction:
 
     gfn = g.fn  # the outer call has checked the arity
 
-    def fn(*k):
-        return gfn(*k) + gfn(*_swap(k, i))
+    def fn(k):
+        return gfn(k) + gfn(_swap(k, i))
 
     return IntFunction(g.arity, fn)
 
@@ -71,8 +73,8 @@ def apply_phi_q(g: IntFunction) -> IntFunction:
 def _summed(g: IntFunction, chain) -> IntFunction:
     m, gfn = g.arity, g.fn  # the outer call has checked the arity
 
-    def fn(*k):
-        return chain([(k[j], k[j + 1]) for j in range(m)], lambda ls: gfn(*ls))
+    def fn(k):
+        return chain([(k[j], k[j + 1]) for j in range(m)], gfn)
 
     return IntFunction(m + 1, fn)
 
@@ -94,28 +96,37 @@ def _fund_rhs_bounds(m: int, i: int, k: Sequence[int], first_term: bool):
     return bounds
 
 
+def _swapped_box(bounds: list[tuple[int, int]], j: int) -> list[tuple[int, int]]:
+    # the image of the box under D_j's swap (l_j, l_{j+1}) -> (l_{j+1}+1, l_j-1):
+    # each link keeps its length, so its sign, and l_1+...+l_m, so its q weight
+    (a, b), (c, d) = bounds[j - 1 : j + 1]
+    return bounds[: j - 1] + [(c + 1, d + 1), (a - 1, b - 1)] + bounds[j + 1 :]
+
+
 def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool) -> bool:
     """D_i of the summed g at sample against -1/2 times the expansion's
-    terms, compared in integers as -2 lhs == terms."""
+    terms, compared in integers as -2 lhs == terms.  Each term sums some
+    D_j g over a box B, read as the sums of g over B and over _swapped_box(B),
+    so every term is one read of g.fn.  The q side puts 2 lhs and the boxes'
+    weighted terms in one coefficient map and checks that it is all zero."""
     if g.arity != m:
         raise ValueError(f"function arity {g.arity} does not match m={m}")
     if not 1 <= i <= m:
         raise ValueError(f"index i={i} out of range 1..{m}")
     if len(sample) != m + 1:
         raise ValueError(f"sample must have {m + 1} entries")
-    chain = chained_sum_q if q else chained_sum
-    lhs = apply_D(i, _summed(g, chain))(*sample)
-
-    def total(bounds, h):
-        hfn = h.fn  # the terms have h's arity
-        return chain(bounds, lambda ls: hfn(*ls))
-
-    terms = 0
-    if i >= 2:  # D_0 g = 0 kills this term for i = 1
-        terms += total(_fund_rhs_bounds(m, i, sample, True), apply_D(i - 1, g))
-    if i <= m - 1:  # D_m g = 0 kills this term for i = m
-        terms += total(_fund_rhs_bounds(m, i, sample, False), apply_D(i, g))
-    return -2 * lhs == terms
+    boxes = []
+    for j, first_term in ((i - 1, True), (i, False)):
+        if 1 <= j <= m - 1:  # D_0 g = D_m g = 0 kills the term for i = 1 or m
+            box = _fund_rhs_bounds(m, i, sample, first_term)
+            boxes += [box, _swapped_box(box, j)]
+    lhs = apply_D(i, _summed(g, chained_sum_q if q else chained_sum))(*sample)
+    if not q:
+        return -2 * lhs == sum(chained_sum(box, g.fn) for box in boxes)
+    out = {e: 2 * c for e, c in lhs.terms()}
+    for box in boxes:
+        _add_chained_sum_q(out, box, g.fn)
+    return not any(out.values())
 
 
 def verify_lemma_fund(m: int, i: int, g: IntFunction, sample: Sequence[int]) -> bool:
@@ -135,36 +146,38 @@ def random_int_functions(
     """Seeded stream of total integer functions, zero outside the box
     [-box, box]^arity.
 
-    Each function draws one 64-bit key from random.Random(seed).  Its value
-    at a point of the box is the point's output of splitmix64 seeded with the
-    key, reduced into [-value_bound, value_bound] on first read and kept in
-    the function's own dict, so the seed and the point fix every value.
+    Each function draws one 64-bit key from random.Random(seed).  It is a
+    table of its values, read through the table's __getitem__: a point of
+    the box gets its output of splitmix64 seeded with the key, reduced into
+    [-value_bound, value_bound], the first time it is read, so the seed and
+    the point fix every value and a repeat read is a C-level dict lookup.
     """
     rng = random.Random(seed)
     for _ in range(count):
-        yield IntFunction(arity, _splitmix_values(rng.getrandbits(64), box, value_bound))
+        table = _SplitmixTable()
+        table.key, table.box, table.value_bound = rng.getrandbits(64), box, value_bound
+        yield IntFunction(arity, table.__getitem__)
 
 
-def _splitmix_values(key: int, box: int, value_bound: int) -> Callable[..., int]:
-    values = {}
-    side, width, mask = 2 * box + 1, 2 * value_bound + 1, (1 << 64) - 1
+class _SplitmixTable(dict):
+    """A random function's values, keyed by point; a missing point's value is
+    computed once from key, box and value_bound and stored."""
 
-    def fn(*pt):
-        value = values.get(pt)
-        if value is None:
-            value = 0
-            if all(-box <= x <= box for x in pt):
-                idx = 0  # the point's place in the box
-                for x in pt:
-                    idx = idx * side + x + box
-                z = (key + (idx + 1) * 0x9E3779B97F4A7C15) & mask
-                z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
-                z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
-                value = (z ^ z >> 31) % width - value_bound
-            values[pt] = value
+    __slots__ = ("key", "box", "value_bound")
+
+    def __missing__(self, pt):
+        box, value = self.box, 0
+        if all(-box <= x <= box for x in pt):
+            idx = 0  # the point's place in the box
+            for x in pt:
+                idx = idx * (2 * box + 1) + x + box
+            mask = (1 << 64) - 1
+            z = (self.key + (idx + 1) * 0x9E3779B97F4A7C15) & mask
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+            value = (z ^ z >> 31) % (2 * self.value_bound + 1) - self.value_bound
+        self[pt] = value
         return value
-
-    return fn
 
 
 # ---------------------------------------------------------------------------

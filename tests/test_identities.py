@@ -45,7 +45,7 @@ from gtkit.identities import (
 
 class TestArity:
     def test_wrong_arity_raises(self):
-        g = IntFunction(2, lambda k1, k2: k1)
+        g = IntFunction(2, lambda k: k[0])
         for f, arity in [(g, 2), (apply_D(1, g), 2), (apply_phi(g), 3),
                          (apply_phi_q(g), 3)]:
             for args in [(1,) * (arity - 1), (1,) * (arity + 1)]:
@@ -61,7 +61,7 @@ class TestArity:
                 checked.append(args)
                 return super().__call__(*args)
 
-        g = Checked(2, lambda k1, k2: calls.append((k1, k2)) or k1)
+        g = Checked(2, lambda k: calls.append(k) or k[0])
         assert apply_D(1, g)(4, 9) == 4 + 10
         assert apply_phi(g)(0, 1, 2) == 0 + 0 + 1 + 1
         assert len(calls) == 2 + 4 and checked == []
@@ -69,23 +69,23 @@ class TestArity:
 
 class TestApplyD:
     def test_definition(self):
-        g = IntFunction(2, lambda k1, k2: k1)
+        g = IntFunction(2, lambda k: k[0])
         assert apply_D(1, g)(4, 9) == 4 + (9 + 1)
 
     def test_symmetric_function_doubles(self):
         # invariant under (k1, k2) -> (k2+1, k1-1), e.g. k1 + k2
-        g = IntFunction(2, lambda k1, k2: k1 + k2)
+        g = IntFunction(2, lambda k: k[0] + k[1])
         for k1, k2 in itertools.product(range(-3, 4), repeat=2):
             assert apply_D(1, g)(k1, k2) == 2 * g(k1, k2)
 
     def test_antisymmetric_function_vanishes(self):
         # k2 - k1 + 1 flips sign under the swap
-        g = IntFunction(2, lambda k1, k2: k2 - k1 + 1)
+        g = IntFunction(2, lambda k: k[1] - k[0] + 1)
         for k1, k2 in itertools.product(range(-3, 4), repeat=2):
             assert apply_D(1, g)(k1, k2) == 0
 
     def test_index_out_of_range(self):
-        g = IntFunction(2, lambda k1, k2: k1)
+        g = IntFunction(2, lambda k: k[0])
         with pytest.raises(IndexError):
             apply_D(2, g)
         with pytest.raises(IndexError):
@@ -102,14 +102,14 @@ class TestApplyPhi:
     def test_reproduces_the_recursion(self):
         for r, n, c in [(1, 2, 2), (2, 3, 2), (2, 4, 1), (3, 4, 2)]:
             g = IntFunction(
-                n - r + 1, lambda *ls: f_recursive(TopRowKey(r - 1, n, c, ls))
+                n - r + 1, lambda ls: f_recursive(TopRowKey(r - 1, n, c, ls))
             )
             phi = apply_phi(g)
             for ks in itertools.product(range(-1, c + 2), repeat=n - r):
                 assert phi(0, *ks, c) == f_recursive(TopRowKey(r, n, c, ks)), ks
 
     def test_q_version_is_a_polynomial_on_an_empty_link(self):
-        phi = apply_phi_q(IntFunction(1, lambda l: l))
+        phi = apply_phi_q(IntFunction(1, lambda l: l[0]))
         value = phi(3, 2)  # the link l in [3, 2] is empty
         assert isinstance(value, LaurentPolyQ)
         assert value.terms() == ()
@@ -118,7 +118,7 @@ class TestApplyPhi:
     def test_q_version_reproduces_the_recursion(self):
         for r, n, c in [(1, 2, 2), (2, 3, 2), (2, 4, 1)]:
             g = IntFunction(
-                n - r + 1, lambda *ls: fq_recursive(TopRowKey(r - 1, n, c, ls))
+                n - r + 1, lambda ls: fq_recursive(TopRowKey(r - 1, n, c, ls))
             )
             phi = apply_phi_q(g)
             for ks in itertools.product(range(-1, c + 2), repeat=n - r):
@@ -151,6 +151,30 @@ class TestRandomIntFunctions:
         g = next(random_int_functions(1, 3, seed=5))
         values = {g(*pt) for pt in itertools.product(range(-3, 4), repeat=3)}
         assert values == set(range(-5, 6))
+
+    def test_pinned_values(self):
+        # a fund counterexample replays from this stream, so it must not move
+        g = next(random_int_functions(1, 3, 7))
+        points = [(0, 0, 0), (-5, -5, -5), (5, 5, 5), (-1, 2, 3), (6, 0, 0)]
+        assert [g(*pt) for pt in points] == [4, 0, 1, -2, 0]
+
+    def test_a_table_computes_each_point_once(self, monkeypatch):
+        misses = []
+        real = identities._SplitmixTable.__missing__
+
+        def counted(self, pt):
+            misses.append(pt)
+            return real(self, pt)
+
+        monkeypatch.setattr(identities._SplitmixTable, "__missing__", counted)
+        g = next(random_int_functions(1, 3, 7))
+        read = set()
+        recorder = IntFunction(3, lambda pt: read.add(pt) or g.fn(pt))
+        for h in (g, g, recorder):  # two full checks, then one that records
+            for verify in (verify_lemma_fund, verify_lemma_fund_q):
+                for i in (1, 2, 3):
+                    assert verify(3, i, h, (-2, 1, 0, 3))
+        assert len(misses) == len(set(misses)) == len(read) > 100
 
 
 class TestLemmaFund:
@@ -201,18 +225,54 @@ class TestLemmaFund:
             bounds[i - 1] = (lo, hi + 1)  # l_i runs one past k_{i+1}
             return bounds
 
-        monkeypatch.setattr(identities, "_fund_rhs_bounds", off_by_one)
-        assert cli.main(["verify", "--suite", "fund"]) == cli.EXIT_VERIFICATION_FAILED
-        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
-        assert [v["pass"] for v in verdicts] == [False, False]
-        for verdict, verify in zip(verdicts, (verify_lemma_fund, verify_lemma_fund_q)):
-            # the counterexample (m, i, seed, sample) replays the failure
-            m, i, seed, sample = ast.literal_eval(verdict["counterexample"])
-            g = next(random_int_functions(1, m, seed))
-            assert not verify(m, i, g, sample)
-            monkeypatch.setattr(identities, "_fund_rhs_bounds", real)
-            assert verify(m, i, g, sample)
-            monkeypatch.setattr(identities, "_fund_rhs_bounds", off_by_one)
+        _assert_slip_fails_both_fund_verdicts(monkeypatch, capsys, "_fund_rhs_bounds", off_by_one)
+
+    def test_an_unshifted_swapped_box_fails_both_verdicts(self, monkeypatch, capsys):
+        _assert_slip_fails_both_fund_verdicts(monkeypatch, capsys, "_swapped_box", _unshifted_box)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fraction_and_polynomial_values(self, m, monkeypatch):
+        # the plain sums and the one-map q compare take the values chained_sum
+        # and chained_sum_q take: a Fraction, and q^{l_1} (l_2 + 1)
+        functions = [IntFunction(m, lambda l: Fraction(l[0] - 2 * l[-1] ** 2, 3)),
+                     IntFunction(m, lambda l: LaurentPolyQ({l[0]: l[1] + 1}))]
+        rng = random.Random(m)
+        samples = [tuple(rng.randint(-2, 2) for _ in range(m + 1)) for _ in range(6)]
+        instances = [(g, i, sample) for g in functions for i in range(1, m + 1)
+                     for sample in samples]
+        for verify in (verify_lemma_fund, verify_lemma_fund_q):
+            assert all(verify(m, i, g, sample) for g, i, sample in instances), verify
+        # and the compare is not vacuous: without the swap's shift, each
+        # function fails somewhere on both weights
+        monkeypatch.setattr(identities, "_swapped_box", _unshifted_box)
+        for verify in (verify_lemma_fund, verify_lemma_fund_q):
+            for g in functions:
+                assert not all(verify(m, i, g, sample) for i in range(1, m + 1)
+                               for sample in samples), (verify, g)
+
+
+def _unshifted_box(bounds, j):
+    # identities._swapped_box with a slip: links j and j+1 trade ranges
+    # without the +1 and -1
+    return bounds[: j - 1] + [bounds[j], bounds[j - 1]] + bounds[j + 1 :]
+
+
+def _assert_slip_fails_both_fund_verdicts(monkeypatch, capsys, name, slip):
+    # verify --suite fund with identities.<name> replaced by slip fails both
+    # verdicts, and each counterexample (m, i, seed, sample) replays the
+    # failure and passes again with the real helper
+    real = getattr(identities, name)
+    monkeypatch.setattr(identities, name, slip)
+    assert cli.main(["verify", "--suite", "fund"]) == cli.EXIT_VERIFICATION_FAILED
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["pass"] for v in verdicts] == [False, False]
+    for verdict, verify in zip(verdicts, (verify_lemma_fund, verify_lemma_fund_q)):
+        m, i, seed, sample = ast.literal_eval(verdict["counterexample"])
+        g = next(random_int_functions(1, m, seed))
+        assert not verify(m, i, g, sample)
+        monkeypatch.setattr(identities, name, real)
+        assert verify(m, i, g, sample)
+        monkeypatch.setattr(identities, name, slip)
 
 
 def _parent_lemma_2(r, d, x, y, memo):
