@@ -63,6 +63,7 @@ from .identities import (
     verify_lemma_2,
     verify_lemma_2q,
     verify_lemma_fund,
+    verify_lemma_fund_all,
     verify_lemma_fund_q,
     verify_qpoch_sum,
     verify_qvand,

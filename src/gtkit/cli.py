@@ -86,7 +86,7 @@ class SweepConfig:
     field."""
 
     seed: int = 42
-    fund_functions: int = 200
+    fund_samples: int = 200
     fund_sample_bound: int = 3
     lemma2_d: int = 2
     lemma2_xy: int = 3
@@ -120,7 +120,7 @@ _RANGE_FIELDS = (("decomp_klo", "decomp_khi"), ("qpoch_ylo", "qpoch_yhi"),
 def _is_size(name: str) -> bool:
     # sizes, bounds and counts of a sweep; the *_lo fields may be negative
     return ("_max_" in name or name.endswith("_bound")
-            or name in ("fund_functions", "lemma2_d", "lemma2_xy"))
+            or name in ("fund_samples", "lemma2_d", "lemma2_xy"))
 
 
 def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
@@ -181,26 +181,14 @@ def _check(report: RunReport, parameters: str, instances, checks: dict) -> None:
 def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
     rng = random.Random(cfg.seed)
     b = cfg.fund_sample_bound
-    functions = {}  # (m, seed) -> that instance's function
-
-    def instances():
-        # the seed names the function and fixes its values, so
-        # random_int_functions(1, m, seed) replays a counterexample
-        for idx in range(cfg.fund_functions):
-            m = idx % 3 + 1
-            seed = rng.randrange(2**32)
-            functions[m, seed] = next(identities.random_int_functions(1, m, seed))
-            sample = tuple(rng.randint(-b, b) for _ in range(m + 1))
-            for i in range(1, m + 1):
-                yield m, i, seed, sample
-
-    params = f"{cfg.fund_functions} random functions, m <= 3, samples in [{-b},{b}]"
-    _check(report, params, instances(), {
-        "operator commutation (plain)": lambda m, i, seed, sample:
-            identities.verify_lemma_fund(m, i, functions[m, seed], sample),
-        "operator commutation (q)": lambda m, i, seed, sample:
-            identities.verify_lemma_fund_q(m, i, functions[m, seed], sample),
-    })
+    instances = []
+    for idx in range(cfg.fund_samples):
+        m = idx % 3 + 1
+        sample = tuple(rng.randint(-b, b) for _ in range(m + 1))
+        instances += [(m, i, sample) for i in range(1, m + 1)]
+    params = f"{cfg.fund_samples} samples in [{-b},{b}]^(m+1), m <= 3"
+    _check(report, params, instances, {"operator commutation, every function (plain and q)":
+                                       identities.verify_lemma_fund_all})
 
 
 def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:

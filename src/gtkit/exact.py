@@ -88,19 +88,11 @@ def chained_sum_q(
 
     summand(ls) is a LaurentPolyQ, or an int or Fraction standing for the
     constant term q^0.  The shifted terms are added up in one coefficient
-    map by _add_chained_sum_q.  The value is a LaurentPolyQ, the zero one
-    when a link is empty.
+    map, each times the chain's sign.  The value is a LaurentPolyQ, the zero
+    one when a link is empty.
     """
-    out: dict[int, Scalar] = {}
-    _add_chained_sum_q(out, bounds, summand)
-    return LaurentPolyQ(out)
-
-
-def _add_chained_sum_q(out: dict[int, Scalar], bounds: Iterable[tuple[int, int]],
-                       summand: Callable) -> None:
-    # adds chained_sum_q(bounds, summand)'s coefficients into out, which may
-    # hold zeros, each term times the chain's sign
     sign, ranges = _signed_ranges(bounds)
+    out: dict[int, Scalar] = {}
     get = out.get
     # the shifts and the terms, each mapped over its own pass of the box
     terms = map(summand, itertools.product(*ranges))
@@ -111,6 +103,7 @@ def _add_chained_sum_q(out: dict[int, Scalar], bounds: Iterable[tuple[int, int]]
                 out[e] = get(e, 0) + sign * c
         elif term:
             out[shift] = get(shift, 0) + sign * term
+    return LaurentPolyQ(out)
 
 
 #: Bits per coefficient of a packed q-polynomial: (packed, low) stands for

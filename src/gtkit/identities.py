@@ -2,26 +2,26 @@
 
 Implements the swap operator D_i and the summation operators acting on
 integer functions, verifies each lemma-level identity at sample points by
-evaluating both sides independently, and checks the one-variable count's
-degree bound and integer zeros on consecutive integers, by finite
-differences.
+evaluating both sides independently (the fundamental lemma for every
+function at once, by the signed corners of its boxes), and checks the
+one-variable count's degree bound and integer zeros on consecutive integers,
+by finite differences.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .counting import (
     TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_packed, fq_recursive,
 )
 from .exact import (
-    LaurentPolyQ, NonExactDivision, _add_chained_sum_q, chained_sum, chained_sum_packed,
-    chained_sum_q, pack_q, pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q,
-    widened,
+    LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q, pack_q,
+    pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q, widened,
 )
 
 
@@ -103,14 +103,9 @@ def _swapped_box(bounds: list[tuple[int, int]], j: int) -> list[tuple[int, int]]
     return bounds[: j - 1] + [(c + 1, d + 1), (a - 1, b - 1)] + bounds[j + 1 :]
 
 
-def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool) -> bool:
-    """D_i of the summed g at sample against -1/2 times the expansion's
-    terms, compared in integers as -2 lhs == terms.  Each term sums some
-    D_j g over a box B, read as the sums of g over B and over _swapped_box(B),
-    so every term is one read of g.fn.  The q side puts 2 lhs and the boxes'
-    weighted terms in one coefficient map and checks that it is all zero."""
-    if g.arity != m:
-        raise ValueError(f"function arity {g.arity} does not match m={m}")
+def _fund_boxes(m: int, i: int, sample: Sequence[int]) -> list[list[tuple[int, int]]]:
+    # the right side's boxes: each term's sum of D_j g over a box B is the
+    # sums of g over B and over _swapped_box(B, j)
     if not 1 <= i <= m:
         raise ValueError(f"index i={i} out of range 1..{m}")
     if len(sample) != m + 1:
@@ -120,13 +115,19 @@ def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool)
         if 1 <= j <= m - 1:  # D_0 g = D_m g = 0 kills the term for i = 1 or m
             box = _fund_rhs_bounds(m, i, sample, first_term)
             boxes += [box, _swapped_box(box, j)]
-    lhs = apply_D(i, _summed(g, chained_sum_q if q else chained_sum))(*sample)
-    if not q:
-        return -2 * lhs == sum(chained_sum(box, g.fn) for box in boxes)
-    out = {e: 2 * c for e, c in lhs.terms()}
-    for box in boxes:
-        _add_chained_sum_q(out, box, g.fn)
-    return not any(out.values())
+    return boxes
+
+
+def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool) -> bool:
+    """D_i of the summed g at sample against -1/2 times the expansion's
+    terms, compared as -2 lhs == the sum of g over _fund_boxes, so every
+    term is one read of g.fn."""
+    if g.arity != m:
+        raise ValueError(f"function arity {g.arity} does not match m={m}")
+    boxes = _fund_boxes(m, i, sample)
+    chain = chained_sum_q if q else chained_sum
+    lhs = apply_D(i, _summed(g, chain))(*sample)
+    return -2 * lhs == sum(chain(box, g.fn) for box in boxes)
 
 
 def verify_lemma_fund(m: int, i: int, g: IntFunction, sample: Sequence[int]) -> bool:
@@ -140,44 +141,27 @@ def verify_lemma_fund_q(m: int, i: int, g: IntFunction, sample: Sequence[int]) -
     return _verify_fund(m, i, g, sample, q=True)
 
 
-def random_int_functions(
-    count: int, arity: int, seed: int, box: int = 5, value_bound: int = 5
-) -> Iterator[IntFunction]:
-    """Seeded stream of total integer functions, zero outside the box
-    [-box, box]^arity.
+def verify_lemma_fund_all(m: int, i: int, sample: Sequence[int]) -> bool:
+    """verify_lemma_fund and verify_lemma_fund_q at sample for every function
+    g of arity m at once.
 
-    Each function draws one 64-bit key from random.Random(seed).  It is a
-    table of its values, read through the table's __getitem__: a point of
-    the box gets its output of splitmix64 seeded with the key, reduced into
-    [-value_bound, value_bound], the first time it is read, so the seed and
-    the point fix every value and a repeat read is a C-level dict lookup.
-    """
-    rng = random.Random(seed)
-    for _ in range(count):
-        table = _SplitmixTable()
-        table.key, table.box, table.value_bound = rng.getrandbits(64), box, value_bound
-        yield IntFunction(arity, table.__getitem__)
-
-
-class _SplitmixTable(dict):
-    """A random function's values, keyed by point; a missing point's value is
-    computed once from key, box and value_bound and stored."""
-
-    __slots__ = ("key", "box", "value_bound")
-
-    def __missing__(self, pt):
-        box, value = self.box, 0
-        if all(-box <= x <= box for x in pt):
-            idx = 0  # the point's place in the box
-            for x in pt:
-                idx = idx * (2 * box + 1) + x + box
-            mask = (1 << 64) - 1
-            z = (self.key + (idx + 1) * 0x9E3779B97F4A7C15) & mask
-            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
-            z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
-            value = (z ^ z >> 31) % (2 * self.value_bound + 1) - self.value_bound
-        self[pt] = value
-        return value
+    Both sides add up g over signed boxes: 2 lhs over the chains of sample
+    and of its D_i swap, and the expansion over _fund_boxes.  A box's
+    extended indicator is the signed sum of the orthants at its 2^m corners,
+    a_j counting + and b_j + 1 counting -, which holds for b_j < a_j too.
+    The mixed backward difference is injective on finitely supported
+    functions, so the identity holds for every g exactly when every corner's
+    total weight is 0; the q weight q^(l_1+...+l_m) depends on the point
+    alone, so the same check covers the q version."""
+    sample = tuple(sample)
+    terms = [(1, box) for box in _fund_boxes(m, i, sample)]
+    terms += [(2, list(zip(k, k[1:]))) for k in (sample, _swap(sample, i))]
+    weights: dict[tuple[int, ...], int] = {}
+    for weight, box in terms:
+        corners = itertools.product(*[(a, b + 1) for a, b in box])
+        for corner, signs in zip(corners, itertools.product((1, -1), repeat=m)):
+            weights[corner] = weights.get(corner, 0) + weight * math.prod(signs)
+    return not any(weights.values())
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,13 @@ from gtkit.identities import (
     expected_zeros,
     hyper_final_expression,
     hyper_middle_expression,
-    random_int_functions,
     verify_decomp,
     verify_decomp_q,
     verify_hyper,
     verify_lemma_2,
     verify_lemma_2q,
     verify_lemma_fund,
+    verify_lemma_fund_all,
     verify_lemma_fund_q,
     verify_qpoch_sum,
     verify_qvand,
@@ -143,18 +143,19 @@ def test_criterion_5_zero_structure():
                 assert verify_zeros(n, c), (n, c)
 
 
-def test_criterion_6_operator_identities():
+def test_criterion_6_operator_identities(random_function):
     with criterion(6, "operator identities"):
         import random
 
         rng = random.Random(42)
         for idx in range(200):
             m = idx % 3 + 1
-            g = next(random_int_functions(1, m, rng.randrange(2**32)))
+            g = random_function(m, rng.randrange(2**32))
             sample = tuple(rng.randint(-3, 3) for _ in range(m + 1))
             for i in range(1, m + 1):
                 assert verify_lemma_fund(m, i, g, sample), (m, i, sample)
                 assert verify_lemma_fund_q(m, i, g, sample), (m, i, sample)
+                assert verify_lemma_fund_all(m, i, sample), (m, i, sample)
         for r in (2, 3):
             for d in range(-2, 3):
                 for x in range(-3, 4):

@@ -305,7 +305,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("override", [
         "fund_sample_bound=-1",
-        "fund_functions=-2",
+        "fund_samples=-2",
         "lemma2_d=-1",
         "lemma2_xy=-3",
         "hyper_max_c=-1",
@@ -441,7 +441,7 @@ class TestVerify:
     @pytest.mark.parametrize("suite,override", [
         ("zeros", "zeros_max_n=-5"),
         ("zeros", "zeros_max_c=-1"),
-        ("fund", "fund_functions=0"),
+        ("fund", "fund_samples=0"),
         ("asm", "asm_max_n=1"),
         ("asm", "asm_max_n=0"),
     ])
@@ -486,55 +486,16 @@ class TestCheck:
         assert report.verdicts == []
 
     def test_fund_counterexample_replays(self, monkeypatch):
-        def fake(m, i, g, sample):
-            return g(*sample[:m]) < 4
+        def fake(m, i, sample):
+            return max(sample) < 3
 
-        monkeypatch.setattr(cli.identities, "verify_lemma_fund", fake)
+        monkeypatch.setattr(cli.identities, "verify_lemma_fund_all", fake)
         report = cli.RunReport("fund", {})
-        cli._suite_fund(report, replace(cli.SweepConfig(), fund_functions=12))
-        plain, q = report.verdicts
-        assert not plain["pass"] and q["pass"] and "counterexample" not in q
-        m, i, seed, sample = ast.literal_eval(plain["counterexample"])
+        cli._suite_fund(report, replace(cli.SweepConfig(), fund_samples=12))
+        (verdict,) = report.verdicts
+        assert not verdict["pass"]
+        m, i, sample = ast.literal_eval(verdict["counterexample"])
         assert 1 <= i <= m and len(sample) == m + 1
-        g = next(cli.identities.random_int_functions(1, m, seed))
-        assert not fake(m, i, g, sample)
-
-    def test_fund_checks_read_their_own_instance(self, monkeypatch):
-        # with the instances buffered before any check runs, each check
-        # still gets the function its instance's seed names
-        seen = {"plain": [], "q": []}
-        real_check = cli._check
-
-        def buffered(report, parameters, instances, checks):
-            real_check(report, parameters, list(instances), checks)
-
-        def watched(kind, verify):
-            def check(m, i, g, sample):
-                seen[kind].append((m, g))
-                return verify(m, i, g, sample)
-            return check
-
-        monkeypatch.setattr(cli, "_check", buffered)
-        monkeypatch.setattr(cli.identities, "verify_lemma_fund",
-                            watched("plain", cli.identities.verify_lemma_fund))
-        monkeypatch.setattr(cli.identities, "verify_lemma_fund_q",
-                            watched("q", cli.identities.verify_lemma_fund_q))
-        seeds = []
-        real_draw = cli.identities.random_int_functions
-
-        def draw(count, m, seed):
-            seeds.append((m, seed))
-            return real_draw(count, m, seed)
-
-        monkeypatch.setattr(cli.identities, "random_int_functions", draw)
-        report = cli.RunReport("fund", {})
-        cli._suite_fund(report, cli.SweepConfig())
-        assert all(v["pass"] for v in report.verdicts)
-        assert len(seeds) == cli.SweepConfig().fund_functions == 200
-        instances = [(m, seed) for m, seed in seeds for _ in range(m)]
-        for calls in seen.values():
-            assert len({id(g) for _, g in calls}) == 200
-            for (m, g), (m_seed, seed) in zip(calls, instances, strict=True):
-                rebuilt = next(real_draw(1, m, seed))
-                assert m == m_seed and all(
-                    g(*pt) == rebuilt(*pt) for pt in itertools.product(range(-2, 3), repeat=m))
+        assert not fake(m, i, sample)
+        monkeypatch.undo()  # the real check replays it, and it holds
+        assert cli.identities.verify_lemma_fund_all(m, i, sample)

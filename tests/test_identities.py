@@ -27,7 +27,6 @@ from gtkit.identities import (
     expected_zeros,
     hyper_final_expression,
     hyper_middle_expression,
-    random_int_functions,
     verify_decomp,
     verify_decomp_q,
     verify_extra,
@@ -36,6 +35,7 @@ from gtkit.identities import (
     verify_lemma_2,
     verify_lemma_2q,
     verify_lemma_fund,
+    verify_lemma_fund_all,
     verify_lemma_fund_q,
     verify_qpoch_sum,
     verify_qvand,
@@ -125,58 +125,6 @@ class TestApplyPhi:
                 assert phi(0, *ks, c) == fq_recursive(TopRowKey(r, n, c, ks)), ks
 
 
-class TestRandomIntFunctions:
-    def test_values_depend_only_on_seed_and_point(self):
-        points = list(itertools.product(range(-6, 7), repeat=2))
-        first = list(random_int_functions(3, 2, seed=11))
-        again = list(random_int_functions(3, 2, seed=11))
-        # read the second construction last function first, last point first
-        backward = {(j, pt): again[j](*pt) for j in (2, 1, 0) for pt in reversed(points)}
-        for j, g in enumerate(first):
-            assert [g(*pt) for pt in points] == [backward[j, pt] for pt in points]
-        other = next(random_int_functions(1, 2, seed=12))
-        assert [other(*pt) for pt in points] != [first[0](*pt) for pt in points]
-
-    def test_box_and_bound(self):
-        for arity, box, bound in ((1, 5, 5), (2, 2, 1), (3, 1, 3)):
-            g = next(random_int_functions(1, arity, seed=arity, box=box, value_bound=bound))
-            for pt in itertools.product(range(-box - 2, box + 3), repeat=arity):
-                value = g(*pt)
-                if max(map(abs, pt)) > box:
-                    assert value == 0, pt
-                else:
-                    assert -bound <= value <= bound, pt
-
-    def test_every_value_appears(self):
-        g = next(random_int_functions(1, 3, seed=5))
-        values = {g(*pt) for pt in itertools.product(range(-3, 4), repeat=3)}
-        assert values == set(range(-5, 6))
-
-    def test_pinned_values(self):
-        # a fund counterexample replays from this stream, so it must not move
-        g = next(random_int_functions(1, 3, 7))
-        points = [(0, 0, 0), (-5, -5, -5), (5, 5, 5), (-1, 2, 3), (6, 0, 0)]
-        assert [g(*pt) for pt in points] == [4, 0, 1, -2, 0]
-
-    def test_a_table_computes_each_point_once(self, monkeypatch):
-        misses = []
-        real = identities._SplitmixTable.__missing__
-
-        def counted(self, pt):
-            misses.append(pt)
-            return real(self, pt)
-
-        monkeypatch.setattr(identities._SplitmixTable, "__missing__", counted)
-        g = next(random_int_functions(1, 3, 7))
-        read = set()
-        recorder = IntFunction(3, lambda pt: read.add(pt) or g.fn(pt))
-        for h in (g, g, recorder):  # two full checks, then one that records
-            for verify in (verify_lemma_fund, verify_lemma_fund_q):
-                for i in (1, 2, 3):
-                    assert verify(3, i, h, (-2, 1, 0, 3))
-        assert len(misses) == len(set(misses)) == len(read) > 100
-
-
 class TestLemmaFund:
     def test_zero_function(self):
         zero = IntFunction(2, lambda *l: 0)
@@ -184,11 +132,11 @@ class TestLemmaFund:
             assert verify_lemma_fund(2, i, zero, (0, 1, -1))
             assert verify_lemma_fund_q(2, i, zero, (0, 1, -1))
 
-    def test_random_sweep(self):
+    def test_random_sweep(self, random_function):
         rng = random.Random(20240117)
         for idx in range(60):
             m = idx % 3 + 1
-            g = next(random_int_functions(1, m, rng.randrange(2**32)))
+            g = random_function(m, rng.randrange(2**32))
             sample = tuple(rng.randint(-3, 3) for _ in range(m + 1))
             for i in range(1, m + 1):
                 assert verify_lemma_fund(m, i, g, sample), (m, i, sample)
@@ -199,7 +147,7 @@ class TestLemmaFund:
         with pytest.raises(ValueError):
             verify_lemma_fund(3, 1, g, (0, 0, 0, 0))
 
-    def test_terms_skip_the_arity_check(self, monkeypatch):
+    def test_terms_skip_the_arity_check(self, monkeypatch, random_function):
         # only the left side's one outer call goes through IntFunction.__call__
         calls = []
         real = IntFunction.__call__
@@ -209,26 +157,42 @@ class TestLemmaFund:
             return real(self, *args)
 
         monkeypatch.setattr(IntFunction, "__call__", counted)
-        g = next(random_int_functions(1, 3, 7))
+        g = random_function(3, 7)
         for verify in (verify_lemma_fund, verify_lemma_fund_q):
             for i in (1, 2, 3):
                 calls.clear()
                 assert verify(3, i, g, (-1, 0, 2, 3))
                 assert calls == [(-1, 0, 2, 3)], (verify, i)
 
-    def test_an_off_by_one_bound_fails_both_verdicts(self, monkeypatch, capsys):
-        real = identities._fund_rhs_bounds
+    def test_an_off_by_one_bound_fails_both_verdicts(self, monkeypatch, capsys,
+                                                     random_function):
+        _assert_slip_fails_the_fund_verdict(monkeypatch, capsys, random_function,
+                                            "_fund_rhs_bounds", _off_by_one_bounds)
 
-        def off_by_one(m, i, k, first_term):
-            bounds = real(m, i, k, first_term)
-            lo, hi = bounds[i - 1]
-            bounds[i - 1] = (lo, hi + 1)  # l_i runs one past k_{i+1}
-            return bounds
+    def test_an_unshifted_swapped_box_fails_both_verdicts(self, monkeypatch, capsys,
+                                                          random_function):
+        _assert_slip_fails_the_fund_verdict(monkeypatch, capsys, random_function,
+                                            "_swapped_box", _unshifted_box)
 
-        _assert_slip_fails_both_fund_verdicts(monkeypatch, capsys, "_fund_rhs_bounds", off_by_one)
+    def test_every_function_check_is_the_pointwise_definition(self, monkeypatch):
+        # every sample in [-2,2]^(m+1), m <= 3: the corner weights vanish
+        # exactly when the signed count of every point does, with the real
+        # boxes and with an off-by-one bound, so reversed ranges expand right
+        instances = [(m, i, sample) for m in (1, 2, 3)
+                     for sample in itertools.product(range(-2, 3), repeat=m + 1)
+                     for i in range(1, m + 1)]
+        assert len(instances) == 2150
+        assert all(verify_lemma_fund_all(*inst) and _pointwise_fund_all(*inst)
+                   for inst in instances)
+        monkeypatch.setattr(identities, "_fund_rhs_bounds", _off_by_one_bounds)
+        verdicts = [verify_lemma_fund_all(*inst) for inst in instances]
+        assert verdicts == [_pointwise_fund_all(*inst) for inst in instances]
+        assert not all(verdicts)
 
-    def test_an_unshifted_swapped_box_fails_both_verdicts(self, monkeypatch, capsys):
-        _assert_slip_fails_both_fund_verdicts(monkeypatch, capsys, "_swapped_box", _unshifted_box)
+    def test_every_function_check_refuses_a_bad_instance(self):
+        for m, i, sample in ((2, 0, (0, 0, 0)), (2, 3, (0, 0, 0)), (2, 1, (0, 0))):
+            with pytest.raises(ValueError):
+                verify_lemma_fund_all(m, i, sample)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_fraction_and_polynomial_values(self, m, monkeypatch):
@@ -257,22 +221,46 @@ def _unshifted_box(bounds, j):
     return bounds[: j - 1] + [bounds[j], bounds[j - 1]] + bounds[j + 1 :]
 
 
-def _assert_slip_fails_both_fund_verdicts(monkeypatch, capsys, name, slip):
-    # verify --suite fund with identities.<name> replaced by slip fails both
-    # verdicts, and each counterexample (m, i, seed, sample) replays the
-    # failure and passes again with the real helper
+_REAL_FUND_RHS_BOUNDS = identities._fund_rhs_bounds
+
+
+def _off_by_one_bounds(m, i, k, first_term):
+    # identities._fund_rhs_bounds with a slip: l_i runs one past k_{i+1}
+    bounds = _REAL_FUND_RHS_BOUNDS(m, i, k, first_term)
+    lo, hi = bounds[i - 1]
+    bounds[i - 1] = (lo, hi + 1)
+    return bounds
+
+
+def _pointwise_fund_all(m, i, sample):
+    # verify_lemma_fund_all by its definition: each box's points through
+    # exact._signed_ranges, each adding weight times the box's sign
+    weights = {}
+    terms = [(2, list(zip(k, k[1:]))) for k in (sample, identities._swap(sample, i))]
+    terms += [(1, box) for box in identities._fund_boxes(m, i, sample)]
+    for weight, box in terms:
+        sign, ranges = exact._signed_ranges(box)
+        for pt in itertools.product(*ranges):
+            weights[pt] = weights.get(pt, 0) + weight * sign
+    return not any(weights.values())
+
+
+def _assert_slip_fails_the_fund_verdict(monkeypatch, capsys, random_function, name, slip):
+    # verify --suite fund with identities.<name> replaced by slip fails its
+    # one verdict; the counterexample (m, i, sample) replays the failure and
+    # passes again with the real helper, and there some seeded function fails
+    # both value-level checks, so a corner failure is a failure of both weights
     real = getattr(identities, name)
     monkeypatch.setattr(identities, name, slip)
     assert cli.main(["verify", "--suite", "fund"]) == cli.EXIT_VERIFICATION_FAILED
-    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
-    assert [v["pass"] for v in verdicts] == [False, False]
-    for verdict, verify in zip(verdicts, (verify_lemma_fund, verify_lemma_fund_q)):
-        m, i, seed, sample = ast.literal_eval(verdict["counterexample"])
-        g = next(random_int_functions(1, m, seed))
-        assert not verify(m, i, g, sample)
-        monkeypatch.setattr(identities, name, real)
-        assert verify(m, i, g, sample)
-        monkeypatch.setattr(identities, name, slip)
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    assert not verdict["pass"]
+    m, i, sample = ast.literal_eval(verdict["counterexample"])
+    assert not verify_lemma_fund_all(m, i, sample)
+    assert any(not verify_lemma_fund(m, i, g, sample) and not verify_lemma_fund_q(m, i, g, sample)
+               for g in (random_function(m, seed) for seed in range(5)))
+    monkeypatch.setattr(identities, name, real)
+    assert verify_lemma_fund_all(m, i, sample)
 
 
 def _parent_lemma_2(r, d, x, y, memo):

@@ -8,7 +8,10 @@ tests call fails here, unless it is one of the reference definitions below.
 
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
+
+from gtkit.cli import SweepConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtkit"
@@ -24,6 +27,9 @@ REFERENCE_DEFINITIONS = {
     "intro_binomial": "the introduction's closed form for the one-row count",
     "apply_phi": "the paper's operator Phi, checked against its product form",
     "apply_phi_q": "the q-analog of Phi, checked against its product form",
+    "verify_lemma_fund": "the fundamental lemma at one function, which the every-function "
+                         "check is tested against",
+    "verify_lemma_fund_q": "its q version, tested the same way",
     "enumerate_monotone_triangles": "the validated triangles the asm counts are tested against",
 }
 
@@ -103,3 +109,12 @@ def test_reference_definitions_are_exported_and_unused():
     # an entry that the package or the benchmark starts to use, or that is
     # no longer exported, leaves this list
     assert set(REFERENCE_DEFINITIONS) <= _unused_exports()
+
+
+def test_every_sweep_field_is_read_by_the_cli():
+    # an override that no suite reads, or one half renamed, changes nothing
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    assert {f.name for f in fields(SweepConfig)} - {"seed"} <= read
