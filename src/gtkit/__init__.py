@@ -13,9 +13,7 @@ from .exact import (
 )
 from .patterns import (
     DimensionMismatch,
-    GTPattern,
     GenPattern,
-    MonotoneTriangle,
     Partition,
     ShapeViolation,
     StrictPlanePartition,

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .closedforms import tsspp_product
 from .counting import TopRowKey, count_patterns, enumerate_patterns, f_bruteforce
-from .patterns import MonotoneTriangle
+from .patterns import GenPattern, ShapeViolation, validate
 
 
 def _strictly_increasing(row: tuple[int, ...]) -> bool:
@@ -27,10 +27,14 @@ def _triangle_key(n: int, k: int) -> TopRowKey:
     return TopRowKey(n - 1, n, n + 1, (k,))
 
 
-def enumerate_monotone_triangles(n: int, k: int) -> Iterator[MonotoneTriangle]:
-    """All monotone triangles of size n whose single top entry equals k."""
-    return map(MonotoneTriangle,
-               enumerate_patterns(_triangle_key(n, k), row_filter=_strictly_increasing))
+def enumerate_monotone_triangles(n: int, k: int) -> Iterator[GenPattern]:
+    """All monotone triangles of size n whose single top entry equals k:
+    (n-1, n, n+1)-patterns whose rows, borders included, strictly increase.
+    ShapeViolation on a pattern the filter let through that is not one."""
+    for p in enumerate_patterns(_triangle_key(n, k), row_filter=_strictly_increasing):
+        if not validate(p) or any(a >= b for row in p.rows for a, b in zip(row, row[1:])):
+            raise ShapeViolation(f"not a monotone triangle: {p.rows}")
+        yield p
 
 
 def count_monotone_triangles(n: int, k: int) -> int:

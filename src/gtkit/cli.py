@@ -270,9 +270,9 @@ def _partitions_in_box(max_rows: int, max_part: int):
 def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
     # a shape with more than k rows has no tableau, so k bounds the rows too
     shapes = _partitions_in_box(cfg.ssyt_max_k, cfg.ssyt_max_part)
-    instances = ((shape, k) for shape in shapes for k in range(1, cfg.ssyt_max_k + 1)
-                 if len(shape) <= k)
-    params = f"shapes with <= {cfg.ssyt_max_k} parts <= {cfg.ssyt_max_part}, k <= {cfg.ssyt_max_k}"
+    instances = [(shape, k) for shape in shapes for k in range(1, cfg.ssyt_max_k + 1)
+                 if len(shape) <= k]
+    bounds = f"parts <= {cfg.ssyt_max_part}, k <= {cfg.ssyt_max_k}"
 
     memo = {}  # tableau counts
 
@@ -280,14 +280,16 @@ def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
         return closedforms.ssyt_product(shape, k) == tableaux.ssyt_count(shape, k, memo)
 
     def shifted_matches(shape, k):
-        padded = shape + (0,) * (k - len(shape))
-        lam = tuple(padded[t] - t - 1 for t in range(k))
+        # f_ext counts the shape less its full columns: with fewer than k
+        # rows that is the shape itself, and the check would read one count
+        lam = tuple(shape[t] - t - 1 for t in range(k))
         return tableaux.f_ext(lam, memo) == tableaux.ssyt_count(shape, k, memo)
 
-    _check(report, params, instances, {
-        "tableau count product formula": product_matches,
-        "tableau count via alternating extension": shifted_matches,
-    })
+    _check(report, f"shapes with <= {cfg.ssyt_max_k} {bounds}", instances,
+           {"tableau count product formula": product_matches})
+    _check(report, f"shapes with exactly k {bounds}",
+           [(shape, k) for shape, k in instances if len(shape) == k],
+           {"tableau count via alternating extension": shifted_matches})
 
 
 def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:

@@ -255,9 +255,6 @@ class LaurentPolyQ:
         """Terms as (exponent, coefficient) pairs, ascending by exponent."""
         return tuple(sorted(self._terms.items()))
 
-    def coeff(self, exponent: int) -> Scalar:
-        return self._terms.get(exponent, 0)
-
     @property
     def min_exp(self) -> int:
         if not self._terms:

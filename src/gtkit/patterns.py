@@ -1,9 +1,15 @@
 """Combinatorial domain objects.
 
-Partitions, strict plane partitions, Gelfand-Tsetlin patterns, generalized
-(r,n,c)-patterns and monotone triangles, together with validation, sign,
-norm, the pattern <-> strict plane partition bijection, and the JSON form of
-a generalized pattern that ``count --dump-patterns`` writes.
+Partitions, strict plane partitions and generalized (r,n,c)-patterns,
+together with validation, sign, norm, the pattern <-> strict plane partition
+bijection, and the JSON form of a generalized pattern that
+``count --dump-patterns`` writes.
+
+``GenPattern`` is the only pattern type.  A Gelfand-Tsetlin pattern is an
+(n-1, n, c)-pattern whose rows weakly increase, and a monotone triangle an
+(n-1, n, n+1)-pattern whose rows strictly increase, borders included; the
+functions that take or yield them (``gt_to_spp``, ``spp_to_gt`` and
+``asm.enumerate_monotone_triangles``) check that.
 
 Conventions for generalized patterns: row i = 1 is the bottom row of the
 display and row i = r+1 is the top row.  Row i carries entries a[i][j] for
@@ -96,43 +102,6 @@ class StrictPlanePartition:
 
 
 # ---------------------------------------------------------------------------
-# Gelfand-Tsetlin patterns
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GTPattern:
-    """Triangular array with n rows, stored top row first.
-
-    rows[d] holds (a[i][i], ..., a[i][n]) for i = n - d, so rows[0] is the
-    single-entry top row and rows[n-1] the n-entry bottom row.  Every entry
-    lies weakly between its two upper neighbours.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        if n == 0:
-            raise DimensionMismatch("a Gelfand-Tsetlin pattern needs a row")
-        for d, row in enumerate(rows):
-            if len(row) != d + 1:
-                raise DimensionMismatch(f"row {d} of a {n}-row pattern must have {d + 1} entries")
-        for d in range(n - 1):
-            upper, lower = rows[d], rows[d + 1]
-            for t, v in enumerate(upper):
-                if not lower[t] <= v <= lower[t + 1]:
-                    raise ShapeViolation(
-                        f"entry {v} not between lower neighbours {lower[t]}, {lower[t + 1]}")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-
-# ---------------------------------------------------------------------------
 # Generalized (r,n,c)-patterns
 # ---------------------------------------------------------------------------
 
@@ -169,13 +138,6 @@ class GenPattern:
         p = object.__new__(cls)
         object.__setattr__(p, "__dict__", {"r": r, "n": n, "c": c, "rows": rows})
         return p
-
-    def to_gt(self) -> GTPattern:
-        """Strip borders of an (n-1, n, c) pattern into a GTPattern."""
-        if self.r != self.n - 1:
-            raise DimensionMismatch(
-                f"only (n-1, n, c) patterns are Gelfand-Tsetlin, got r={self.r}")
-        return GTPattern(tuple(row[1:-1] for row in self.rows))
 
     def to_json_obj(self) -> dict:
         return {"kind": "gen_pattern", "r": self.r, "n": self.n, "c": self.c,
@@ -227,28 +189,34 @@ def norm_of(p: GenPattern) -> int:
 # ---------------------------------------------------------------------------
 
 
-def gt_to_spp(g: GTPattern) -> StrictPlanePartition:
-    """Map a Gelfand-Tsetlin pattern to its strict plane partition.
+def gt_to_spp(p: GenPattern) -> StrictPlanePartition:
+    """Map a Gelfand-Tsetlin pattern, an (n-1, n, c)-pattern whose rows
+    weakly increase, to its strict plane partition.
 
     The cells of the result holding entries greater than i form the shape
-    read off (right to left) from the pattern row with n-i entries; parts lie
-    in {1..n} and the number of parts equal to n is the top entry.
+    read off (right to left) from the interior of the pattern row with n-i
+    interior entries; parts lie in {1..n} and the number of parts equal to n
+    is the top entry.  DimensionMismatch if r != n-1, ShapeViolation if the
+    pattern is not valid or a row decreases.
     """
-    n = g.n
-    shapes = []
-    for i in range(n):
-        row = g.rows[n - 1 - i]
-        shapes.append(tuple(v for v in reversed(row) if v > 0))
+    n = p.n
+    if p.r != n - 1:
+        raise DimensionMismatch(
+            f"only (n-1, n, c) patterns are Gelfand-Tsetlin, got r={p.r}, n={n}")
+    if not validate(p) or any(a > b for row in p.rows for a, b in zip(row, row[1:])):
+        raise ShapeViolation(f"not a Gelfand-Tsetlin pattern: {p.rows}")
+    shapes = [tuple(v for v in reversed(row[1:-1]) if v > 0) for row in reversed(p.rows)]
     full = shapes[0]
     rows = []
-    for p in range(len(full)):
-        rows.append(tuple(sum(1 for lam in shapes if p < len(lam) and lam[p] > j)
-                          for j in range(full[p])))
+    for t in range(len(full)):
+        rows.append(tuple(sum(1 for lam in shapes if t < len(lam) and lam[t] > j)
+                          for j in range(full[t])))
     return StrictPlanePartition(tuple(rows))
 
 
-def spp_to_gt(s: StrictPlanePartition, n: int, c: int) -> GTPattern:
-    """Inverse of gt_to_spp for parts in {1..n} and at most c columns."""
+def spp_to_gt(s: StrictPlanePartition, n: int, c: int) -> GenPattern:
+    """Inverse of gt_to_spp for parts in {1..n} and at most c columns: an
+    (n-1, n, c)-pattern."""
     if s.rows and s.max_part() > n:
         raise ShapeViolation(f"parts must lie in 1..{n}")
     if s.num_columns > c:
@@ -260,32 +228,8 @@ def spp_to_gt(s: StrictPlanePartition, n: int, c: int) -> GTPattern:
             count for count in (sum(1 for v in row if v > i) for row in s.rows) if count
         )
         padded = lam + (0,) * (d + 1 - len(lam))
-        rows_top_first.append(tuple(reversed(padded)))
-    return GTPattern(tuple(rows_top_first))
-
-
-# ---------------------------------------------------------------------------
-# Monotone triangles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonotoneTriangle:
-    """(n-1, n, n+1)-pattern whose rows are strictly increasing, borders
-    included.  The bottom row is forced to (1, ..., n)."""
-
-    pattern: GenPattern
-
-    def __post_init__(self):
-        p = self.pattern
-        if p.r != p.n - 1 or p.c != p.n + 1:
-            raise DimensionMismatch(
-                f"monotone triangles are (n-1, n, n+1)-patterns, got ({p.r}, {p.n}, {p.c})")
-        if not validate(p):
-            raise ShapeViolation("underlying pattern is not valid")
-        for row in p.rows:
-            if any(row[t] >= row[t + 1] for t in range(len(row) - 1)):
-                raise ShapeViolation(f"row {row} is not strictly increasing")
+        rows_top_first.append((0,) + tuple(reversed(padded)) + (c,))
+    return GenPattern(n - 1, n, c, tuple(rows_top_first))
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ class TestCounting:
         assert count_monotone_triangles(3, 4) == 0
 
     def test_bottom_row_is_forced(self):
-        for mt in enumerate_monotone_triangles(3, 2):
-            assert mt.pattern.rows[-1][1:-1] == (1, 2, 3)
+        for p in enumerate_monotone_triangles(3, 2):
+            assert p.rows[-1][1:-1] == (1, 2, 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_refined_formula(self, n):

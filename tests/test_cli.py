@@ -271,8 +271,9 @@ class TestVerify:
         report = cli.RunReport("ssyt", {})
         cli._suite_ssyt(report, replace(cli.SweepConfig(), ssyt_max_k=3))
         assert all(v["pass"] for v in report.verdicts)
-        assert {v["parameters"] for v in report.verdicts} == {
-            "shapes with <= 3 parts <= 4, k <= 3"}
+        assert {v["identity"]: v["parameters"] for v in report.verdicts} == {
+            "tableau count product formula": "shapes with <= 3 parts <= 4, k <= 3",
+            "tableau count via alternating extension": "shapes with exactly k parts <= 4, k <= 3"}
         expected = {
             (shape, k)
             for k in range(1, 4)
@@ -283,6 +284,24 @@ class TestVerify:
         assert len(checked) == len(set(checked))
         assert set(checked) == expected
         assert max(len(shape) for shape, _ in checked) == 3
+
+    def test_alternating_extension_reads_another_count(self, monkeypatch):
+        # f_ext counts the shape less its full columns, which is the shape
+        # itself when it has fewer than k rows: the check runs only on the
+        # 69 of 125 instances with exactly k rows, where f_ext's lam_k > -k
+        calls = []
+        f_ext = cli.tableaux.f_ext
+
+        def recording(lam, memo=None):
+            calls.append(lam)
+            return f_ext(lam, memo)
+
+        monkeypatch.setattr(cli.tableaux, "f_ext", recording)
+        report = cli.RunReport("ssyt", {})
+        cli._suite_ssyt(report, cli.SweepConfig())
+        assert report.all_passed
+        assert len(calls) == 69
+        assert all(lam[-1] > -len(lam) for lam in calls)
 
     def test_bad_override_exit_two(self, capsys):
         for override, message in [
@@ -442,6 +461,7 @@ class TestVerify:
         ("zeros", "zeros_max_n=-5"),
         ("zeros", "zeros_max_c=-1"),
         ("fund", "fund_samples=0"),
+        ("ssyt", "ssyt_max_part=0"),  # no shape has exactly k >= 1 rows
         ("asm", "asm_max_n=1"),
         ("asm", "asm_max_n=0"),
     ])

@@ -5,12 +5,12 @@ import json
 
 import pytest
 
+from gtkit import asm
+from gtkit.asm import enumerate_monotone_triangles
 from gtkit.counting import TopRowKey, enumerate_patterns
 from gtkit.patterns import (
     DimensionMismatch,
-    GTPattern,
     GenPattern,
-    MonotoneTriangle,
     Partition,
     ShapeViolation,
     StrictPlanePartition,
@@ -35,18 +35,21 @@ EXAMPLE_364 = GenPattern(
     ),
 )
 
-# The worked 7-row Gelfand-Tsetlin pattern and its strict plane partition
-# of shape (6,4,2,2) with norm 52.
-EXAMPLE_GT7 = GTPattern(
+# The worked 7-row Gelfand-Tsetlin pattern, a (6,7,6)-pattern, and its
+# strict plane partition of shape (6,4,2,2) with norm 52.
+EXAMPLE_GT7 = GenPattern(
+    6,
+    7,
+    6,
     (
-        (1,),
-        (1, 1),
-        (1, 1, 3),
-        (0, 1, 2, 4),
-        (0, 1, 1, 3, 5),
+        (0, 1, 6),
+        (0, 1, 1, 6),
+        (0, 1, 1, 3, 6),
         (0, 0, 1, 2, 4, 6),
-        (0, 0, 0, 2, 2, 4, 6),
-    )
+        (0, 0, 1, 1, 3, 5, 6),
+        (0, 0, 0, 1, 2, 4, 6, 6),
+        (0, 0, 0, 0, 2, 2, 4, 6, 6),
+    ),
 )
 EXAMPLE_SPP = StrictPlanePartition(((7, 5, 5, 4, 3, 2), (6, 4, 3, 2), (5, 2), (3, 1)))
 
@@ -114,8 +117,8 @@ class TestSign:
 
 class TestNorm:
     def test_paper_seven_row_pattern(self):
-        p = GenPattern(6, 7, 6, tuple((0,) + row + (6,) for row in EXAMPLE_GT7.rows))
-        assert norm_of(p) == 52
+        assert validate(EXAMPLE_GT7)
+        assert norm_of(EXAMPLE_GT7) == 52
 
     def test_all_zero_pattern(self):
         p = GenPattern(1, 2, 0, ((0, 0, 0), (0, 0, 0, 0)))
@@ -135,8 +138,30 @@ class TestBijection:
         assert spp_to_gt(EXAMPLE_SPP, 7, 6) == EXAMPLE_GT7
 
     def test_all_zero_pattern_gives_empty_spp(self):
-        gt = GTPattern(((0,), (0, 0), (0, 0, 0)))
-        assert gt_to_spp(gt).rows == ()
+        p = GenPattern(2, 3, 0, ((0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0)))
+        assert gt_to_spp(p).rows == ()
+
+    def test_gt_to_spp_rejects_other_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            gt_to_spp(EXAMPLE_364)  # r = 3, n = 6
+
+    def test_gt_to_spp_rejects_a_decreasing_row(self):
+        # a top entry k > c + 1 gives valid (n-1, n, c)-patterns whose top
+        # row (0, k, c) decreases
+        found = [p for n in (2, 3) for c in range(3) for k in (c + 2, c + 3)
+                 for p in enumerate_patterns(TopRowKey(n - 1, n, c, (k,)))]
+        assert found
+        for p in found:
+            assert validate(p)
+            with pytest.raises(ShapeViolation):
+                gt_to_spp(p)
+
+    def test_gt_to_spp_rejects_an_invalid_pattern(self):
+        # rows weakly increase, but 2 is not between its upper neighbours 0, 1
+        p = GenPattern(1, 2, 2, ((0, 1, 2), (0, 2, 2, 2)))
+        assert not validate(p)
+        with pytest.raises(ShapeViolation):
+            gt_to_spp(p)
 
     def test_shape_violations(self):
         spp = StrictPlanePartition(((3, 1),))
@@ -153,9 +178,8 @@ class TestBijection:
         count = 0
         for k in range(c + 1):
             for p in enumerate_patterns(TopRowKey(n - 1, n, c, (k,))):
-                gt = p.to_gt()
-                spp = gt_to_spp(gt)
-                assert spp_to_gt(spp, n, c) == gt
+                spp = gt_to_spp(p)
+                assert spp_to_gt(spp, n, c) == p
                 assert spp.norm == norm_of(p)
                 assert spp.count_parts_equal(n) == k
                 assert spp not in seen  # injectivity
@@ -201,19 +225,16 @@ class TestPartition:
 class TestMonotoneTriangle:
     def test_accepts_strict_pattern(self):
         p = GenPattern(2, 3, 4, ((0, 2, 4), (0, 1, 2, 4), (0, 1, 2, 3, 4)))
-        mt = MonotoneTriangle(p)
-        assert mt.pattern.n == 3
-        assert mt.pattern.rows[0][1] == 2
+        assert p in enumerate_monotone_triangles(3, 2)
 
-    def test_rejects_weak_row(self):
+    def test_rejects_weak_row(self, monkeypatch):
         p = GenPattern(2, 3, 4, ((0, 2, 4), (0, 2, 2, 4), (0, 1, 2, 3, 4)))
+        assert p not in enumerate_monotone_triangles(3, 2)
+        # a filter that lets weak rows through: the enumeration refuses p
+        monkeypatch.setattr(asm, "_strictly_increasing",
+                            lambda row: all(a <= b for a, b in zip(row, row[1:])))
         with pytest.raises(ShapeViolation):
-            MonotoneTriangle(p)
-
-    def test_rejects_wrong_parameters(self):
-        p = GenPattern(1, 2, 2, ((0, 1, 2), (0, 0, 1, 2)))
-        with pytest.raises(DimensionMismatch):
-            MonotoneTriangle(p)
+            list(enumerate_monotone_triangles(3, 2))
 
 
 class TestJsonSerialization:

@@ -118,3 +118,19 @@ def test_every_sweep_field_is_read_by_the_cli():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
     assert {f.name for f in fields(SweepConfig)} - {"seed"} <= read
+
+
+def test_every_method_is_read():
+    # a method that neither the package, the benchmark nor a test reads as
+    # an attribute is dead code; a dunder is read by the language
+    methods = {item.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (item.name.startswith("__") and item.name.endswith("__"))}
+    read = {node.attr for folder in (PACKAGE, ROOT / "perfbench", ROOT / "tests")
+            for path in folder.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert methods - read == set()
