@@ -9,6 +9,7 @@ number, independently of k.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterator
 
@@ -18,7 +19,7 @@ from .patterns import GenPattern, ShapeViolation, validate
 
 
 def _strictly_increasing(row: tuple[int, ...]) -> bool:
-    return all(row[t] < row[t + 1] for t in range(len(row) - 1))
+    return all(map(operator.lt, row, row[1:]))
 
 
 def _triangle_key(n: int, k: int) -> TopRowKey:
@@ -37,17 +38,18 @@ def enumerate_monotone_triangles(n: int, k: int) -> Iterator[GenPattern]:
         yield p
 
 
-def count_monotone_triangles(n: int, k: int) -> int:
+def count_monotone_triangles(n: int, k: int, memo: dict | None = None) -> int:
     """Number of monotone triangles of size n with top entry k; zero outside
-    1 <= k <= n.  The filter made the rows strict: nothing to validate."""
-    return count_patterns(_triangle_key(n, k), _strictly_increasing)
+    1 <= k <= n.  The filter made the rows strict: nothing to validate.
+    memo as counting.count_patterns's."""
+    return count_patterns(_triangle_key(n, k), _strictly_increasing, memo)
 
 
 def triangle_count(n: int, k: int, memo: dict) -> int:
-    """count_monotone_triangles(n, k), kept in memo under (n, k)."""
+    """count_monotone_triangles(n, k, memo), kept in memo under (n, k)."""
     count = memo.get((n, k))
     if count is None:
-        count = memo[n, k] = count_monotone_triangles(n, k)
+        count = memo[n, k] = count_monotone_triangles(n, k, memo)
     return count
 
 
@@ -56,7 +58,8 @@ def verify_ratio_independence(n: int, memo: dict | None = None) -> tuple[bool, F
     of monotone triangles of size n with top entry k, is the same for every
     k in 1..n and equals the totally symmetric plane partition product.
 
-    memo holds the triangle counts.  Returns (verdict, common ratio), or
+    memo holds the triangle counts and the walks' row tables, shared
+    across k.  Returns (verdict, common ratio), or
     (False, None) when a triangle count is zero and a ratio is undefined.
     """
     if n < 2:
@@ -67,7 +70,7 @@ def verify_ratio_independence(n: int, memo: dict | None = None) -> tuple[bool, F
         triangles = triangle_count(n, k, memo)
         if not triangles:
             return False, None
-        patterns = f_bruteforce(TopRowKey(n - 1, n, n - 1, (k - 1,)))
+        patterns = f_bruteforce(TopRowKey(n - 1, n, n - 1, (k - 1,)), memo)
         ratios.append(Fraction(patterns, triangles))
     common = ratios[0]
     verdict = all(r == common for r in ratios) and common == tsspp_product(n)

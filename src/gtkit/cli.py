@@ -345,7 +345,7 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
     max_n = cfg.asm_max_n
     instances = ((n, k) for n in range(1, max_n + 1) for k in range(1, n + 1))
     params = f"n <= {max_n}, 1 <= k <= n"
-    memo = {}  # triangle counts, shared by all three checks
+    memo = {}  # triangle counts and row tables, shared by all three checks
 
     def count_matches(n, k):
         return asm_mod.triangle_count(n, k, memo) == closedforms.refined_asm(n, k)
@@ -438,11 +438,11 @@ def cmd_count(args) -> int:
     return EXIT_ENGINE_MISMATCH if mismatch else EXIT_OK
 
 
-def _table_row_q(n: int, c: int, k: int):
+def _table_row_q(n: int, c: int, k: int, memo: dict):
     # the closed form is the plain generating function, carrying q^k relative
     # to the normalized engine count; a row whose quotient leaves a remainder
     # reports the fraction form, compared by cross-multiplication
-    brute = counting.fq_bruteforce(TopRowKey(n - 1, n, c, (k,))).shift(k)
+    brute = counting.fq_bruteforce(TopRowKey(n - 1, n, c, (k,)), memo).shift(k)
     try:
         formula = closedforms.theorem_main_q(n, c, k)
     except NonExactDivision:
@@ -466,12 +466,13 @@ def cmd_table(args) -> int:
                 return EXIT_USAGE
             kmin = args.kmin if args.kmin is not None else 0
             kmax = args.kmax if args.kmax is not None else c
+            memo = {}  # row tables, shared by the k of this (n, c)
             for k in range(kmin, kmax + 1):
                 if args.q:
-                    brute, formula, match = _table_row_q(n, c, k)
+                    brute, formula, match = _table_row_q(n, c, k, memo)
                     rows.append((n, c, k, brute, formula, match))
                 else:
-                    brute = counting.f_bruteforce(TopRowKey(n - 1, n, c, (k,)))
+                    brute = counting.f_bruteforce(TopRowKey(n - 1, n, c, (k,)), memo)
                     formula = closedforms.theorem_special(n, c, k)
                     rows.append((n, c, k, brute, formula, brute == formula))
     if not rows:

@@ -68,39 +68,45 @@ def _rows_below(ranges: list[range], c: int, row_filter) -> list:
     return rows if row_filter is None else list(filter(row_filter, rows))
 
 
-def _walk(key: TopRowKey, complete: Callable[[list[range]], object],
-          row_filter: Callable[[tuple[int, ...]], bool] | None = None) -> Iterator[tuple]:
+def _walk(key: TopRowKey, complete: Callable[[list[range]], object] | None = None,
+          row_filter: Callable[[tuple[int, ...]], bool] | None = None,
+          memo: dict | None = None) -> Iterator[tuple]:
     """The one top-down walk of the brute-force route.
 
     For each choice of the upper rows (all but the bottom row, top first,
     pruned by row_filter), yield the rows above the last upper row, that
     row, the choice's inversion parity (borders included), its interior
     sum, and complete(ranges) of the bottom row's cell ranges, one value
-    from each making a pattern.  At r = 0 the top row is the bottom row:
-    the one choice has no upper rows, its last row is None and its ranges
-    are singletons.
+    from each making a pattern; complete None makes the bottom rows
+    themselves, row_filter applied.  At r = 0 the top row is the bottom
+    row: the one choice has no upper rows, its last row is None and its
+    ranges are singletons.
 
-    A table for this call maps each distinct row to its parity, interior sum
-    and next rows (complete(ranges) for a last upper row; a row's length
-    fixes its depth), worked out on first reach.  The stack holds the rows
-    whose next rows are still to be chosen; a row just above the last upper
-    row yields its next rows in one loop, so a last upper row is never
-    pushed.  The table holds row facts, never counts: every choice is still
-    yielded.
+    A table maps each distinct row to its parity, interior sum and next
+    rows (complete(ranges) for a last upper row; a row's length fixes its
+    depth at n), worked out on first reach.  A row's facts depend on the
+    row, c, complete and row_filter alone, so memo keeps one table per
+    (n, c, complete, row_filter) for every r and ks; without a memo the
+    table lives for this call.  The stack holds the rows whose next rows
+    are still to be chosen; a row just above the last upper row yields its
+    next rows in one loop, so a last upper row is never pushed.  The table
+    holds row facts, never counts below a non-last row: every choice is
+    still yielded.
     """
     r, n, c = key.r, key.n, key.c
+    bottoms = complete or functools.partial(_rows_below, c=c, row_filter=row_filter)
     if r == 0:
-        yield (), None, 0, 0, complete([range(k, k + 1) for k in key.ks])
+        yield (), None, 0, 0, bottoms([range(k, k + 1) for k in key.ks])
         return
     top = (0,) + key.ks + (c,)
     if row_filter is not None and not row_filter(top):
         return
-    table: dict = {}
+    table = {} if memo is None else memo.setdefault((n, c, complete, row_filter), {})
 
     def facts(row):
         following = row[1:]
         ranges = list(map(_cell_range, row, following))
-        below = complete(ranges) if len(row) > n else _rows_below(ranges, c, row_filter)
+        below = bottoms(ranges) if len(row) > n else _rows_below(ranges, c, row_filter)
         table[row] = found = (sum(map(operator.gt, row, following)) & 1,
                               sum(row) - c,  # the borders are 0 and c
                               below)
@@ -137,19 +143,18 @@ def enumerate_patterns(
     they are joined once per choice, then completed by each bottom row.
     """
     r, n, c = key.r, key.n, key.c
-    bottoms = functools.partial(_rows_below, c=c, row_filter=row_filter)
     pattern = GenPattern._trusted
-    for above, last, _, _, below in _walk(key, bottoms, row_filter):
+    for above, last, _, _, below in _walk(key, None, row_filter):
         rows = above + (last,) if r else above
         for bottom in below:
             yield pattern(r, n, c, rows + (bottom,))
 
 
-def count_patterns(key: TopRowKey, row_filter: Callable | None = None) -> int:
+def count_patterns(key: TopRowKey, row_filter: Callable | None = None,
+                   memo: dict | None = None) -> int:
     """Number of patterns enumerate_patterns(key, row_filter) yields, added
-    up per choice of the upper rows without building one."""
-    bottoms = functools.partial(_rows_below, c=key.c, row_filter=row_filter)
-    return sum(len(below) for *_, below in _walk(key, bottoms, row_filter))
+    up per choice of the upper rows without building one; memo as _walk's."""
+    return sum(len(below) for *_, below in _walk(key, None, row_filter, memo))
 
 
 def _bottom_sums(ranges: list[range]) -> tuple[tuple[int, int], ...]:
@@ -160,19 +165,19 @@ def _bottom_sums(ranges: list[range]) -> tuple[tuple[int, int], ...]:
     return tuple(tally.items())
 
 
-def bruteforce_count(key: TopRowKey) -> CountResult:
+def bruteforce_count(key: TopRowKey, memo: dict | None = None) -> CountResult:
     """Plain and q-weighted brute-force counts from a single enumeration pass.
 
     Each choice of the upper rows adds its sign times the number of bottom
     rows with each interior sum to the coefficient of q^(norm - sum(ks)), one
     add per distinct sum; the plain count is the sum of those coefficients.
     The walk's table keeps that tally per last upper row: every bottom row
-    is generated once per distinct last row, and every choice still adds
-    its own tally.
+    is generated once per distinct last row and memo (as _walk's), and
+    every choice still adds its own tally.
     """
     by_norm: dict[int, int] = {}
     get = by_norm.get
-    for _, _, parity, norm, tally in _walk(key, _bottom_sums):
+    for _, _, parity, norm, tally in _walk(key, _bottom_sums, None, memo):
         for s, rows in tally:
             by_norm[norm + s] = get(norm + s, 0) + (-rows if parity else rows)
     offset = sum(key.ks)
@@ -184,19 +189,27 @@ def _bottom_count(ranges: list[range]) -> int:
     return math.prod(map(len, ranges))
 
 
-def f_bruteforce(key: TopRowKey) -> int:
-    """Signed count of all (r,n,c)-patterns with the given top row: the
-    sign of each choice of upper rows times its number of bottom rows, the
-    product of their cells' range lengths."""
-    total = 0
-    for _, _, parity, _, count in _walk(key, _bottom_count):
-        total += -count if parity else count
-    return total
+def pattern_counts(key: TopRowKey, memo: dict | None = None) -> tuple[int, int]:
+    """The signed and the unsigned number of (r,n,c)-patterns with the given
+    top row, from one walk: each choice of upper rows adds its number of
+    bottom rows, the product of their cells' range lengths, to the total of
+    its sign.  memo as _walk's."""
+    totals = [0, 0]
+    for _, _, parity, _, count in _walk(key, _bottom_count, None, memo):
+        totals[parity] += count
+    even, odd = totals
+    return even - odd, even + odd
 
 
-def fq_bruteforce(key: TopRowKey) -> LaurentPolyQ:
+def f_bruteforce(key: TopRowKey, memo: dict | None = None) -> int:
+    """Signed count of all (r,n,c)-patterns with the given top row, the
+    first of pattern_counts(key, memo)."""
+    return pattern_counts(key, memo)[0]
+
+
+def fq_bruteforce(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
     """Signed q-weighted count, normalized by q^(k_1 + ... + k_{n-r})."""
-    return bruteforce_count(key).q_weighted
+    return bruteforce_count(key, memo).q_weighted
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .counting import (
-    TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_packed, fq_recursive,
+    TopRowKey, f_recursive, fq_packed, fq_recursive, pattern_counts,
 )
 from .exact import (
     LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q, pack_q,
@@ -400,17 +400,17 @@ def verify_zeros(n: int, c: int) -> bool:
     count there is 0, the counts are not all 0, and every difference of
     order one above the number of zeros vanishes.  So on the nodes the count
     is a polynomial of degree at most 2n-2 with those 2n-2 zeros, a nonzero
-    constant times the product of (k - z) over them."""
+    constant times the product of (k - z) over them.  One walk per node
+    reads both the count and the number of patterns."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     zeros = expected_zeros(n, c)
-    for k in zeros:
-        key = TopRowKey(n - 1, n, c, (k,))
-        if next(enumerate_patterns(key), None) is not None:
-            return False  # objects exist, not even a signed cancellation
     nodes = range(-n - 1, c + n + 2)
-    counts = [f_bruteforce(TopRowKey(n - 1, n, c, (k,))) for k in nodes]
-    if not any(counts) or any(counts[nodes.index(k)] for k in zeros):
+    memo = {}  # row tables, shared by the nodes
+    counts, sizes = zip(*(pattern_counts(TopRowKey(n - 1, n, c, (k,)), memo)
+                          for k in nodes))
+    # at a zero, objects are not even a signed cancellation
+    if not any(counts) or any(counts[i] or sizes[i] for i in map(nodes.index, zeros)):
         return False
     for _ in range(len(zeros) + 1):
         counts = [b - a for a, b in zip(counts, counts[1:])]

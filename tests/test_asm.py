@@ -76,9 +76,9 @@ class TestSuiteCountsOnce:
         calls = []
         count = asm.count_monotone_triangles
 
-        def counted(n, k):
+        def counted(n, k, memo=None):
             calls.append((n, k))
-            return count(n, k)
+            return count(n, k, memo)
 
         monkeypatch.setattr(asm, "count_monotone_triangles", counted)
         assert cli.main(["verify", "--suite", "asm"]) == cli.EXIT_OK

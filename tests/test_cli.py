@@ -423,12 +423,13 @@ class TestVerify:
         # one count too high at k = c+n+1, the last node the check reads,
         # lifts the counts above their degree bound: a failing verdict, not
         # an exception
-        real = cli.identities.f_bruteforce
+        real = cli.identities.pattern_counts
 
-        def planted(key):
-            return real(key) + 1 if key.ks == (key.c + key.n + 1,) else real(key)
+        def planted(key, memo=None):
+            value, patterns = real(key, memo)
+            return value + (key.ks == (key.c + key.n + 1,)), patterns
 
-        monkeypatch.setattr(cli.identities, "f_bruteforce", planted)
+        monkeypatch.setattr(cli.identities, "pattern_counts", planted)
         code, out = run_cli(capsys, "verify", "--suite", "zeros")
         assert code == cli.EXIT_VERIFICATION_FAILED
         (verdict,) = json.loads(out)["verdicts"]
@@ -438,8 +439,8 @@ class TestVerify:
     def test_a_zero_triangle_count_fails_the_asm_suite(self, monkeypatch, capsys):
         real = cli.asm_mod.count_monotone_triangles
 
-        def planted(n, k):
-            return 0 if (n, k) == (3, 2) else real(n, k)
+        def planted(n, k, memo=None):
+            return 0 if (n, k) == (3, 2) else real(n, k, memo)
 
         monkeypatch.setattr(cli.asm_mod, "count_monotone_triangles", planted)
         code, out = run_cli(capsys, "verify", "--suite", "asm")

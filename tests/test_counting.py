@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gtkit import asm, counting, exact
+from gtkit import asm, counting, exact, identities
 from gtkit.counting import (
     CountResult,
     TopRowKey,
@@ -221,8 +221,62 @@ class TestBruteForceMatchesTheBox:
         assert bruteforce_count(key) == _box_count(key)
 
 
+def _count_all(key, memo=None):
+    return counting.count_patterns(key, None, memo)
+
+
+def _count_strict(key, memo=None):
+    return counting.count_patterns(key, asm._strictly_increasing, memo)
+
+
+#: every brute-force reader that takes a memo, each as reader(key, memo)
+MEMO_READERS = [f_bruteforce, counting.pattern_counts, bruteforce_count,
+                fq_bruteforce, _count_all, _count_strict]
+
+
+class _Merged(dict):
+    # a memo that keys each row table by (n, c, completion, filter) less
+    # the part at index drop
+    def __init__(self, drop):
+        super().__init__()
+        self.drop = drop
+
+    def setdefault(self, key, default=None):
+        return super().setdefault(key[:self.drop] + key[self.drop + 1:], default)
+
+
+def _read_on_one_memo(memo) -> list:
+    # every reader on every key of several (r, n, c), on the one memo,
+    # compared with a fresh call; the keys that read otherwise
+    wrong = []
+    for key in [*_keys(2), *_negative_c_keys()]:
+        for read in MEMO_READERS:
+            try:
+                same = read(key, memo) == read(key)
+            except TypeError:  # a table entry of another completion
+                same = False
+            if not same:
+                wrong.append((key, read))
+    return wrong
+
+
 class TestRowTable:
-    """The walk's table of row facts lives for one call and respects the filter."""
+    """The walk's table of row facts lives for one call, or in a caller's
+    memo for every key of one (n, c), and respects the filter."""
+
+    def test_one_memo_serves_every_reader_and_key(self):
+        memo = {}
+        assert _read_on_one_memo(memo) == []
+        # tables keyed by (n, c, completion, filter): one serves every r
+        walked = [key for key in [*_keys(2), *_negative_c_keys()] if key.r]
+        assert {len(key) for key in memo} == {4}
+        assert {(n, c) for n, c, *_ in memo} == {(key.n, key.c) for key in walked}
+        assert len({(key.n, key.c) for key in walked}) < len(
+            {(key.r, key.n, key.c) for key in walked})
+
+    @pytest.mark.parametrize("drop", [2, 3], ids=["completion", "filter"])
+    def test_a_memo_key_without_its_completion_or_filter_fails(self, drop):
+        assert _read_on_one_memo(_Merged(drop))
 
     def test_interleaved_calls_match_fresh_ones(self):
         # the keys share rows; the filter prunes some of them for one caller
@@ -280,7 +334,8 @@ class TestRowTable:
             assert (f_bruteforce(key), counting.count_patterns(key)) == counts, key
 
     def test_no_module_level_table(self):
-        # the recursion's memos and the walk's row table live for one call
+        # the recursion's memos and the walk's row tables live for one call
+        # or in the caller's memo
         dicts = {name for name, value in vars(counting).items()
                  if isinstance(value, dict) and not name.startswith("__")}
         assert dicts == set()
@@ -303,6 +358,26 @@ class TestRowTable:
         for run in (lambda: list(enumerate_patterns(key)), lambda: bruteforce_count(key)):
             calls.clear()
             run()
+            assert len(calls) == cells
+
+    @pytest.mark.parametrize("n, c", [(3, 2), (4, 1)])
+    def test_cell_ranges_once_per_distinct_row_across_the_zeros_nodes(self, n, c, monkeypatch):
+        # the zeros check's one memo works a row's ranges out once over all
+        # its nodes, where a table per node would repeat the rows they share
+        keys = [TopRowKey(n - 1, n, c, (k,)) for k in range(-n - 1, c + n + 2)]
+        per_node = [_reached_rows(key) for key in keys]
+        cells = sum(len(row) - 1 for row in set().union(*per_node))
+        assert cells < sum(len(row) - 1 for rows in per_node for row in rows)
+        real, calls = counting._cell_range, []
+
+        def counted(w, e):
+            calls.append((w, e))
+            return real(w, e)
+
+        monkeypatch.setattr(counting, "_cell_range", counted)
+        for _ in range(2):  # each call its own memo
+            calls.clear()
+            assert identities.verify_zeros(n, c)
             assert len(calls) == cells
 
 
@@ -328,6 +403,13 @@ def _upper_choices(key: TopRowKey, row_filter=None) -> list:
     return choices
 
 
+def _reached_rows(key: TopRowKey) -> set:
+    # every upper row the walk reaches, dead ends included: the last rows of
+    # the choices of each shorter walk down from the same top row
+    return {rows[-1] for d in range(1, key.r + 1)
+            for rows in _upper_choices(TopRowKey(d, key.n - key.r + d, key.c, key.ks))}
+
+
 # r = 0 to 3, negative c, inverted top rows, and keys without patterns
 WALK_KEYS = [*_keys(1), *_negative_c_keys(),
              TopRowKey(3, 5, 2, (4, -2)), TopRowKey(3, 4, -2, (-3,)),
@@ -339,14 +421,19 @@ class TestWalkVisitsEveryChoice:
     the parity and interior sum of its rows, whether or not a bottom row
     completes it."""
 
-    @pytest.mark.parametrize("row_filter", [None, asm._strictly_increasing],
-                             ids=["all", "strict"])
-    def test_yields_equal_the_choices(self, row_filter):
-        empty = 0
+    @pytest.mark.parametrize("row_filter, warm", [
+        (None, False), (asm._strictly_increasing, False),
+        (None, True), (asm._strictly_increasing, True),
+    ], ids=["all", "strict", "all-warm-memo", "strict-warm-memo"])
+    def test_yields_equal_the_choices(self, row_filter, warm):
+        # warm: every key's rows are already in the one memo the walks share
+        empty, memo = 0, {} if warm else None
+        for key in WALK_KEYS if warm else ():
+            for _ in counting._walk(key, None, row_filter, memo):
+                pass
         for key in WALK_KEYS:
             walked, bottoms = [], []
-            complete = functools.partial(counting._rows_below, c=key.c, row_filter=row_filter)
-            for above, last, parity, norm, below in counting._walk(key, complete, row_filter):
+            for above, last, parity, norm, below in counting._walk(key, None, row_filter, memo):
                 walked.append((above + (last,) if key.r else above, parity, norm))
                 bottoms.append(len(below))
             expected = [

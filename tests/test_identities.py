@@ -861,16 +861,16 @@ class TestInterpolateF:
         # corrupt one count off the zeros: the differences must catch it
         import gtkit.identities as ident
 
-        real = ident.f_bruteforce
+        real = ident.pattern_counts
 
-        def corrupted(key):
-            value = real(key)
-            return value + 1 if key.ks == (4,) else value
+        def corrupted(key, memo=None):
+            value, patterns = real(key, memo)
+            return (value + 1 if key.ks == (4,) else value), patterns
 
         assert verify_zeros(2, 1)
-        monkeypatch.setattr(ident, "f_bruteforce", corrupted)
+        monkeypatch.setattr(ident, "pattern_counts", corrupted)
         ks = range(-3, 5)
-        counts = [corrupted(TopRowKey(1, 2, 1, (k,))) for k in ks]
+        counts = [corrupted(TopRowKey(1, 2, 1, (k,)))[0] for k in ks]
         assert counts[ks.index(-1)] == counts[ks.index(2)] == 0
         assert any(_differences(counts, 3))
         assert not verify_zeros(2, 1)
@@ -893,8 +893,9 @@ class TestVerifyZeros:
         import gtkit.identities as ident
 
         read = []
-        real = ident.f_bruteforce
-        monkeypatch.setattr(ident, "f_bruteforce", lambda key: read.append(key.ks[0]) or real(key))
+        real = ident.pattern_counts
+        monkeypatch.setattr(ident, "pattern_counts",
+                            lambda key, memo=None: read.append(key.ks[0]) or real(key, memo))
         assert verify_zeros(n, c)
         assert read == list(range(read[0], read[-1] + 1))
         assert set(expected_zeros(n, c)) <= set(read) and len(read) >= 2 * n + 3
@@ -904,25 +905,44 @@ class TestVerifyZeros:
         # not extrapolated, so one planted there fails
         import gtkit.identities as ident
 
-        real = ident.f_bruteforce
+        real = ident.pattern_counts
+
+        def planted(key, memo=None):
+            value, patterns = real(key, memo)
+            return value + (key.ks == (5,)), patterns
+
         assert 5 in expected_zeros(2, 4) and verify_zeros(2, 4)
-        monkeypatch.setattr(ident, "f_bruteforce",
-                            lambda key: real(key) + (key.ks == (5,)))
+        monkeypatch.setattr(ident, "pattern_counts", planted)
         assert not verify_zeros(2, 4)
 
     def test_a_moved_zero_fails_on_its_count(self, monkeypatch):
         # move the zero c+n-1 to c+n, where patterns exist; with the
-        # empty-set check taken out and the degree still within its bound,
-        # the count at c+n alone must reject it
+        # empty-set check taken out (every node's pattern count read as 0)
+        # and the degree still within its bound, the count at c+n alone
+        # must reject it
         import gtkit.identities as ident
 
         n, c = 3, 2
         real = ident.expected_zeros
         monkeypatch.setattr(ident, "expected_zeros",
                             lambda n, c: real(n, c)[:-1] + [c + n])
-        monkeypatch.setattr(ident, "enumerate_patterns", lambda key: iter(()))
+        read = ident.pattern_counts
+        monkeypatch.setattr(ident, "pattern_counts",
+                            lambda key, memo=None: (read(key, memo)[0], 0))
         assert _counts(n, c, [c + n]) != [0]
         assert not any(_differences(_counts(n, c, range(-n - 1, c + n + 2)), 2 * n - 1))
+        assert not verify_zeros(n, c)
+
+    def test_a_pattern_at_a_zero_fails_on_its_size(self, monkeypatch):
+        # patterns whose signs cancel at a zero leave its count 0 and the
+        # differences as they are: only the pattern count rejects them
+        import gtkit.identities as ident
+
+        n, c = 3, 2
+        zero = expected_zeros(n, c)[0]
+        read = ident.pattern_counts
+        monkeypatch.setattr(ident, "pattern_counts", lambda key, memo=None: (
+            read(key, memo)[0], read(key, memo)[1] + 2 * (key.ks == (zero,))))
         assert not verify_zeros(n, c)
 
     def test_a_dropped_zero_fails_the_degree(self, monkeypatch):
