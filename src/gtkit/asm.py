@@ -1,10 +1,11 @@
 """Monotone triangles and the alternating-sign-matrix observation.
 
 Monotone triangles are enumerated through the generalized-pattern enumerator
-with an added strict-row filter.  The module checks the refined counting
-formula against brute force and the observation that the (n-1,n,n-1) count at
-k-1 divided by the refined count is the totally-symmetric-plane-partition
-number, independently of k.
+with an added strict-row filter, and counted by brute force.  The module
+checks the observation that the (n-1,n,n-1) count at k-1 divided by the
+triangle count is the totally-symmetric-plane-partition number, independently
+of k; the cli's asm suite compares the counts with the refined counting
+formula and the totals.
 """
 
 from __future__ import annotations

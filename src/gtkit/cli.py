@@ -196,7 +196,7 @@ def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
     grid = ((r, dd, x, y) for r in LEMMA2_RS for dd in range(-d, d + 1)
             for x in range(-xy, xy + 1) for y in range(-xy, xy + 1))
     params = f"r in {LEMMA2_RS}, d in [{-d},{d}], x,y in [{-xy},{xy}]"
-    # one summand table per check
+    # one table of summands and right sides per check
     _check(report, params, grid, {
         "double-sum evaluation (plain)": functools.partial(identities.verify_lemma_2, memo={}),
         "double-sum evaluation (q)": functools.partial(identities.verify_lemma_2q, memo={}),
@@ -489,7 +489,7 @@ def cmd_table(args) -> int:
         report = RunReport("table", {"n": args.n, "c": args.c, "kmin": args.kmin,
                                      "kmax": args.kmax, "format": args.format, "q": args.q})
         for n, c, k, brute, formula, match in rows:
-            label = f"F({n - 1},{n},{c};{k})"
+            label = f"{f'q^{k}*F_q' if args.q else 'F'}({n - 1},{n},{c};{k})"
             report.add_result(label, brute, "bruteforce")
             report.add_result(label, formula, "closed form")
             report.add_verdict("brute equals closed form",

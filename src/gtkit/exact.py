@@ -341,7 +341,7 @@ class LaurentPolyQ:
         return self._terms == o._terms  # both hold nonzero coefficients only
 
     def __hash__(self):
-        return hash(frozenset((e, Fraction(c)) for e, c in self._terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     # -- division -----------------------------------------------------------
 

@@ -6,6 +6,12 @@ evaluating both sides independently (the fundamental lemma for every
 function at once, by the signed corners of its boxes), and checks the
 one-variable count's degree bound and integer zeros on consecutive integers,
 by finite differences.
+
+Lemma 2 and the decomposition of D_i F read one product,
+P_r(d) = (1+q^r) [d-r+2;q]_{2r-1} [d+1;q], written once as its bracket pairs
+and read on both weights (2 (d-r+2)_{2r-1} (d+1) at q = 1): lemma 2 sums
+P_{r-1} over a box to 2 P_r / [2r-1;q]_2, and D_i F is (-1)^r P_r / [1;q]_{2r}
+times the smaller count.
 """
 
 from __future__ import annotations
@@ -179,42 +185,48 @@ def _tabled(memo: dict | None, key: tuple, build: Callable):
     return value
 
 
-def _lemma2_term(r: int, diff: int) -> int:
-    # the summand at diff = y'-x'
-    return math.prod(range(diff - r + 3, diff + r)) * (diff + 1)
+def _product_pairs(r: int, d: int) -> tuple[tuple[int, int], ...]:
+    # P_r(d) = (1+q^r) [d-r+2;q]_{2r-1} [d+1;q]: its bracket pairs (x, n)
+    return (d - r + 2, 2 * r - 1), (d + 1, 1)
 
 
-def _lemma2q_term(r: int, diff: int) -> LaurentPolyQ:
-    # the q summand at diff, before its shift
-    return (q_poch_product((diff - r + 3, 2 * r - 3), (diff + 1, 1))
-            * LaurentPolyQ({0: 1, r - 1: 1}))
+def _product(r: int, d: int) -> int:
+    # P_r(d) at q = 1
+    return 2 * math.prod(pochhammer(x, n) for x, n in _product_pairs(r, d))
+
+
+def _product_q(r: int, d: int) -> LaurentPolyQ:
+    # P_r(d)
+    return LaurentPolyQ({0: 1, r: 1}) * q_poch_product(*_product_pairs(r, d))
 
 
 def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
-    """Double extended sum of (y'-x'-r+3)_{2r-3} (y'-x'+1) over the shifted
-    box against its closed form (y-x-r+2)_{2r-1} (y-x+1) / (r(2r-1)), the
+    """Lemma 2 at q = 1: the double extended sum of P_{r-1}(y'-x') over the
+    shifted box against its closed form 2 P_r(y-x) / (2r-1)_2, the
     denominator multiplied across.
-    memo: this check's own dict of summands, keyed by (r, y'-x')."""
+    memo: this check's own dict of summands P_{r-1}, keyed by (r-1, y'-x'),
+    and, apart under (r, y-x, "rhs"), of right sides."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
 
     def term(ls):
         xp, yp = ls
-        return _tabled(memo, (r, yp - xp), _lemma2_term)
+        return _tabled(memo, (r - 1, yp - xp), _product)
 
     lhs = chained_sum([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
-    return lhs * r * (2 * r - 1) == math.prod(range(y - x - r + 2, y - x + r + 1)) * (y - x + 1)
+    rhs = _tabled(memo, (r, y - x, "rhs"), lambda r, diff, _side: 2 * _product(r, diff))
+    return lhs * (2 * r - 1) * (2 * r) == rhs
 
 
 def _lemma2q_rhs(r: int, diff: int, _side: str) -> LaurentPolyQ:
-    # 2 [diff-r+2;q]_{2r-1} [diff+1;q] (1+q^r) / ([2r-1;q][2r;q]), diff = y-x
-    return q_poch_ratio(LaurentPolyQ({0: 2, r: 2}), ((diff - r + 2, 2 * r - 1), (diff + 1, 1)),
-                        ((2 * r - 1, 2),))
+    # 2 P_r(diff) / ([2r-1;q][2r;q]), diff = y-x
+    return q_poch_ratio(LaurentPolyQ({0: 2, r: 2}), _product_pairs(r, diff), ((2 * r - 1, 2),))
 
 
 def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
-    """q-analog of verify_lemma_2, its right side divided exactly (False on
-    a remainder); memo as there, holding unshifted summands packed at
+    """Lemma 2 in q: the sum of q^{(2r-2) x'} P_{r-1}(y'-x') over the box against
+    q^{2rx+2dr+r-2} 2 P_r(y-x) / ([2r-1;q][2r;q]), the right side divided
+    exactly (False on a remainder); memo as there, holding summands packed at
     exact.PACK_BITS and, apart under (r, y-x, "rhs"), unshifted right sides.
     The left side is one chained_sum_packed, each summand's low raised by
     (2r-2) x', unpacked at the width exact.widened proves from its count."""
@@ -223,10 +235,10 @@ def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) ->
 
     def lhs_at(table, bits):
         def summand(r, diff):
-            return pack_q(_lemma2q_term(r, diff), bits)
+            return pack_q(_product_q(r, diff), bits)
 
         def term(ls):
-            packed, low, weight = _tabled(table, (r, ls[1] - ls[0]), summand)
+            packed, low, weight = _tabled(table, (r - 1, ls[1] - ls[0]), summand)
             return packed, low + (2 * r - 2) * ls[0], weight
 
         return chained_sum_packed([(x + d, y + d), (x - 1 + d, y - 1 + d)], term, bits)
@@ -244,24 +256,13 @@ def _decomp_rhs_args(ks: tuple[int, ...], i: int) -> tuple[int, ...]:
     return ks[: i - 1] + tuple(v + 2 for v in ks[i + 1 :])
 
 
-def _decomp_factor(r: int, diff: int) -> int:
-    # (-1)^r 2/(2r)! (diff-r+2)_{2r-1} (diff+1) at diff = k_{i+1}-k_i, times (2r)!
-    return (-1) ** r * 2 * math.prod(range(diff - r + 2, diff + r + 1)) * (diff + 1)
-
-
-def _decomp_q_factor(r: int, diff: int) -> tuple[LaurentPolyQ, LaurentPolyQ]:
-    # its q-analog, and [1;q]_{2r}
-    num = LaurentPolyQ({0: 1, r: 1}) * q_poch_product((diff - r + 2, 2 * r - 1), (diff + 1, 1))
-    return (-1) ** r * num, q_poch(1, 2 * r)
-
-
 def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int],
                   memo: dict | None = None) -> bool:
-    """D_i F(r,n,c;.) at ks against the explicit product times the smaller
-    count F(r,n-2,c+2;...), both sides through the recursion engine, (2r)!
-    multiplied across.
-    memo: this check's own dict of products, keyed by (r, k_{i+1}-k_i), and
-    of the recursion's level tables, keyed by (r, n, c): no key is both."""
+    """D_i F(r,n,c;.) at ks against (-1)^r P_r(k_{i+1}-k_i) / (2r)! times the
+    smaller count F(r,n-2,c+2;...), both sides through the recursion engine,
+    (2r)! multiplied across.
+    memo: this check's own dict of products P_r, keyed by (r, k_{i+1}-k_i),
+    and of the recursion's level tables, keyed by (r, n, c): no key is both."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
@@ -270,7 +271,7 @@ def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int],
     lhs = f_recursive(TopRowKey(r, n, c, ks), memo) + f_recursive(
         TopRowKey(r, n, c, _swap(ks, i)), memo
     )
-    factor = _tabled(memo, (r, ks[i] - ks[i - 1]), _decomp_factor)
+    factor = (-1) ** r * _tabled(memo, (r, ks[i] - ks[i - 1]), _product)
     rhs = factor * f_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)), memo)
     return lhs * math.factorial(2 * r) == rhs
 
@@ -290,11 +291,13 @@ def decomp_q_exponent(r: int, n: int, i: int) -> int:
 
 def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
                     memo: dict | None = None) -> bool:
-    """q-analog of verify_decomp, cross-multiplied with [1;q]_{2r}; memo as
-    there, each product packed with [1;q]_{2r}, and each F_q from fq_packed
-    under (r, n, c, ks).  Both sides are packed ints at one low; the product
-    of a side's weights (an F_q's is its pattern count) bounds its
-    coefficients, so exact.widened picks the compare's width and table."""
+    """q-analog of verify_decomp, (-1)^r P_r(k_{i+1}-k_i) / [1;q]_{2r} times
+    q^(2r k_i + decomp_q_exponent) F_q(r,n-2,c+2;...), cross-multiplied with
+    [1;q]_{2r}; memo as there, each signed product packed with [1;q]_{2r}, and
+    each F_q from fq_packed under (r, n, c, ks).  Both sides are packed ints
+    at one low; the product of a side's weights (an F_q's is its pattern
+    count) bounds its coefficients, so exact.widened picks the compare's width
+    and table."""
     ks = tuple(ks)
     if not 1 <= i <= n - r - 1:
         raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
@@ -308,7 +311,7 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
             return fq_packed(TopRowKey(*key), table, bits)
 
         def factor(r, diff):
-            return tuple(pack_q(p, bits) for p in _decomp_q_factor(r, diff))
+            return pack_q((-1) ** r * _product_q(r, diff), bits), pack_q(q_poch(1, 2 * r), bits)
 
         (a, a_low, a_w), (b, b_low, b_w), (f, f_low, f_w) = [
             _tabled(table, top, count) for top in tops]

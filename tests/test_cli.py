@@ -166,6 +166,27 @@ class TestTable:
         report = json.loads(out)
         assert all(v["pass"] for v in report["verdicts"])
 
+    def test_json_q_rows_name_the_shifted_q_count(self, capsys):
+        # a q row's value is q^k F_q, count --q's F_q times q^k; plain rows
+        # keep the plain count's name
+        code, out = run_cli(capsys, "table", "--n", "2", "--c", "1", "--kmin", "-1", "--q")
+        assert code == 0
+        results = json.loads(out)["results"]
+        labels = [r["label"] for r in results if r["provenance"] == "bruteforce"]
+        assert labels == ["q^-1*F_q(1,2,1;-1)", "q^0*F_q(1,2,1;0)", "q^1*F_q(1,2,1;1)"]
+        for k in (-1, 0, 1):
+            code, out = run_cli(capsys, "count", "--r", "1", "--n", "2", "--c", "1",
+                                f"--ks={k}", "--engine", "brute", "--q")
+            (counted,) = json.loads(out)["results"]
+            assert counted["label"] == f"F_q(1,2,1;{k})"
+            row = next(r for r in results if r["label"] == f"q^{k}*F_q(1,2,1;{k})"
+                       and r["provenance"] == "bruteforce")
+            value = cli.counting.fq_bruteforce(cli.TopRowKey(1, 2, 1, (k,)))
+            assert counted["value"] == str(value) and row["value"] == str(value.shift(k))
+        code, out = run_cli(capsys, "table", "--n", "2", "--c", "1")
+        assert [r["label"] for r in json.loads(out)["results"]] == [
+            "F(1,2,1;0)", "F(1,2,1;0)", "F(1,2,1;1)", "F(1,2,1;1)"]
+
     @pytest.mark.parametrize("argv", [
         ("--n", "3:1", "--c", "1"),
         ("--n", "2", "--c", "2:0"),

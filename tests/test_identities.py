@@ -264,18 +264,19 @@ def _assert_slip_fails_the_fund_verdict(monkeypatch, capsys, random_function, na
 
 
 def _parent_lemma_2(r, d, x, y, memo):
-    # lemma 2 as it was checked before: the right side as a Fraction
+    # lemma 2 as it was checked before: the right side as a Fraction, the
+    # summands P_{r-1} read from the check's table
     def term(ls):
         xp, yp = ls
-        return identities._tabled(memo, (r, yp - xp), identities._lemma2_term)
+        return identities._tabled(memo, (r - 1, yp - xp), identities._product)
 
     lhs = chained_sum([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
-    rhs = Fraction(1, r * (2 * r - 1)) * pochhammer(y - x - r + 2, 2 * r - 1) * (y - x + 1)
+    rhs = Fraction(2, r * (2 * r - 1)) * pochhammer(y - x - r + 2, 2 * r - 1) * (y - x + 1)
     return lhs == rhs
 
 
 def _packed_lemma2q_term(r, diff):
-    return pack_q(identities._lemma2q_term(r, diff), PACK_BITS)
+    return pack_q(identities._product_q(r, diff), PACK_BITS)
 
 
 def _shifted(value):
@@ -290,7 +291,7 @@ def _parent_lemma_2q(r, d, x, y, memo):
     # summand unpacked from the table and shifted
     def term(ls):
         xp, yp = ls
-        packed, low, _ = identities._tabled(memo, (r, yp - xp), _packed_lemma2q_term)
+        packed, low, _ = identities._tabled(memo, (r - 1, yp - xp), _packed_lemma2q_term)
         return unpack_q(packed, low, PACK_BITS).shift((2 * r - 2) * xp)
 
     lhs = chained_sum_q([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
@@ -298,6 +299,42 @@ def _parent_lemma_2q(r, d, x, y, memo):
         2 * q_poch(y - x - r + 2, 2 * r - 1) * q_bracket(y - x + 1) * LaurentPolyQ({0: 1, r: 1})
     ).shift(2 * r * x + 2 * d * r + r - 2)
     return lhs * q_bracket(2 * r - 1) * q_bracket(2 * r) == rhs_num
+
+
+def _slipped_pairs(r, d):
+    # identities._product_pairs with a slip: [d+2;q] for [d+1;q]
+    return (d - r + 2, 2 * r - 1), (d + 2, 1)
+
+
+class TestProduct:
+    """P_r(d) = (1+q^r) [d-r+2;q]_{2r-1} [d+1;q], written once as bracket
+    pairs, is what lemma 2 and the decomposition read on both weights."""
+
+    def test_plain_weight_is_the_q_weight_at_one(self):
+        for r in range(1, 6):
+            for d in range(-8, 9):
+                plain = identities._product(r, d)
+                assert plain == identities._product_q(r, d).at_one(), (r, d)
+                assert plain == 2 * pochhammer(d - r + 2, 2 * r - 1) * (d + 1), (r, d)
+
+    @pytest.mark.parametrize("suite,checks", [
+        ("lemma2", {"double-sum evaluation (plain)": verify_lemma_2,
+                    "double-sum evaluation (q)": verify_lemma_2q}),
+        ("decomp", {"swap-operator factorization (plain)": verify_decomp,
+                    "swap-operator factorization (q)": verify_decomp_q})])
+    def test_a_slip_in_the_pairs_fails_every_verdict(self, suite, checks, monkeypatch, capsys):
+        # one slipped bracket fails both checks of the suite, plain and q;
+        # each counterexample replays: False with the slip, True without
+        monkeypatch.setattr(identities, "_product_pairs", _slipped_pairs)
+        assert cli.main(["verify", "--suite", suite]) == cli.EXIT_VERIFICATION_FAILED
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert [v["identity"] for v in verdicts] == list(checks)
+        assert not any(v["pass"] for v in verdicts)
+        replays = [(checks[v["identity"]], ast.literal_eval(v["counterexample"]))
+                   for v in verdicts]
+        assert not any(check(*inst) for check, inst in replays)
+        monkeypatch.undo()
+        assert all(check(*inst) for check, inst in replays)
 
 
 class TestLemma2:
@@ -487,11 +524,13 @@ class TestSummandTables:
         assert planted and check(*inst, memo=memo)
 
     @pytest.mark.parametrize("suite,builders", [
-        ("lemma2", ("_lemma2_term", "_lemma2q_term")),
-        ("decomp", ("_decomp_factor", "_decomp_q_factor"))])
+        ("lemma2", (("_product", 26 + 26), ("_product_q", 26))),
+        ("decomp", (("_product", 26), ("_product_q", 26)))])
     def test_suite_builds_each_term_once(self, suite, builders, monkeypatch, capsys):
         # 26 distinct (r, difference) among 4,410 lemma 2 terms and 784 decomp
-        # instances, per check
+        # instances, per check; the plain lemma 2 check also builds each of
+        # its 26 right sides 2 P_r(y-x) once (the q check's are _lemma2q_rhs)
+        builders = dict(builders)
         built = {name: 0 for name in builders}
         for name in builders:
             def counted(r, diff, name=name, real=getattr(identities, name)):
@@ -501,7 +540,7 @@ class TestSummandTables:
             monkeypatch.setattr(identities, name, counted)
         assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
         capsys.readouterr()
-        assert built == {name: 26 for name in builders}
+        assert built == builders
 
     def test_decomp_suite_reads_each_top_count_once(self, monkeypatch, capsys):
         # the q check reads 2,352 counts F_q of 660 distinct top rows, and
@@ -685,7 +724,7 @@ class TestCheckedWidth:
 
         expected = []
         for r, n, c, i, ks in DECOMP_SWEEP:
-            factor, den = identities._decomp_q_factor(r, ks[i] - ks[i - 1])
+            factor, den = identities._product_q(r, ks[i] - ks[i - 1]), q_poch(1, 2 * r)
             left = (count(r, n, c, ks) + count(r, n, c, identities._swap(ks, i))) * weight(den)
             right = weight(factor) * count(r, n - 2, c + 2, identities._decomp_rhs_args(ks, i))
             expected.append(max(left, right))
