@@ -56,8 +56,8 @@ class RunReport:
         self.results.append({"label": label, "provenance": provenance, "value": fmt_value(value)})
 
     def add_verdict(self, identity: str, parameters: str, passed: bool,
-                    counterexample: str | None = None) -> None:
-        verdict = {"identity": identity, "parameters": parameters, "pass": passed}
+                    counterexample: str | None = None, **sizes) -> None:
+        verdict = {"identity": identity, "parameters": parameters, "pass": passed, **sizes}
         if counterexample is not None:
             verdict["counterexample"] = counterexample
         self.verdicts.append(verdict)
@@ -162,9 +162,10 @@ class EmptySweep(ValueError):
 def _check(report: RunReport, parameters: str, instances, checks: dict) -> None:
     """Run every ``{identity: check}`` on each instance in one pass over
     ``instances`` (a list or a generator of argument tuples) and add one
-    verdict per identity, in the order of ``checks``.  The first instance an
-    identity fails on is its counterexample; later ones skip that check.
-    EmptySweep if there is no instance."""
+    verdict per identity, in the order of ``checks``, with the number of
+    instances the sweep held.  The first instance an identity fails on is its
+    counterexample; later ones skip that check.  EmptySweep if there is no
+    instance."""
     failures = {}
     count = 0
     for count, inst in enumerate(instances, 1):
@@ -175,7 +176,7 @@ def _check(report: RunReport, parameters: str, instances, checks: dict) -> None:
         raise EmptySweep(f"{', '.join(checks)}: no instances for {parameters}")
     for identity in checks:
         report.add_verdict(identity, parameters, identity not in failures,
-                           counterexample=failures.get(identity))
+                           counterexample=failures.get(identity), instances=count)
 
 
 def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
@@ -298,11 +299,9 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
     vectors = [(v,) for k in range(1, cfg.tableaux_max_k + 1)
                for v in itertools.product(span, repeat=k)]
     params = f"vectors in [{lo},{hi}]^k, k <= {cfg.tableaux_max_k}"
-    memo = {}  # tableau counts
+    memo = {}  # tableau counts and extension values
     rec_memo = {}  # recursion values
-
-    def f_ext(lam):
-        return tableaux.f_ext(lam, memo)
+    f_ext = functools.partial(tableaux.f_ext, memo=memo)
 
     def engines_agree(lam):
         return f_ext(lam) == tableaux.f_ext_recursive(lam, rec_memo)
@@ -321,9 +320,8 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
     def antisymmetric(lam):
         base = f_ext(lam)
         for perm in itertools.permutations(range(3)):
-            inv = sum(perm[a] > perm[b] for a in range(3) for b in range(a + 1, 3))
-            sign = -1 if inv & 1 else 1
-            if f_ext(tuple(lam[p] for p in perm)) != sign * base:
+            inv = sum(a > b for a, b in itertools.combinations(perm, 2))
+            if f_ext(tuple(lam[p] for p in perm)) != (-1) ** inv * base:
                 return False
         return True
 

@@ -221,19 +221,71 @@ def clear_memos() -> None:
     """A no-op, still called by perfbench/run.py."""
 
 
-def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
-    """Evaluate F(r,n,c;ks) by the fundamental recursion.
+class _Level(dict):
+    """One level (r, n, c) of a recursion memo: its states, keyed by ks.
+    level sets c and value_of, the level's closer or its total over the
+    table below.  A missing ks is computed once, as value_of(links) over
+    its chain of bounds, and stored, so a repeat read is a C-level dict
+    lookup."""
 
-    Each recursion level sums F(r-1,n,c;l_1..l_{n-r+1}) over the chained
-    extended ranges l_1 in [0,k_1], l_2 in [k_1,k_2], ..., l_{n-r+1} in
-    [k_{n-r},c], down to the base case F(0,n,c;.) = 1.  Levels r = 1 and
-    r = 2 are closed by exact.chained_count and exact.chained_count2, so the
-    sums run only at levels r >= 3 and no state below the key is at level
-    r = 1.  memo maps each level (r, n, c) to its table of states, keyed by
-    ks, each the count as an int.  Never pass the memo to fq_recursive.
+    __slots__ = ("c", "value_of")
+
+    def __missing__(self, ks):
+        bounds = (0,) + ks + (self.c,)
+        value = self[ks] = self.value_of(zip(bounds, bounds[1:]))
+        return value
+
+
+def level(memo: dict, r: int, n: int, c: int, bits: int | None = None) -> _Level:
+    """memo's table of F(r,n,c;ks), keyed by ks, for 0 <= r <= n and ks of
+    n - r entries: the recursion engine, shared by both weights.  bits None
+    is the plain weight, each state the count as an int; with bits the table
+    is level_q's.
+
+    A table is built on first reach, over the table below it.  Each state
+    sums F(r-1,n,c;l_1..l_{n-r+1}) over the chained extended ranges l_1 in
+    [0,k_1], l_2 in [k_1,k_2], ..., l_{n-r+1} in [k_{n-r},c], by the weight's
+    total(bounds, summand), here exact.chained_sum, reading the summands
+    from the table below.  closers[j](bounds) is a level j + 1 state in
+    closed form, so the levels up to len(closers) are never summed: here
+    exact.chained_count and exact.chained_count2 close levels r = 1 and 2,
+    and no table below level 2 is built under a higher one.  Every state of
+    level 0 is the base value F(0,n,c;.) = 1, closers[0](()).  memo maps
+    each level (r, n, c) to its table, so one memo serves one weight.  Each
+    state costs one Python call, and a repeat read, in this call or a later
+    one on the same memo, none.
     """
-    return _recurse({} if memo is None else memo, chained_sum,
-                    (chained_count, chained_count2), key.r, key.n, key.c, key.ks)
+    table = memo.get((r, n, c))
+    if table is None:
+        total, *closers = ((chained_sum, chained_count, chained_count2) if bits is None else
+                           (functools.partial(chained_sum_packed, bits=bits),
+                            functools.partial(chained_count_packed, bits=bits)))
+        if r > len(closers):
+            value_of = functools.partial(total, summand=level(memo, r - 1, n, c, bits).__getitem__)
+        else:
+            value_of = closers[r - 1] if r else lambda links, base=closers[0](()): base
+        table = memo[r, n, c] = _Level()
+        table.c, table.value_of = c, value_of
+    return table
+
+
+def level_q(memo: dict, r: int, n: int, c: int, bits: int) -> _Level:
+    """level's twin for F_q(r,n,c;ks) packed at width bits, each state the
+    triple (packed, low, patterns) of exact.chained_sum_packed, its total;
+    patterns, the unsigned number of patterns with that top row, bounds the
+    sum of |coefficient|.  The nesting is level's, each innermost term
+    weighted by q^(l_1 + ... + l_{n-r+1}); only level r = 1 is closed, by
+    exact.chained_count_packed.  One memo holds one weight at one width:
+    never pass it to level without bits, nor at a second width
+    (exact.widened keeps it at PACK_BITS).
+    """
+    return level(memo, r, n, c, bits)
+
+
+def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
+    """F(r,n,c;ks) by the fundamental recursion: one read of
+    level(memo, r, n, c), memo a fresh dict if None."""
+    return level({} if memo is None else memo, key.r, key.n, key.c)[key.ks]
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
@@ -248,68 +300,9 @@ def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
 
 
 def fq_packed(key: TopRowKey, memo: dict, bits: int) -> tuple[int, int, int]:
-    """F_q(r,n,c;ks) packed at width bits, as the triple (packed, low,
-    patterns) of exact.chained_sum_packed; patterns, the unsigned number of
-    patterns with that top row, bounds the sum of |coefficient|.
-    The nesting is f_recursive's, each innermost term weighted by
-    q^(l_1 + ... + l_{n-r+1}); only level r = 1 is closed, by
-    exact.chained_count_packed.  memo as there, each state such a triple at
-    width bits (exact.widened keeps one memo at one width).  Never pass the
-    memo to f_recursive.
-    """
-    return _recurse(memo, functools.partial(chained_sum_packed, bits=bits),
-                    (functools.partial(chained_count_packed, bits=bits),),
-                    key.r, key.n, key.c, key.ks)
-
-
-class _Level(dict):
-    """One level (r, n, c) of a recursion memo: its states, keyed by ks.
-    _table sets c and value_of, the level's closer or its total over the
-    table below.  A missing ks is computed once, as value_of(links) over
-    its chain of bounds, and stored, so a repeat read is a C-level dict
-    lookup."""
-
-    __slots__ = ("c", "value_of")
-
-    def __missing__(self, ks):
-        bounds = (0,) + ks + (self.c,)
-        value = self[ks] = self.value_of(zip(bounds, bounds[1:]))
-        return value
-
-
-def _table(memo: dict, total: Callable, closers: tuple[Callable, ...],
-           r: int, n: int, c: int) -> _Level:
-    # memo's table of level r, built on first reach over the table below it
-    table = memo.get((r, n, c))
-    if table is None:
-        if r <= len(closers):
-            value_of = closers[r - 1]
-        else:
-            below = _table(memo, total, closers, r - 1, n, c)
-            value_of = functools.partial(total, summand=below.__getitem__)
-        table = memo[r, n, c] = _Level()
-        table.c, table.value_of = c, value_of
-    return table
-
-
-def _recurse(memo: dict, total: Callable, closers: tuple[Callable, ...],
-             r: int, n: int, c: int, ks: tuple[int, ...]):
-    """The recursion engine shared by both weights.
-
-    total(bounds, summand) is chained_sum or a chained_sum_packed: it sums
-    summand(ls) = F(r-1,n,c;ls) over one state's chain of bounds.
-    closers[j](bounds) is a level j + 1 state in closed form, so the levels
-    up to len(closers) are never summed; closers[0](()) is the base value
-    F(0,n,c;.) = 1.  memo maps (r, n, c) to that level's _Level table of
-    values as total returns them, so one memo serves one weight and one
-    width.  The key is read from its level's table like every state below
-    it: the tables up to r are found in memo or built, each summing over
-    the one below, so each state costs one Python call and a repeat read,
-    in this call or a later one on the same memo, none.
-    """
-    if r == 0:
-        return closers[0](())
-    return _table(memo, total, closers, r, n, c)[ks]
+    """F_q(r,n,c;ks) packed at width bits: one read of
+    level_q(memo, r, n, c, bits)."""
+    return level_q(memo, key.r, key.n, key.c, bits)[key.ks]
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .counting import (
-    TopRowKey, f_recursive, fq_packed, fq_recursive, pattern_counts,
-)
+from .counting import TopRowKey, level, level_q, pattern_counts
 from .exact import (
     LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q, pack_q,
     pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q, widened,
@@ -259,21 +257,20 @@ def _decomp_rhs_args(ks: tuple[int, ...], i: int) -> tuple[int, ...]:
 def verify_decomp(r: int, n: int, c: int, i: int, ks: Sequence[int],
                   memo: dict | None = None) -> bool:
     """D_i F(r,n,c;.) at ks against (-1)^r P_r(k_{i+1}-k_i) / (2r)! times the
-    smaller count F(r,n-2,c+2;...), both sides through the recursion engine,
-    (2r)! multiplied across.
+    smaller count F(r,n-2,c+2;...), each count read from counting.level's
+    tables, (2r)! multiplied across.
     memo: this check's own dict of products P_r, keyed by (r, k_{i+1}-k_i),
     and of the recursion's level tables, keyed by (r, n, c): no key is both."""
     ks = tuple(ks)
-    if not 1 <= i <= n - r - 1:
-        raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
+    if not 1 <= i < n - r == len(ks):
+        raise ValueError(f"need 1 <= i <= {n - r - 1} and {n - r} entries, got i={i}, ks={ks}")
     if r == 0:
         return True  # both sides are the constant 2
-    lhs = f_recursive(TopRowKey(r, n, c, ks), memo) + f_recursive(
-        TopRowKey(r, n, c, _swap(ks, i)), memo
-    )
+    memo = {} if memo is None else memo
+    counts = level(memo, r, n, c)
     factor = (-1) ** r * _tabled(memo, (r, ks[i] - ks[i - 1]), _product)
-    rhs = factor * f_recursive(TopRowKey(r, n - 2, c + 2, _decomp_rhs_args(ks, i)), memo)
-    return lhs * math.factorial(2 * r) == rhs
+    rhs = factor * level(memo, r, n - 2, c + 2)[_decomp_rhs_args(ks, i)]
+    return (counts[ks] + counts[_swap(ks, i)]) * math.factorial(2 * r) == rhs
 
 
 def decomp_q_exponent(r: int, n: int, i: int) -> int:
@@ -294,27 +291,24 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
     """q-analog of verify_decomp, (-1)^r P_r(k_{i+1}-k_i) / [1;q]_{2r} times
     q^(2r k_i + decomp_q_exponent) F_q(r,n-2,c+2;...), cross-multiplied with
     [1;q]_{2r}; memo as there, each signed product packed with [1;q]_{2r}, and
-    each F_q from fq_packed under (r, n, c, ks).  Both sides are packed ints
+    each F_q read from counting.level_q's tables.  Both sides are packed ints
     at one low; the product of a side's weights (an F_q's is its pattern
     count) bounds its coefficients, so exact.widened picks the compare's width
     and table."""
     ks = tuple(ks)
-    if not 1 <= i <= n - r - 1:
-        raise ValueError(f"index i={i} out of range 1..{n - r - 1}")
+    if not 1 <= i < n - r == len(ks):
+        raise ValueError(f"need 1 <= i <= {n - r - 1} and {n - r} entries, got i={i}, ks={ks}")
     if r == 0:
         return True
-    tops = ((r, n, c, ks), (r, n, c, _swap(ks, i)), (r, n - 2, c + 2, _decomp_rhs_args(ks, i)))
     shift = 2 * r * ks[i - 1] + decomp_q_exponent(r, n, i)
 
     def sides(table, bits):
-        def count(*key):  # (r, n, c, ks)
-            return fq_packed(TopRowKey(*key), table, bits)
-
         def factor(r, diff):
             return pack_q((-1) ** r * _product_q(r, diff), bits), pack_q(q_poch(1, 2 * r), bits)
 
-        (a, a_low, a_w), (b, b_low, b_w), (f, f_low, f_w) = [
-            _tabled(table, top, count) for top in tops]
+        counts = level_q(table, r, n, c, bits)
+        (a, a_low, a_w), (b, b_low, b_w) = counts[ks], counts[_swap(ks, i)]
+        f, f_low, f_w = level_q(table, r, n - 2, c + 2, bits)[_decomp_rhs_args(ks, i)]
         (x, x_low, x_w), (den, den_low, den_w) = _tabled(table, (r, ks[i] - ks[i - 1]), factor)
         right_low = x_low + f_low + shift - den_low
         low = min(a_low, b_low, right_low)
@@ -421,24 +415,27 @@ def verify_zeros(n: int, c: int) -> bool:
 
 
 def verify_extra(n: int, c: int, memo: dict | None = None) -> bool:
-    """F(n-1,n,c;c) == sum_{k=0}^{c} F(n-2,n-1,c;k), by the recursion engine;
-    memo: this check's own dict of the recursion's level tables."""
+    """F(n-1,n,c;c) == sum_{k=0}^{c} F(n-2,n-1,c;k), each count read from
+    counting.level's tables; memo: this check's own dict of them."""
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
-    lhs = f_recursive(TopRowKey(n - 1, n, c, (c,)), memo)
-    rhs = chained_sum(
-        [(0, c)], lambda ks: f_recursive(TopRowKey(n - 2, n - 1, c, ks), memo)
-    )
-    return lhs == rhs
+    memo = {} if memo is None else memo
+    return level(memo, n - 1, n, c)[c,] == chained_sum(
+        [(0, c)], level(memo, n - 2, n - 1, c).__getitem__)
 
 
 def verify_extra_q(n: int, c: int, memo: dict | None = None) -> bool:
-    """F_q(n-1,n,c;c) == q^{cn-c} sum_{k=0}^{c} F_q(n-2,n-1,c;k) q^k;
-    memo as there."""
+    """F_q(n-1,n,c;c) == q^{cn-c} sum_{k=0}^{c} F_q(n-2,n-1,c;k) q^k, each
+    count read from counting.level_q's tables and each side unpacked once, at
+    the width exact.widened proves from the sides' pattern counts; memo as
+    there."""
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
-    lhs = fq_recursive(TopRowKey(n - 1, n, c, (c,)), memo)
-    rhs = chained_sum_q(
-        [(0, c)], lambda ks: fq_recursive(TopRowKey(n - 2, n - 1, c, ks), memo)
-    )
-    return lhs == rhs.shift(c * n - c)
+
+    def sides(table, bits):
+        lhs = level_q(table, n - 1, n, c, bits)[c,]
+        rhs = chained_sum_packed([(0, c)], level_q(table, n - 2, n - 1, c, bits).__getitem__, bits)
+        return lhs, rhs, max(lhs[2], rhs[2])
+
+    bits, (lhs, low, _), (rhs, rhs_low, _), _ = widened(sides, memo)
+    return unpack_q(lhs, low, bits) == unpack_q(rhs, rhs_low + c * n - c, bits)

@@ -77,18 +77,21 @@ def f_ext(lam: Sequence[int], memo: dict | None = None) -> int:
     Vanishes on repeated entries; otherwise sort strictly decreasing
     (collecting the permutation sign), translate so the least entry is -k,
     and count semistandard tableaux of the staircase-shifted shape
-    (lam_1+1, lam_2+2, ..., lam_k+k) with entries in {1..k}.
+    (lam_1+1, lam_2+2, ..., lam_k+k) with entries in {1..k}.  memo keeps the
+    value under lam itself, a tuple of ints, apart from ssyt_count's tableau
+    counts, so a vector is sorted and shaped once per memo.
     """
     lam = tuple(lam)
     k = len(lam)
     if k == 0:
         return 1
-    if len(set(lam)) != k:
-        return 0
-    sign, ordered = _sort_desc_with_sign(lam)
-    shift = -k - ordered[-1]
-    shape = tuple(ordered[t] + shift + t + 1 for t in range(k))
-    return sign * ssyt_count(shape, k, {} if memo is None else memo)
+    memo = {} if memo is None else memo
+    value = memo.get(lam)
+    if value is None:
+        sign, ordered = _sort_desc_with_sign(lam)
+        shape = tuple(x - ordered[-1] - k + t + 1 for t, x in enumerate(ordered))
+        value = memo[lam] = sign * ssyt_count(shape, k, memo) if len(set(lam)) == k else 0
+    return value
 
 
 def f_ext_recursive(lam: Sequence[int], memo: dict | None = None) -> int:

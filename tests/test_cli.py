@@ -412,24 +412,25 @@ class TestVerify:
     def test_recursion_memo_is_scoped_per_call(self, monkeypatch, capsys, suite):
         # each check keeps the recursion's states for one suite call, so it
         # computes a state once per run, and a second run computes them again.
-        # _recurse sees only the checks' own keys, so every level table the
-        # engine finds or builds is tagged with its weight and level, and
-        # records each state stored in it, the states below a key included
+        # The checks read only the level tables, so every table the engine
+        # finds or builds is tagged with its weight and level, and records
+        # each state stored in it, the states below a read included
         computed = []
-        real = cli.counting._table
+        real = cli.counting.level
 
         class Table(cli.counting._Level):
             def __setitem__(self, ks, value):
                 computed.append((*self.level, ks))
                 super().__setitem__(ks, value)
 
-        def tagged(memo, total, closers, r, n, c):
-            table = real(memo, total, closers, r, n, c)
-            table.level = (closers[0] is cli.counting.chained_count, r, n, c)
+        def tagged(memo, r, n, c, bits=None):
+            table = real(memo, r, n, c, bits)
+            table.level = (bits is None, r, n, c)
             return table
 
         monkeypatch.setattr(cli.counting, "_Level", Table)
-        monkeypatch.setattr(cli.counting, "_table", tagged)
+        monkeypatch.setattr(cli.counting, "level", tagged)
+        monkeypatch.setattr(cli.identities, "level", tagged)
         runs = []
         for _ in range(2):
             computed.clear()
@@ -517,9 +518,22 @@ class TestCheck:
         })
         assert report.verdicts == [
             {"identity": "below three", "parameters": "x in 1..4",
-             "pass": False, "counterexample": "(3,)"},
-            {"identity": "positive", "parameters": "x in 1..4", "pass": True},
+             "pass": False, "counterexample": "(3,)", "instances": 4},
+            {"identity": "positive", "parameters": "x in 1..4", "pass": True, "instances": 4},
         ]
+
+    @pytest.mark.parametrize("suite,sizes", [
+        # (r, n) in DECOMP_RN, ks in [-2,4]^(n-r), every i: 49 + 2*343 + 49
+        ("decomp", [784, 784]),
+        # r in LEMMA2_RS, d in [-2,2], x, y in [-3,3]: 2 * 5 * 49
+        ("lemma2", [490, 490]),
+        # 2 <= n <= 4, c <= 4
+        ("zeros", [15]),
+    ])
+    def test_instances_are_the_sweep_sizes(self, suite, sizes, capsys):
+        assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert [v["instances"] for v in verdicts] == sizes
 
     def test_empty_generator_raises(self):
         report = cli.RunReport("t", {})

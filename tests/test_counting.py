@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 import sys
 
 import pytest
@@ -596,14 +597,12 @@ DEEP_KEYS = [TopRowKey(6, 7, 5, (2,)), TopRowKey(7, 8, 4, (1,)), TopRowKey(6, 8,
 
 def _reference_recursion(state, memo, total, one):
     # the recursion as it reads: every level, r = 1 included, sums the level
-    # below through total, down to the base value one
+    # below through total, down to the base value one of every level 0 state
     r, n, c, ks = state
-    if r == 0:
-        return one
     value = memo.get(state)
     if value is None:
         bounds = (0,) + ks + (c,)
-        value = memo[state] = total(
+        value = memo[state] = one if r == 0 else total(
             zip(bounds, bounds[1:]),
             lambda ls: _reference_recursion((r - 1, n, c, ls), memo, total, one))
     return value
@@ -670,8 +669,8 @@ class TestLevelTables:
     same call or a later one on the same memo, is a dict lookup."""
 
     # the engine's entry points, and the frame that finds or builds a table
-    ENTRY = {"f_recursive", "fq_recursive", "fq_packed", "_recurse"}
-    SETUP = "_table"
+    ENTRY = {"f_recursive", "fq_recursive", "fq_packed", "level_q"}
+    SETUP = "level"
 
     def _frames(self, run) -> list:
         # the names of the engine's Python frames while run() runs
@@ -714,6 +713,49 @@ class TestLevelTables:
         assert len(added) == (115 if engine is f_recursive else 172)
         assert len(frames) - frames.count(self.SETUP) == len(added)
         assert engine(key, memo) == engine(key)
+
+    @staticmethod
+    def _random_keys(seed: int) -> list:
+        # keys with every r = 0..n at n <= 5, c and ks in [-6, 6]
+        rng = random.Random(seed)
+        keys = []
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            r = rng.randint(0, n)
+            keys.append(TopRowKey(r, n, rng.randint(-6, 6),
+                                  tuple(rng.randint(-6, 6) for _ in range(n - r))))
+        return keys
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_a_level_read_is_the_key_read(self, warm):
+        # level and level_q read the states f_recursive and fq_packed
+        # return, on a fresh memo per key or on one warmed by other keys
+        keys = self._random_keys(36)
+        assert {key.r for key in keys} == set(range(6)) and min(k.c for k in keys) < 0
+        plain: dict = {}
+        packed: dict = {}
+        for key in self._random_keys(37) if warm else []:
+            counting.level(plain, key.r, key.n, key.c)[key.ks]
+            counting.level_q(packed, key.r, key.n, key.c, exact.PACK_BITS)[key.ks]
+        for key in keys:
+            if not warm:
+                plain, packed = {}, {}
+            r, n, c = key.r, key.n, key.c
+            assert counting.level(plain, r, n, c)[key.ks] == f_recursive(key), key
+            assert (counting.level_q(packed, r, n, c, exact.PACK_BITS)[key.ks]
+                    == counting.fq_packed(key, {}, exact.PACK_BITS)), key
+
+    def test_level_zero_holds_the_base_value(self):
+        # every state of level 0 is F(0,n,c;.) = 1, stored like any other
+        plain: dict = {}
+        packed: dict = {}
+        for ks in [(3,), (-4, 2), (5, -5, 0)]:
+            n = len(ks)
+            assert counting.level(plain, 0, n, -n)[ks] == 1
+            assert counting.level_q(packed, 0, n, -n, exact.PACK_BITS)[ks] == (1, 0, 1)
+        assert _states(plain) == {(0, 1, -1, (3,)): 1, (0, 2, -2, (-4, 2)): 1,
+                                  (0, 3, -3, (5, -5, 0)): 1}
+        assert set(_states(packed).values()) == {(1, 0, 1)} and len(_states(packed)) == 3
 
 
 def _patterns(r, n, c, ks):

@@ -456,6 +456,14 @@ class TestDecomp:
         with pytest.raises(ValueError):
             verify_decomp(1, 3, 2, 2, (0, 0))
 
+    @pytest.mark.parametrize("check", [verify_decomp, verify_decomp_q])
+    @pytest.mark.parametrize("ks", [(0,), (0, 0, 0)])
+    def test_top_row_length_enforced(self, check, ks):
+        # the counts are table reads, so the check itself refuses a top row
+        # that is not n - r entries long
+        with pytest.raises(ValueError, match="2 entries"):
+            check(1, 3, 2, 1, ks)
+
 
 LEMMA2_SWEEP = [(r, d, x, y) for r in cli.LEMMA2_RS for d in range(-2, 3)
                 for x in range(-3, 4) for y in range(-3, 4)]
@@ -473,10 +481,21 @@ class InsertCounting(dict):
         super().__setitem__(key, value)
 
 
+#: The 660 distinct counts (r, n, c, ks) that DECOMP_SWEEP's instances read.
+DECOMP_TOPS = {top for r, n, c, i, ks in DECOMP_SWEEP
+               for top in ((r, n, c, ks), (r, n, c, identities._swap(ks, i)),
+                           (r, n - 2, c + 2, identities._decomp_rhs_args(ks, i)))}
+
+
 def _summand_keys(memo: dict) -> list:
-    # decomp's memo also holds the recursion's level tables, keyed by
-    # (r, n, c), and decomp q's its counts, keyed by (r, n, c, ks)
+    # decomp's memo also holds the recursion's level tables, keyed by (r, n, c)
     return [key for key in memo if len(key) == 2]
+
+
+def _level_states(memo: dict) -> dict:
+    # the states of a check memo's level tables, as {(r, n, c, ks): value}
+    return {(*key, ks): value for key, table in memo.items()
+            if isinstance(table, counting._Level) for ks, value in table.items()}
 
 
 def _rhs_keys(memo: dict) -> list:
@@ -543,43 +562,74 @@ class TestSummandTables:
         assert built == builders
 
     def test_decomp_suite_reads_each_top_count_once(self, monkeypatch, capsys):
-        # the q check reads 2,352 counts F_q of 660 distinct top rows, and
-        # keeps each packed count under (r, n, c, ks): one packed read per
-        # top row, and none is unpacked
-        tops = {top for r, n, c, i, ks in DECOMP_SWEEP
-                for top in ((r, n, c, ks), (r, n, c, identities._swap(ks, i)),
-                            (r, n - 2, c + 2, identities._decomp_rhs_args(ks, i)))}
-        read, unpacked = [], []
+        # the q check reads 2,352 counts F_q of 660 distinct top rows from
+        # the recursion's level tables: each state is computed and stored
+        # once, every top row among them, and none is unpacked
+        stored, unpacked, memos, tables = [], [], {}, {}
 
-        def packed(key, memo, bits, real=identities.fq_packed):
-            read.append((key.r, key.n, key.c, key.ks))
-            return real(key, memo, bits)
+        def missing(table, ks, real=counting._Level.__missing__):
+            tables[id(table)] = table  # kept alive, so that no id is reused
+            stored.append((id(table), ks))
+            return real(table, ks)
+
+        def reading(memo, *args, real=identities.level_q):
+            memos[id(memo)] = memo
+            return real(memo, *args)
 
         def counted(*args, real=counting.unpack_q):
             unpacked.append(args)
             return real(*args)
 
-        monkeypatch.setattr(identities, "fq_packed", packed)
+        monkeypatch.setattr(counting._Level, "__missing__", missing)
+        monkeypatch.setattr(identities, "level_q", reading)
         monkeypatch.setattr(counting, "unpack_q", counted)
         monkeypatch.setattr(identities, "unpack_q", counted)
         assert cli.main(["verify", "--suite", "decomp"]) == cli.EXIT_OK
         capsys.readouterr()
-        assert len(read) == len(set(read)) == len(tops) == 660
-        assert set(read) == tops and unpacked == []
+        (memo,) = memos.values()
+        assert len(stored) == len(set(stored)) > len(DECOMP_TOPS) == 660
+        assert DECOMP_TOPS <= _level_states(memo).keys() and unpacked == []
 
     def test_decomp_q_tables_counts_apart_from_states(self):
         memo: dict = {}
         for inst in DECOMP_SWEEP:
             assert verify_decomp_q(*inst, memo=memo), inst
-        # the recursion's level tables sit under (r, n, c), the counts under
-        # (r, n, c, ks), each F_q packed at PACK_BITS with its pattern count
-        counts = {key: value for key, value in memo.items() if len(key) == 4}
-        assert len(counts) == 660
-        assert not any(isinstance(value, dict) for value in counts.values())
-        for key, (packed, low, patterns) in counts.items():
+        # the counts are the states of the recursion's level tables, under
+        # (r, n, c), each F_q packed at PACK_BITS with its pattern count;
+        # the products sit apart under (r, k_{i+1}-k_i), and no count has an
+        # entry of its own
+        assert sorted({len(key) for key in memo}) == [2, 3]
+        states = _level_states(memo)
+        assert len(DECOMP_TOPS) == 660 and DECOMP_TOPS <= states.keys()
+        for key in DECOMP_TOPS:
+            packed, low, patterns = states[key]
             assert unpack_q(packed, low, PACK_BITS) == fq_recursive(TopRowKey(*key)), key
-            assert (packed, low, patterns) == fq_packed(TopRowKey(*key), {}, PACK_BITS), key
+            assert states[key] == fq_packed(TopRowKey(*key), {}, PACK_BITS), key
             assert patterns == sum(1 for _ in enumerate_patterns(TopRowKey(*key))), key
+
+    @pytest.mark.parametrize("suite", ["decomp", "extra"])
+    def test_suite_builds_no_key_and_enters_no_engine(self, suite, monkeypatch, capsys):
+        # every count is a read of a level table: no TopRowKey is built and
+        # no f_recursive, fq_packed or fq_recursive is called
+        entries = []
+
+        def post_init(key, real=TopRowKey.__post_init__):
+            entries.append("TopRowKey")
+            real(key)
+
+        monkeypatch.setattr(TopRowKey, "__post_init__", post_init)
+        for name in ("f_recursive", "fq_packed", "fq_recursive"):
+            def entry(*args, name=name, real=getattr(counting, name)):
+                entries.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(counting, name, entry)
+        assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert entries == []
+        # the counters see an engine entry
+        counting.fq_recursive(TopRowKey(1, 2, 1, (0,)))
+        assert entries == ["TopRowKey", "fq_recursive", "fq_packed"]
 
     def test_lemma2q_tables_each_side_under_its_own_keys(self):
         memo = InsertCounting()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtkit import tableaux
+from gtkit import cli, tableaux
 from gtkit.closedforms import ssyt_product
 from gtkit.patterns import ShapeViolation
 from gtkit.tableaux import (
@@ -136,7 +136,35 @@ class TestCountMemo:
                 assert verify_part_formula(lam, memo), lam
                 if all(lam[t] >= lam[t + 1] for t in range(k - 1)):
                     assert verify_sign_involution(lam, memo), lam
-        assert all(ssyt_bruteforce(*key) == count for key, count in memo.items())
+        # tableau counts under (parts, k), extension values under the vector
+        counts = {key: v for key, v in memo.items() if isinstance(key[0], tuple)}
+        assert counts and all(ssyt_bruteforce(*key) == count for key, count in counts.items())
+        values = {key: v for key, v in memo.items() if key not in counts}
+        assert values and all(f_ext(lam) == value for lam, value in values.items())
+
+    def test_tableaux_suite_works_out_each_vector_once(self, monkeypatch, capsys):
+        # the suite reads 3,506 extension values of 690 distinct vectors from
+        # one memo, which keeps each vector's value: each vector without a
+        # tie is sorted, shaped and counted once
+        reads, memos, shaped = [], {}, []
+
+        def reading(lam, memo=None, real=tableaux.f_ext):
+            reads.append(tuple(lam))
+            memos[id(memo)] = memo
+            return real(lam, memo)
+
+        def shaping(shape, k, memo, real=tableaux.ssyt_count):
+            shaped.append((shape, k))
+            return real(shape, k, memo)
+
+        monkeypatch.setattr(tableaux, "f_ext", reading)
+        monkeypatch.setattr(tableaux, "ssyt_count", shaping)
+        assert cli.main(["verify", "--suite", "tableaux"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(reads) == 3506 and len(set(reads)) == 690
+        (memo,) = memos.values()
+        assert set(reads) == {key for key in memo if not isinstance(key[0], tuple)}
+        assert len(shaped) == len({lam for lam in reads if len(set(lam)) == len(lam)})
 
     def test_trailing_zero_parts_share_a_key(self):
         memo: dict = {}
