@@ -20,7 +20,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from collections import namedtuple
 
 from . import asm as asm_mod
 from . import closedforms, counting, identities, tableaux
@@ -43,14 +43,15 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-@dataclass
 class RunReport:
     """Machine-readable outcome of one CLI invocation."""
 
-    command: str
-    parameters: dict
-    results: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)
+    def __init__(self, command: str, parameters: dict):
+        self.command, self.parameters = command, parameters
+        self.results, self.verdicts = [], []
+
+    def __repr__(self) -> str:
+        return f"RunReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def add_result(self, label: str, value, provenance: str) -> None:
         self.results.append({"label": label, "provenance": provenance, "value": fmt_value(value)})
@@ -67,7 +68,7 @@ class RunReport:
         return all(v["pass"] for v in self.verdicts)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -80,36 +81,35 @@ LEMMA2_RS = (2, 3)
 DECOMP_RN = ((1, 3), (1, 4), (2, 4))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Default sweep bounds; --seed sets the seed and --override any other
-    field."""
+class SweepConfig(namedtuple("SweepConfig", (
+        "seed "
+        "fund_samples fund_sample_bound "
+        "lemma2_d lemma2_xy "
+        "decomp_c decomp_klo decomp_khi "
+        "hyper_max_m hyper_max_c "
+        "qvand_max_m qvand_max_c "
+        "qpoch_max_n qpoch_ylo qpoch_yhi "
+        "zeros_max_n zeros_max_c "
+        "extra_max_n extra_max_c "
+        "ssyt_max_part ssyt_max_k "
+        "tableaux_max_k tableaux_lo tableaux_hi "
+        "asm_max_n"), defaults=(
+        42,
+        200, 3,
+        2, 3,
+        2, -2, 4,
+        4, 6,
+        3, 5,
+        3, -3, 5,
+        4, 4,
+        4, 4,
+        4, 4,
+        3, -2, 3,
+        5))):
+    """Default sweep bounds, one line per suite, the defaults in the order of
+    the fields; --seed sets the seed and --override any other field."""
 
-    seed: int = 42
-    fund_samples: int = 200
-    fund_sample_bound: int = 3
-    lemma2_d: int = 2
-    lemma2_xy: int = 3
-    decomp_c: int = 2
-    decomp_klo: int = -2
-    decomp_khi: int = 4
-    hyper_max_m: int = 4
-    hyper_max_c: int = 6
-    qvand_max_m: int = 3
-    qvand_max_c: int = 5
-    qpoch_max_n: int = 3
-    qpoch_ylo: int = -3
-    qpoch_yhi: int = 5
-    zeros_max_n: int = 4
-    zeros_max_c: int = 4
-    extra_max_n: int = 4
-    extra_max_c: int = 4
-    ssyt_max_part: int = 4
-    ssyt_max_k: int = 4
-    tableaux_max_k: int = 3
-    tableaux_lo: int = -2
-    tableaux_hi: int = 3
-    asm_max_n: int = 5
+    __slots__ = ()
 
 
 #: (lo, hi) field pairs that bound one range of a sweep.
@@ -125,7 +125,7 @@ def _is_size(name: str) -> bool:
 
 def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
     """Apply FIELD=VALUE overrides; ValueError on a bad field or value."""
-    valid = {f.name for f in fields(SweepConfig)} - {"seed"}
+    valid = set(SweepConfig._fields) - {"seed"}
     updates = {}
     for item in overrides:
         name, _, raw = item.partition("=")
@@ -141,7 +141,7 @@ def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
         if updates[name] < 0 and _is_size(name):
             raise ValueError(f"override {item!r} is negative: a size, bound or "
                              "count below 0 leaves no instances to check")
-    cfg = replace(cfg, **updates)
+    cfg = cfg._replace(**updates)
     for lo, hi in _RANGE_FIELDS:
         if getattr(cfg, lo) > getattr(cfg, hi):
             raise ValueError(f"overrides give {lo}={getattr(cfg, lo)} > "

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterator
 
 from .exact import (LaurentPolyQ, chained_count, chained_count2, chained_count_packed,
@@ -20,31 +20,25 @@ from .exact import (LaurentPolyQ, chained_count, chained_count2, chained_count_p
 from .patterns import GenPattern, enumerate_spps
 
 
-@dataclass(frozen=True)
-class TopRowKey:
+class TopRowKey(namedtuple("TopRowKey", "r n c ks")):
     """Parameters (r, n, c) plus the interior top-row entries k_1..k_{n-r}."""
 
-    r: int
-    n: int
-    c: int
-    ks: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(self.ks))
-        if self.r < 0 or self.n < 1 or self.r > self.n:
-            raise ValueError(f"bad parameters r={self.r}, n={self.n}")
-        if len(self.ks) != self.n - self.r:
-            raise ValueError(
-                f"top row needs {self.n - self.r} entries, got {len(self.ks)}"
-            )
+    def __new__(cls, r: int, n: int, c: int, ks: tuple[int, ...]):
+        ks = tuple(ks)
+        if r < 0 or n < 1 or r > n:
+            raise ValueError(f"bad parameters r={r}, n={n}")
+        if len(ks) != n - r:
+            raise ValueError(f"top row needs {n - r} entries, got {len(ks)}")
+        return super().__new__(cls, r, n, c, ks)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    """Plain signed count together with its q-weighted refinement."""
+class CountResult(namedtuple("CountResult", "plain q_weighted")):
+    """Plain signed count (an int) together with its q-weighted refinement
+    (a LaurentPolyQ)."""
 
-    plain: int
-    q_weighted: LaurentPolyQ
+    __slots__ = ()
 
     def consistent(self) -> bool:
         """The q-polynomial evaluated at q = 1 must reproduce the plain count."""
@@ -223,24 +217,28 @@ def clear_memos() -> None:
 
 class _Level(dict):
     """One level (r, n, c) of a recursion memo: its states, keyed by ks.
-    level sets c and value_of, the level's closer or its total over the
-    table below.  A missing ks is computed once, as value_of(links) over
-    its chain of bounds, and stored, so a repeat read is a C-level dict
-    lookup."""
+    level sets width = n - r, tail = (c,), the chain's last bound, and
+    value_of, the level's closer or its total over the table below.  A
+    missing ks of width entries is computed once, as value_of over the
+    links (0, k_1), (k_1, k_2), ..., (k_{n-r}, c) of its chain of bounds,
+    and stored, so a repeat read is a C-level dict lookup; ValueError for
+    any other length.  Zipping (0,) + ks with ks + tail builds fewer tuples
+    per state than slicing the bounds would, which pays for that check."""
 
-    __slots__ = ("c", "value_of")
+    __slots__ = ("width", "tail", "value_of")
 
     def __missing__(self, ks):
-        bounds = (0,) + ks + (self.c,)
-        value = self[ks] = self.value_of(zip(bounds, bounds[1:]))
+        if len(ks) != self.width:
+            raise ValueError(f"top row needs {self.width} entries, got {len(ks)}")
+        value = self[ks] = self.value_of(zip((0,) + ks, ks + self.tail))
         return value
 
 
 def level(memo: dict, r: int, n: int, c: int, bits: int | None = None) -> _Level:
     """memo's table of F(r,n,c;ks), keyed by ks, for 0 <= r <= n and ks of
-    n - r entries: the recursion engine, shared by both weights.  bits None
-    is the plain weight, each state the count as an int; with bits the table
-    is level_q's.
+    n - r entries, ValueError otherwise: the recursion engine, shared by
+    both weights.  bits None is the plain weight, each state the count as
+    an int; with bits the table is level_q's.
 
     A table is built on first reach, over the table below it.  Each state
     sums F(r-1,n,c;l_1..l_{n-r+1}) over the chained extended ranges l_1 in
@@ -257,6 +255,8 @@ def level(memo: dict, r: int, n: int, c: int, bits: int | None = None) -> _Level
     """
     table = memo.get((r, n, c))
     if table is None:
+        if not 0 <= r <= n:
+            raise ValueError(f"bad parameters r={r}, n={n}")
         total, *closers = ((chained_sum, chained_count, chained_count2) if bits is None else
                            (functools.partial(chained_sum_packed, bits=bits),
                             functools.partial(chained_count_packed, bits=bits)))
@@ -265,7 +265,7 @@ def level(memo: dict, r: int, n: int, c: int, bits: int | None = None) -> _Level
         else:
             value_of = closers[r - 1] if r else lambda links, base=closers[0](()): base
         table = memo[r, n, c] = _Level()
-        table.c, table.value_of = c, value_of
+        table.width, table.tail, table.value_of = n - r, (c,), value_of
     return table
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,13 +29,11 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
-class IntFunction:
+class IntFunction(namedtuple("IntFunction", "arity fn")):
     """Total function from integer vectors of fixed arity to exact values;
     fn takes the point as one tuple."""
 
-    arity: int
-    fn: Callable[[tuple[int, ...]], object]
+    __slots__ = ()
 
     def __call__(self, *args):
         if len(args) != self.arity:

@@ -19,7 +19,7 @@ are stored top row first with borders included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 
@@ -36,19 +36,19 @@ class DimensionMismatch(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """Weakly decreasing tuple of nonnegative integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for i, p in enumerate(self.parts):
+    def __new__(cls, parts: tuple[int, ...]):
+        parts = tuple(parts)
+        for i, p in enumerate(parts):
             if p < 0:
-                raise ShapeViolation(f"negative part {p} in {self.parts}")
-            if i and self.parts[i - 1] < p:
-                raise ShapeViolation(f"parts not weakly decreasing: {self.parts}")
+                raise ShapeViolation(f"negative part {p} in {parts}")
+            if i and parts[i - 1] < p:
+                raise ShapeViolation(f"parts not weakly decreasing: {parts}")
+        return super().__new__(cls, parts)
 
     def padded(self, length: int) -> tuple[int, ...]:
         """Parts padded with zeros to the given length."""
@@ -62,16 +62,14 @@ class Partition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrictPlanePartition:
+class StrictPlanePartition(namedtuple("StrictPlanePartition", "rows")):
     """Ferrers-shaped array with weakly decreasing rows and strictly
     decreasing columns of positive integers."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(map(tuple, rows))
         for p, row in enumerate(rows):
             if not row:
                 raise ShapeViolation("empty row in strict plane partition")
@@ -84,6 +82,7 @@ class StrictPlanePartition:
                     raise ShapeViolation(f"row {row} not weakly decreasing")
                 if p and rows[p - 1][j] <= v:
                     raise ShapeViolation("columns must be strictly decreasing")
+        return super().__new__(cls, rows)
 
     @property
     def norm(self) -> int:
@@ -106,38 +105,32 @@ class StrictPlanePartition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenPattern:
+class GenPattern(namedtuple("GenPattern", "r n c rows")):
     """Generalized (r,n,c) pattern, rows stored top first with borders.
 
     rows[d] is row i = r+1-d and has n-r+2+d entries; rows[0] is the top row
     (0, k_1, ..., k_{n-r}, c) and rows[r] is the bottom row.
     """
 
-    r: int
-    n: int
-    c: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if self.r < 0 or self.n < 1 or self.r > self.n:
-            raise DimensionMismatch(f"bad parameters r={self.r}, n={self.n}")
-        if len(rows) != self.r + 1:
-            raise DimensionMismatch(f"expected {self.r + 1} rows, got {len(rows)}")
+    def __new__(cls, r: int, n: int, c: int, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(map(tuple, rows))
+        if r < 0 or n < 1 or r > n:
+            raise DimensionMismatch(f"bad parameters r={r}, n={n}")
+        if len(rows) != r + 1:
+            raise DimensionMismatch(f"expected {r + 1} rows, got {len(rows)}")
         for d, row in enumerate(rows):
-            if len(row) != self.n - self.r + 2 + d:
+            if len(row) != n - r + 2 + d:
                 raise DimensionMismatch(
-                    f"row {d} must have {self.n - self.r + 2 + d} entries, got {len(row)}")
+                    f"row {d} must have {n - r + 2 + d} entries, got {len(row)}")
+        return super().__new__(cls, r, n, c, rows)
 
     @classmethod
     def _trusted(cls, r: int, n: int, c: int, rows: tuple) -> "GenPattern":
         # internal: rows already a tuple of tuples of the right lengths, as
-        # the brute-force walk builds them, so __post_init__ is skipped
-        p = object.__new__(cls)
-        object.__setattr__(p, "__dict__", {"r": r, "n": n, "c": c, "rows": rows})
-        return p
+        # the brute-force walk builds them, so __new__'s checks are skipped
+        return tuple.__new__(cls, (r, n, c, rows))
 
     def to_json_obj(self) -> dict:
         return {"kind": "gen_pattern", "r": self.r, "n": self.n, "c": self.c,

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -290,7 +289,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli.closedforms, "ssyt_product", recording_product)
         report = cli.RunReport("ssyt", {})
-        cli._suite_ssyt(report, replace(cli.SweepConfig(), ssyt_max_k=3))
+        cli._suite_ssyt(report, cli.SweepConfig()._replace(ssyt_max_k=3))
         assert all(v["pass"] for v in report.verdicts)
         assert {v["identity"]: v["parameters"] for v in report.verdicts} == {
             "tableau count product formula": "shapes with <= 3 parts <= 4, k <= 3",
@@ -370,7 +369,7 @@ class TestVerify:
         assert "y in [-4,5]" in json.loads(out)["verdicts"][0]["parameters"]
 
     def test_ranges_render_their_own_sign(self):
-        cfg = replace(cli.SweepConfig(), lemma2_d=-1, lemma2_xy=0)
+        cfg = cli.SweepConfig()._replace(lemma2_d=-1, lemma2_xy=0)
         with pytest.raises(cli.EmptySweep, match=r"d in \[1,-1\], x,y in \[0,0\]"):
             cli._suite_lemma2(cli.RunReport("lemma2", {}), cfg)
 
@@ -381,7 +380,7 @@ class TestVerify:
         params = []
         for max_k in (1, 3):
             report = cli.RunReport("tableaux", {})
-            cli._suite_tableaux(report, replace(cli.SweepConfig(), tableaux_max_k=max_k))
+            cli._suite_tableaux(report, cli.SweepConfig()._replace(tableaux_max_k=max_k))
             params.append({v["identity"]: v["parameters"]
                            for v in report.verdicts if v["identity"] in names})
         assert params[0] == params[1]
@@ -547,7 +546,7 @@ class TestCheck:
 
         monkeypatch.setattr(cli.identities, "verify_lemma_fund_all", fake)
         report = cli.RunReport("fund", {})
-        cli._suite_fund(report, replace(cli.SweepConfig(), fund_samples=12))
+        cli._suite_fund(report, cli.SweepConfig()._replace(fund_samples=12))
         (verdict,) = report.verdicts
         assert not verdict["pass"]
         m, i, sample = ast.literal_eval(verdict["counterexample"])

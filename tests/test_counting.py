@@ -757,6 +757,28 @@ class TestLevelTables:
                                   (0, 3, -3, (5, -5, 0)): 1}
         assert set(_states(packed).values()) == {(1, 0, 1)} and len(_states(packed)) == 3
 
+    @pytest.mark.parametrize("read", [
+        lambda memo, r, n, c: counting.level(memo, r, n, c),
+        lambda memo, r, n, c: counting.level_q(memo, r, n, c, exact.PACK_BITS),
+    ], ids=["plain", "q"])
+    @pytest.mark.parametrize("r, n, c, ks", [
+        (-1, 2, 0, (0, 0, 0)),  # a level below 0
+        (3, 2, 1, ()),  # a level above n
+        (1, 3, 2, (1,)),  # a top row one entry short
+    ])
+    def test_a_bad_level_or_top_row_raises(self, read, r, n, c, ks):
+        # the level is checked when its table is built, the top row's length
+        # when a state is missing, cold or beside good states
+        memo: dict = {}
+        with pytest.raises(ValueError):
+            read(memo, r, n, c)[ks]
+        if 0 <= r <= n:
+            table = read(memo, r, n, c)
+            assert table[(0,) * (n - r)] == read({}, r, n, c)[(0,) * (n - r)]
+            with pytest.raises(ValueError):
+                table[ks]
+            assert ks not in table
+
 
 def _patterns(r, n, c, ks):
     return sum(1 for _ in enumerate_patterns(TopRowKey(r, n, c, ks)))
