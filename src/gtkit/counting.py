@@ -17,13 +17,14 @@ from typing import Callable, Iterator
 
 from .exact import (LaurentPolyQ, chained_count, chained_count2, chained_count_packed,
                     chained_sum, chained_sum_packed, unpack_q, widened)
-from .patterns import GenPattern, enumerate_spps
+from .patterns import GenPattern, _checked_make, enumerate_spps
 
 
 class TopRowKey(namedtuple("TopRowKey", "r n c ks")):
     """Parameters (r, n, c) plus the interior top-row entries k_1..k_{n-r}."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, r: int, n: int, c: int, ks: tuple[int, ...]):
         ks = tuple(ks)
@@ -235,27 +236,34 @@ class _Level(dict):
 
 
 def level(memo: dict, r: int, n: int, c: int, bits: int | None = None) -> _Level:
-    """memo's table of F(r,n,c;ks), keyed by ks, for 0 <= r <= n and ks of
-    n - r entries, ValueError otherwise: the recursion engine, shared by
-    both weights.  bits None is the plain weight, each state the count as
-    an int; with bits the table is level_q's.
+    """memo's table of F(r,n,c;ks), keyed by ks, for n >= 1, 0 <= r <= n and
+    ks of n - r entries, ValueError otherwise, as TopRowKey: the recursion
+    engine, and its one read path on both weights.  bits None is the plain
+    weight, each state the count as an int.  With bits, each state is F_q
+    packed at width bits, the triple (packed, low, patterns) of
+    exact.chained_sum_packed; patterns, the unsigned number of patterns with
+    that top row, bounds the sum of |coefficient|.
 
     A table is built on first reach, over the table below it.  Each state
     sums F(r-1,n,c;l_1..l_{n-r+1}) over the chained extended ranges l_1 in
     [0,k_1], l_2 in [k_1,k_2], ..., l_{n-r+1} in [k_{n-r},c], by the weight's
-    total(bounds, summand), here exact.chained_sum, reading the summands
-    from the table below.  closers[j](bounds) is a level j + 1 state in
-    closed form, so the levels up to len(closers) are never summed: here
-    exact.chained_count and exact.chained_count2 close levels r = 1 and 2,
-    and no table below level 2 is built under a higher one.  Every state of
-    level 0 is the base value F(0,n,c;.) = 1, closers[0](()).  memo maps
-    each level (r, n, c) to its table, so one memo serves one weight.  Each
-    state costs one Python call, and a repeat read, in this call or a later
-    one on the same memo, none.
+    total(bounds, summand), exact.chained_sum or exact.chained_sum_packed
+    (which weights each innermost term by q^(l_1 + ... + l_{n-r+1})),
+    reading the summands from the table below.  closers[j](bounds) is a
+    level j + 1 state in closed form, so the levels up to len(closers) are
+    never summed: exact.chained_count and exact.chained_count2 close levels
+    r = 1 and 2 of the plain weight, and no table below level 2 is built
+    under a higher one; exact.chained_count_packed closes level r = 1 of
+    the q weight.  Every state of level 0 is the base value F(0,n,c;.),
+    closers[0](()): 1, or (1, 0, 1) packed.  memo maps each level (r, n, c)
+    to its table, so one memo holds one weight at one width: never read it
+    with and without bits, nor at a second width (exact.widened keeps a
+    caller's memo at PACK_BITS).  Each state costs one Python call, and a
+    repeat read, in this call or a later one on the same memo, none.
     """
     table = memo.get((r, n, c))
     if table is None:
-        if not 0 <= r <= n:
+        if r < 0 or n < 1 or r > n:
             raise ValueError(f"bad parameters r={r}, n={n}")
         total, *closers = ((chained_sum, chained_count, chained_count2) if bits is None else
                            (functools.partial(chained_sum_packed, bits=bits),
@@ -269,19 +277,6 @@ def level(memo: dict, r: int, n: int, c: int, bits: int | None = None) -> _Level
     return table
 
 
-def level_q(memo: dict, r: int, n: int, c: int, bits: int) -> _Level:
-    """level's twin for F_q(r,n,c;ks) packed at width bits, each state the
-    triple (packed, low, patterns) of exact.chained_sum_packed, its total;
-    patterns, the unsigned number of patterns with that top row, bounds the
-    sum of |coefficient|.  The nesting is level's, each innermost term
-    weighted by q^(l_1 + ... + l_{n-r+1}); only level r = 1 is closed, by
-    exact.chained_count_packed.  One memo holds one weight at one width:
-    never pass it to level without bits, nor at a second width
-    (exact.widened keeps it at PACK_BITS).
-    """
-    return level(memo, r, n, c, bits)
-
-
 def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
     """F(r,n,c;ks) by the fundamental recursion: one read of
     level(memo, r, n, c), memo a fresh dict if None."""
@@ -289,20 +284,18 @@ def f_recursive(key: TopRowKey, memo: dict | None = None) -> int:
 
 
 def fq_recursive(key: TopRowKey, memo: dict | None = None) -> LaurentPolyQ:
-    """Evaluate F_q(r,n,c;ks) by the q-weighted recursion: fq_packed at the
-    width exact.widened proves from its pattern count, unpacked once.  Each
-    pattern adds +1 or -1 to one coefficient, so the count bounds them all;
-    a count too wide for PACK_BITS recomputes the key in a fresh memo, and
-    the caller's memo keeps its one width.
+    """Evaluate F_q(r,n,c;ks) by the q-weighted recursion: one read of
+    level(memo, r, n, c, bits), at the width exact.widened proves from its
+    pattern count, unpacked once.  Each pattern adds +1 or -1 to one
+    coefficient, so the count bounds them all; a count too wide for
+    PACK_BITS recomputes the key in a fresh memo, and the caller's memo
+    keeps its one width.
     """
-    bits, packed, low, _ = widened(functools.partial(fq_packed, key), memo)
+    def packed_at(table, bits):
+        return level(table, key.r, key.n, key.c, bits)[key.ks]
+
+    bits, packed, low, _ = widened(packed_at, memo)
     return unpack_q(packed, low, bits)
-
-
-def fq_packed(key: TopRowKey, memo: dict, bits: int) -> tuple[int, int, int]:
-    """F_q(r,n,c;ks) packed at width bits: one read of
-    level_q(memo, r, n, c, bits)."""
-    return level_q(memo, key.r, key.n, key.c, bits)[key.ks]
 
 
 # ---------------------------------------------------------------------------

@@ -244,10 +244,6 @@ class LaurentPolyQ:
 
     # -- inspection ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -354,9 +350,9 @@ class LaurentPolyQ:
 
         Raises NonExactDivision if den does not divide self exactly.
         """
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
+        if not self:
             return LaurentPolyQ()
         noff = self.min_exp
         doff = den.min_exp
@@ -461,12 +457,8 @@ def q_poch_ratio(num: LaurentPolyQ, num_pairs: Sequence[tuple[int, int]],
         whole -= m
     if zero:
         return LaurentPolyQ()
-    if len(terms) == 1:  # a monomial, as in every product and closed form
-        ((low, lead),) = terms.items()
-        coeffs = [lead]
-    else:
-        low = min(terms)
-        coeffs = [terms.get(e, 0) for e in range(low, max(terms) + 1)]
+    low = min(terms)
+    coeffs = [terms.get(e, 0) for e in range(low, max(terms) + 1)]
     sign = 1
     for x0, n in num_pairs:
         for x in range(x0, x0 + n):
@@ -523,7 +515,7 @@ class QFraction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPolyQ, den: LaurentPolyQ):
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("QFraction denominator must be nonzero")
         self.num = num
         self.den = den

@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .counting import TopRowKey, level, level_q, pattern_counts
+from .counting import TopRowKey, level, pattern_counts
 from .exact import (
     LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_packed, chained_sum_q, pack_q,
     pochhammer, q_bracket, q_poch, q_poch_product, q_poch_ratio, unpack_q, widened,
@@ -289,10 +289,10 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
     """q-analog of verify_decomp, (-1)^r P_r(k_{i+1}-k_i) / [1;q]_{2r} times
     q^(2r k_i + decomp_q_exponent) F_q(r,n-2,c+2;...), cross-multiplied with
     [1;q]_{2r}; memo as there, each signed product packed with [1;q]_{2r}, and
-    each F_q read from counting.level_q's tables.  Both sides are packed ints
-    at one low; the product of a side's weights (an F_q's is its pattern
-    count) bounds its coefficients, so exact.widened picks the compare's width
-    and table."""
+    each F_q read from counting.level's tables at width bits.  Both sides are
+    packed ints at one low; the product of a side's weights (an F_q's is its
+    pattern count) bounds its coefficients, so exact.widened picks the
+    compare's width and table."""
     ks = tuple(ks)
     if not 1 <= i < n - r == len(ks):
         raise ValueError(f"need 1 <= i <= {n - r - 1} and {n - r} entries, got i={i}, ks={ks}")
@@ -304,9 +304,9 @@ def verify_decomp_q(r: int, n: int, c: int, i: int, ks: Sequence[int],
         def factor(r, diff):
             return pack_q((-1) ** r * _product_q(r, diff), bits), pack_q(q_poch(1, 2 * r), bits)
 
-        counts = level_q(table, r, n, c, bits)
+        counts = level(table, r, n, c, bits)
         (a, a_low, a_w), (b, b_low, b_w) = counts[ks], counts[_swap(ks, i)]
-        f, f_low, f_w = level_q(table, r, n - 2, c + 2, bits)[_decomp_rhs_args(ks, i)]
+        f, f_low, f_w = level(table, r, n - 2, c + 2, bits)[_decomp_rhs_args(ks, i)]
         (x, x_low, x_w), (den, den_low, den_w) = _tabled(table, (r, ks[i] - ks[i - 1]), factor)
         right_low = x_low + f_low + shift - den_low
         low = min(a_low, b_low, right_low)
@@ -424,15 +424,15 @@ def verify_extra(n: int, c: int, memo: dict | None = None) -> bool:
 
 def verify_extra_q(n: int, c: int, memo: dict | None = None) -> bool:
     """F_q(n-1,n,c;c) == q^{cn-c} sum_{k=0}^{c} F_q(n-2,n-1,c;k) q^k, each
-    count read from counting.level_q's tables and each side unpacked once, at
-    the width exact.widened proves from the sides' pattern counts; memo as
-    there."""
+    count read from counting.level's tables at width bits and each side
+    unpacked once, at the width exact.widened proves from the sides' pattern
+    counts; memo as there."""
     if n < 2 or c < 0:
         raise ValueError(f"need n >= 2 and c >= 0, got n={n}, c={c}")
 
     def sides(table, bits):
-        lhs = level_q(table, n - 1, n, c, bits)[c,]
-        rhs = chained_sum_packed([(0, c)], level_q(table, n - 2, n - 1, c, bits).__getitem__, bits)
+        lhs = level(table, n - 1, n, c, bits)[c,]
+        rhs = chained_sum_packed([(0, c)], level(table, n - 2, n - 1, c, bits).__getitem__, bits)
         return lhs, rhs, max(lhs[2], rhs[2])
 
     bits, (lhs, low, _), (rhs, rhs_low, _), _ = widened(sides, memo)

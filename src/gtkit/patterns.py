@@ -23,6 +23,12 @@ from collections import namedtuple
 from typing import Iterator
 
 
+def _checked_make(cls, iterable):
+    # a validated record's _make, through __new__'s checks; the named tuple's
+    # _replace calls _make, so neither builds a record that __new__ refuses
+    return cls(*iterable)
+
+
 class ShapeViolation(ValueError):
     """An array violates the shape constraints of its type."""
 
@@ -40,6 +46,7 @@ class Partition(namedtuple("Partition", "parts")):
     """Weakly decreasing tuple of nonnegative integers."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, parts: tuple[int, ...]):
         parts = tuple(parts)
@@ -67,6 +74,7 @@ class StrictPlanePartition(namedtuple("StrictPlanePartition", "rows")):
     decreasing columns of positive integers."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(map(tuple, rows))
@@ -113,6 +121,7 @@ class GenPattern(namedtuple("GenPattern", "r n c rows")):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, r: int, n: int, c: int, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(map(tuple, rows))

@@ -102,10 +102,8 @@ def f_ext_recursive(lam: Sequence[int], memo: dict | None = None) -> int:
     other vectors, permutation-normalize first.  The one-variable function is
     identically 1.  memo holds the values.
     """
-    return _f_ext_rec(tuple(lam), {} if memo is None else memo)
-
-
-def _f_ext_rec(lam: tuple[int, ...], memo: dict) -> int:
+    lam = tuple(lam)
+    memo = {} if memo is None else memo
     k = len(lam)
     if k <= 1:
         return 1
@@ -114,12 +112,12 @@ def _f_ext_rec(lam: tuple[int, ...], memo: dict) -> int:
     last = lam[-1]
     if min(lam) < last:
         sign, ordered = _sort_desc_with_sign(lam)
-        return sign * _f_ext_rec(ordered, memo)
+        return sign * f_ext_recursive(ordered, memo)
     cached = memo.get(lam)
     if cached is not None:
         return cached
     bounds = [(last + 1, top) for top in lam[:-1]]
-    value = chained_sum(bounds, functools.partial(_f_ext_rec, memo=memo))
+    value = chained_sum(bounds, functools.partial(f_ext_recursive, memo=memo))
     memo[lam] = value
     return value
 

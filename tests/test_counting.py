@@ -669,7 +669,7 @@ class TestLevelTables:
     same call or a later one on the same memo, is a dict lookup."""
 
     # the engine's entry points, and the frame that finds or builds a table
-    ENTRY = {"f_recursive", "fq_recursive", "fq_packed", "level_q"}
+    ENTRY = {"f_recursive", "fq_recursive", "packed_at"}
     SETUP = "level"
 
     def _frames(self, run) -> list:
@@ -728,22 +728,23 @@ class TestLevelTables:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_a_level_read_is_the_key_read(self, warm):
-        # level and level_q read the states f_recursive and fq_packed
-        # return, on a fresh memo per key or on one warmed by other keys
+        # level, plain and at PACK_BITS, reads the states that f_recursive
+        # and a fresh level read return, on a fresh memo per key or on one
+        # warmed by other keys
         keys = self._random_keys(36)
         assert {key.r for key in keys} == set(range(6)) and min(k.c for k in keys) < 0
         plain: dict = {}
         packed: dict = {}
         for key in self._random_keys(37) if warm else []:
             counting.level(plain, key.r, key.n, key.c)[key.ks]
-            counting.level_q(packed, key.r, key.n, key.c, exact.PACK_BITS)[key.ks]
+            counting.level(packed, key.r, key.n, key.c, exact.PACK_BITS)[key.ks]
         for key in keys:
             if not warm:
                 plain, packed = {}, {}
             r, n, c = key.r, key.n, key.c
             assert counting.level(plain, r, n, c)[key.ks] == f_recursive(key), key
-            assert (counting.level_q(packed, r, n, c, exact.PACK_BITS)[key.ks]
-                    == counting.fq_packed(key, {}, exact.PACK_BITS)), key
+            assert (counting.level(packed, r, n, c, exact.PACK_BITS)[key.ks]
+                    == counting.level({}, r, n, c, exact.PACK_BITS)[key.ks]), key
 
     def test_level_zero_holds_the_base_value(self):
         # every state of level 0 is F(0,n,c;.) = 1, stored like any other
@@ -752,19 +753,20 @@ class TestLevelTables:
         for ks in [(3,), (-4, 2), (5, -5, 0)]:
             n = len(ks)
             assert counting.level(plain, 0, n, -n)[ks] == 1
-            assert counting.level_q(packed, 0, n, -n, exact.PACK_BITS)[ks] == (1, 0, 1)
+            assert counting.level(packed, 0, n, -n, exact.PACK_BITS)[ks] == (1, 0, 1)
         assert _states(plain) == {(0, 1, -1, (3,)): 1, (0, 2, -2, (-4, 2)): 1,
                                   (0, 3, -3, (5, -5, 0)): 1}
         assert set(_states(packed).values()) == {(1, 0, 1)} and len(_states(packed)) == 3
 
     @pytest.mark.parametrize("read", [
         lambda memo, r, n, c: counting.level(memo, r, n, c),
-        lambda memo, r, n, c: counting.level_q(memo, r, n, c, exact.PACK_BITS),
+        lambda memo, r, n, c: counting.level(memo, r, n, c, exact.PACK_BITS),
     ], ids=["plain", "q"])
     @pytest.mark.parametrize("r, n, c, ks", [
         (-1, 2, 0, (0, 0, 0)),  # a level below 0
         (3, 2, 1, ()),  # a level above n
         (1, 3, 2, (1,)),  # a top row one entry short
+        (0, 0, 5, ()),  # n = 0, which TopRowKey refuses too
     ])
     def test_a_bad_level_or_top_row_raises(self, read, r, n, c, ks):
         # the level is checked when its table is built, the top row's length
@@ -772,7 +774,7 @@ class TestLevelTables:
         memo: dict = {}
         with pytest.raises(ValueError):
             read(memo, r, n, c)[ks]
-        if 0 <= r <= n:
+        if 0 <= r <= n and n >= 1:
             table = read(memo, r, n, c)
             assert table[(0,) * (n - r)] == read({}, r, n, c)[(0,) * (n - r)]
             with pytest.raises(ValueError):

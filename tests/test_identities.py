@@ -12,7 +12,7 @@ import pytest
 from gtkit import cli, counting, exact, identities
 from gtkit.closedforms import theorem_special
 from gtkit.counting import (
-    TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_packed, fq_recursive,
+    TopRowKey, enumerate_patterns, f_bruteforce, f_recursive, fq_recursive, level,
 )
 from gtkit.exact import (
     PACK_BITS, LaurentPolyQ, NonExactDivision, chained_sum, chained_sum_q, pack_q, pochhammer,
@@ -572,8 +572,9 @@ class TestSummandTables:
             stored.append((id(table), ks))
             return real(table, ks)
 
-        def reading(memo, *args, real=identities.level_q):
-            memos[id(memo)] = memo
+        def reading(memo, *args, real=identities.level):
+            if len(args) == 4:  # r, n, c and bits: a q read
+                memos[id(memo)] = memo
             return real(memo, *args)
 
         def counted(*args, real=counting.unpack_q):
@@ -581,7 +582,7 @@ class TestSummandTables:
             return real(*args)
 
         monkeypatch.setattr(counting._Level, "__missing__", missing)
-        monkeypatch.setattr(identities, "level_q", reading)
+        monkeypatch.setattr(identities, "level", reading)
         monkeypatch.setattr(counting, "unpack_q", counted)
         monkeypatch.setattr(identities, "unpack_q", counted)
         assert cli.main(["verify", "--suite", "decomp"]) == cli.EXIT_OK
@@ -604,13 +605,13 @@ class TestSummandTables:
         for key in DECOMP_TOPS:
             packed, low, patterns = states[key]
             assert unpack_q(packed, low, PACK_BITS) == fq_recursive(TopRowKey(*key)), key
-            assert states[key] == fq_packed(TopRowKey(*key), {}, PACK_BITS), key
+            assert states[key] == level({}, *key[:3], PACK_BITS)[key[3]], key
             assert patterns == sum(1 for _ in enumerate_patterns(TopRowKey(*key))), key
 
     @pytest.mark.parametrize("suite", ["decomp", "extra"])
     def test_suite_builds_no_key_and_enters_no_engine(self, suite, monkeypatch, capsys):
         # every count is a read of a level table: no TopRowKey is built and
-        # no f_recursive, fq_packed or fq_recursive is called
+        # no f_recursive or fq_recursive is called
         entries = []
 
         def new(cls, *args, real=TopRowKey.__new__):
@@ -618,7 +619,7 @@ class TestSummandTables:
             return real(cls, *args)
 
         monkeypatch.setattr(TopRowKey, "__new__", new)
-        for name in ("f_recursive", "fq_packed", "fq_recursive"):
+        for name in ("f_recursive", "fq_recursive"):
             def entry(*args, name=name, real=getattr(counting, name)):
                 entries.append(name)
                 return real(*args)
@@ -629,7 +630,7 @@ class TestSummandTables:
         assert entries == []
         # the counters see an engine entry
         counting.fq_recursive(TopRowKey(1, 2, 1, (0,)))
-        assert entries == ["TopRowKey", "fq_recursive", "fq_packed"]
+        assert entries == ["TopRowKey", "fq_recursive"]
 
     def test_lemma2q_tables_each_side_under_its_own_keys(self):
         memo = InsertCounting()

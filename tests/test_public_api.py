@@ -1,7 +1,8 @@
-"""Every name that ``gtkit`` exports is used by the package or the benchmark.
+"""Every definition in ``gtkit`` is used by the package or the benchmark.
 
 The check walks ``src/gtkit/*.py`` and ``perfbench/*.py`` with ``ast`` and
-looks for a read of each exported name (a bare name or an attribute) outside
+looks for a read of each top-level definition (a ``def``, a ``class`` or an
+assigned name, exported or private) as a bare name or an attribute, outside
 the body of the ``def`` or ``class`` that defines it.  Code that only the
 tests call fails here, unless it is one of the reference definitions below.
 """
@@ -63,22 +64,50 @@ def _reads(path: Path) -> set[tuple[str, frozenset]]:
     return found
 
 
-def _unused_exports() -> set[str]:
-    exports = _exports()
+def _definitions() -> dict[str, set[str]]:
+    """Top-level name -> file stems of the modules that define it."""
+    found: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name, set()).add(path.stem)
+    return found
+
+
+def _unread_definitions() -> set[str]:
+    definitions = _definitions()
     used = set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         if path == PACKAGE / "__init__.py":
             continue
         in_package = path.parent == PACKAGE
         for name, scopes in _reads(path):
-            own_body = in_package and exports.get(name) == path.stem and name in scopes
-            if name in exports and not own_body:
+            own_body = in_package and path.stem in definitions.get(name, ()) and name in scopes
+            if name in definitions and not own_body:
                 used.add(name)
-    return set(exports) - used
+    return set(definitions) - used
+
+
+def _unused_exports() -> set[str]:
+    return set(_exports()) & _unread_definitions()
 
 
 def test_every_export_is_used_outside_the_tests():
     assert _unused_exports() - set(REFERENCE_DEFINITIONS) == set()
+
+
+def test_every_definition_is_read_outside_the_tests():
+    # a helper that a fold leaves behind, read by nothing but itself or the
+    # tests, is dead code; __version__ is there for the package's users
+    assert _unread_definitions() - set(REFERENCE_DEFINITIONS) == {"__version__"}
 
 
 def test_no_module_level_container():

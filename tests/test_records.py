@@ -18,7 +18,9 @@ from gtkit.cli import RunReport, SweepConfig
 from gtkit.counting import CountResult, TopRowKey
 from gtkit.exact import LaurentPolyQ
 from gtkit.identities import IntFunction
-from gtkit.patterns import GenPattern, Partition, StrictPlanePartition
+from gtkit.patterns import (
+    DimensionMismatch, GenPattern, Partition, ShapeViolation, StrictPlanePartition,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,6 +45,33 @@ RECORDS = {
                     "ssyt_max_k=4, tableaux_max_k=3, tableaux_lo=-2, tableaux_hi=3, "
                     "asm_max_n=5)"),
 }
+
+#: each record that validates in __new__: a valid record, a valid change, a
+#: change that __new__ refuses, and the error it raises
+CHECKED = {
+    "TopRowKey": (lambda: TopRowKey(1, 2, 1, (0,)), {"c": 5}, {"ks": (1, 2, 3)}, ValueError),
+    "Partition": (lambda: Partition([3, 1]), {"parts": (2, 2)}, {"parts": (1, 5)},
+                  ShapeViolation),
+    "StrictPlanePartition": (lambda: StrictPlanePartition([[3, 1], [2]]), {"rows": ((2,),)},
+                             {"rows": ((1,), (2,))}, ShapeViolation),
+    "GenPattern": (lambda: GenPattern(1, 2, 2, [[0, 1, 2], [0, 1, 1, 2]]), {"c": 3}, {"r": 2},
+                   DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_make_and_replace_check_like_new(name):
+    # the named tuple's _make and _replace go through __new__'s checks
+    make, good, bad, error = CHECKED[name]
+    record = make()
+    cls = type(record)
+    changed = record._replace(**good)
+    assert type(changed) is cls and changed == cls(**{**record._asdict(), **good})
+    assert cls._make(record) == record and type(cls._make(record)) is cls
+    with pytest.raises(error):
+        record._replace(**bad)
+    with pytest.raises(error):
+        cls._make([bad.get(field, value) for field, value in zip(cls._fields, record)])
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
