@@ -42,15 +42,12 @@ def enumerate_monotone_triangles(n: int, k: int) -> Iterator[GenPattern]:
 def count_monotone_triangles(n: int, k: int, memo: dict | None = None) -> int:
     """Number of monotone triangles of size n with top entry k; zero outside
     1 <= k <= n.  The filter made the rows strict: nothing to validate.
-    memo as counting.count_patterns's."""
-    return count_patterns(_triangle_key(n, k), _strictly_increasing, memo)
-
-
-def triangle_count(n: int, k: int, memo: dict) -> int:
-    """count_monotone_triangles(n, k, memo), kept in memo under (n, k)."""
+    memo holds counting.count_patterns's row tables and, beside them, this
+    count under (n, k)."""
+    memo = {} if memo is None else memo
     count = memo.get((n, k))
     if count is None:
-        count = memo[n, k] = count_monotone_triangles(n, k, memo)
+        count = memo[n, k] = count_patterns(_triangle_key(n, k), _strictly_increasing, memo)
     return count
 
 
@@ -68,7 +65,7 @@ def verify_ratio_independence(n: int, memo: dict | None = None) -> tuple[bool, F
     memo = {} if memo is None else memo
     ratios = []
     for k in range(1, n + 1):
-        triangles = triangle_count(n, k, memo)
+        triangles = count_monotone_triangles(n, k, memo)
         if not triangles:
             return False, None
         patterns = f_bruteforce(TopRowKey(n - 1, n, n - 1, (k - 1,)), memo)

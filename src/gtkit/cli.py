@@ -4,7 +4,7 @@ Subcommands: ``count`` evaluates a single signed count by either or both
 engines, ``table`` tabulates the one-variable counts against the closed form,
 and ``verify`` runs the identity-verification suites.  All output is exact
 (rationals as p/q, Laurent polynomials as sorted coefficient*q^exponent sums)
-and deterministic: identical flags and seed give byte-identical reports.
+and deterministic: identical flags give byte-identical reports.
 
 Exit codes: 0 success, 1 stdout closed before the report was written (as by
 ``| head``), 2 usage error (including a sweep or table with no instances),
@@ -18,7 +18,6 @@ import functools
 import itertools
 import json
 import os
-import random
 import sys
 from collections import namedtuple
 
@@ -82,8 +81,6 @@ DECOMP_RN = ((1, 3), (1, 4), (2, 4))
 
 
 class SweepConfig(namedtuple("SweepConfig", (
-        "seed "
-        "fund_samples fund_sample_bound "
         "lemma2_d lemma2_xy "
         "decomp_c decomp_klo decomp_khi "
         "hyper_max_m hyper_max_c "
@@ -94,8 +91,6 @@ class SweepConfig(namedtuple("SweepConfig", (
         "ssyt_max_part ssyt_max_k "
         "tableaux_max_k tableaux_lo tableaux_hi "
         "asm_max_n"), defaults=(
-        42,
-        200, 3,
         2, 3,
         2, -2, 4,
         4, 6,
@@ -107,7 +102,7 @@ class SweepConfig(namedtuple("SweepConfig", (
         3, -2, 3,
         5))):
     """Default sweep bounds, one line per suite, the defaults in the order of
-    the fields; --seed sets the seed and --override any other field."""
+    the fields; --override sets any of them."""
 
     __slots__ = ()
 
@@ -119,21 +114,20 @@ _RANGE_FIELDS = (("decomp_klo", "decomp_khi"), ("qpoch_ylo", "qpoch_yhi"),
 
 def _is_size(name: str) -> bool:
     # sizes, bounds and counts of a sweep; the *_lo fields may be negative
-    return ("_max_" in name or name.endswith("_bound")
-            or name in ("fund_samples", "lemma2_d", "lemma2_xy"))
+    return "_max_" in name or name in ("lemma2_d", "lemma2_xy")
 
 
-def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
-    """Apply FIELD=VALUE overrides; ValueError on a bad field or value."""
-    valid = set(SweepConfig._fields) - {"seed"}
+def _apply_overrides(overrides: list[str]) -> SweepConfig:
+    """The default sweep with FIELD=VALUE overrides applied; ValueError on a
+    bad field or value, or on a field given twice, which the report's sorted
+    list could not order."""
     updates = {}
     for item in overrides:
         name, _, raw = item.partition("=")
-        if name == "seed":
-            raise ValueError(f"override {item!r}: set the seed with --seed, "
-                             "so that the report records it")
-        if name not in valid:
-            raise ValueError(f"unknown override {item!r}; fields: {sorted(valid)}")
+        if name not in SweepConfig._fields:
+            raise ValueError(f"unknown override {item!r}; fields: {sorted(SweepConfig._fields)}")
+        if name in updates:
+            raise ValueError(f"override {item!r}: {name} is given twice")
         try:
             updates[name] = int(raw)
         except ValueError:
@@ -141,7 +135,7 @@ def _apply_overrides(cfg: SweepConfig, overrides: list[str]) -> SweepConfig:
         if updates[name] < 0 and _is_size(name):
             raise ValueError(f"override {item!r} is negative: a size, bound or "
                              "count below 0 leaves no instances to check")
-    cfg = cfg._replace(**updates)
+    cfg = SweepConfig()._replace(**updates)
     for lo, hi in _RANGE_FIELDS:
         if getattr(cfg, lo) > getattr(cfg, hi):
             raise ValueError(f"overrides give {lo}={getattr(cfg, lo)} > "
@@ -180,16 +174,12 @@ def _check(report: RunReport, parameters: str, instances, checks: dict) -> None:
 
 
 def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
-    rng = random.Random(cfg.seed)
-    b = cfg.fund_sample_bound
-    instances = []
-    for idx in range(cfg.fund_samples):
-        m = idx % 3 + 1
-        sample = tuple(rng.randint(-b, b) for _ in range(m + 1))
-        instances += [(m, i, sample) for i in range(1, m + 1)]
-    params = f"{cfg.fund_samples} samples in [{-b},{b}]^(m+1), m <= 3"
-    _check(report, params, instances, {"operator commutation, every function (plain and q)":
-                                       identities.verify_lemma_fund_all})
+    # the generic point decides the lemma at every integer point
+    instances = [(m, i, identities.fund_generic_point(m))
+                 for m in range(1, 4) for i in range(1, m + 1)]
+    _check(report, "the point (0,4,...,4m), m <= 3, all i", instances,
+           {"operator commutation, every function at every point (plain and q)":
+            identities.verify_lemma_fund_all})
 
 
 def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
@@ -346,12 +336,12 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
     memo = {}  # triangle counts and row tables, shared by all three checks
 
     def count_matches(n, k):
-        return asm_mod.triangle_count(n, k, memo) == closedforms.refined_asm(n, k)
+        return asm_mod.count_monotone_triangles(n, k, memo) == closedforms.refined_asm(n, k)
 
     _check(report, params, instances, {"refined count formula": count_matches})
 
     def total_matches(n):
-        total = sum(asm_mod.triangle_count(n, k, memo) for k in range(1, n + 1))
+        total = sum(asm_mod.count_monotone_triangles(n, k, memo) for k in range(1, n + 1))
         return total == closedforms.asm_product(n)
 
     _check(report, f"n <= {max_n}", ((n,) for n in range(1, max_n + 1)),
@@ -436,16 +426,20 @@ def cmd_count(args) -> int:
     return EXIT_ENGINE_MISMATCH if mismatch else EXIT_OK
 
 
-def _table_row_q(n: int, c: int, k: int, memo: dict):
-    # the closed form is the plain generating function, carrying q^k relative
-    # to the normalized engine count; a row whose quotient leaves a remainder
-    # reports the fraction form, compared by cross-multiplication
-    brute = counting.fq_bruteforce(TopRowKey(n - 1, n, c, (k,)), memo).shift(k)
-    try:
-        formula = closedforms.theorem_main_q(n, c, k)
-    except NonExactDivision:
-        formula = closedforms.theorem_main_q_fraction(n, c, k)
-    return brute, str(formula), formula == brute
+def _table_row(n: int, c: int, k: int, q: bool, memo: dict) -> tuple:
+    # the q closed form is the plain generating function, carrying q^k
+    # relative to the normalized engine count; a row whose quotient leaves a
+    # remainder reports the fraction form, compared by cross-multiplication
+    key = TopRowKey(n - 1, n, c, (k,))
+    if q:
+        brute = counting.fq_bruteforce(key, memo).shift(k)
+        try:
+            formula = closedforms.theorem_main_q(n, c, k)
+        except NonExactDivision:
+            formula = closedforms.theorem_main_q_fraction(n, c, k)
+    else:
+        brute, formula = counting.f_bruteforce(key, memo), closedforms.theorem_special(n, c, k)
+    return n, c, k, brute, formula, formula == brute
 
 
 def cmd_table(args) -> int:
@@ -465,14 +459,7 @@ def cmd_table(args) -> int:
             kmin = args.kmin if args.kmin is not None else 0
             kmax = args.kmax if args.kmax is not None else c
             memo = {}  # row tables, shared by the k of this (n, c)
-            for k in range(kmin, kmax + 1):
-                if args.q:
-                    brute, formula, match = _table_row_q(n, c, k, memo)
-                    rows.append((n, c, k, brute, formula, match))
-                else:
-                    brute = counting.f_bruteforce(TopRowKey(n - 1, n, c, (k,)), memo)
-                    formula = closedforms.theorem_special(n, c, k)
-                    rows.append((n, c, k, brute, formula, brute == formula))
+            rows += [_table_row(n, c, k, args.q, memo) for k in range(kmin, kmax + 1)]
     if not rows:
         print(f"error: no table rows for n={args.n}, c={args.c}, "
               f"kmin={args.kmin}, kmax={args.kmax}", file=sys.stderr)
@@ -497,9 +484,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = SweepConfig(seed=args.seed)
     try:
-        cfg = _apply_overrides(cfg, args.override or [])
+        cfg = _apply_overrides(args.override or [])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -507,16 +493,14 @@ def cmd_verify(args) -> int:
     report = RunReport("verify", {"suite": args.suite, "seed": args.seed,
                                   "overrides": sorted(args.override or [])})
     for name in names:
-        sub = RunReport(name, {})
+        results, verdicts = len(report.results), len(report.verdicts)
         try:
-            SUITES[name](sub, cfg)
+            SUITES[name](report, cfg)
         except EmptySweep as exc:
             print(f"error: suite {name}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for entry in sub.results:
-            report.results.append(dict(entry, suite=name))
-        for verdict in sub.verdicts:
-            report.verdicts.append(dict(verdict, suite=name))
+        for entry in report.results[results:] + report.verdicts[verdicts:]:
+            entry["suite"] = name
     print(report.to_json())
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION_FAILED
 
@@ -561,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), required=True)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=int, default=42,
+                          help="recorded in the report; no suite reads it")
     p_verify.add_argument("--override", action="append", metavar="FIELD=VALUE",
                           help="override a sweep bound (repeatable)")
     p_verify.set_defaults(func=cmd_verify)

@@ -3,9 +3,9 @@
 Implements the swap operator D_i and the summation operators acting on
 integer functions, verifies each lemma-level identity at sample points by
 evaluating both sides independently (the fundamental lemma for every
-function at once, by the signed corners of its boxes), and checks the
-one-variable count's degree bound and integer zeros on consecutive integers,
-by finite differences.
+function at once, by the signed corners of its boxes, and at every point
+from one generic point), and checks the one-variable count's degree bound
+and integer zeros on consecutive integers, by finite differences.
 
 Lemma 2 and the decomposition of D_i F read one product,
 P_r(d) = (1+q^r) [d-r+2;q]_{2r-1} [d+1;q], written once as its bracket pairs
@@ -118,6 +118,22 @@ def _fund_boxes(m: int, i: int, sample: Sequence[int]) -> list[list[tuple[int, i
             box = _fund_rhs_bounds(m, i, sample, first_term)
             boxes += [box, _swapped_box(box, j)]
     return boxes
+
+
+def fund_generic_point(m: int) -> tuple[int, ...]:
+    """(0, 4, ..., 4m): one sample at which verify_lemma_fund_all(m, i, .)
+    decides the lemma at every integer point.
+
+    The check builds its boxes and chains from the sample's entries by the
+    same shifts at every sample, so each corner coordinate is a sample entry
+    plus an offset in -1..2 (tests/test_identities.py computes the offsets
+    for m <= 6).  Here the entries are 4 apart, so a coordinate names its
+    entry and offset, and two corners coincide here only if they coincide at
+    every sample.  So the weights vanish here exactly when each corner's
+    weight, summed over the terms that share its entries and offsets, is 0;
+    then they vanish at every sample, where corners only merge further.  The
+    check passes here exactly when the lemma holds at every integer point."""
+    return tuple(range(0, 4 * m + 1, 4))
 
 
 def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool) -> bool:

@@ -74,13 +74,13 @@ class TestSuiteCountsOnce:
         # the refined, totals and ratio checks share one dict of counts:
         # n <= 4 with 1 <= k <= n, and n = 5 for the ratio, 15 keys
         calls = []
-        count = asm.count_monotone_triangles
+        count = asm.count_patterns
 
-        def counted(n, k, memo=None):
-            calls.append((n, k))
-            return count(n, k, memo)
+        def counted(key, row_filter=None, memo=None):
+            calls.append((key.n, *key.ks))
+            return count(key, row_filter, memo)
 
-        monkeypatch.setattr(asm, "count_monotone_triangles", counted)
+        monkeypatch.setattr(asm, "count_patterns", counted)
         assert cli.main(["verify", "--suite", "asm"]) == cli.EXIT_OK
         capsys.readouterr()
         assert sorted(calls) == [(n, k) for n in range(1, 6) for k in range(1, n + 1)]

@@ -326,7 +326,7 @@ class TestVerify:
     def test_bad_override_exit_two(self, capsys):
         for override, message in [
             ("nonsense=1", "unknown override"),
-            ("seed=7", "--seed"),  # the report records --seed only
+            ("seed=7", "unknown override"),  # no suite reads a seed
             ("lemma2_d=x", "'lemma2_d=x': the value must be an integer"),
             ("lemma2_d=", "'lemma2_d=': the value must be an integer"),
             # bounds that another field already sets
@@ -343,8 +343,6 @@ class TestVerify:
             assert "invalid literal" not in captured.err
 
     @pytest.mark.parametrize("override", [
-        "fund_sample_bound=-1",
-        "fund_samples=-2",
         "lemma2_d=-1",
         "lemma2_xy=-3",
         "hyper_max_c=-1",
@@ -361,6 +359,21 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("overrides", [("qvand_max_c=2", "qvand_max_c=4"),
+                                           ("qvand_max_c=4", "qvand_max_c=2"),
+                                           ("qvand_max_c=3", "qvand_max_c=3")])
+    def test_a_field_given_twice_exit_two(self, capsys, overrides):
+        # the report records the overrides sorted, so it could not say which
+        # of two values ran
+        argv = ["verify", "--suite", "qvand"]
+        for override in overrides:
+            argv += ["--override", override]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "qvand_max_c is given twice" in captured.err
 
     def test_negative_lower_ends_allowed(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "qpoch",
@@ -482,7 +495,6 @@ class TestVerify:
     @pytest.mark.parametrize("suite,override", [
         ("zeros", "zeros_max_n=-5"),
         ("zeros", "zeros_max_c=-1"),
-        ("fund", "fund_samples=0"),
         ("ssyt", "ssyt_max_part=0"),  # no shape has exactly k >= 1 rows
         ("asm", "asm_max_n=1"),
         ("asm", "asm_max_n=0"),
@@ -498,6 +510,15 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "--suite", "all", "--seed", "42")
         assert code == 0
         assert out == (ROOT / "tests" / "data" / "verify_all_seed42.json").read_text()
+
+    def test_no_suite_reads_the_seed(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--seed", "7")
+        assert code == 0
+        report = json.loads(out)
+        assert report["parameters"].pop("seed") == 7
+        golden = json.loads((ROOT / "tests" / "data" / "verify_all_seed42.json").read_text())
+        assert golden["parameters"].pop("seed") == 42
+        assert report == golden
 
     def test_benchmark_runs_every_suite(self, monkeypatch):
         path = ROOT / "perfbench" / "run.py"
@@ -528,6 +549,8 @@ class TestCheck:
         ("lemma2", [490, 490]),
         # 2 <= n <= 4, c <= 4
         ("zeros", [15]),
+        # one generic point per m <= 3, every i: 1 + 2 + 3
+        ("fund", [6]),
     ])
     def test_instances_are_the_sweep_sizes(self, suite, sizes, capsys):
         assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
@@ -542,11 +565,11 @@ class TestCheck:
 
     def test_fund_counterexample_replays(self, monkeypatch):
         def fake(m, i, sample):
-            return max(sample) < 3
+            return max(sample) < 8  # passes at m = 1 only
 
         monkeypatch.setattr(cli.identities, "verify_lemma_fund_all", fake)
         report = cli.RunReport("fund", {})
-        cli._suite_fund(report, cli.SweepConfig()._replace(fund_samples=12))
+        cli._suite_fund(report, cli.SweepConfig())
         (verdict,) = report.verdicts
         assert not verdict["pass"]
         m, i, sample = ast.literal_eval(verdict["counterexample"])

@@ -25,6 +25,7 @@ from gtkit.identities import (
     apply_phi_q,
     decomp_q_exponent,
     expected_zeros,
+    fund_generic_point,
     hyper_final_expression,
     hyper_middle_expression,
     verify_decomp,
@@ -189,6 +190,58 @@ class TestLemmaFund:
         assert verdicts == [_pointwise_fund_all(*inst) for inst in instances]
         assert not all(verdicts)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_generic_point_separates_every_corner(self, m):
+        # each corner coordinate is a sample entry plus an offset, read off at
+        # entries 1000 apart; the offsets spread less than the generic point's
+        # spacing, so there two corners coincide only if they name the same
+        # entries and offsets, and so coincide at every sample
+        point = fund_generic_point(m)
+        assert point == tuple(range(0, 4 * m + 1, 4))
+        wide = tuple(range(0, 1000 * m + 1, 1000))
+        offsets = set()
+        for i in range(1, m + 1):
+            names = {}
+            for far, near in zip(_fund_corners(m, i, wide), _fund_corners(m, i, point)):
+                name = tuple(divmod(v + 500, 1000) for v in far)
+                offsets |= {offset - 500 for _, offset in name}
+                assert near == tuple(point[t] + offset - 500 for t, offset in name)
+                names[name] = near
+            assert len(set(names.values())) == len(names), (m, i)
+        assert offsets <= set(range(-1, 3))  # as fund_generic_point's docstring says
+        assert max(offsets) - min(offsets) < point[1] - point[0]
+
+    def test_a_planted_slip_fails_at_the_generic_point_exactly_when_at_some_sample(
+            self, monkeypatch):
+        # each slip changes the bounds of one term that some (m, i) reads;
+        # the generic point fails it exactly when some sample in [-3,3]^(m+1)
+        # does, for the 80 slips that change the term's signed boxes and the
+        # 20 that do not
+        real, read = identities._fund_rhs_bounds, set()
+
+        def recording(m, i, k, first_term):
+            read.add((m, i, first_term))
+            return real(m, i, k, first_term)
+
+        monkeypatch.setattr(identities, "_fund_rhs_bounds", recording)
+        assert all(verify_lemma_fund_all(m, i, fund_generic_point(m))
+                   for m in (1, 2, 3) for i in range(1, m + 1))
+        assert len(read) == 6  # 2 terms at m = 2 and 4 at m = 3
+        verdicts = []
+        for term in sorted(read):
+            m, i, first_term = term
+            for slip in _fund_slips(m, i, first_term):
+                def slipped(*args):
+                    bounds = real(*args)
+                    return slip(bounds) if args[:2] + args[3:] == term else bounds
+
+                monkeypatch.setattr(identities, "_fund_rhs_bounds", slipped)
+                generic = verify_lemma_fund_all(m, i, fund_generic_point(m))
+                samples = itertools.product(range(-3, 4), repeat=m + 1)
+                assert generic == all(verify_lemma_fund_all(m, i, k) for k in samples), term
+                verdicts.append(generic)
+        assert (verdicts.count(False), verdicts.count(True)) == (80, 20)
+
     def test_every_function_check_refuses_a_bad_instance(self):
         for m, i, sample in ((2, 0, (0, 0, 0)), (2, 3, (0, 0, 0)), (2, 1, (0, 0))):
             with pytest.raises(ValueError):
@@ -230,6 +283,39 @@ def _off_by_one_bounds(m, i, k, first_term):
     lo, hi = bounds[i - 1]
     bounds[i - 1] = (lo, hi + 1)
     return bounds
+
+
+def _fund_slips(m, i, first_term):
+    # slips of one term's bounds: one end moved by 1, one or two links
+    # reversed, (a, b) -> (b + 1, a - 1), and the box replaced by its swapped
+    # image.  A reversed link negates its extended sum, so a reversed pair
+    # and the image, whose image is the box, leave the signed boxes as they are
+    def moved(link, end, delta):
+        def slip(bounds):
+            ends = list(bounds[link])
+            ends[end] += delta
+            return bounds[:link] + [tuple(ends)] + bounds[link + 1 :]
+        return slip
+
+    def reversed_links(links):
+        return lambda bounds: [(b + 1, a - 1) if j in links else (a, b)
+                               for j, (a, b) in enumerate(bounds)]
+
+    slips = [moved(link, end, delta) for link in range(m)
+             for end in (0, 1) for delta in (-1, 1)]
+    slips += [reversed_links(links) for size in (1, 2)
+              for links in itertools.combinations(range(m), size)]
+    j = i - 1 if first_term else i
+    return slips + [lambda bounds: identities._swapped_box(bounds, j)]
+
+
+def _fund_corners(m, i, sample):
+    # the corners verify_lemma_fund_all weighs, term by term: those of the
+    # boxes, then those of the chains of sample and of its D_i swap
+    boxes = identities._fund_boxes(m, i, sample)
+    boxes += [list(zip(k, k[1:])) for k in (sample, identities._swap(sample, i))]
+    return [corner for box in boxes
+            for corner in itertools.product(*[(a, b + 1) for a, b in box])]
 
 
 def _pointwise_fund_all(m, i, sample):

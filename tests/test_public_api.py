@@ -145,7 +145,7 @@ def test_every_sweep_field_is_read_by_the_cli():
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
-    assert set(SweepConfig._fields) - {"seed"} <= read
+    assert set(SweepConfig._fields) <= read
 
 
 def test_every_method_is_read():
