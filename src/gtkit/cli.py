@@ -83,9 +83,9 @@ DECOMP_RN = ((1, 3), (1, 4), (2, 4))
 class SweepConfig(namedtuple("SweepConfig", (
         "lemma2_d lemma2_xy "
         "decomp_c decomp_klo decomp_khi "
-        "hyper_max_m hyper_max_c "
-        "qvand_max_m qvand_max_c "
-        "qpoch_max_n qpoch_ylo qpoch_yhi "
+        "hyper_max_m "
+        "qvand_max_m "
+        "qpoch_max_n "
         "zeros_max_n zeros_max_c "
         "extra_max_n extra_max_c "
         "ssyt_max_part ssyt_max_k "
@@ -93,9 +93,9 @@ class SweepConfig(namedtuple("SweepConfig", (
         "asm_max_n"), defaults=(
         2, 3,
         2, -2, 4,
-        4, 6,
-        3, 5,
-        3, -3, 5,
+        4,
+        3,
+        3,
         4, 4,
         4, 4,
         4, 4,
@@ -108,8 +108,7 @@ class SweepConfig(namedtuple("SweepConfig", (
 
 
 #: (lo, hi) field pairs that bound one range of a sweep.
-_RANGE_FIELDS = (("decomp_klo", "decomp_khi"), ("qpoch_ylo", "qpoch_yhi"),
-                 ("tableaux_lo", "tableaux_hi"))
+_RANGE_FIELDS = (("decomp_klo", "decomp_khi"), ("tableaux_lo", "tableaux_hi"))
 
 
 def _is_size(name: str) -> bool:
@@ -208,9 +207,10 @@ def _suite_decomp(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((m, c) for m in range(1, cfg.hyper_max_m + 1) for c in range(cfg.hyper_max_c + 1))
-    params = f"m <= {cfg.hyper_max_m}, c <= {cfg.hyper_max_c}"
-    _check(report, params, grid,
+    # the nodes decide the identity at every c >= 0
+    grid = ((m, c) for m in range(1, cfg.hyper_max_m + 1)
+            for c in identities.vandermonde_nodes(m))
+    _check(report, f"m <= {cfg.hyper_max_m}, the nodes c = 0..2m-1", grid,
            {"hypergeometric sum (binomial form)": identities.verify_hyper})
     middle = identities.hyper_middle_expression(2, 2)
     final = identities.hyper_final_expression(2, 2)
@@ -223,16 +223,17 @@ def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_qvand(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((m, c) for m in range(1, cfg.qvand_max_m + 1) for c in range(cfg.qvand_max_c + 1))
-    params = f"m <= {cfg.qvand_max_m}, c <= {cfg.qvand_max_c}"
-    _check(report, params, grid, {"q-Vandermonde sum": identities.verify_qvand})
+    # the nodes decide the identity at every c >= 0
+    grid = ((m, c) for m in range(1, cfg.qvand_max_m + 1)
+            for c in identities.vandermonde_nodes(m))
+    _check(report, f"m <= {cfg.qvand_max_m}, the nodes c = 0..2m-1", grid,
+           {"q-Vandermonde sum": identities.verify_qvand})
 
 
 def _suite_qpoch(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((n, y) for n in range(cfg.qpoch_max_n + 1)
-            for y in range(cfg.qpoch_ylo, cfg.qpoch_yhi + 1))
-    params = f"n <= {cfg.qpoch_max_n}, y in [{cfg.qpoch_ylo},{cfg.qpoch_yhi}]"
-    _check(report, params, grid,
+    # the nodes decide the identity at every integer y
+    grid = ((n, y) for n in range(cfg.qpoch_max_n + 1) for y in identities.qpoch_nodes(n))
+    _check(report, f"n <= {cfg.qpoch_max_n}, the nodes y = -1..n", grid,
            {"q-Pochhammer telescoping sum": identities.verify_qpoch_sum})
 
 

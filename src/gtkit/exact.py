@@ -337,6 +337,9 @@ class LaurentPolyQ:
         return self._terms == o._terms  # both hold nonzero coefficients only
 
     def __hash__(self):
+        # equal to its scalar when no exponent but 0 is left, so hash alike
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- division -----------------------------------------------------------

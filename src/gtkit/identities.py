@@ -1,11 +1,15 @@
 """Operator calculus and instance-level identity verification.
 
 Implements the swap operator D_i and the summation operators acting on
-integer functions, verifies each lemma-level identity at sample points by
-evaluating both sides independently (the fundamental lemma for every
-function at once, by the signed corners of its boxes, and at every point
-from one generic point), and checks the one-variable count's degree bound
-and integer zeros on consecutive integers, by finite differences.
+integer functions, verifies each lemma-level identity at given points by
+evaluating both sides independently, and checks the one-variable count's
+degree bound and integer zeros on consecutive integers, by finite
+differences.  Four identities are decided everywhere from finitely many
+points: the fundamental lemma for every function at once, by the signed
+corners of its boxes, and at every integer point from one generic point;
+and the three single sums at fixed m or n, for every value of their
+parameter, from as many nodes as the dimension of the space both sides
+lie in.
 
 Lemma 2 and the decomposition of D_i F read one product,
 P_r(d) = (1+q^r) [d-r+2;q]_{2r-1} [d+1;q], written once as its bracket pairs
@@ -351,6 +355,27 @@ def hyper_final_expression(m: int, c: int) -> Fraction:
                     pochhammer(1, 2 * m - 2))
 
 
+def vandermonde_nodes(m: int) -> range:
+    """c = 0..2m-1: the nodes at which verify_hyper(m, .) and
+    verify_qvand(m, .) decide their identity for every c >= 0.
+
+    hyper: both sides are polynomials in c of degree at most 2m-1.  The
+    summand has total degree 2m-2 in (k, c), and summing k over 0..c adds
+    one; binomial(c+2m-1, 2m-1) has degree 2m-1.
+
+    qvand: put C = q^c.  Each side times C^(m-1) is a polynomial in C of
+    degree at most 2m-1 over Q(q).  The summand is a sum of q^(ek) C^(-b)
+    with e >= 1, 0 <= b <= m-1 and e-b <= m, and summing q^(ek) over
+    k = 0..c gives (q^(e(c+1)) - 1)/(q^e - 1); the right side is C^(1-m)
+    times [c+1;q]_{2m-1}, times a constant.
+
+    Either way the two sides' difference is a combination of 2m sequences,
+    c^j for j = 0..2m-1 (hyper) or q^(jc) for j = 1-m..m (qvand), and such a
+    combination that vanishes at 2m consecutive c is 0: a Vandermonde
+    determinant, the q^j being distinct."""
+    return range(2 * m)
+
+
 def verify_hyper(m: int, c: int) -> bool:
     """sum_{k=0}^{c} (1+k)_{m-1} (1+c-k)_{m-1} against the binomial form."""
     if m < 1 or c < 0:
@@ -384,6 +409,19 @@ def verify_qvand(m: int, c: int) -> bool:
         sign * q_poch_product((1, m - 1), (1, m - 1), (c + 1, 2 * m - 1))
     ).shift(num // 2)
     return lhs * q_poch(1, 2 * m - 1) == rhs_num
+
+
+def qpoch_nodes(n: int) -> range:
+    """y = -1..n: the n+2 nodes at which verify_qpoch_sum(n, .) decides its
+    identity for every integer y.
+
+    Put Y = q^y.  [x;q]_n q^x is a sum of q^(ex), 1 <= e <= n+1, and the
+    extended sum of q^(ex) over x in [1, y] is (q^(e(y+1)) - q^e)/(q^e - 1),
+    for y < 1 too; the right side is q [y;q]_{n+1} / [n+1;q].  So both sides
+    are polynomials in Y of degree at most n+1 over Q(q), and two that agree
+    at n+2 consecutive y agree at every y.  The node y = 0 is the empty sum
+    and y = -1 the inverted one."""
+    return range(-1, n + 1)
 
 
 def verify_qpoch_sum(n: int, y: int) -> bool:

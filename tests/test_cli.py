@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,11 @@ class TestVerify:
             ("ssyt_max_rows=4", "unknown override"),
             ("asm_count_max_n=4", "unknown override"),
             ("asm_ratio_max_n=5", "unknown override"),
+            # the single sums are decided at their nodes, with no c or y bound
+            ("hyper_max_c=6", "unknown override"),
+            ("qvand_max_c=5", "unknown override"),
+            ("qpoch_ylo=-3", "unknown override"),
+            ("qpoch_yhi=5", "unknown override"),
         ]:
             code = cli.main(["verify", "--suite", "qvand", "--override", override])
             captured = capsys.readouterr()
@@ -345,9 +351,9 @@ class TestVerify:
     @pytest.mark.parametrize("override", [
         "lemma2_d=-1",
         "lemma2_xy=-3",
-        "hyper_max_c=-1",
-        "qpoch_ylo=6",
-        "qpoch_yhi=-4",
+        "hyper_max_m=-1",
+        "qpoch_max_n=-1",
+        "tableaux_hi=-3",
         "tableaux_lo=4",
         "decomp_khi=-3",
     ])
@@ -360,9 +366,9 @@ class TestVerify:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("overrides", [("qvand_max_c=2", "qvand_max_c=4"),
-                                           ("qvand_max_c=4", "qvand_max_c=2"),
-                                           ("qvand_max_c=3", "qvand_max_c=3")])
+    @pytest.mark.parametrize("overrides", [("qvand_max_m=2", "qvand_max_m=4"),
+                                           ("qvand_max_m=4", "qvand_max_m=2"),
+                                           ("qvand_max_m=3", "qvand_max_m=3")])
     def test_a_field_given_twice_exit_two(self, capsys, overrides):
         # the report records the overrides sorted, so it could not say which
         # of two values ran
@@ -373,13 +379,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
-        assert "qvand_max_c is given twice" in captured.err
+        assert "qvand_max_m is given twice" in captured.err
 
     def test_negative_lower_ends_allowed(self, capsys):
-        code, out = run_cli(capsys, "verify", "--suite", "qpoch",
-                            "--override", "qpoch_ylo=-4")
+        code, out = run_cli(capsys, "verify", "--suite", "tableaux",
+                            "--override", "tableaux_lo=-3")
         assert code == 0
-        assert "y in [-4,5]" in json.loads(out)["verdicts"][0]["parameters"]
+        assert "vectors in [-3,3]^k" in json.loads(out)["verdicts"][0]["parameters"]
 
     def test_ranges_render_their_own_sign(self):
         cfg = cli.SweepConfig()._replace(lemma2_d=-1, lemma2_xy=0)
@@ -551,6 +557,12 @@ class TestCheck:
         ("zeros", [15]),
         # one generic point per m <= 3, every i: 1 + 2 + 3
         ("fund", [6]),
+        # the nodes c = 0..2m-1 per m <= 4: 2 + 4 + 6 + 8
+        ("hyper", [20]),
+        # the nodes c = 0..2m-1 per m <= 3: 2 + 4 + 6
+        ("qvand", [12]),
+        # the nodes y = -1..n per n <= 3: 2 + 3 + 4 + 5
+        ("qpoch", [14]),
     ])
     def test_instances_are_the_sweep_sizes(self, suite, sizes, capsys):
         assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
@@ -577,3 +589,29 @@ class TestCheck:
         assert not fake(m, i, sample)
         monkeypatch.undo()  # the real check replays it, and it holds
         assert cli.identities.verify_lemma_fund_all(m, i, sample)
+
+    def test_hyper_counterexample_replays(self, monkeypatch):
+        # a slip in the right side from m = 3 on fails a later instance
+        middle = cli.identities.hyper_middle_expression
+        monkeypatch.setattr(cli.identities, "hyper_middle_expression",
+                            lambda m, c: middle(m, c) + (m >= 3))
+        report = cli.RunReport("hyper", {})
+        cli._suite_hyper(report, cli.SweepConfig())
+        (verdict,) = report.verdicts
+        assert not verdict["pass"]
+        m, c = ast.literal_eval(verdict["counterexample"])
+        assert (m, c) == (3, 0) and c in cli.identities.vandermonde_nodes(m)
+        assert not cli.identities.verify_hyper(m, c)
+        monkeypatch.undo()
+        assert cli.identities.verify_hyper(m, c)
+
+
+def test_readme_cli_examples_exit_zero(capsys):
+    # every command in README's CLI block runs as written
+    block = (ROOT / "README.md").read_text().split("## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("gtkit ")]
+    assert lines
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == cli.EXIT_OK, line
+        capsys.readouterr()

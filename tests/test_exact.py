@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit import closedforms, exact
+from gtkit.counting import CountResult
 from gtkit.exact import (
     PACK_BITS,
     LaurentPolyQ,
@@ -442,6 +443,18 @@ class TestLaurentPolyQ:
 
     def test_hash_consistency(self):
         assert hash(LaurentPolyQ({1: 2})) == hash(LaurentPolyQ({1: Fraction(2)}))
+
+    def test_a_constant_hashes_as_its_scalar(self):
+        # a constant equals its scalar, so sets and records that hold either
+        # must hash them alike
+        for scalar in (1, -7, Fraction(3, 2), 0):
+            poly = LaurentPolyQ.constant(scalar)
+            assert poly == scalar and hash(poly) == hash(scalar)
+        assert poly == LaurentPolyQ() and hash(LaurentPolyQ()) == hash(0)
+        assert len({1, LaurentPolyQ.constant(1)}) == 1
+        record = CountResult(1, LaurentPolyQ.constant(1))
+        assert record == (1, 1) and hash(record) == hash((1, 1))
+        assert len({record, (1, 1)}) == 1
 
     @settings(max_examples=60)
     @given(

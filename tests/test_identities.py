@@ -3,6 +3,7 @@
 import ast
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -969,6 +970,141 @@ class TestQPochSum:
         for n in range(4):
             for y in range(-3, 6):
                 assert verify_qpoch_sum(n, y), (n, y)
+
+
+# Each single sum's two sides, built from the formulas as the paper writes
+# them, apart from the checks' code; [x;q] is the extended sum of q^j over
+# j in [0, x-1], so -(q^x + ... + q^-1) for x < 0.
+def _ext_sum(f, a, b):
+    if b >= a - 1:
+        return sum((f(i) for i in range(a, b + 1)), LaurentPolyQ())
+    return -sum((f(i) for i in range(b + 1, a)), LaurentPolyQ())
+
+
+def _poch(x, n):
+    value = LaurentPolyQ.constant(1)
+    for j in range(n):
+        value = value * _ext_sum(LaurentPolyQ.monomial, 0, x + j - 1)
+    return value
+
+
+def _hyper_sides(m, c):
+    # integers, as constants; the right side's (1)_{m-1}^2 is ((m-1)!)^2
+    rising = lambda a, n: math.prod(range(a, a + n))
+    lhs = sum(rising(1 + k, m - 1) * rising(1 + c - k, m - 1) for k in range(c + 1))
+    rhs = math.factorial(m - 1) ** 2 * math.comb(c + 2 * m - 1, 2 * m - 1)
+    return LaurentPolyQ.constant(lhs), LaurentPolyQ.constant(rhs)
+
+
+def _qvand_sides(m, c):
+    # the right side times [1;q]_{2m-1}, a constant in c
+    lhs = _ext_sum(lambda k: (_poch(k + 1, m - 1) * _poch(k - c - m + 1, m - 1)).shift(k), 0, c)
+    rhs = (-1) ** (m - 1) * _poch(1, m - 1) * _poch(1, m - 1) * _poch(c + 1, 2 * m - 1)
+    return lhs, rhs.shift((1 - m) * (2 * c + m) // 2)
+
+
+def _qpoch_sides(n, y):
+    # the right side times [n+1;q], a constant in y
+    return _ext_sum(lambda x: _poch(x, n).shift(x), 1, y), _poch(y, n + 1).shift(1)
+
+
+def _annihilated(values, roots):
+    # values at consecutive parameters after each factor (E - q^j), j in
+    # roots, E the shift of the parameter by one; at j = 0, a difference
+    for j in roots:
+        values = [b - a.shift(j) for a, b in zip(values, values[1:])]
+    return values
+
+
+#: identity: (check, its nodes, its sides, the roots j of its span's
+#: annihilator prod (E - q^j) at m or n, the dense parameters at m or n)
+SINGLE_SUMS = {
+    "hyper": (verify_hyper, identities.vandermonde_nodes, _hyper_sides,
+              lambda m: [0] * (2 * m), lambda m: range(4 * m + 4)),
+    "qvand": (verify_qvand, identities.vandermonde_nodes, _qvand_sides,
+              lambda m: list(range(1 - m, m + 1)), lambda m: range(4 * m + 4)),
+    "qpoch": (verify_qpoch_sum, identities.qpoch_nodes, _qpoch_sides,
+              lambda n: list(range(n + 2)), lambda n: range(-8, 9)),
+}
+
+#: the m (hyper, qvand) or n (qpoch) of the tests
+FIXED = {"hyper": range(1, 6), "qvand": range(1, 6), "qpoch": range(6)}
+
+
+def _vanishing(x, roots):
+    # the product of (x - root) over the roots: 0 exactly at them
+    return math.prod(x - root for root in roots)
+
+
+def _slips(name, m):
+    # slips in the primitives each check reads at m (or n), each keeping
+    # both sides in the span: a shifted bracket index, a wrong q exponent, a
+    # wrong Pochhammer length, a shifted sum bound, and a term on the left
+    # side that vanishes at every node but the last
+    poch, comb = identities.pochhammer, identities.hyper_middle_expression
+    product, qpoch, bracket = identities.q_poch_product, identities.q_poch, identities.q_bracket
+    plain_sum, q_sum = identities.chained_sum, identities.chained_sum_q
+    q = LaurentPolyQ.monomial
+    return {
+        "hyper": [
+            ("pochhammer", lambda a, n: poch(a + 1, n)),
+            ("pochhammer", lambda a, n: poch(a, max(n - 1, 0))),
+            ("hyper_middle_expression", lambda m, c: comb(m, c - 1)),
+            ("chained_sum", lambda bounds, f: plain_sum([(a, b - 1) for a, b in bounds], f)),
+            ("chained_sum", lambda bounds, f: plain_sum(bounds, f) + _vanishing(
+                bounds[0][1], range(2 * m - 1))),
+        ],
+        "qvand": [
+            ("q_poch_product", lambda *pairs: product(*[(x + 1, n) for x, n in pairs])),
+            ("chained_sum_q", lambda bounds, f: q_sum(bounds, f).shift(1)),
+            ("q_poch_product", lambda *pairs: product(*[(x, max(n - 1, 0)) for x, n in pairs])),
+            ("q_poch", lambda x, n: qpoch(x, n - 1)),
+            ("chained_sum_q", lambda bounds, f: q_sum(bounds, f) + _vanishing(
+                q(bounds[0][1]), map(q, range(2 * m - 1))).shift((1 - m) * bounds[0][1])),
+        ],
+        "qpoch": [
+            ("q_poch", lambda x, n: qpoch(x + 1, n)),
+            ("q_bracket", lambda x: bracket(x).shift(1)),
+            ("q_poch", lambda x, n: qpoch(x, max(n - 1, 0))),
+            ("chained_sum_q", lambda bounds, f: q_sum([(a + 1, b) for a, b in bounds], f)),
+            ("chained_sum_q", lambda bounds, f: q_sum(bounds, f) + _vanishing(
+                q(bounds[0][1]), map(q, range(-1, m)))),
+        ],
+    }[name]
+
+
+class TestSingleSumNodes:
+    """Held at fixed m (or n), both sides of each single sum lie in the
+    space of sequences in its parameter that prod (E - q^j) over the span's
+    roots annihilates, and agreement at as many consecutive nodes as it has
+    roots proves the identity at every value."""
+
+    @pytest.mark.parametrize("name,m", [(name, m) for name in FIXED for m in FIXED[name]])
+    def test_the_annihilator_kills_both_sides_and_no_smaller_one_the_left(self, name, m):
+        _, nodes, sides, roots, dense = SINGLE_SUMS[name]
+        lhs, rhs = zip(*(sides(m, p) for p in dense(m)))
+        roots = roots(m)
+        assert nodes(m) == range(nodes(m).start, nodes(m).start + len(roots))
+        assert not any(_annihilated(lhs, roots)) and not any(_annihilated(rhs, roots))
+        for t in range(len(roots)):  # every product with one factor fewer
+            assert any(_annihilated(lhs, roots[:t] + roots[t + 1:])), t
+
+    @pytest.mark.parametrize("name", SINGLE_SUMS)
+    def test_the_nodes_fail_a_slip_exactly_when_a_dense_sweep_does(self, monkeypatch, name):
+        check, nodes, _, _, dense = SINGLE_SUMS[name]
+        assert all(check(m, p) for m in FIXED[name] for p in dense(m))
+        failed = set()
+        for m in FIXED[name]:
+            for t, (primitive, slip) in enumerate(_slips(name, m)):
+                monkeypatch.setattr(identities, primitive, slip)
+                verdicts = [check(m, p) for p in nodes(m)]
+                assert all(verdicts) == all(check(m, p) for p in dense(m)), (t, m)
+                monkeypatch.undo()
+                if not all(verdicts):
+                    failed.add(t)
+                if t == 4:  # a node fewer would miss it
+                    assert verdicts == [True] * (len(verdicts) - 1) + [False], m
+        assert failed == set(range(5))
 
 
 def _counts(n, c, ks):

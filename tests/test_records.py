@@ -38,8 +38,7 @@ RECORDS = {
                     "IntFunction(arity=1, fn=<built-in function abs>)"),
     "SweepConfig": (lambda: SweepConfig(lemma2_d=7), "lemma2_d",
                     "SweepConfig(lemma2_d=7, lemma2_xy=3, decomp_c=2, decomp_klo=-2, "
-                    "decomp_khi=4, hyper_max_m=4, hyper_max_c=6, qvand_max_m=3, qvand_max_c=5, "
-                    "qpoch_max_n=3, qpoch_ylo=-3, qpoch_yhi=5, zeros_max_n=4, "
+                    "decomp_khi=4, hyper_max_m=4, qvand_max_m=3, qpoch_max_n=3, zeros_max_n=4, "
                     "zeros_max_c=4, extra_max_n=4, extra_max_c=4, ssyt_max_part=4, "
                     "ssyt_max_k=4, tableaux_max_k=3, tableaux_lo=-2, tableaux_hi=3, "
                     "asm_max_n=5)"),
