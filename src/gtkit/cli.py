@@ -56,8 +56,8 @@ class RunReport:
         self.results.append({"label": label, "provenance": provenance, "value": fmt_value(value)})
 
     def add_verdict(self, identity: str, parameters: str, passed: bool,
-                    counterexample: str | None = None, **sizes) -> None:
-        verdict = {"identity": identity, "parameters": parameters, "pass": passed, **sizes}
+                    counterexample: str | None = None, **fields) -> None:
+        verdict = {"identity": identity, "parameters": parameters, "pass": passed, **fields}
         if counterexample is not None:
             verdict["counterexample"] = counterexample
         self.verdicts.append(verdict)
@@ -81,39 +81,31 @@ DECOMP_RN = ((1, 3), (1, 4), (2, 4))
 
 
 class SweepConfig(namedtuple("SweepConfig", (
-        "lemma2_d lemma2_xy "
-        "decomp_c decomp_klo decomp_khi "
         "hyper_max_m "
         "qvand_max_m "
         "qpoch_max_n "
         "zeros_max_n zeros_max_c "
-        "extra_max_n extra_max_c "
+        "extra_max_n "
         "ssyt_max_part ssyt_max_k "
         "tableaux_max_k tableaux_lo tableaux_hi "
         "asm_max_n"), defaults=(
-        2, 3,
-        2, -2, 4,
         4,
         3,
         3,
         4, 4,
-        4, 4,
+        4,
         4, 4,
         3, -2, 3,
         5))):
     """Default sweep bounds, one line per suite, the defaults in the order of
-    the fields; --override sets any of them."""
+    the fields; --override sets any of them.  The fund, lemma2 and decomp
+    suites run at fixed sizes and read none."""
 
     __slots__ = ()
 
 
 #: (lo, hi) field pairs that bound one range of a sweep.
-_RANGE_FIELDS = (("decomp_klo", "decomp_khi"), ("tableaux_lo", "tableaux_hi"))
-
-
-def _is_size(name: str) -> bool:
-    # sizes, bounds and counts of a sweep; the *_lo fields may be negative
-    return "_max_" in name or name in ("lemma2_d", "lemma2_xy")
+_RANGE_FIELDS = (("tableaux_lo", "tableaux_hi"),)
 
 
 def _apply_overrides(overrides: list[str]) -> SweepConfig:
@@ -131,7 +123,8 @@ def _apply_overrides(overrides: list[str]) -> SweepConfig:
             updates[name] = int(raw)
         except ValueError:
             raise ValueError(f"override {item!r}: the value must be an integer") from None
-        if updates[name] < 0 and _is_size(name):
+        # sizes, bounds and counts of a sweep; the *_lo fields may be negative
+        if updates[name] < 0 and "_max_" in name:
             raise ValueError(f"override {item!r} is negative: a size, bound or "
                              "count below 0 leaves no instances to check")
     cfg = SweepConfig()._replace(**updates)
@@ -152,13 +145,15 @@ class EmptySweep(ValueError):
     """A sweep's bounds leave it no instance to check."""
 
 
-def _check(report: RunReport, parameters: str, instances, checks: dict) -> None:
+def _check(report: RunReport, parameters: str, instances, checks: dict,
+           decides: str = "the instances only") -> None:
     """Run every ``{identity: check}`` on each instance in one pass over
     ``instances`` (a list or a generator of argument tuples) and add one
     verdict per identity, in the order of ``checks``, with the number of
-    instances the sweep held.  The first instance an identity fails on is its
-    counterexample; later ones skip that check.  EmptySweep if there is no
-    instance."""
+    instances the sweep held and what passing decides: a node function's
+    claim, next to it in identities, or the instances only.  The first
+    instance an identity fails on is its counterexample; later ones skip that
+    check.  EmptySweep if there is no instance."""
     failures = {}
     count = 0
     for count, inst in enumerate(instances, 1):
@@ -169,49 +164,50 @@ def _check(report: RunReport, parameters: str, instances, checks: dict) -> None:
         raise EmptySweep(f"{', '.join(checks)}: no instances for {parameters}")
     for identity in checks:
         report.add_verdict(identity, parameters, identity not in failures,
-                           counterexample=failures.get(identity), instances=count)
+                           counterexample=failures.get(identity), instances=count,
+                           decides=decides)
 
 
 def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
-    # the generic point decides the lemma at every integer point
     instances = [(m, i, identities.fund_generic_point(m))
                  for m in range(1, 4) for i in range(1, m + 1)]
     _check(report, "the point (0,4,...,4m), m <= 3, all i", instances,
            {"operator commutation, every function at every point (plain and q)":
-            identities.verify_lemma_fund_all})
+            identities.verify_lemma_fund_all}, decides=identities.FUND_DECIDES.format(3))
 
 
 def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
-    d, xy = cfg.lemma2_d, cfg.lemma2_xy
-    grid = ((r, dd, x, y) for r in LEMMA2_RS for dd in range(-d, d + 1)
-            for x in range(-xy, xy + 1) for y in range(-xy, xy + 1))
-    params = f"r in {LEMMA2_RS}, d in [{-d},{d}], x,y in [{-xy},{xy}]"
+    instances = [(r, *node) for r in LEMMA2_RS for node in identities.lemma2_nodes(r)]
+    params = (f"r in {LEMMA2_RS}, the nodes y-x = 0..2r at (d,x) = (1,1), "
+              "by the span argument of lemma2_nodes")
     # one table of summands and right sides per check
-    _check(report, params, grid, {
+    _check(report, params, instances, {
         "double-sum evaluation (plain)": functools.partial(identities.verify_lemma_2, memo={}),
         "double-sum evaluation (q)": functools.partial(identities.verify_lemma_2q, memo={}),
-    })
+    }, decides=identities.LEMMA2_DECIDES.format(LEMMA2_RS))
 
 
 def _suite_decomp(report: RunReport, cfg: SweepConfig) -> None:
-    lo, hi, c = cfg.decomp_klo, cfg.decomp_khi, cfg.decomp_c
-    instances = [(r, n, c, i, ks) for r, n in DECOMP_RN
-                 for ks in itertools.product(range(lo, hi + 1), repeat=n - r)
+    instances = [(r, n, v[0], i, v[1:]) for r, n in DECOMP_RN
+                 for v in identities.simplex_nodes(1 + n - r, identities.degree_bound(r, n))
                  for i in range(1, n - r)]
-    params = f"(r,n) in {DECOMP_RN}, c={c}, ks in [{lo},{hi}]^(n-r), all i"
+    params = f"(r,n) in {DECOMP_RN}, (c,ks) on the simplex of degree D_r(n), all i"
     # plain, then q: alternating the recursions per instance ran 4-10% slower
-    _check(report, params, instances, {"swap-operator factorization (plain)":
-           functools.partial(identities.verify_decomp, memo={})})
-    _check(report, params, instances, {"swap-operator factorization (q)":
-           functools.partial(identities.verify_decomp_q, memo={})})
+    _check(report, f"{params}, by the degree lemma", instances,
+           {"swap-operator factorization (plain)":
+            functools.partial(identities.verify_decomp, memo={})},
+           decides=identities.SIMPLEX_DECIDES.format(DECOMP_RN))
+    _check(report, f"{params}, checked at the nodes", instances,
+           {"swap-operator factorization (q)":
+            functools.partial(identities.verify_decomp_q, memo={})})
 
 
 def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
-    # the nodes decide the identity at every c >= 0
     grid = ((m, c) for m in range(1, cfg.hyper_max_m + 1)
             for c in identities.vandermonde_nodes(m))
     _check(report, f"m <= {cfg.hyper_max_m}, the nodes c = 0..2m-1", grid,
-           {"hypergeometric sum (binomial form)": identities.verify_hyper})
+           {"hypergeometric sum (binomial form)": identities.verify_hyper},
+           decides=identities.VANDERMONDE_DECIDES.format(cfg.hyper_max_m))
     middle = identities.hyper_middle_expression(2, 2)
     final = identities.hyper_final_expression(2, 2)
     report.add_result(
@@ -223,18 +219,18 @@ def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_qvand(report: RunReport, cfg: SweepConfig) -> None:
-    # the nodes decide the identity at every c >= 0
     grid = ((m, c) for m in range(1, cfg.qvand_max_m + 1)
             for c in identities.vandermonde_nodes(m))
     _check(report, f"m <= {cfg.qvand_max_m}, the nodes c = 0..2m-1", grid,
-           {"q-Vandermonde sum": identities.verify_qvand})
+           {"q-Vandermonde sum": identities.verify_qvand},
+           decides=identities.VANDERMONDE_DECIDES.format(cfg.qvand_max_m))
 
 
 def _suite_qpoch(report: RunReport, cfg: SweepConfig) -> None:
-    # the nodes decide the identity at every integer y
     grid = ((n, y) for n in range(cfg.qpoch_max_n + 1) for y in identities.qpoch_nodes(n))
     _check(report, f"n <= {cfg.qpoch_max_n}, the nodes y = -1..n", grid,
-           {"q-Pochhammer telescoping sum": identities.verify_qpoch_sum})
+           {"q-Pochhammer telescoping sum": identities.verify_qpoch_sum},
+           decides=identities.QPOCH_DECIDES.format(cfg.qpoch_max_n))
 
 
 def _suite_zeros(report: RunReport, cfg: SweepConfig) -> None:
@@ -245,12 +241,12 @@ def _suite_zeros(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_extra(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((n, c) for n in range(2, cfg.extra_max_n + 1) for c in range(cfg.extra_max_c + 1))
-    params = f"2 <= n <= {cfg.extra_max_n}, c <= {cfg.extra_max_c}"
+    grid = ((n, c) for n in range(2, cfg.extra_max_n + 1) for c in identities.extra_nodes(n))
+    params = f"2 <= n <= {cfg.extra_max_n}, the nodes c = 0..(n-1)(n+2)/2, by the degree lemma"
     _check(report, params, grid, {
         "boundary recursion (plain)": functools.partial(identities.verify_extra, memo={}),
         "boundary recursion (q)": functools.partial(identities.verify_extra_q, memo={}),
-    })
+    }, decides=identities.EXTRA_DECIDES.format(cfg.extra_max_n))
 
 
 def _partitions_in_box(max_rows: int, max_part: int):

@@ -4,12 +4,15 @@ Implements the swap operator D_i and the summation operators acting on
 integer functions, verifies each lemma-level identity at given points by
 evaluating both sides independently, and checks the one-variable count's
 degree bound and integer zeros on consecutive integers, by finite
-differences.  Four identities are decided everywhere from finitely many
+differences.  Seven identities are decided everywhere from finitely many
 points: the fundamental lemma for every function at once, by the signed
 corners of its boxes, and at every integer point from one generic point;
-and the three single sums at fixed m or n, for every value of their
-parameter, from as many nodes as the dimension of the space both sides
-lie in.
+and lemma 2, the plain decomposition, the boundary recursion and the three
+single sums at fixed sizes, for every value of their parameters, from
+nodes that decide the space both sides lie in.  The degree lemma
+(degree_bound) sizes the nodes of the decomposition and the boundary
+recursion.  Each node function's docstring holds its argument, and a
+*_DECIDES template next to it says what passing at its nodes decides.
 
 Lemma 2 and the decomposition of D_i F read one product,
 P_r(d) = (1+q^r) [d-r+2;q]_{2r-1} [d+1;q], written once as its bracket pairs
@@ -140,6 +143,11 @@ def fund_generic_point(m: int) -> tuple[int, ...]:
     return tuple(range(0, 4 * m + 1, 4))
 
 
+#: What verify_lemma_fund_all passing at fund_generic_point(m), every i,
+#: decides; formatted with the largest m.
+FUND_DECIDES = "every integer point, every function, m <= {}"
+
+
 def _verify_fund(m: int, i: int, g: IntFunction, sample: Sequence[int], q: bool) -> bool:
     """D_i of the summed g at sample against -1/2 times the expansion's
     terms, compared as -2 lhs == the sum of g over _fund_boxes, so every
@@ -187,6 +195,61 @@ def verify_lemma_fund_all(m: int, i: int, sample: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The degree lemma and the lattice simplex
+# ---------------------------------------------------------------------------
+
+
+def degree_bound(r: int, n: int) -> int:
+    """D_r(n) = r(2n-r+1)/2, the bound of the degree lemma.
+
+    The degree lemma: F(r,n,c;k_1..k_{n-r}), as counting.level's recursion
+    gives it at every integer c and ks, is a polynomial in (c, k_1..k_{n-r})
+    of total degree at most D_r(n); and F_q(r,n,c;ks) is a polynomial over
+    Q(q) in (q^c, q^(k_1)..q^(k_{n-r})), with no negative power, of total
+    degree at most D_r(n).
+
+    By induction on r: F(0,n,c;.) = 1, and D_0(n) = 0.  A state of level r
+    sums F(r-1,n,c;l_1..l_{n-r+1}) over the links l_j in [b_{j-1}, b_j], with
+    (b_0..b_{n-r+1}) = (0, k_1, ..., k_{n-r}, c).  The extended sum of a
+    polynomial p over [a, b] is S(b+1) - S(a) for all integers a and b, S a
+    Faulhaber sum of p of one degree more; so each of the n-r+1 links raises
+    the total degree by at most one, and D_{r-1}(n) + n-r+1 = D_r(n).  With
+    q, each term carries q^(l_1+...+l_{n-r+1}), so every power q^(e l_j) it
+    sums has e >= 1, and the extended sum of q^(el) over [a, b] is
+    (q^(e(b+1)) - q^(ea)) / (q^e - 1): again one degree more, in the powers
+    of the bounds, and none negative."""
+    return r * (2 * n - r + 1) // 2
+
+
+def simplex_nodes(count: int, degree: int) -> list[tuple[int, ...]]:
+    """The lattice simplex {v in Z^count: every v_j >= 0, sum(v) <= degree}
+    in lexicographic order: a polynomial in count variables of total degree
+    at most degree that vanishes at these nodes is 0.
+
+    By induction on count + degree.  With count or degree 0 the one node
+    decides a constant.  Otherwise p(v_1..v_{count-1}, 0) vanishes on the
+    simplex of count - 1 variables, so it is 0, and p = v_count p' with p' of
+    degree at most degree - 1.  p' vanishes at the nodes with v_count >= 1,
+    so p'(v + e_count) vanishes on the simplex of degree - 1, and is 0.
+
+    verify_decomp(r, n, c, i, ks) at (c, ks) in
+    simplex_nodes(1 + n - r, degree_bound(r, n)) decides the decomposition
+    at every integer c and ks, by the degree lemma: the left side, F at ks
+    and at D_i's swap of ks, has total degree at most D_r(n), and the right
+    side, P_r(k_{i+1}-k_i) times F(r,n-2,c+2;...), at most 2r + D_r(n-2) =
+    D_r(n), the swap and the shifted arguments being affine.
+    verify_decomp_q is only checked at these nodes: its factor
+    P_r(k_{i+1}-k_i) q^(2r k_i) has negative powers of q^(k_i), so the
+    lemma bounds no total degree of its sides."""
+    return [v for v in itertools.product(range(degree + 1), repeat=count) if sum(v) <= degree]
+
+
+#: What verify_decomp passing at simplex_nodes decides; formatted with the
+#: (r, n) it ran at.
+SIMPLEX_DECIDES = "all integers (c, ks) at (r, n) in {}, by the degree lemma"
+
+
+# ---------------------------------------------------------------------------
 # The double-sum evaluation lemma and the product decomposition of D_i F
 # ---------------------------------------------------------------------------
 
@@ -214,6 +277,33 @@ def _product(r: int, d: int) -> int:
 def _product_q(r: int, d: int) -> LaurentPolyQ:
     # P_r(d)
     return LaurentPolyQ({0: 1, r: 1}) * q_poch_product(*_product_pairs(r, d))
+
+
+def lemma2_nodes(r: int) -> list[tuple[int, int, int]]:
+    """(d, x, y) = (1, 1, 1+t), t = 0..2r: the 2r+1 nodes at which
+    verify_lemma_2(r, ...) and verify_lemma_2q(r, ...) decide lemma 2 at
+    every integer (d, x, y).
+
+    The box moves rigidly with x and d: x' - (x+d) and y' - (x+d-1) both run
+    over [0, y-x].  Plain: the summand P_{r-1}(y'-x') has degree 2r-2, and
+    each of the two extended sums adds one, so the left side is a polynomial
+    of degree at most 2r in y-x alone, as is 2 P_r(y-x) / (2r-1)_2.  q:
+    P_{r-1}(y'-x') is a sum of q^(j(y'-x')), 0 <= j <= 2r-2, and the weights
+    q^(x'+y') q^((2r-2)x') make each term q^(e x' + f y') with e = 2r-1-j >= 1
+    and f = j+1 >= 1.  The extended sums of q^(e x') over [x+d, y+d] and of
+    q^(f y') over [x+d-1, y+d-1] are q^(e(x+d)) and q^(f(x+d-1)) times
+    polynomials of degree e and f in Z = q^(y-x), and e + f = 2r; the right
+    side is q^(2r(x+d)+r-2) times a polynomial of degree 2r in Z.  So the
+    sides differ by q^(2r(x+d)) times a polynomial of degree at most 2r in
+    y-x (plain) or in Z (q) alone, and one that vanishes at y-x = 0..2r is
+    0: a Vandermonde determinant.  The nodes sit off the origin, where a
+    slip in a coefficient of x or of d would vanish."""
+    return [(1, 1, 1 + t) for t in range(2 * r + 1)]
+
+
+#: What verify_lemma_2 and verify_lemma_2q passing at lemma2_nodes decides;
+#: formatted with the r it ran at.
+LEMMA2_DECIDES = "every integer (d, x, y), r in {}"
 
 
 def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> bool:
@@ -376,6 +466,11 @@ def vandermonde_nodes(m: int) -> range:
     return range(2 * m)
 
 
+#: What verify_hyper or verify_qvand passing at vandermonde_nodes decides;
+#: formatted with the largest m.
+VANDERMONDE_DECIDES = "every c >= 0, m <= {}"
+
+
 def verify_hyper(m: int, c: int) -> bool:
     """sum_{k=0}^{c} (1+k)_{m-1} (1+c-k)_{m-1} against the binomial form."""
     if m < 1 or c < 0:
@@ -424,6 +519,11 @@ def qpoch_nodes(n: int) -> range:
     return range(-1, n + 1)
 
 
+#: What verify_qpoch_sum passing at qpoch_nodes decides; formatted with the
+#: largest n.
+QPOCH_DECIDES = "every integer y, n <= {}"
+
+
 def verify_qpoch_sum(n: int, y: int) -> bool:
     """sum_{x=1}^{y} [x;q]_n q^x == q [y;q]_{n+1} / [n+1;q] for any integer y,
     cross-multiplied with [n+1;q]."""
@@ -464,6 +564,29 @@ def verify_zeros(n: int, c: int) -> bool:
     for _ in range(len(zeros) + 1):
         counts = [b - a for a, b in zip(counts, counts[1:])]
     return not any(counts)
+
+
+def extra_nodes(n: int) -> range:
+    """c = 0..D_{n-1}(n) = (n-1)(n+2)/2: the nodes at which verify_extra(n, .)
+    and verify_extra_q(n, .) decide the boundary recursion for every c >= 0,
+    by the degree lemma.
+
+    Plain: F(n-1,n,c;c) has degree at most D_{n-1}(n) in c, and the extended
+    sum of F(n-2,n-1,c;k) over k in [0, c] at most D_{n-2}(n-1) + 1 =
+    D_{n-1}(n) - n + 1.  q: with C = q^c, F_q(n-1,n,c;c) is a polynomial in C
+    of degree at most D_{n-1}(n) over Q(q).  On the right, q^k
+    F_q(n-2,n-1,c;k) is a sum of C^a q^(ek) with e >= 1 and a + e <=
+    D_{n-2}(n-1) + 1, the sum of q^(ek) over k in [0, c] is
+    (q^(e(c+1)) - 1)/(q^e - 1), and q^(c(n-1)) adds n-1 to the degree.
+    Either way the sides differ by a combination of c^j or of q^(jc),
+    j = 0..D_{n-1}(n), and one that vanishes at D_{n-1}(n) + 1 consecutive
+    c is 0: a Vandermonde determinant."""
+    return range(degree_bound(n - 1, n) + 1)
+
+
+#: What verify_extra and verify_extra_q passing at extra_nodes decides;
+#: formatted with the largest n.
+EXTRA_DECIDES = "every c >= 0, 2 <= n <= {}, by the degree lemma"
 
 
 def verify_extra(n: int, c: int, memo: dict | None = None) -> bool:

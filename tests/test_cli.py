@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -263,7 +264,8 @@ class TestVerify:
         plain, q = json.loads(out)["verdicts"]
         assert (plain["identity"], q["identity"]) == (
             "boundary recursion (plain)", "boundary recursion (q)")
-        assert plain["parameters"] == q["parameters"] == "2 <= n <= 4, c <= 4"
+        assert plain["parameters"] == q["parameters"] == (
+            "2 <= n <= 4, the nodes c = 0..(n-1)(n+2)/2, by the degree lemma")
 
     def test_one_asm_bound_for_counts_and_ratios(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "asm",
@@ -328,8 +330,8 @@ class TestVerify:
         for override, message in [
             ("nonsense=1", "unknown override"),
             ("seed=7", "unknown override"),  # no suite reads a seed
-            ("lemma2_d=x", "'lemma2_d=x': the value must be an integer"),
-            ("lemma2_d=", "'lemma2_d=': the value must be an integer"),
+            ("extra_max_n=x", "'extra_max_n=x': the value must be an integer"),
+            ("extra_max_n=", "'extra_max_n=': the value must be an integer"),
             # bounds that another field already sets
             ("extra_q_max_c=3", "unknown override"),
             ("ssyt_max_rows=4", "unknown override"),
@@ -340,6 +342,14 @@ class TestVerify:
             ("qvand_max_c=5", "unknown override"),
             ("qpoch_ylo=-3", "unknown override"),
             ("qpoch_yhi=5", "unknown override"),
+            # lemma 2, the decomposition and the boundary recursion are
+            # decided at nodes that their degree sizes
+            ("lemma2_d=2", "unknown override"),
+            ("lemma2_xy=3", "unknown override"),
+            ("decomp_c=2", "unknown override"),
+            ("decomp_klo=-2", "unknown override"),
+            ("decomp_khi=4", "unknown override"),
+            ("extra_max_c=4", "unknown override"),
         ]:
             code = cli.main(["verify", "--suite", "qvand", "--override", override])
             captured = capsys.readouterr()
@@ -349,13 +359,13 @@ class TestVerify:
             assert "invalid literal" not in captured.err
 
     @pytest.mark.parametrize("override", [
-        "lemma2_d=-1",
-        "lemma2_xy=-3",
+        "extra_max_n=-1",
+        "zeros_max_c=-1",
         "hyper_max_m=-1",
         "qpoch_max_n=-1",
         "tableaux_hi=-3",
         "tableaux_lo=4",
-        "decomp_khi=-3",
+        "tableaux_lo=5",
     ])
     def test_bad_override_value_exit_two(self, capsys, override):
         suite = override.split("_")[0]
@@ -388,9 +398,9 @@ class TestVerify:
         assert "vectors in [-3,3]^k" in json.loads(out)["verdicts"][0]["parameters"]
 
     def test_ranges_render_their_own_sign(self):
-        cfg = cli.SweepConfig()._replace(lemma2_d=-1, lemma2_xy=0)
-        with pytest.raises(cli.EmptySweep, match=r"d in \[1,-1\], x,y in \[0,0\]"):
-            cli._suite_lemma2(cli.RunReport("lemma2", {}), cfg)
+        cfg = cli.SweepConfig()._replace(tableaux_lo=1, tableaux_hi=-1)
+        with pytest.raises(cli.EmptySweep, match=r"vectors in \[1,-1\]\^k"):
+            cli._suite_tableaux(cli.RunReport("tableaux", {}), cfg)
 
     def test_tableaux_parameters_do_not_follow_max_k(self):
         # these checks sweep 3-vectors whatever tableaux_max_k is
@@ -543,16 +553,18 @@ class TestCheck:
             "positive": lambda x: x > 0,
         })
         assert report.verdicts == [
-            {"identity": "below three", "parameters": "x in 1..4",
-             "pass": False, "counterexample": "(3,)", "instances": 4},
-            {"identity": "positive", "parameters": "x in 1..4", "pass": True, "instances": 4},
+            {"identity": "below three", "parameters": "x in 1..4", "pass": False,
+             "counterexample": "(3,)", "instances": 4, "decides": "the instances only"},
+            {"identity": "positive", "parameters": "x in 1..4", "pass": True, "instances": 4,
+             "decides": "the instances only"},
         ]
 
     @pytest.mark.parametrize("suite,sizes", [
-        # (r, n) in DECOMP_RN, ks in [-2,4]^(n-r), every i: 49 + 2*343 + 49
-        ("decomp", [784, 784]),
-        # r in LEMMA2_RS, d in [-2,2], x, y in [-3,3]: 2 * 5 * 49
-        ("lemma2", [490, 490]),
+        # (c, ks) on the simplex of degree D_r(n) at each (r, n) in DECOMP_RN,
+        # every i: 20 + 2*70 + 120
+        ("decomp", [280, 280]),
+        # the nodes y-x = 0..2r per r in LEMMA2_RS: 5 + 7
+        ("lemma2", [12, 12]),
         # 2 <= n <= 4, c <= 4
         ("zeros", [15]),
         # one generic point per m <= 3, every i: 1 + 2 + 3
@@ -563,11 +575,33 @@ class TestCheck:
         ("qvand", [12]),
         # the nodes y = -1..n per n <= 3: 2 + 3 + 4 + 5
         ("qpoch", [14]),
+        # the nodes c = 0..(n-1)(n+2)/2 per 2 <= n <= 4: 3 + 6 + 10
+        ("extra", [19, 19]),
     ])
     def test_instances_are_the_sweep_sizes(self, suite, sizes, capsys):
         assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
         verdicts = json.loads(capsys.readouterr().out)["verdicts"]
         assert [v["instances"] for v in verdicts] == sizes
+
+    def test_every_verdict_says_what_it_decides(self, capsys):
+        # a claim beyond the instances is one of the templates that sit next
+        # to the node functions whose docstrings hold their arguments
+        assert cli.main(["verify", "--suite", "all"]) == cli.EXIT_OK
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        templates = [value for name, value in vars(cli.identities).items()
+                     if name.endswith("_DECIDES")]
+        claims = {}
+        for v in verdicts:
+            if v["decides"] != "the instances only":
+                (template,) = [t for t in templates if re.fullmatch(
+                    ".+".join(map(re.escape, t.split("{}"))), v["decides"])]
+                claims.setdefault(v["suite"], []).append(template)
+        assert {suite: len(found) for suite, found in claims.items()} == {
+            "fund": 1, "lemma2": 2, "decomp": 1, "hyper": 1, "qvand": 1, "qpoch": 1, "extra": 2}
+        assert {t for found in claims.values() for t in found} == set(templates)
+        (decomp_q,) = [v for v in verdicts if v["identity"] == "swap-operator factorization (q)"]
+        assert decomp_q["decides"] == "the instances only"
+        assert decomp_q["parameters"].endswith("checked at the nodes")
 
     def test_empty_generator_raises(self):
         report = cli.RunReport("t", {})
@@ -604,6 +638,16 @@ class TestCheck:
         assert not cli.identities.verify_hyper(m, c)
         monkeypatch.undo()
         assert cli.identities.verify_hyper(m, c)
+
+
+def test_readme_counts_and_names_the_sweep_fields():
+    # the paragraph that counts SweepConfig's fields names no other override
+    text = (ROOT / "README.md").read_text()
+    (paragraph,) = [p for p in text.split("\n\n") if "`cli.SweepConfig` lists the" in p]
+    (count,) = re.findall(r"lists the (\d+) fields", paragraph)
+    assert int(count) == len(cli.SweepConfig._fields)
+    names = re.findall(r"`([a-z][a-z0-9]*_[a-z0-9_]*)(?:=[^`]*)?`", paragraph)
+    assert names and set(names) <= set(cli.SweepConfig._fields)
 
 
 def test_readme_cli_examples_exit_zero(capsys):

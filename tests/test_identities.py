@@ -1,10 +1,14 @@
 """Tests for the operator calculus, identity sweeps and the zeros check."""
 
+import __future__
 import ast
+import functools
+import inspect
 import itertools
 import json
 import math
 import random
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -568,10 +572,38 @@ class InsertCounting(dict):
         super().__setitem__(key, value)
 
 
+#: The instances the lemma2 and decomp suites check: the nodes of
+#: lemma2_nodes at each r, and of the simplex of degree D_r(n) at each (r, n).
+LEMMA2_NODES = [(r, *node) for r in cli.LEMMA2_RS for node in identities.lemma2_nodes(r)]
+DECOMP_NODES = [(r, n, v[0], i, v[1:]) for r, n in cli.DECOMP_RN
+                for v in identities.simplex_nodes(1 + n - r, identities.degree_bound(r, n))
+                for i in range(1, n - r)]
+
+
+def _lemma2_summands(instances) -> set:
+    # the (r-1, y'-x') that lemma 2's boxes read; every box here is proper
+    return {(r - 1, yp - xp) for r, d, x, y in instances
+            for xp in range(x + d, y + d + 1) for yp in range(x - 1 + d, y + d)}
+
+
+def _lemma2_right_sides(instances) -> set:
+    return {(r, y - x) for r, d, x, y in instances}
+
+
+def _decomp_factors(instances) -> set:
+    # the (r, k_{i+1}-k_i) of decomp's products
+    return {(r, ks[i] - ks[i - 1]) for r, n, c, i, ks in instances}
+
+
+def _decomp_tops(instances) -> set:
+    # the distinct counts (r, n, c, ks) that decomp's instances read
+    return {top for r, n, c, i, ks in instances
+            for top in ((r, n, c, ks), (r, n, c, identities._swap(ks, i)),
+                        (r, n - 2, c + 2, identities._decomp_rhs_args(ks, i)))}
+
+
 #: The 660 distinct counts (r, n, c, ks) that DECOMP_SWEEP's instances read.
-DECOMP_TOPS = {top for r, n, c, i, ks in DECOMP_SWEEP
-               for top in ((r, n, c, ks), (r, n, c, identities._swap(ks, i)),
-                           (r, n - 2, c + 2, identities._decomp_rhs_args(ks, i)))}
+DECOMP_TOPS = _decomp_tops(DECOMP_SWEEP)
 
 
 def _summand_keys(memo: dict) -> list:
@@ -630,12 +662,18 @@ class TestSummandTables:
         assert planted and check(*inst, memo=memo)
 
     @pytest.mark.parametrize("suite,builders", [
-        ("lemma2", (("_product", 26 + 26), ("_product_q", 26))),
-        ("decomp", (("_product", 26), ("_product_q", 26)))])
+        ("lemma2", (("_product", len(_lemma2_summands(LEMMA2_NODES))
+                     + len(_lemma2_right_sides(LEMMA2_NODES))),
+                    ("_product_q", len(_lemma2_summands(LEMMA2_NODES))))),
+        ("decomp", (("_product", len(_decomp_factors(DECOMP_NODES))),
+                    ("_product_q", len(_decomp_factors(DECOMP_NODES)))))])
     def test_suite_builds_each_term_once(self, suite, builders, monkeypatch, capsys):
-        # 26 distinct (r, difference) among 4,410 lemma 2 terms and 784 decomp
-        # instances, per check; the plain lemma 2 check also builds each of
-        # its 26 right sides 2 P_r(y-x) once (the q check's are _lemma2q_rhs)
+        # each distinct (r, difference) among the terms of lemma 2's nodes
+        # and among decomp's nodes is built once per check, 22 and 24 of
+        # them; the plain lemma 2 check also builds each of its 12 right
+        # sides 2 P_r(y-x) once (the q check's are _lemma2q_rhs)
+        assert (len(_lemma2_summands(LEMMA2_NODES)), len(_lemma2_right_sides(LEMMA2_NODES)),
+                len(_decomp_factors(DECOMP_NODES))) == (22, 12, 24)
         builders = dict(builders)
         built = {name: 0 for name in builders}
         for name in builders:
@@ -649,9 +687,10 @@ class TestSummandTables:
         assert built == builders
 
     def test_decomp_suite_reads_each_top_count_once(self, monkeypatch, capsys):
-        # the q check reads 2,352 counts F_q of 660 distinct top rows from
-        # the recursion's level tables: each state is computed and stored
-        # once, every top row among them, and none is unpacked
+        # the q check reads 840 counts F_q of 362 distinct top rows of
+        # decomp's nodes from the recursion's level tables: each state is
+        # computed and stored once, every top row among them, and none is
+        # unpacked
         stored, unpacked, memos, tables = [], [], {}, {}
 
         def missing(table, ks, real=counting._Level.__missing__):
@@ -675,8 +714,9 @@ class TestSummandTables:
         assert cli.main(["verify", "--suite", "decomp"]) == cli.EXIT_OK
         capsys.readouterr()
         (memo,) = memos.values()
-        assert len(stored) == len(set(stored)) > len(DECOMP_TOPS) == 660
-        assert DECOMP_TOPS <= _level_states(memo).keys() and unpacked == []
+        tops = _decomp_tops(DECOMP_NODES)
+        assert len(stored) == len(set(stored)) > len(tops) == 362
+        assert tops <= _level_states(memo).keys() and unpacked == []
 
     def test_decomp_q_tables_counts_apart_from_states(self):
         memo: dict = {}
@@ -752,7 +792,7 @@ class TestSummandTables:
         assert verify_lemma_2q(*inst, memo=memo)
 
     def test_suite_builds_each_right_side_once(self, monkeypatch, capsys):
-        # 26 distinct (r, y-x) among the 2 * 5 * 49 q instances
+        # one per distinct (r, y-x) among the 5 + 7 q instances
         built = []
         real = identities._lemma2q_rhs
 
@@ -763,7 +803,7 @@ class TestSummandTables:
         monkeypatch.setattr(identities, "_lemma2q_rhs", counted)
         assert cli.main(["verify", "--suite", "lemma2"]) == cli.EXIT_OK
         capsys.readouterr()
-        assert len(built) == len(set(built)) == 26
+        assert len(built) == len(set(built)) == len(_lemma2_right_sides(LEMMA2_NODES)) == 12
 
     def test_an_inexact_right_side_fails_without_a_traceback(self, monkeypatch, capsys):
         def without_one_plus_q_r(r, diff, side):
@@ -782,8 +822,8 @@ class TestSummandTables:
         assert "Traceback" not in captured.err
 
     def test_lemma2_suite_multiplies_at_most_110_times(self, monkeypatch, capsys):
-        # 26 summands and 26 right sides, two products each; 2,502 when every
-        # instance cross-multiplied
+        # 22 summands and 12 right sides at the nodes, at most two products
+        # each; 2,502 when every instance of the dense box cross-multiplied
         calls = 0
         real = LaurentPolyQ.__mul__
 
@@ -901,9 +941,11 @@ class TestCheckedWidth:
         assert [check(*inst) for inst in sweep] == verdicts
         assert len(widths) == len(sweep) and max(widths) > 8
 
-    @pytest.mark.parametrize("suite,tabled", [("lemma2", 26), ("decomp", 52)])
+    @pytest.mark.parametrize("suite,tabled", [
+        ("lemma2", len(_lemma2_summands(LEMMA2_NODES))),
+        ("decomp", 2 * len(_decomp_factors(DECOMP_NODES)))])
     def test_suite_verdicts_hold_at_8_bits(self, suite, tabled, monkeypatch, capsys):
-        # at 8 bits the tables are packed once, 26 summands or 26 factors
+        # at 8 bits the tables are packed once, the summands, or the factors
         # and their [1;q]_{2r}; some sides outgrow a digit and are packed
         # again wider, and every verdict is the golden report's
         monkeypatch.setattr(exact, "PACK_BITS", 8)
@@ -1105,6 +1147,311 @@ class TestSingleSumNodes:
                 if t == 4:  # a node fewer would miss it
                     assert verdicts == [True] * (len(verdicts) - 1) + [False], m
         assert failed == set(range(5))
+
+
+def _binomial(x, k):
+    # x choose k for every integer x: x (x-1) ... (x-k+1) / k!
+    return math.prod(range(x - k + 1, x + 1)) // math.factorial(k)
+
+
+def _newton_table(values):
+    # the forward differences Delta^v f(0) at each node v of a simplex, from
+    # f's values there: one pass of differences per axis, each line of the
+    # simplex along the axis starting at 0
+    table = dict(values)
+    for axis in range(len(next(iter(table)))):
+        lines = {}
+        for v in sorted(table):
+            lines.setdefault(v[:axis] + v[axis + 1:], []).append(v)
+        for line in lines.values():
+            column = [table[v] for v in line]
+            for v in line:
+                table[v] = column[0]
+                column = [b - a for a, b in zip(column, column[1:])]
+    return table
+
+
+def _mutant(func, old, new):
+    # func compiled again from its source with its one `old` replaced by new,
+    # over its module's names
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[func.__name__]
+
+
+class _Planted:
+    """A level table whose every read adds slip(ks)."""
+
+    def __init__(self, table, slip):
+        self.table, self.slip = table, slip
+
+    def __getitem__(self, ks):
+        return self.table[ks] + self.slip(ks)
+
+
+def _planted_level(monkeypatch, r, n, slip):
+    # identities.level with slip(c, ks) added to every read of level (r, n, c)
+    real = identities.level
+
+    def planted(memo, rr, nn, c, bits=None):
+        table = real(memo, rr, nn, c, bits)
+        return _Planted(table, lambda ks: slip(c, ks)) if (rr, nn) == (r, n) else table
+
+    monkeypatch.setattr(identities, "level", planted)
+
+
+def _suite_verdicts(suite, capsys):
+    # {identity: pass} of one suite run through the CLI
+    cli.main(["verify", "--suite", suite])
+    return {v["identity"]: v["pass"] for v in json.loads(capsys.readouterr().out)["verdicts"]}
+
+
+def _dense_verdicts(checks, sweep):
+    # {identity: passes on every instance} of each check over a dense sweep,
+    # on one memo per check, as the suites run them
+    return {identity: all(map(functools.partial(getattr(identities, name), memo={}), *zip(*sweep)))
+            for identity, name in checks.items()}
+
+
+class TestDegreeLemma:
+    """identities.degree_bound: F(r,n) is a polynomial in (c, ks) of total
+    degree at most D_r(n), so its values on simplex_nodes(1+n-r, D_r(n))
+    determine it everywhere."""
+
+    @pytest.mark.parametrize("r,n", [(r, n) for n in range(1, 6) for r in range(n + 1)])
+    def test_the_simplex_predicts_the_recursion_everywhere(self, r, n):
+        degree, memo = identities.degree_bound(r, n), {}
+        assert degree == sum(range(n - r + 1, n + 1))  # level j adds n-j+1 links
+        nodes = identities.simplex_nodes(1 + n - r, degree)
+        assert len(nodes) == math.comb(1 + n - r + degree, degree) == len(set(nodes))
+        table = _newton_table({v: f_recursive(TopRowKey(r, n, v[0], v[1:]), memo) for v in nodes})
+        # the bound is attained: the top layer of differences is not all 0
+        assert any(table[v] for v in nodes if sum(v) == degree)
+        rng = random.Random(10 * n + r)
+        points = [(-8,) * (1 + n - r)]
+        points += [tuple(rng.randint(-8, 8) for _ in range(1 + n - r)) for _ in range(12)]
+        for point in points:
+            predicted = sum(value * math.prod(map(_binomial, point, v))
+                            for v, value in table.items())
+            assert predicted == f_recursive(TopRowKey(r, n, point[0], point[1:]), memo), point
+
+    def test_the_simplex_decides_a_polynomial_of_its_degree(self):
+        # a polynomial of total degree d that vanishes on the simplex of
+        # degree d - 1: the product of (sum(v) - t) over t < d, nonzero on
+        # the top layer alone
+        for count, degree in [(1, 3), (2, 4), (3, 3), (4, 2)]:
+            def top_layer(v, degree=degree):
+                return math.prod(sum(v) - t for t in range(degree))
+
+            short = identities.simplex_nodes(count, degree - 1)
+            nodes = identities.simplex_nodes(count, degree)
+            assert set(short) < set(nodes) and nodes == sorted(nodes)
+            assert not any(map(top_layer, short))
+            assert all(top_layer(v) for v in set(nodes) - set(short))
+
+
+def _product_formula(r, t):
+    # P_r(t) = (1+q^r) [t-r+2;q]_{2r-1} [t+1;q], from the formula
+    return (LaurentPolyQ.constant(1) + LaurentPolyQ.monomial(r)) * _poch(t - r + 2, 2 * r - 1) \
+        * _poch(t + 1, 1)
+
+
+def _lemma2q_sides(r, d, x, y):
+    # lemma 2 q from the formula: the double extended sum of
+    # q^(x'+y') q^((2r-2)x') P_{r-1}(y'-x') over x' in [x+d, y+d] and
+    # y' in [x+d-1, y+d-1], times [2r-1;q]_2, and q^(2rx+2dr+r-2) 2 P_r(y-x)
+    lhs = _ext_sum(lambda xp: _ext_sum(
+        lambda yp: _product_formula(r - 1, yp - xp).shift((2 * r - 1) * xp + yp),
+        x + d - 1, y + d - 1), x + d, y + d)
+    return lhs * _poch(2 * r - 1, 2), (2 * _product_formula(r, y - x)).shift(
+        2 * r * x + 2 * d * r + r - 2)
+
+
+#: lemma 2's checks by their verdicts' identities
+LEMMA2_CHECKS = {"double-sum evaluation (plain)": "verify_lemma_2",
+                 "double-sum evaluation (q)": "verify_lemma_2q"}
+
+#: slips in lemma 2's checks and in the product they read: each keeps both
+#: sides of the same shape or moves them off it away from the origin
+LEMMA2_SLIPS = {
+    "a bracket index + 1": ("_product_pairs", lambda r, d: ((d - r + 3, 2 * r - 1), (d + 1, 1))),
+    "a bracket length - 1": ("_product_pairs", lambda r, d: ((d - r + 2, 2 * r - 2), (d + 1, 1))),
+    "the second bracket at d+2": ("_product_pairs", _slipped_pairs),
+    "the q shift's x-coefficient + 1": ("verify_lemma_2q", (
+        "2 * r * x + 2 * d * r", "(2 * r + 1) * x + 2 * d * r")),
+    "the q shift's d-coefficient + 1": ("verify_lemma_2q", (
+        "2 * d * r + r - 2", "(2 * r + 1) * d + r - 2")),
+    "the box offset 2d for d": (("verify_lemma_2", "verify_lemma_2q"), (
+        "[(x + d, y + d), (x - 1 + d, y - 1 + d)]",
+        "[(x + 2 * d, y + 2 * d), (x - 1 + 2 * d, y - 1 + 2 * d)]")),
+}
+
+#: the slips that vanish at d = x = 0, where nodes at the origin miss them
+OFF_ORIGIN = ("the q shift's x-coefficient + 1", "the q shift's d-coefficient + 1",
+              "the box offset 2d for d")
+
+
+def _plant(monkeypatch, names, slip):
+    # each identities.<name> replaced by slip, or by its mutant when slip is
+    # an (old, new) pair of source text
+    for name in (names,) if isinstance(names, str) else names:
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name,
+                            _mutant(real, *slip) if isinstance(slip, tuple) else slip)
+
+
+class TestLemma2Nodes:
+    """lemma2_nodes: both sides are q^(2r(x+d)) times a polynomial of degree
+    at most 2r in y-x (plain) or q^(y-x) (q), so 2r+1 nodes off the origin
+    decide every integer (d, x, y)."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_the_annihilator_of_the_span_kills_both_sides(self, r):
+        # along y, prod (E - q^j) over j = 0..2r, and no product with a
+        # factor fewer kills the left side; along x and y together, and along
+        # d, E - q^(2r)
+        roots = list(range(2 * r + 1))
+        for d, x in [(1, 1), (-2, 3), (2, -1)]:
+            lhs, rhs = zip(*(_lemma2q_sides(r, d, x, y) for y in range(x - 3, x + 2 * r + 2)))
+            assert not any(_annihilated(lhs, roots)) and not any(_annihilated(rhs, roots))
+            for t in range(len(roots)):
+                assert any(_annihilated(lhs, roots[:t] + roots[t + 1:])), (d, x, t)
+            for step in [lambda s: (d, x + s, x + 2 + s), lambda s: (d + s, x, x + 2)]:
+                lhs, rhs = zip(*(_lemma2q_sides(r, *step(s)) for s in range(3)))
+                assert not any(_annihilated(lhs, [2 * r])) and not any(_annihilated(rhs, [2 * r]))
+
+    def test_the_nodes_sit_off_the_origin(self):
+        for r in (2, 3):
+            assert identities.lemma2_nodes(r) == [(1, 1, 1 + t) for t in range(2 * r + 1)]
+
+    @pytest.mark.parametrize("slip", LEMMA2_SLIPS)
+    def test_the_nodes_fail_a_slip_exactly_when_a_dense_box_does(self, slip, monkeypatch,
+                                                                 capsys):
+        _plant(monkeypatch, *LEMMA2_SLIPS[slip])
+        verdicts = _suite_verdicts("lemma2", capsys)
+        assert verdicts == _dense_verdicts(LEMMA2_CHECKS, LEMMA2_SWEEP)
+        assert not all(verdicts.values())
+        if slip in OFF_ORIGIN:  # nodes at the origin would pass it
+            origin = [(r, 0, 0, t) for r in cli.LEMMA2_RS for t in range(2 * r + 1)]
+            assert all(_dense_verdicts(LEMMA2_CHECKS, origin).values())
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_a_node_fewer_misses_a_slip_on_the_last_node(self, r, monkeypatch):
+        # a right side off by a polynomial of degree 2r in y-x, or in q^(y-x),
+        # that vanishes at every node but the last
+        plain, q = identities._product, identities._lemma2q_rhs
+        monkeypatch.setattr(identities, "_product", lambda rr, t: plain(rr, t) + (rr == r) * (
+            _vanishing(t, range(2 * r))))
+        monkeypatch.setattr(identities, "_lemma2q_rhs", lambda rr, t, side: q(rr, t, side) + (
+            _vanishing(LaurentPolyQ.monomial(t), map(LaurentPolyQ.monomial, range(2 * r)))))
+        for check in (verify_lemma_2, verify_lemma_2q):
+            verdicts = [check(r, *node) for node in identities.lemma2_nodes(r)]
+            assert verdicts == [True] * (2 * r) + [False], check
+            assert not all(check(*inst) for inst in LEMMA2_SWEEP if inst[0] == r), check
+
+
+#: decomp's checks by their verdicts' identities
+DECOMP_CHECKS = {"swap-operator factorization (plain)": "verify_decomp",
+                 "swap-operator factorization (q)": "verify_decomp_q"}
+
+#: slips in decomp's checks and in the product they read
+DECOMP_SLIPS = {
+    "the later entries shifted by 1": (
+        "_decomp_rhs_args", lambda ks, i: ks[: i - 1] + tuple(v + 1 for v in ks[i + 1:])),
+    "a bracket index + 1": ("_product_pairs", lambda r, d: ((d - r + 3, 2 * r - 1), (d + 1, 1))),
+    "the q exponent + 1": ("decomp_q_exponent", lambda r, n, i, real=decomp_q_exponent: (
+        real(r, n, i) + 1)),
+}
+
+
+class TestDecompNodes:
+    """simplex_nodes: the plain decomposition's sides have total degree at
+    most D_r(n) in (c, ks), so the simplex of that degree decides them; the
+    q decomposition is checked at the same nodes."""
+
+    @pytest.mark.parametrize("slip", DECOMP_SLIPS)
+    def test_the_nodes_fail_a_slip_exactly_when_a_dense_box_does(self, slip, monkeypatch,
+                                                                 capsys):
+        _plant(monkeypatch, *DECOMP_SLIPS[slip])
+        verdicts = _suite_verdicts("decomp", capsys)
+        assert verdicts == _dense_verdicts(DECOMP_CHECKS, DECOMP_SWEEP)
+        assert not all(verdicts.values())
+
+    def test_the_shifted_entries_fail_48_plain_and_57_q_nodes(self, monkeypatch):
+        _plant(monkeypatch, *DECOMP_SLIPS["the later entries shifted by 1"])
+        failed = [sum(not check(*inst) for inst in DECOMP_NODES)
+                  for check in (identities.verify_decomp, identities.verify_decomp_q)]
+        assert failed == [48, 57]
+
+    @pytest.mark.parametrize("r,n", cli.DECOMP_RN)
+    def test_a_layer_fewer_misses_a_slip_on_the_top_layer(self, r, n, monkeypatch):
+        # a left side off by a polynomial of total degree D_r(n) that vanishes
+        # on the simplex of degree D_r(n) - 1: D_i's swap keeps c + sum(ks)
+        degree = identities.degree_bound(r, n)
+        _planted_level(monkeypatch, r, n, lambda c, ks: _vanishing(c + sum(ks), range(degree)))
+        nodes = [(r, n, v[0], i, v[1:]) for v in identities.simplex_nodes(1 + n - r, degree)
+                 for i in range(1, n - r)]
+        failing = {inst for inst in nodes if not verify_decomp(*inst)}
+        assert failing and all(c + sum(ks) == degree for _, _, c, _, ks in failing)
+        assert not all(verify_decomp(*inst) for inst in DECOMP_SWEEP if inst[:2] == (r, n))
+
+
+def _extra_q_sides(n, c):
+    # the boundary recursion's sides from the formula, each F_q read from
+    # the recursion
+    lhs = fq_recursive(TopRowKey(n - 1, n, c, (c,)))
+    rhs = sum((fq_recursive(TopRowKey(n - 2, n - 1, c, (k,))).shift(k) for k in range(c + 1)),
+              LaurentPolyQ())
+    return lhs, rhs.shift(c * n - c)
+
+
+#: the boundary recursion's checks by their verdicts' identities
+EXTRA_CHECKS = {"boundary recursion (plain)": "verify_extra",
+                "boundary recursion (q)": "verify_extra_q"}
+
+#: the dense sweep: c up to five past the last node, at n <= 4
+EXTRA_SWEEP = [(n, c) for n in range(2, 5) for c in range(identities.degree_bound(n - 1, n) + 6)]
+
+#: slips in the boundary recursion's checks, each keeping both sides
+#: polynomials in c, or in q^c, of degree at most D_{n-1}(n)
+EXTRA_SLIPS = {
+    "the q shift + 1": ("verify_extra_q", ("rhs_low + c * n - c", "rhs_low + c * n - c + 1")),
+    "the sum to c-1": (("verify_extra", "verify_extra_q"), ("[(0, c)]", "[(0, c - 1)]")),
+    "the left side at k = c-1": (("verify_extra", "verify_extra_q"), ("[c,]", "[c - 1,]")),
+}
+
+
+class TestExtraNodes:
+    """extra_nodes: both sides have degree at most D_{n-1}(n) in c, or in
+    q^c, so c = 0..D_{n-1}(n) decides every c >= 0."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_annihilator_of_the_span_kills_both_sides(self, n):
+        # prod (E - q^j) over j = 0..D, and the left side needs its top root
+        degree = identities.degree_bound(n - 1, n)
+        assert identities.extra_nodes(n) == range(degree + 1)
+        lhs, rhs = zip(*(_extra_q_sides(n, c) for c in range(degree + 4)))
+        roots = list(range(degree + 1))
+        assert not any(_annihilated(lhs, roots)) and not any(_annihilated(rhs, roots))
+        assert any(_annihilated(lhs, roots[:-1]))
+
+    @pytest.mark.parametrize("slip", EXTRA_SLIPS)
+    def test_the_nodes_fail_a_slip_exactly_when_a_dense_sweep_does(self, slip, monkeypatch,
+                                                                   capsys):
+        _plant(monkeypatch, *EXTRA_SLIPS[slip])
+        verdicts = _suite_verdicts("extra", capsys)
+        assert verdicts == _dense_verdicts(EXTRA_CHECKS, EXTRA_SWEEP)
+        assert not all(verdicts.values())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_node_fewer_misses_a_slip_on_the_last_node(self, n, monkeypatch):
+        degree = identities.degree_bound(n - 1, n)
+        _planted_level(monkeypatch, n - 1, n, lambda c, ks: _vanishing(c, range(degree)))
+        verdicts = [verify_extra(n, c) for c in identities.extra_nodes(n)]
+        assert verdicts == [True] * degree + [False]
 
 
 def _counts(n, c, ks):

@@ -36,12 +36,10 @@ RECORDS = {
                    "GenPattern(r=1, n=2, c=2, rows=((0, 1, 2), (0, 1, 1, 2)))"),
     "IntFunction": (lambda: IntFunction(1, abs), "arity",
                     "IntFunction(arity=1, fn=<built-in function abs>)"),
-    "SweepConfig": (lambda: SweepConfig(lemma2_d=7), "lemma2_d",
-                    "SweepConfig(lemma2_d=7, lemma2_xy=3, decomp_c=2, decomp_klo=-2, "
-                    "decomp_khi=4, hyper_max_m=4, qvand_max_m=3, qpoch_max_n=3, zeros_max_n=4, "
-                    "zeros_max_c=4, extra_max_n=4, extra_max_c=4, ssyt_max_part=4, "
-                    "ssyt_max_k=4, tableaux_max_k=3, tableaux_lo=-2, tableaux_hi=3, "
-                    "asm_max_n=5)"),
+    "SweepConfig": (lambda: SweepConfig(hyper_max_m=7), "hyper_max_m",
+                    "SweepConfig(hyper_max_m=7, qvand_max_m=3, qpoch_max_n=3, zeros_max_n=4, "
+                    "zeros_max_c=4, extra_max_n=4, ssyt_max_part=4, ssyt_max_k=4, "
+                    "tableaux_max_k=3, tableaux_lo=-2, tableaux_hi=3, asm_max_n=5)"),
 }
 
 #: each record that validates in __new__: a valid record, a valid change, a
