@@ -87,7 +87,7 @@ class SweepConfig(namedtuple("SweepConfig", (
         "zeros_max_n zeros_max_c "
         "extra_max_n "
         "ssyt_max_part ssyt_max_k "
-        "tableaux_max_k tableaux_lo tableaux_hi "
+        "tableaux_max_k "
         "asm_max_n"), defaults=(
         4,
         3,
@@ -95,17 +95,13 @@ class SweepConfig(namedtuple("SweepConfig", (
         4, 4,
         4,
         4, 4,
-        3, -2, 3,
+        3,
         5))):
     """Default sweep bounds, one line per suite, the defaults in the order of
     the fields; --override sets any of them.  The fund, lemma2 and decomp
     suites run at fixed sizes and read none."""
 
     __slots__ = ()
-
-
-#: (lo, hi) field pairs that bound one range of a sweep.
-_RANGE_FIELDS = (("tableaux_lo", "tableaux_hi"),)
 
 
 def _apply_overrides(overrides: list[str]) -> SweepConfig:
@@ -123,17 +119,10 @@ def _apply_overrides(overrides: list[str]) -> SweepConfig:
             updates[name] = int(raw)
         except ValueError:
             raise ValueError(f"override {item!r}: the value must be an integer") from None
-        # sizes, bounds and counts of a sweep; the *_lo fields may be negative
-        if updates[name] < 0 and "_max_" in name:
+        if updates[name] < 0:
             raise ValueError(f"override {item!r} is negative: a size, bound or "
                              "count below 0 leaves no instances to check")
-    cfg = SweepConfig()._replace(**updates)
-    for lo, hi in _RANGE_FIELDS:
-        if getattr(cfg, lo) > getattr(cfg, hi):
-            raise ValueError(f"overrides give {lo}={getattr(cfg, lo)} > "
-                             f"{hi}={getattr(cfg, hi)}: a reversed range "
-                             "leaves no instances to check")
-    return cfg
+    return SweepConfig()._replace(**updates)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +140,7 @@ def _check(report: RunReport, parameters: str, instances, checks: dict,
     ``instances`` (a list or a generator of argument tuples) and add one
     verdict per identity, in the order of ``checks``, with the number of
     instances the sweep held and what passing decides: a node function's
-    claim, next to it in identities, or the instances only.  The first
+    claim, next to it in identities or tableaux, or the instances only.  The first
     instance an identity fails on is its counterexample; later ones skip that
     check.  EmptySweep if there is no instance."""
     failures = {}
@@ -281,49 +270,27 @@ def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
 
 
 def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
-    lo, hi = cfg.tableaux_lo, cfg.tableaux_hi
-    span = range(lo, hi + 1)
-    vectors = [(v,) for k in range(1, cfg.tableaux_max_k + 1)
-               for v in itertools.product(span, repeat=k)]
-    params = f"vectors in [{lo},{hi}]^k, k <= {cfg.tableaux_max_k}"
+    max_k = cfg.tableaux_max_k
+    nodes = [node for k in range(1, max_k + 1) for node in tableaux.part_nodes(k)]
+    three = tableaux.part_nodes(3)
     memo = {}  # tableau counts and extension values
     rec_memo = {}  # recursion values
-    f_ext = functools.partial(tableaux.f_ext, memo=memo)
-
-    def engines_agree(lam):
-        return f_ext(lam) == tableaux.f_ext_recursive(lam, rec_memo)
-
-    _check(report, params, vectors,
-           {"extension recursion agreement": engines_agree})
-
-    def translation_invariant(lam, shift):
-        return f_ext(lam) == f_ext(tuple(x + shift for x in lam))
-
+    _check(report, f"every ordering of part_nodes(k), k <= {max_k}",
+           [(lam,) for node in nodes for lam in itertools.permutations(node)],
+           {"extension recursion agreement": functools.partial(
+               tableaux.verify_recursion_agreement, memo=memo, rec_memo=rec_memo)})
     shifts = (-3, 2, 3)
-    trans = ((v, s) for v in itertools.product(span, repeat=3) for s in shifts)
-    _check(report, f"vectors in [{lo},{hi}]^3, shifts {shifts}", trans,
-           {"translation invariance": translation_invariant})
-
-    def antisymmetric(lam):
-        base = f_ext(lam)
-        for perm in itertools.permutations(range(3)):
-            inv = sum(a > b for a, b in itertools.combinations(perm, 2))
-            if f_ext(tuple(lam[p] for p in perm)) != (-1) ** inv * base:
-                return False
-        return True
-
-    _check(report, f"vectors in [{lo},{hi}]^3, all permutations",
-           ((v,) for v in itertools.product(span, repeat=3)),
-           {"alternating in the arguments": antisymmetric})
-
-    decreasing = ((v,) for v in itertools.product(span, repeat=3) if v[0] >= v[1] >= v[2])
-    _check(report, f"weakly decreasing vectors in [{lo},{hi}]^3", decreasing,
-           {"sign-reversing involution sum":
-            lambda lam: tableaux.verify_sign_involution(lam, memo)})
-
-    _check(report, params, vectors,
+    _check(report, f"every ordering of part_nodes(3), shifts {shifts}",
+           [(lam, s) for node in three for lam in itertools.permutations(node) for s in shifts],
+           {"translation invariance": functools.partial(tableaux.verify_translation, memo=memo)})
+    _check(report, "part_nodes(3)", [(lam,) for lam in three], {
+        "alternating in the arguments": functools.partial(tableaux.verify_alternating, memo=memo),
+        "sign-reversing involution sum":
+            functools.partial(tableaux.verify_sign_involution, memo=memo)})
+    _check(report, f"part_nodes(k), k <= {max_k}, by induction on k", [(lam,) for lam in nodes],
            {"difference-product formula":
-            lambda lam: tableaux.verify_part_formula(lam, memo)})
+            functools.partial(tableaux.verify_part_formula, memo=rec_memo)},
+           decides=tableaux.PART_DECIDES.format(max_k))
 
 
 def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:

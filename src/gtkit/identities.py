@@ -254,10 +254,8 @@ SIMPLEX_DECIDES = "all integers (c, ks) at (r, n) in {}, by the degree lemma"
 # ---------------------------------------------------------------------------
 
 
-def _tabled(memo: dict | None, key: tuple, build: Callable):
+def _tabled(memo: dict, key: tuple, build: Callable):
     # memo[key], built as build(*key) on first read
-    if memo is None:
-        return build(*key)
     value = memo.get(key)
     if value is None:
         value = memo[key] = build(*key)
@@ -310,21 +308,20 @@ def verify_lemma_2(r: int, d: int, x: int, y: int, memo: dict | None = None) -> 
     """Lemma 2 at q = 1: the double extended sum of P_{r-1}(y'-x') over the
     shifted box against its closed form 2 P_r(y-x) / (2r-1)_2, the
     denominator multiplied across.
-    memo: this check's own dict of summands P_{r-1}, keyed by (r-1, y'-x'),
-    and, apart under (r, y-x, "rhs"), of right sides."""
+    memo: this check's own dict of summands P_{r-1}, keyed by (r-1, y'-x')."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
+    memo = {} if memo is None else memo
 
     def term(ls):
         xp, yp = ls
         return _tabled(memo, (r - 1, yp - xp), _product)
 
     lhs = chained_sum([(x + d, y + d), (x - 1 + d, y - 1 + d)], term)
-    rhs = _tabled(memo, (r, y - x, "rhs"), lambda r, diff, _side: 2 * _product(r, diff))
-    return lhs * (2 * r - 1) * (2 * r) == rhs
+    return lhs * (2 * r - 1) * (2 * r) == 2 * _product(r, y - x)
 
 
-def _lemma2q_rhs(r: int, diff: int, _side: str) -> LaurentPolyQ:
+def _lemma2q_rhs(r: int, diff: int) -> LaurentPolyQ:
     # 2 P_r(diff) / ([2r-1;q][2r;q]), diff = y-x
     return q_poch_ratio(LaurentPolyQ({0: 2, r: 2}), _product_pairs(r, diff), ((2 * r - 1, 2),))
 
@@ -333,7 +330,7 @@ def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) ->
     """Lemma 2 in q: the sum of q^{(2r-2) x'} P_{r-1}(y'-x') over the box against
     q^{2rx+2dr+r-2} 2 P_r(y-x) / ([2r-1;q][2r;q]), the right side divided
     exactly (False on a remainder); memo as there, holding summands packed at
-    exact.PACK_BITS and, apart under (r, y-x, "rhs"), unshifted right sides.
+    exact.PACK_BITS.
     The left side is one chained_sum_packed, each summand's low raised by
     (2r-2) x', unpacked at the width exact.widened proves from its count."""
     if r < 2:
@@ -351,7 +348,7 @@ def verify_lemma_2q(r: int, d: int, x: int, y: int, memo: dict | None = None) ->
 
     bits, packed, low, _ = widened(lhs_at, memo)
     try:
-        rhs = _tabled(memo, (r, y - x, "rhs"), _lemma2q_rhs)
+        rhs = _lemma2q_rhs(r, y - x)
     except NonExactDivision:
         return False
     return unpack_q(packed, low, bits) == rhs.shift(2 * r * x + 2 * d * r + r - 2)

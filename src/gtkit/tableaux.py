@@ -3,7 +3,10 @@
 Extends the semistandard-tableau count of a fixed shape to a function on
 arbitrary integer vectors (alternating in its arguments and invariant under
 translation), evaluates it both by definition and by a merged recursion, and
-checks the resulting quotient-of-differences product formula.
+checks the quotient-of-differences product formula P_k against the
+recursion at part_nodes(k), which decides it at every integer vector by
+induction on k; the agreement, translation, alternation and sign-involution
+checks, one function each, run on those nodes' orderings.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from typing import Sequence
 
 from .exact import chained_sum
+from .identities import simplex_nodes
 from .patterns import Partition
 
 
@@ -113,19 +117,76 @@ def f_ext_recursive(lam: Sequence[int], memo: dict | None = None) -> int:
     if min(lam) < last:
         sign, ordered = _sort_desc_with_sign(lam)
         return sign * f_ext_recursive(ordered, memo)
-    cached = memo.get(lam)
-    if cached is not None:
-        return cached
-    bounds = [(last + 1, top) for top in lam[:-1]]
-    value = chained_sum(bounds, functools.partial(f_ext_recursive, memo=memo))
-    memo[lam] = value
+    value = memo.get(lam)
+    if value is None:
+        bounds = [(last + 1, top) for top in lam[:-1]]
+        value = memo[lam] = chained_sum(bounds, functools.partial(f_ext_recursive, memo=memo))
     return value
+
+
+def part_nodes(k: int) -> list[tuple[int, ...]]:
+    """The vectors lam with lam_k = 0 and lam_i = sum_{j=i}^{k-1} (v_j + 1),
+    v in simplex_nodes(k-1, k(k-1)/2): 1, 2, 10 and 84 strictly decreasing
+    nodes for k = 1..4.  verify_part_formula passing at part_nodes(j) for
+    every j <= k decides f_ext_recursive = P_k = prod_{i<j} (lam_i - lam_j)
+    / (j - i) at every integer vector of length k, by induction on k:
+
+    1. Assume f_ext_recursive = P_{k-1} on all of Z^{k-1}; P_1 = 1 is the
+       recursion's one-variable value.
+    2. On the cone where lam_k is least and the entries are distinct,
+       f_ext_recursive(lam) is then g_k(lam), the extended sum of
+       P_{k-1}(mu) over every mu_i in [lam_k + 1, lam_i].  Each extended sum
+       of a polynomial over [a, b] is S(b+1) - S(a), S a Faulhaber sum of one
+       degree more, so g_k is a polynomial of total degree at most
+       (k-1)(k-2)/2 + k-1 = k(k-1)/2, as P_k is.
+    3. g_k and P_k are both translation invariant (mu moves with lam, and
+       P_{k-1} is), so each is a polynomial of that degree in the k-1
+       differences lam_i - lam_k.  The node map v -> lam is an invertible
+       affine map of Z^{k-1} onto those differences, so g_k - P_k composed
+       with it vanishes on the simplex and is 0 (simplex_nodes).
+    4. Off the cone f_ext_recursive sorts with the permutation's sign, and
+       it is 0 at a tie; P_k is alternating, so it agrees there too."""
+    return [tuple(sum(x + 1 for x in v[i:]) for i in range(k))
+            for v in simplex_nodes(k - 1, k * (k - 1) // 2)]
+
+
+#: What verify_part_formula passing at part_nodes(j), every j <= k,
+#: decides; formatted with the largest k.
+PART_DECIDES = "every integer vector, k <= {}, by induction on k"
+
+
+def verify_part_formula(lam: Sequence[int], memo: dict | None = None) -> bool:
+    """f_ext_recursive(lam) equals P_k = prod_{i<j} (lam_i - lam_j) / (j - i),
+    the denominator multiplied across; memo: the recursion's values."""
+    pairs = list(itertools.combinations(range(len(lam)), 2))
+    return (f_ext_recursive(lam, memo) * math.prod(j - i for i, j in pairs)
+            == math.prod(lam[i] - lam[j] for i, j in pairs))
+
+
+def verify_recursion_agreement(lam: Sequence[int], memo: dict | None = None,
+                               rec_memo: dict | None = None) -> bool:
+    """f_ext(lam), the tableau count by definition, equals
+    f_ext_recursive(lam); memo and rec_memo: each route's own values."""
+    return f_ext(lam, memo) == f_ext_recursive(lam, rec_memo)
+
+
+def verify_translation(lam: Sequence[int], shift: int, memo: dict | None = None) -> bool:
+    """f_ext is unchanged when every entry of lam moves by shift."""
+    return f_ext(lam, memo) == f_ext(tuple(x + shift for x in lam), memo)
+
+
+def verify_alternating(lam: Sequence[int], memo: dict | None = None) -> bool:
+    """Every permutation of lam's entries multiplies f_ext by its sign, the
+    parity of its inversions."""
+    base = f_ext(lam, memo)
+    return all(f_ext(tuple(lam[p] for p in perm), memo)
+               == (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)) * base
+               for perm in itertools.permutations(range(len(lam))))
 
 
 def verify_sign_involution(lam: Sequence[int], memo: dict | None = None) -> bool:
     """The signed sum over tuples mu with lam_k+1 <= mu_i <= lam_i that dip
     below the next entry (mu_i <= lam_{i+1} for some i) vanishes."""
-    lam = tuple(lam)
     k = len(lam)
     if any(lam[t] < lam[t + 1] for t in range(k - 1)):
         raise ValueError(f"need a weakly decreasing vector, got {lam}")
@@ -137,12 +198,3 @@ def verify_sign_involution(lam: Sequence[int], memo: dict | None = None) -> bool
         if any(mu[t] <= lam[t + 1] for t in range(k - 1)):
             total += f_ext(mu, memo)
     return total == 0
-
-
-def verify_part_formula(lam: Sequence[int], memo: dict | None = None) -> bool:
-    """f_ext(lam) equals prod_{i<j} (lam_i - lam_j) / (j - i), the
-    denominator multiplied across."""
-    lam = tuple(lam)
-    pairs = list(itertools.combinations(range(len(lam)), 2))
-    return (f_ext(lam, memo) * math.prod(j - i for i, j in pairs)
-            == math.prod(lam[i] - lam[j] for i, j in pairs))

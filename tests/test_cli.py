@@ -350,6 +350,9 @@ class TestVerify:
             ("decomp_klo=-2", "unknown override"),
             ("decomp_khi=4", "unknown override"),
             ("extra_max_c=4", "unknown override"),
+            # the tableau product formula is decided at part_nodes, with no box
+            ("tableaux_lo=-2", "unknown override"),
+            ("tableaux_hi=3", "unknown override"),
         ]:
             code = cli.main(["verify", "--suite", "qvand", "--override", override])
             captured = capsys.readouterr()
@@ -363,9 +366,9 @@ class TestVerify:
         "zeros_max_c=-1",
         "hyper_max_m=-1",
         "qpoch_max_n=-1",
-        "tableaux_hi=-3",
-        "tableaux_lo=4",
-        "tableaux_lo=5",
+        "tableaux_max_k=-1",
+        "ssyt_max_k=-1",
+        "asm_max_n=-1",
     ])
     def test_bad_override_value_exit_two(self, capsys, override):
         suite = override.split("_")[0]
@@ -391,19 +394,8 @@ class TestVerify:
         assert captured.out == ""
         assert "qvand_max_m is given twice" in captured.err
 
-    def test_negative_lower_ends_allowed(self, capsys):
-        code, out = run_cli(capsys, "verify", "--suite", "tableaux",
-                            "--override", "tableaux_lo=-3")
-        assert code == 0
-        assert "vectors in [-3,3]^k" in json.loads(out)["verdicts"][0]["parameters"]
-
-    def test_ranges_render_their_own_sign(self):
-        cfg = cli.SweepConfig()._replace(tableaux_lo=1, tableaux_hi=-1)
-        with pytest.raises(cli.EmptySweep, match=r"vectors in \[1,-1\]\^k"):
-            cli._suite_tableaux(cli.RunReport("tableaux", {}), cfg)
-
     def test_tableaux_parameters_do_not_follow_max_k(self):
-        # these checks sweep 3-vectors whatever tableaux_max_k is
+        # these checks sweep the nodes of k = 3 whatever tableaux_max_k is
         names = ("translation invariance", "alternating in the arguments",
                  "sign-reversing involution sum")
         params = []
@@ -414,7 +406,7 @@ class TestVerify:
                            for v in report.verdicts if v["identity"] in names})
         assert params[0] == params[1]
         assert set(params[0]) == set(names)
-        assert all("^3" in p and "k <=" not in p for p in params[0].values())
+        assert all("part_nodes(3)" in p and "k <=" not in p for p in params[0].values())
 
     @pytest.mark.parametrize("suite", ["ssyt", "tableaux"])
     def test_tableau_memo_is_scoped_per_call(self, monkeypatch, capsys, suite):
@@ -588,8 +580,8 @@ class TestCheck:
         # to the node functions whose docstrings hold their arguments
         assert cli.main(["verify", "--suite", "all"]) == cli.EXIT_OK
         verdicts = json.loads(capsys.readouterr().out)["verdicts"]
-        templates = [value for name, value in vars(cli.identities).items()
-                     if name.endswith("_DECIDES")]
+        templates = [value for module in (cli.identities, cli.tableaux)
+                     for name, value in vars(module).items() if name.endswith("_DECIDES")]
         claims = {}
         for v in verdicts:
             if v["decides"] != "the instances only":
@@ -597,7 +589,8 @@ class TestCheck:
                     ".+".join(map(re.escape, t.split("{}"))), v["decides"])]
                 claims.setdefault(v["suite"], []).append(template)
         assert {suite: len(found) for suite, found in claims.items()} == {
-            "fund": 1, "lemma2": 2, "decomp": 1, "hyper": 1, "qvand": 1, "qpoch": 1, "extra": 2}
+            "fund": 1, "lemma2": 2, "decomp": 1, "hyper": 1, "qvand": 1, "qpoch": 1, "extra": 2,
+            "tableaux": 1}
         assert {t for found in claims.values() for t in found} == set(templates)
         (decomp_q,) = [v for v in verdicts if v["identity"] == "swap-operator factorization (q)"]
         assert decomp_q["decides"] == "the instances only"
@@ -638,6 +631,38 @@ class TestCheck:
         assert not cli.identities.verify_hyper(m, c)
         monkeypatch.undo()
         assert cli.identities.verify_hyper(m, c)
+
+    @pytest.mark.parametrize("identity,name,slip", [
+        ("extension recursion agreement", "ssyt_count",
+         lambda real: lambda shape, k, memo: real(shape, k, memo) + (k == 3)),
+        ("translation invariance", "f_ext",
+         lambda real: lambda lam, memo=None: real(lam, memo) + (min(lam) == 3)),
+        ("alternating in the arguments", "f_ext",
+         lambda real: lambda lam, memo=None: real(lam, memo) + (lam[0] < lam[-1])),
+        ("sign-reversing involution sum", "f_ext",
+         lambda real: lambda lam, memo=None: real(lam, memo) + (lam == (1, 2))),
+        ("difference-product formula", "f_ext_recursive",
+         lambda real: lambda lam, memo=None: real(lam, memo) + (len(lam) == 3)),
+    ])
+    def test_tableaux_counterexample_replays(self, identity, name, slip, monkeypatch):
+        # each verdict's counterexample replays through the one public
+        # tableaux function that the suite ran it with
+        checks = {"extension recursion agreement": "verify_recursion_agreement",
+                  "translation invariance": "verify_translation",
+                  "alternating in the arguments": "verify_alternating",
+                  "sign-reversing involution sum": "verify_sign_involution",
+                  "difference-product formula": "verify_part_formula"}
+        monkeypatch.setattr(cli.tableaux, name, slip(getattr(cli.tableaux, name)))
+        report = cli.RunReport("tableaux", {})
+        cli._suite_tableaux(report, cli.SweepConfig())
+        assert [v["identity"] for v in report.verdicts] == list(checks)
+        (verdict,) = [v for v in report.verdicts if v["identity"] == identity]
+        assert not verdict["pass"]
+        check = getattr(cli.tableaux, checks[identity])
+        inst = ast.literal_eval(verdict["counterexample"])
+        assert not check(*inst)
+        monkeypatch.undo()
+        assert check(*inst)
 
 
 def test_readme_counts_and_names_the_sweep_fields():

@@ -617,11 +617,6 @@ def _level_states(memo: dict) -> dict:
             if isinstance(table, counting._Level) for ks, value in table.items()}
 
 
-def _rhs_keys(memo: dict) -> list:
-    # lemma 2 q's memo also holds its right sides, keyed by (r, y-x, "rhs")
-    return [key for key in memo if len(key) == 3]
-
-
 class TestSummandTables:
     """Each of lemma 2's and decomp's checks keeps its summands in a memo of
     its own, keyed by (r, difference)."""
@@ -670,8 +665,8 @@ class TestSummandTables:
     def test_suite_builds_each_term_once(self, suite, builders, monkeypatch, capsys):
         # each distinct (r, difference) among the terms of lemma 2's nodes
         # and among decomp's nodes is built once per check, 22 and 24 of
-        # them; the plain lemma 2 check also builds each of its 12 right
-        # sides 2 P_r(y-x) once (the q check's are _lemma2q_rhs)
+        # them; the plain lemma 2 check also builds one right side
+        # 2 P_r(y-x) per node, 12 (the q check's are _lemma2q_rhs)
         assert (len(_lemma2_summands(LEMMA2_NODES)), len(_lemma2_right_sides(LEMMA2_NODES)),
                 len(_decomp_factors(DECOMP_NODES))) == (22, 12, 24)
         builders = dict(builders)
@@ -759,60 +754,22 @@ class TestSummandTables:
         counting.fq_recursive(TopRowKey(1, 2, 1, (0,)))
         assert entries == ["TopRowKey", "fq_recursive"]
 
-    def test_lemma2q_tables_each_side_under_its_own_keys(self):
+    @pytest.mark.parametrize("check", [verify_lemma_2, verify_lemma_2q])
+    def test_lemma2_tables_its_summands_alone(self, check):
+        # each right side is read once per instance, so it is built, not tabled
         memo = InsertCounting()
         for inst in LEMMA2_SWEEP:
-            assert verify_lemma_2q(*inst, memo=memo), inst
-        assert len(_summand_keys(memo)) == len(_rhs_keys(memo)) == 26
-        assert len(memo) == memo.inserts == 52
-        assert all(key[2] == "rhs" for key in _rhs_keys(memo))
-
-    @pytest.mark.parametrize("keep,drop", [(_summand_keys, _rhs_keys), (_rhs_keys, _summand_keys)])
-    def test_no_side_is_built_from_the_other(self, keep, drop):
-        # wrong entries of one side kept in the memo leave the other side's
-        # rebuilt entries as a fresh memo builds them
-        fresh: dict = {}
-        for inst in LEMMA2_SWEEP:
-            verify_lemma_2q(*inst, memo=fresh)
-        memo = {key: _shifted(fresh[key]) for key in keep(fresh)}
-        for inst in LEMMA2_SWEEP:
-            verify_lemma_2q(*inst, memo=memo)
-        assert {key: memo[key] for key in drop(fresh)} == {key: fresh[key] for key in drop(fresh)}
-
-    @pytest.mark.parametrize("inst", [(2, 0, 0, 1), (3, 1, -2, 3), (3, -2, 3, -3), (2, 1, 3, 2)])
-    def test_a_wrong_right_side_in_the_table_fails(self, inst):
-        memo: dict = {}
-        assert verify_lemma_2q(*inst, memo=memo)
-        (key,) = _rhs_keys(memo)
-        value = memo[key]
-        # shifted by one; at y-x = -1 both sides vanish, so plant a 1 there
-        memo[key] = value.shift(1) if value else value + 1
-        assert not verify_lemma_2q(*inst, memo=memo)
-        memo[key] = value
-        assert verify_lemma_2q(*inst, memo=memo)
-
-    def test_suite_builds_each_right_side_once(self, monkeypatch, capsys):
-        # one per distinct (r, y-x) among the 5 + 7 q instances
-        built = []
-        real = identities._lemma2q_rhs
-
-        def counted(r, diff, side):
-            built.append((r, diff))
-            return real(r, diff, side)
-
-        monkeypatch.setattr(identities, "_lemma2q_rhs", counted)
-        assert cli.main(["verify", "--suite", "lemma2"]) == cli.EXIT_OK
-        capsys.readouterr()
-        assert len(built) == len(set(built)) == len(_lemma2_right_sides(LEMMA2_NODES)) == 12
+            assert check(*inst, memo=memo), inst
+        assert len(_summand_keys(memo)) == len(memo) == memo.inserts == 26
 
     def test_an_inexact_right_side_fails_without_a_traceback(self, monkeypatch, capsys):
-        def without_one_plus_q_r(r, diff, side):
+        def without_one_plus_q_r(r, diff):
             num = 2 * q_poch(diff - r + 2, 2 * r - 1) * q_bracket(diff + 1)
             return q_poch_ratio(num, (), [(2 * r - 1, 2)])
 
         monkeypatch.setattr(identities, "_lemma2q_rhs", without_one_plus_q_r)
         with pytest.raises(NonExactDivision):
-            without_one_plus_q_r(2, 1, "rhs")  # [4;q] = (1+q)(1+q^2) does not divide
+            without_one_plus_q_r(2, 1)  # [4;q] = (1+q)(1+q^2) does not divide
         assert not verify_lemma_2q(2, 0, 0, 1)
         assert not verify_lemma_2q(2, 0, 0, 1, memo={})
         assert cli.main(["verify", "--suite", "lemma2"]) == cli.EXIT_VERIFICATION_FAILED
@@ -1345,7 +1302,7 @@ class TestLemma2Nodes:
         plain, q = identities._product, identities._lemma2q_rhs
         monkeypatch.setattr(identities, "_product", lambda rr, t: plain(rr, t) + (rr == r) * (
             _vanishing(t, range(2 * r))))
-        monkeypatch.setattr(identities, "_lemma2q_rhs", lambda rr, t, side: q(rr, t, side) + (
+        monkeypatch.setattr(identities, "_lemma2q_rhs", lambda rr, t: q(rr, t) + (
             _vanishing(LaurentPolyQ.monomial(t), map(LaurentPolyQ.monomial, range(2 * r)))))
         for check in (verify_lemma_2, verify_lemma_2q):
             verdicts = [check(r, *node) for node in identities.lemma2_nodes(r)]

@@ -39,7 +39,7 @@ RECORDS = {
     "SweepConfig": (lambda: SweepConfig(hyper_max_m=7), "hyper_max_m",
                     "SweepConfig(hyper_max_m=7, qvand_max_m=3, qpoch_max_n=3, zeros_max_n=4, "
                     "zeros_max_c=4, extra_max_n=4, ssyt_max_part=4, ssyt_max_k=4, "
-                    "tableaux_max_k=3, tableaux_lo=-2, tableaux_hi=3, asm_max_n=5)"),
+                    "tableaux_max_k=3, asm_max_n=5)"),
 }
 
 #: each record that validates in __new__: a valid record, a valid change, a

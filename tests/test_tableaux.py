@@ -1,6 +1,11 @@
 """Tests for the alternating tableau-count extension."""
 
+import __future__
+import inspect
 import itertools
+import math
+import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -11,10 +16,14 @@ from gtkit.patterns import ShapeViolation
 from gtkit.tableaux import (
     f_ext,
     f_ext_recursive,
+    part_nodes,
     ssyt_bruteforce,
     ssyt_count,
+    verify_alternating,
     verify_part_formula,
+    verify_recursion_agreement,
     verify_sign_involution,
+    verify_translation,
 )
 
 
@@ -127,13 +136,34 @@ class TestFExt:
                 assert f_ext(permuted) == sgn * base, (lam, perm)
 
 
+def _orderings(nodes):
+    # every ordering of every node
+    return [lam for node in nodes for lam in itertools.permutations(node)]
+
+
+def _suite_reads():
+    # the f_ext reads of the tableaux suite's checks at k <= 3, built from
+    # part_nodes: agreement at every ordering of every node, translation at
+    # each ordering of a k = 3 node and its shifts, alternation at each
+    # k = 3 node and its orderings, and the sign involution at the dipping
+    # tuples of each k = 3 node; the product formula reads the recursion
+    three = part_nodes(3)
+    reads = _orderings(node for k in (1, 2, 3) for node in part_nodes(k))
+    reads += [vector for lam in _orderings(three) for s in (-3, 2, 3)
+              for vector in (lam, tuple(x + s for x in lam))]
+    reads += [vector for node in three for vector in [node] + _orderings([node])]
+    reads += [mu for lam in three
+              for mu in itertools.product(*[range(1, top + 1) for top in lam[:-1]])
+              if any(mu[t] <= lam[t + 1] for t in range(2))]
+    return reads
+
+
 class TestCountMemo:
     def test_memo_gives_the_same_values(self):
         memo: dict = {}
         for k in (1, 2, 3):
             for lam in itertools.product(range(-2, 4), repeat=k):
                 assert f_ext(lam, memo) == f_ext(lam), lam
-                assert verify_part_formula(lam, memo), lam
                 if all(lam[t] >= lam[t + 1] for t in range(k - 1)):
                     assert verify_sign_involution(lam, memo), lam
         # tableau counts under (parts, k), extension values under the vector
@@ -143,9 +173,11 @@ class TestCountMemo:
         assert values and all(f_ext(lam) == value for lam, value in values.items())
 
     def test_tableaux_suite_works_out_each_vector_once(self, monkeypatch, capsys):
-        # the suite reads 3,506 extension values of 690 distinct vectors from
-        # one memo, which keeps each vector's value: each vector without a
-        # tie is sorted, shaped and counted once
+        # the suite reads every extension value that its checks read at the
+        # nodes, from one memo, which keeps each vector's value: each vector
+        # without a tie is sorted, shaped and counted once
+        expected = _suite_reads()
+        assert (len(expected), len(set(expected))) == (545, 261)
         reads, memos, shaped = [], {}, []
 
         def reading(lam, memo=None, real=tableaux.f_ext):
@@ -161,7 +193,7 @@ class TestCountMemo:
         monkeypatch.setattr(tableaux, "ssyt_count", shaping)
         assert cli.main(["verify", "--suite", "tableaux"]) == cli.EXIT_OK
         capsys.readouterr()
-        assert len(reads) == 3506 and len(set(reads)) == 690
+        assert sorted(reads) == sorted(expected)
         (memo,) = memos.values()
         assert set(reads) == {key for key in memo if not isinstance(key[0], tuple)}
         assert len(shaped) == len({lam for lam in reads if len(set(lam)) == len(lam)})
@@ -204,7 +236,7 @@ class TestFExtRecursive:
         assert dicts == set()
 
     def test_memo_state_count(self):
-        # the tableaux suite's vectors, [-2,3]^k for k <= 3, reach 55 states
+        # the vectors of [-2,3]^k for k <= 3 reach 55 states
         memo: dict = {}
         for k in (1, 2, 3):
             for lam in itertools.product(range(-2, 4), repeat=k):
@@ -262,3 +294,153 @@ class TestOracleChain:
                 padded = shape + (0,) * (k - len(shape))
                 lam = tuple(padded[t] - t - 1 for t in range(k))
                 assert f_ext(lam) == brute, (shape, k)
+
+
+def _binomial(x, a):
+    # x choose a for every integer x: x (x-1) ... (x-a+1) / a!
+    return math.prod(range(x - a + 1, x + 1)) // math.factorial(a)
+
+
+def _degree(k):
+    return k * (k - 1) // 2
+
+
+def _gaps(lam):
+    # the node coordinates v of a vector: v_i = lam_i - lam_{i+1} - 1
+    return tuple(a - b - 1 for a, b in zip(lam, lam[1:]))
+
+
+def _interpolant(k):
+    # f_ext_recursive as the polynomial of total degree <= k(k-1)/2 in the
+    # gaps that its values at part_nodes(k) give: the forward differences
+    # Delta^a f at the simplex's origin, each the signed sum over b <= a
+    values = {_gaps(lam): f_ext_recursive(lam) for lam in part_nodes(k)}
+    table = {a: sum((-1) ** (sum(a) - sum(b)) * math.prod(map(math.comb, a, b)) * values[b]
+                    for b in itertools.product(*[range(x + 1) for x in a]))
+             for a in values}
+    return lambda lam: sum(value * math.prod(map(_binomial, _gaps(lam), a))
+                           for a, value in table.items())
+
+
+def _mutant(func, old, new):
+    # func compiled again from its source with its one `old` replaced by new,
+    # over its module's names
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[func.__name__]
+
+
+#: slips in the recursion and in the product formula's check, by what they
+#: change: (the function, its old text, its new text)
+PART_SLIPS = {
+    "the denominator j-i+1": ("verify_part_formula", "j - i for", "j - i + 1 for"),
+    "the recursion's lower bound lam_k": ("f_ext_recursive", "(last + 1, top)", "(last, top)"),
+    "the sort without its sign": ("f_ext_recursive", "sign * f_ext_recursive(ordered",
+                                  "f_ext_recursive(ordered"),
+}
+
+
+class TestPartNodes:
+    """part_nodes: the product formula P_k, checked against the recursion at
+    part_nodes(j) for every j <= k, is decided at every integer vector by
+    induction on k."""
+
+    def test_strictly_decreasing_simplex_images(self):
+        assert [len(part_nodes(k)) for k in range(1, 5)] == [1, 2, 10, 84]
+        for k in range(1, 6):
+            nodes = part_nodes(k)
+            assert len(nodes) == len(set(nodes)) == math.comb(k - 1 + _degree(k), k - 1)
+            assert all(len(lam) == k and lam[-1] == 0 for lam in nodes)
+            assert all(a > b for lam in nodes for a, b in zip(lam, lam[1:]))
+            # the node map's inverse gives back the simplex
+            assert sorted(map(_gaps, nodes)) == tableaux.simplex_nodes(k - 1, _degree(k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_the_nodes_predict_the_recursion_everywhere(self, k):
+        # the interpolant through the nodes gives f_ext_recursive at random
+        # vectors in [-6,6]^k, in every ordering, ties included
+        predict = _interpolant(k)
+        rng = random.Random(k)
+        vectors = [tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(12)]
+        vectors += [(3,) * k, (5, -6, 5, 0)[:k], (-6, 6, -6, 2)[:k]]
+        memo: dict = {}
+        for vector in vectors:
+            for lam in set(itertools.permutations(vector)):
+                assert predict(lam) == f_ext_recursive(lam, memo), lam
+
+    def test_the_product_formula_holds_at_the_nodes(self):
+        nodes = [lam for k in range(1, 5) for lam in part_nodes(k)]
+        assert len(nodes) == 97 and all(map(verify_part_formula, nodes))
+
+    @pytest.mark.parametrize("slip", PART_SLIPS)
+    def test_the_nodes_fail_a_slip_exactly_when_the_old_box_does(self, slip, monkeypatch):
+        name, old, new = PART_SLIPS[slip]
+        monkeypatch.setattr(tableaux, name, _mutant(getattr(tableaux, name), old, new))
+        nodes = [lam for k in (1, 2, 3) for lam in part_nodes(k)]
+        box = [lam for k in (1, 2, 3) for lam in itertools.product(range(-2, 4), repeat=k)]
+        check = tableaux.verify_part_formula
+        assert all(map(check, nodes)) == all(map(check, box)) is False
+
+    def test_the_denominator_slip_fails_12_of_13_nodes(self, monkeypatch):
+        monkeypatch.setattr(tableaux, "verify_part_formula", _mutant(
+            verify_part_formula, *PART_SLIPS["the denominator j-i+1"][1:]))
+        nodes = [lam for k in (1, 2, 3) for lam in part_nodes(k)]
+        assert sum(not tableaux.verify_part_formula(lam) for lam in nodes) == 12
+
+    def test_the_bound_slip_fails_every_node_above_k_1(self, monkeypatch):
+        monkeypatch.setattr(tableaux, "f_ext_recursive", _mutant(
+            f_ext_recursive, *PART_SLIPS["the recursion's lower bound lam_k"][1:]))
+        failed = [sum(not verify_part_formula(lam) for lam in part_nodes(k)) for k in (2, 3, 4)]
+        assert failed == [2, 10, 84]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_layer_fewer_misses_a_difference_on_the_top_layer(self, k, monkeypatch):
+        # a recursion off by a polynomial of degree k(k-1)/2 at length k that
+        # vanishes on the simplex of one degree less: the product of
+        # (sum(v) - t) over t < k(k-1)/2, v the gaps
+        degree = _degree(k)
+        real = tableaux.f_ext_recursive
+
+        def planted(lam, memo=None):
+            slip = math.prod(sum(_gaps(lam)) - t for t in range(degree)) if len(lam) == k else 0
+            return real(lam, memo) + slip
+
+        monkeypatch.setattr(tableaux, "f_ext_recursive", planted)
+        nodes = part_nodes(k)
+        failing = [lam for lam in nodes if not verify_part_formula(lam)]
+        assert failing and all(sum(_gaps(lam)) == degree for lam in failing)
+        assert all(verify_part_formula(lam) for lam in nodes if sum(_gaps(lam)) < degree)
+
+
+class TestSampleChecks:
+    """The agreement, translation and alternation checks, one function
+    each, that the tableaux suite runs on the nodes' orderings."""
+
+    def test_the_checks_hold_on_the_suites_instances(self):
+        memo, rec_memo = {}, {}
+        orderings = _orderings(node for k in (1, 2, 3) for node in part_nodes(k))
+        assert len(orderings) == 65
+        assert all(verify_recursion_agreement(lam, memo, rec_memo) for lam in orderings)
+        assert all(verify_translation(lam, s, memo)
+                   for lam in _orderings(part_nodes(3)) for s in (-3, 2, 3))
+        assert all(verify_alternating(lam, memo) for lam in part_nodes(3))
+
+    def test_each_check_fails_a_slip_in_what_it_checks(self, monkeypatch):
+        real = tableaux.f_ext
+        monkeypatch.setattr(tableaux, "f_ext", lambda lam, memo=None: real(lam) + lam[0])
+        assert not verify_translation((2, 1, 0), 3)
+        assert not verify_alternating((2, 1, 0))
+        assert not verify_recursion_agreement((2, 1, 0))
+
+    def test_the_product_formula_reads_the_recursion_alone(self, monkeypatch):
+        # the three routes stay apart: P_k is checked against the recursion,
+        # which never reads a tableau count
+        def refused(*args, **kwargs):
+            raise AssertionError("the brute-force route was read")
+
+        monkeypatch.setattr(tableaux, "f_ext", refused)
+        monkeypatch.setattr(tableaux, "ssyt_count", refused)
+        assert all(verify_part_formula(lam) for k in (1, 2, 3, 4) for lam in part_nodes(k))
