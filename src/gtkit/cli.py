@@ -7,8 +7,9 @@ and ``verify`` runs the identity-verification suites.  All output is exact
 and deterministic: identical flags give byte-identical reports.
 
 Exit codes: 0 success, 1 stdout closed before the report was written (as by
-``| head``), 2 usage error (including a sweep or table with no instances),
-3 engine mismatch, 4 verification failure.
+``| head``), 2 usage error (including a table with no rows), 3 engine
+mismatch, 4 verification failure.  Every verify suite runs at the fixed
+sizes of this module's constants.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import itertools
 import json
 import os
 import sys
-from collections import namedtuple
 
 from . import asm as asm_mod
 from . import closedforms, counting, identities, tableaux
@@ -71,58 +71,24 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Sweep configuration for the verify suites
+# Sweep sizes for the verify suites
 # ---------------------------------------------------------------------------
 
 
 #: The r of the double-sum sweep and the (r, n) of the swap-operator sweep.
 LEMMA2_RS = (2, 3)
 DECOMP_RN = ((1, 3), (1, 4), (2, 4))
-
-
-class SweepConfig(namedtuple("SweepConfig", (
-        "hyper_max_m "
-        "qvand_max_m "
-        "qpoch_max_n "
-        "zeros_max_n zeros_max_c "
-        "extra_max_n "
-        "ssyt_max_part ssyt_max_k "
-        "tableaux_max_k "
-        "asm_max_n"), defaults=(
-        4,
-        3,
-        3,
-        4, 4,
-        4,
-        4, 4,
-        3,
-        5))):
-    """Default sweep bounds, one line per suite, the defaults in the order of
-    the fields; --override sets any of them.  The fund, lemma2 and decomp
-    suites run at fixed sizes and read none."""
-
-    __slots__ = ()
-
-
-def _apply_overrides(overrides: list[str]) -> SweepConfig:
-    """The default sweep with FIELD=VALUE overrides applied; ValueError on a
-    bad field or value, or on a field given twice, which the report's sorted
-    list could not order."""
-    updates = {}
-    for item in overrides:
-        name, _, raw = item.partition("=")
-        if name not in SweepConfig._fields:
-            raise ValueError(f"unknown override {item!r}; fields: {sorted(SweepConfig._fields)}")
-        if name in updates:
-            raise ValueError(f"override {item!r}: {name} is given twice")
-        try:
-            updates[name] = int(raw)
-        except ValueError:
-            raise ValueError(f"override {item!r}: the value must be an integer") from None
-        if updates[name] < 0:
-            raise ValueError(f"override {item!r} is negative: a size, bound or "
-                             "count below 0 leaves no instances to check")
-    return SweepConfig()._replace(**updates)
+#: The other suites' sizes, one line per suite.
+HYPER_MAX_M = 4
+QVAND_MAX_M = 3
+QPOCH_MAX_N = 3
+ZEROS_MAX_N = 4
+ZEROS_MAX_C = 4
+EXTRA_MAX_N = 4
+SSYT_MAX_PART = 4
+SSYT_MAX_K = 4
+TABLEAUX_MAX_K = 3
+ASM_MAX_N = 5
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +123,7 @@ def _check(report: RunReport, parameters: str, instances, checks: dict,
                            decides=decides)
 
 
-def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
+def _suite_fund(report: RunReport) -> None:
     instances = [(m, i, identities.fund_generic_point(m))
                  for m in range(1, 4) for i in range(1, m + 1)]
     _check(report, "the point (0,4,...,4m), m <= 3, all i", instances,
@@ -165,7 +131,7 @@ def _suite_fund(report: RunReport, cfg: SweepConfig) -> None:
             identities.verify_lemma_fund_all}, decides=identities.FUND_DECIDES.format(3))
 
 
-def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
+def _suite_lemma2(report: RunReport) -> None:
     instances = [(r, *node) for r in LEMMA2_RS for node in identities.lemma2_nodes(r)]
     params = (f"r in {LEMMA2_RS}, the nodes y-x = 0..2r at (d,x) = (1,1), "
               "by the span argument of lemma2_nodes")
@@ -176,7 +142,7 @@ def _suite_lemma2(report: RunReport, cfg: SweepConfig) -> None:
     }, decides=identities.LEMMA2_DECIDES.format(LEMMA2_RS))
 
 
-def _suite_decomp(report: RunReport, cfg: SweepConfig) -> None:
+def _suite_decomp(report: RunReport) -> None:
     instances = [(r, n, v[0], i, v[1:]) for r, n in DECOMP_RN
                  for v in identities.simplex_nodes(1 + n - r, identities.degree_bound(r, n))
                  for i in range(1, n - r)]
@@ -191,12 +157,12 @@ def _suite_decomp(report: RunReport, cfg: SweepConfig) -> None:
             functools.partial(identities.verify_decomp_q, memo={})})
 
 
-def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((m, c) for m in range(1, cfg.hyper_max_m + 1)
+def _suite_hyper(report: RunReport) -> None:
+    grid = ((m, c) for m in range(1, HYPER_MAX_M + 1)
             for c in identities.vandermonde_nodes(m))
-    _check(report, f"m <= {cfg.hyper_max_m}, the nodes c = 0..2m-1", grid,
+    _check(report, f"m <= {HYPER_MAX_M}, the nodes c = 0..2m-1", grid,
            {"hypergeometric sum (binomial form)": identities.verify_hyper},
-           decides=identities.VANDERMONDE_DECIDES.format(cfg.hyper_max_m))
+           decides=identities.VANDERMONDE_DECIDES.format(HYPER_MAX_M))
     middle = identities.hyper_middle_expression(2, 2)
     final = identities.hyper_final_expression(2, 2)
     report.add_result(
@@ -207,35 +173,35 @@ def _suite_hyper(report: RunReport, cfg: SweepConfig) -> None:
     )
 
 
-def _suite_qvand(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((m, c) for m in range(1, cfg.qvand_max_m + 1)
+def _suite_qvand(report: RunReport) -> None:
+    grid = ((m, c) for m in range(1, QVAND_MAX_M + 1)
             for c in identities.vandermonde_nodes(m))
-    _check(report, f"m <= {cfg.qvand_max_m}, the nodes c = 0..2m-1", grid,
+    _check(report, f"m <= {QVAND_MAX_M}, the nodes c = 0..2m-1", grid,
            {"q-Vandermonde sum": identities.verify_qvand},
-           decides=identities.VANDERMONDE_DECIDES.format(cfg.qvand_max_m))
+           decides=identities.VANDERMONDE_DECIDES.format(QVAND_MAX_M))
 
 
-def _suite_qpoch(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((n, y) for n in range(cfg.qpoch_max_n + 1) for y in identities.qpoch_nodes(n))
-    _check(report, f"n <= {cfg.qpoch_max_n}, the nodes y = -1..n", grid,
+def _suite_qpoch(report: RunReport) -> None:
+    grid = ((n, y) for n in range(QPOCH_MAX_N + 1) for y in identities.qpoch_nodes(n))
+    _check(report, f"n <= {QPOCH_MAX_N}, the nodes y = -1..n", grid,
            {"q-Pochhammer telescoping sum": identities.verify_qpoch_sum},
-           decides=identities.QPOCH_DECIDES.format(cfg.qpoch_max_n))
+           decides=identities.QPOCH_DECIDES.format(QPOCH_MAX_N))
 
 
-def _suite_zeros(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((n, c) for n in range(2, cfg.zeros_max_n + 1) for c in range(cfg.zeros_max_c + 1))
-    params = f"2 <= n <= {cfg.zeros_max_n}, c <= {cfg.zeros_max_c}"
+def _suite_zeros(report: RunReport) -> None:
+    grid = ((n, c) for n in range(2, ZEROS_MAX_N + 1) for c in range(ZEROS_MAX_C + 1))
+    params = f"2 <= n <= {ZEROS_MAX_N}, c <= {ZEROS_MAX_C}"
     _check(report, params, grid,
            {"zero structure and degree bound": identities.verify_zeros})
 
 
-def _suite_extra(report: RunReport, cfg: SweepConfig) -> None:
-    grid = ((n, c) for n in range(2, cfg.extra_max_n + 1) for c in identities.extra_nodes(n))
-    params = f"2 <= n <= {cfg.extra_max_n}, the nodes c = 0..(n-1)(n+2)/2, by the degree lemma"
+def _suite_extra(report: RunReport) -> None:
+    grid = ((n, c) for n in range(2, EXTRA_MAX_N + 1) for c in identities.extra_nodes(n))
+    params = f"2 <= n <= {EXTRA_MAX_N}, the nodes c = 0..(n-1)(n+2)/2, by the degree lemma"
     _check(report, params, grid, {
         "boundary recursion (plain)": functools.partial(identities.verify_extra, memo={}),
         "boundary recursion (q)": functools.partial(identities.verify_extra_q, memo={}),
-    }, decides=identities.EXTRA_DECIDES.format(cfg.extra_max_n))
+    }, decides=identities.EXTRA_DECIDES.format(EXTRA_MAX_N))
 
 
 def _partitions_in_box(max_rows: int, max_part: int):
@@ -244,38 +210,28 @@ def _partitions_in_box(max_rows: int, max_part: int):
         itertools.combinations_with_replacement(parts, rows) for rows in range(max_rows + 1)))
 
 
-def _suite_ssyt(report: RunReport, cfg: SweepConfig) -> None:
+def _suite_ssyt(report: RunReport) -> None:
     # a shape with more than k rows has no tableau, so k bounds the rows too
-    shapes = _partitions_in_box(cfg.ssyt_max_k, cfg.ssyt_max_part)
-    instances = [(shape, k) for shape in shapes for k in range(1, cfg.ssyt_max_k + 1)
+    shapes = _partitions_in_box(SSYT_MAX_K, SSYT_MAX_PART)
+    instances = [(shape, k) for shape in shapes for k in range(1, SSYT_MAX_K + 1)
                  if len(shape) <= k]
-    bounds = f"parts <= {cfg.ssyt_max_part}, k <= {cfg.ssyt_max_k}"
-
-    memo = {}  # tableau counts
-
-    def product_matches(shape, k):
-        return closedforms.ssyt_product(shape, k) == tableaux.ssyt_count(shape, k, memo)
-
-    def shifted_matches(shape, k):
-        # f_ext counts the shape less its full columns: with fewer than k
-        # rows that is the shape itself, and the check would read one count
-        lam = tuple(shape[t] - t - 1 for t in range(k))
-        return tableaux.f_ext(lam, memo) == tableaux.ssyt_count(shape, k, memo)
-
-    _check(report, f"shapes with <= {cfg.ssyt_max_k} {bounds}", instances,
-           {"tableau count product formula": product_matches})
+    bounds = f"parts <= {SSYT_MAX_PART}, k <= {SSYT_MAX_K}"
+    memo = {}  # tableau counts and extension values
+    _check(report, f"shapes with <= {SSYT_MAX_K} {bounds}", instances,
+           {"tableau count product formula":
+            functools.partial(tableaux.verify_ssyt_product, memo=memo)})
     _check(report, f"shapes with exactly k {bounds}",
            [(shape, k) for shape, k in instances if len(shape) == k],
-           {"tableau count via alternating extension": shifted_matches})
+           {"tableau count via alternating extension":
+            functools.partial(tableaux.verify_ssyt_extension, memo=memo)})
 
 
-def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
-    max_k = cfg.tableaux_max_k
-    nodes = [node for k in range(1, max_k + 1) for node in tableaux.part_nodes(k)]
+def _suite_tableaux(report: RunReport) -> None:
+    nodes = [node for k in range(1, TABLEAUX_MAX_K + 1) for node in tableaux.part_nodes(k)]
     three = tableaux.part_nodes(3)
     memo = {}  # tableau counts and extension values
     rec_memo = {}  # recursion values
-    _check(report, f"every ordering of part_nodes(k), k <= {max_k}",
+    _check(report, f"every ordering of part_nodes(k), k <= {TABLEAUX_MAX_K}",
            [(lam,) for node in nodes for lam in itertools.permutations(node)],
            {"extension recursion agreement": functools.partial(
                tableaux.verify_recursion_agreement, memo=memo, rec_memo=rec_memo)})
@@ -287,16 +243,16 @@ def _suite_tableaux(report: RunReport, cfg: SweepConfig) -> None:
         "alternating in the arguments": functools.partial(tableaux.verify_alternating, memo=memo),
         "sign-reversing involution sum":
             functools.partial(tableaux.verify_sign_involution, memo=memo)})
-    _check(report, f"part_nodes(k), k <= {max_k}, by induction on k", [(lam,) for lam in nodes],
+    _check(report, f"part_nodes(k), k <= {TABLEAUX_MAX_K}, by induction on k",
+           [(lam,) for lam in nodes],
            {"difference-product formula":
             functools.partial(tableaux.verify_part_formula, memo=rec_memo)},
-           decides=tableaux.PART_DECIDES.format(max_k))
+           decides=tableaux.PART_DECIDES.format(TABLEAUX_MAX_K))
 
 
-def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
-    max_n = cfg.asm_max_n
-    instances = ((n, k) for n in range(1, max_n + 1) for k in range(1, n + 1))
-    params = f"n <= {max_n}, 1 <= k <= n"
+def _suite_asm(report: RunReport) -> None:
+    instances = ((n, k) for n in range(1, ASM_MAX_N + 1) for k in range(1, n + 1))
+    params = f"n <= {ASM_MAX_N}, 1 <= k <= n"
     memo = {}  # triangle counts and row tables, shared by all three checks
 
     def count_matches(n, k):
@@ -308,14 +264,10 @@ def _suite_asm(report: RunReport, cfg: SweepConfig) -> None:
         total = sum(asm_mod.count_monotone_triangles(n, k, memo) for k in range(1, n + 1))
         return total == closedforms.asm_product(n)
 
-    _check(report, f"n <= {max_n}", ((n,) for n in range(1, max_n + 1)),
+    _check(report, f"n <= {ASM_MAX_N}", ((n,) for n in range(1, ASM_MAX_N + 1)),
            {"total counts": total_matches})
 
-    ratio_ns = range(2, max_n + 1)
-    if not ratio_ns:
-        raise EmptySweep("pattern-to-triangle ratio independence: no instances "
-                         f"for 2 <= n <= {max_n}")
-    for n in ratio_ns:
+    for n in range(2, ASM_MAX_N + 1):
         # one verdict per n, each on the ratio the result line reports
         ok, ratio = asm_mod.verify_ratio_independence(n, memo)
         _check(report, f"n={n}", [(n,)],
@@ -448,21 +400,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _apply_overrides(args.override or [])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    report = RunReport("verify", {"suite": args.suite, "seed": args.seed,
-                                  "overrides": sorted(args.override or [])})
+    report = RunReport("verify", {"suite": args.suite, "seed": args.seed})
     for name in names:
         results, verdicts = len(report.results), len(report.verdicts)
-        try:
-            SUITES[name](report, cfg)
-        except EmptySweep as exc:
-            print(f"error: suite {name}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        SUITES[name](report)
         for entry in report.results[results:] + report.verdicts[verdicts:]:
             entry["suite"] = name
     print(report.to_json())
@@ -511,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     p_verify.add_argument("--seed", type=int, default=42,
                           help="recorded in the report; no suite reads it")
-    p_verify.add_argument("--override", action="append", metavar="FIELD=VALUE",
-                          help="override a sweep bound (repeatable)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -100,16 +100,21 @@ def bender_knuth_gf(n: int, c: int) -> LaurentPolyQ:
     return q_poch_ratio(LaurentPolyQ.monomial(shift), num_pairs, den_pairs)
 
 
+def part_product(lam: Sequence[int]) -> Fraction:
+    """The tableau product formula P_k = prod_{1<=i<j<=k} (lam_i - lam_j) /
+    (j - i) at an integer vector of length k, each factor a pair (x, 1)."""
+    pairs = list(itertools.combinations(range(len(lam)), 2))
+    return _at_one(((lam[i] - lam[j], 1) for i, j in pairs), ((j - i, 1) for i, j in pairs))
+
+
 def ssyt_product(shape: Sequence[int], k: int) -> Fraction:
     """Number of semistandard tableaux of the given shape with entries in
-    {1..k}: prod_{1<=i<j<=k} (lam_i - lam_j + j - i) / (j - i), the shape
-    padded with zeros to k parts."""
+    {1..k}: part_product at lam_i - i, that is prod_{1<=i<j<=k}
+    (lam_i - lam_j + j - i) / (j - i), the shape padded with zeros to k
+    parts."""
     if k < 1:
         raise ValueError(f"entry bound must be positive, got {k}")
-    lam = Partition(tuple(shape)).padded(k)
-    pairs = list(itertools.combinations(range(k), 2))
-    return _at_one(((lam[i] - lam[j] + j - i, 1) for i, j in pairs),
-                   ((j - i, 1) for i, j in pairs))
+    return part_product([x - i for i, x in enumerate(Partition(tuple(shape)).padded(k))])
 
 
 def refined_asm(n: int, k: int) -> Fraction:

@@ -6,16 +6,18 @@ translation), evaluates it both by definition and by a merged recursion, and
 checks the quotient-of-differences product formula P_k against the
 recursion at part_nodes(k), which decides it at every integer vector by
 induction on k; the agreement, translation, alternation and sign-involution
-checks, one function each, run on those nodes' orderings.
+checks, one function each, run on those nodes' orderings.  The ssyt suite's
+two checks of the tableau count, against the product formula and against
+the extension, are functions here too.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Sequence
 
+from . import closedforms
 from .exact import chained_sum
 from .identities import simplex_nodes
 from .patterns import Partition
@@ -156,11 +158,26 @@ PART_DECIDES = "every integer vector, k <= {}, by induction on k"
 
 
 def verify_part_formula(lam: Sequence[int], memo: dict | None = None) -> bool:
-    """f_ext_recursive(lam) equals P_k = prod_{i<j} (lam_i - lam_j) / (j - i),
-    the denominator multiplied across; memo: the recursion's values."""
-    pairs = list(itertools.combinations(range(len(lam)), 2))
-    return (f_ext_recursive(lam, memo) * math.prod(j - i for i, j in pairs)
-            == math.prod(lam[i] - lam[j] for i, j in pairs))
+    """f_ext_recursive(lam) equals closedforms.part_product(lam), P_k =
+    prod_{i<j} (lam_i - lam_j) / (j - i); memo: the recursion's values."""
+    return f_ext_recursive(lam, memo) == closedforms.part_product(lam)
+
+
+def verify_ssyt_product(shape: Sequence[int], k: int, memo: dict | None = None) -> bool:
+    """closedforms.ssyt_product(shape, k) equals the tableau count
+    ssyt_count(shape, k); memo: the tableau counts."""
+    return closedforms.ssyt_product(shape, k) == ssyt_count(shape, k, {} if memo is None else memo)
+
+
+def verify_ssyt_extension(shape: Sequence[int], k: int, memo: dict | None = None) -> bool:
+    """f_ext at lam_t = shape_t - t - 1, t < k, equals the tableau count
+    ssyt_count(shape, k), for a shape of exactly k rows: f_ext counts the
+    shape less its full columns, which for a shape of fewer rows is the
+    shape itself, the one count the check would compare it with.  memo: the
+    tableau counts and extension values."""
+    memo = {} if memo is None else memo
+    lam = tuple(shape[t] - t - 1 for t in range(k))
+    return f_ext(lam, memo) == ssyt_count(shape, k, memo)
 
 
 def verify_recursion_agreement(lam: Sequence[int], memo: dict | None = None,

@@ -250,13 +250,45 @@ class TestVerify:
         failing = [v for v in report["verdicts"] if not v["pass"]]
         assert failing and "counterexample" in failing[0]
 
-    def test_override(self, capsys):
-        code, out = run_cli(
-            capsys, "verify", "--suite", "qvand", "--override", "qvand_max_m=2"
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert "m <= 2" in report["verdicts"][0]["parameters"]
+    @pytest.mark.parametrize("suite,constant,size,identity,parameters,instances", [
+        ("hyper", "HYPER_MAX_M", 2, "hypergeometric sum (binomial form)",
+         "m <= 2, the nodes c = 0..2m-1", 2 + 4),
+        ("qvand", "QVAND_MAX_M", 2, "q-Vandermonde sum", "m <= 2, the nodes c = 0..2m-1", 2 + 4),
+        ("qpoch", "QPOCH_MAX_N", 2, "q-Pochhammer telescoping sum",
+         "n <= 2, the nodes y = -1..n", 2 + 3 + 4),
+        ("zeros", "ZEROS_MAX_N", 3, "zero structure and degree bound",
+         "2 <= n <= 3, c <= 4", 2 * 5),
+        ("zeros", "ZEROS_MAX_C", 2, "zero structure and degree bound",
+         "2 <= n <= 4, c <= 2", 3 * 3),
+        ("extra", "EXTRA_MAX_N", 3, "boundary recursion (q)",
+         "2 <= n <= 3, the nodes c = 0..(n-1)(n+2)/2, by the degree lemma", 3 + 6),
+        # the shapes in a k x 2 box, k = 1..4
+        ("ssyt", "SSYT_MAX_PART", 2, "tableau count product formula",
+         "shapes with <= 4 parts <= 2, k <= 4", 3 + 6 + 10 + 15),
+        ("ssyt", "SSYT_MAX_K", 3, "tableau count via alternating extension",
+         "shapes with exactly k parts <= 4, k <= 3", 4 + 10 + 20),
+        ("tableaux", "TABLEAUX_MAX_K", 2, "difference-product formula",
+         "part_nodes(k), k <= 2, by induction on k", 1 + 2),
+        ("asm", "ASM_MAX_N", 3, "refined count formula", "n <= 3, 1 <= k <= n", 1 + 2 + 3),
+    ])
+    def test_parameters_follow_the_size_constant(self, capsys, monkeypatch, suite, constant,
+                                                 size, identity, parameters, instances):
+        # each size constant is read by its suite, and its verdict names the size it ran
+        monkeypatch.setattr(cli, constant, size)
+        code, out = run_cli(capsys, "verify", "--suite", suite)
+        assert code == cli.EXIT_OK
+        (verdict,) = [v for v in json.loads(out)["verdicts"] if v["identity"] == identity]
+        assert verdict["pass"]
+        assert (verdict["parameters"], verdict["instances"]) == (parameters, instances)
+
+    def test_override_is_not_an_option(self, capsys):
+        # every suite runs at fixed sizes: argparse refuses the old flag
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "qvand", "--override", "qvand_max_m=5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "unrecognized arguments: --override qvand_max_m=5" in captured.err
 
     def test_extra_checks_both_weights_on_one_grid(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "extra")
@@ -267,9 +299,34 @@ class TestVerify:
         assert plain["parameters"] == q["parameters"] == (
             "2 <= n <= 4, the nodes c = 0..(n-1)(n+2)/2, by the degree lemma")
 
-    def test_one_asm_bound_for_counts_and_ratios(self, capsys):
-        code, out = run_cli(capsys, "verify", "--suite", "asm",
-                            "--override", "asm_max_n=4")
+    def test_extra_suite_at_n_5(self, capsys, monkeypatch):
+        # the boundary recursion's nodes one n beyond the default, both weights
+        monkeypatch.setattr(cli, "EXTRA_MAX_N", 5)
+        code, out = run_cli(capsys, "verify", "--suite", "extra")
+        assert code == cli.EXIT_OK
+        verdicts = json.loads(out)["verdicts"]
+        assert [v["identity"] for v in verdicts] == [
+            "boundary recursion (plain)", "boundary recursion (q)"]
+        assert cli.identities.extra_nodes(5) == range(15)
+        assert all(v["pass"] and v["instances"] == 3 + 6 + 10 + 15 for v in verdicts)
+        assert {v["decides"] for v in verdicts} == {
+            cli.identities.EXTRA_DECIDES.format(5)}
+
+    def test_tableaux_suite_at_k_4(self, capsys, monkeypatch):
+        # the product formula's induction one k beyond the default
+        monkeypatch.setattr(cli, "TABLEAUX_MAX_K", 4)
+        code, out = run_cli(capsys, "verify", "--suite", "tableaux")
+        assert code == cli.EXIT_OK
+        verdicts = {v["identity"]: v for v in json.loads(out)["verdicts"]}
+        assert all(v["pass"] for v in verdicts.values())
+        formula = verdicts["difference-product formula"]
+        assert formula["instances"] == 1 + 2 + 10 + 84
+        assert formula["decides"] == cli.tableaux.PART_DECIDES.format(4)
+        assert verdicts["extension recursion agreement"]["instances"] == 2081
+
+    def test_one_asm_bound_for_counts_and_ratios(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ASM_MAX_N", 4)
+        code, out = run_cli(capsys, "verify", "--suite", "asm")
         assert code == 0
         params = {}
         for v in json.loads(out)["verdicts"]:
@@ -281,7 +338,7 @@ class TestVerify:
         }
 
     def test_ssyt_rows_follow_max_k(self, monkeypatch):
-        # a shape with more than k rows has no tableau, so ssyt_max_k bounds
+        # a shape with more than k rows has no tableau, so SSYT_MAX_K bounds
         # the rows of every shape the suite checks
         checked = []
         product = cli.closedforms.ssyt_product
@@ -291,8 +348,9 @@ class TestVerify:
             return product(shape, k)
 
         monkeypatch.setattr(cli.closedforms, "ssyt_product", recording_product)
+        monkeypatch.setattr(cli, "SSYT_MAX_K", 3)
         report = cli.RunReport("ssyt", {})
-        cli._suite_ssyt(report, cli.SweepConfig()._replace(ssyt_max_k=3))
+        cli._suite_ssyt(report)
         assert all(v["pass"] for v in report.verdicts)
         assert {v["identity"]: v["parameters"] for v in report.verdicts} == {
             "tableau count product formula": "shapes with <= 3 parts <= 4, k <= 3",
@@ -321,87 +379,20 @@ class TestVerify:
 
         monkeypatch.setattr(cli.tableaux, "f_ext", recording)
         report = cli.RunReport("ssyt", {})
-        cli._suite_ssyt(report, cli.SweepConfig())
+        cli._suite_ssyt(report)
         assert report.all_passed
         assert len(calls) == 69
         assert all(lam[-1] > -len(lam) for lam in calls)
 
-    def test_bad_override_exit_two(self, capsys):
-        for override, message in [
-            ("nonsense=1", "unknown override"),
-            ("seed=7", "unknown override"),  # no suite reads a seed
-            ("extra_max_n=x", "'extra_max_n=x': the value must be an integer"),
-            ("extra_max_n=", "'extra_max_n=': the value must be an integer"),
-            # bounds that another field already sets
-            ("extra_q_max_c=3", "unknown override"),
-            ("ssyt_max_rows=4", "unknown override"),
-            ("asm_count_max_n=4", "unknown override"),
-            ("asm_ratio_max_n=5", "unknown override"),
-            # the single sums are decided at their nodes, with no c or y bound
-            ("hyper_max_c=6", "unknown override"),
-            ("qvand_max_c=5", "unknown override"),
-            ("qpoch_ylo=-3", "unknown override"),
-            ("qpoch_yhi=5", "unknown override"),
-            # lemma 2, the decomposition and the boundary recursion are
-            # decided at nodes that their degree sizes
-            ("lemma2_d=2", "unknown override"),
-            ("lemma2_xy=3", "unknown override"),
-            ("decomp_c=2", "unknown override"),
-            ("decomp_klo=-2", "unknown override"),
-            ("decomp_khi=4", "unknown override"),
-            ("extra_max_c=4", "unknown override"),
-            # the tableau product formula is decided at part_nodes, with no box
-            ("tableaux_lo=-2", "unknown override"),
-            ("tableaux_hi=3", "unknown override"),
-        ]:
-            code = cli.main(["verify", "--suite", "qvand", "--override", override])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert message in captured.err
-            assert "invalid literal" not in captured.err
-
-    @pytest.mark.parametrize("override", [
-        "extra_max_n=-1",
-        "zeros_max_c=-1",
-        "hyper_max_m=-1",
-        "qpoch_max_n=-1",
-        "tableaux_max_k=-1",
-        "ssyt_max_k=-1",
-        "asm_max_n=-1",
-    ])
-    def test_bad_override_value_exit_two(self, capsys, override):
-        suite = override.split("_")[0]
-        code = cli.main(["verify", "--suite", suite, "--override", override])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_USAGE
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize("overrides", [("qvand_max_m=2", "qvand_max_m=4"),
-                                           ("qvand_max_m=4", "qvand_max_m=2"),
-                                           ("qvand_max_m=3", "qvand_max_m=3")])
-    def test_a_field_given_twice_exit_two(self, capsys, overrides):
-        # the report records the overrides sorted, so it could not say which
-        # of two values ran
-        argv = ["verify", "--suite", "qvand"]
-        for override in overrides:
-            argv += ["--override", override]
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_USAGE
-        assert captured.out == ""
-        assert "qvand_max_m is given twice" in captured.err
-
-    def test_tableaux_parameters_do_not_follow_max_k(self):
-        # these checks sweep the nodes of k = 3 whatever tableaux_max_k is
+    def test_tableaux_parameters_do_not_follow_max_k(self, monkeypatch):
+        # these checks sweep the nodes of k = 3 whatever TABLEAUX_MAX_K is
         names = ("translation invariance", "alternating in the arguments",
                  "sign-reversing involution sum")
         params = []
         for max_k in (1, 3):
+            monkeypatch.setattr(cli, "TABLEAUX_MAX_K", max_k)
             report = cli.RunReport("tableaux", {})
-            cli._suite_tableaux(report, cli.SweepConfig()._replace(tableaux_max_k=max_k))
+            cli._suite_tableaux(report)
             params.append({v["identity"]: v["parameters"]
                            for v in report.verdicts if v["identity"] in names})
         assert params[0] == params[1]
@@ -500,19 +491,19 @@ class TestVerify:
             cli.main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("suite,override", [
-        ("zeros", "zeros_max_n=-5"),
-        ("zeros", "zeros_max_c=-1"),
-        ("ssyt", "ssyt_max_part=0"),  # no shape has exactly k >= 1 rows
-        ("asm", "asm_max_n=1"),
-        ("asm", "asm_max_n=0"),
+    @pytest.mark.parametrize("suite,constant,size", [
+        ("zeros", "ZEROS_MAX_N", 1),
+        ("zeros", "ZEROS_MAX_C", -1),
+        ("ssyt", "SSYT_MAX_PART", 0),  # no shape has exactly k >= 1 rows
+        ("asm", "ASM_MAX_N", 0),
     ])
-    def test_empty_sweep_exit_two(self, capsys, suite, override):
-        code = cli.main(["verify", "--suite", suite, "--override", override])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_USAGE
-        assert captured.out == ""
-        assert "no instances" in captured.err
+    def test_empty_sweep_raises(self, capsys, monkeypatch, suite, constant, size):
+        # a size that leaves no instance fails the run before any report is
+        # written, so no verdict passes vacuously
+        monkeypatch.setattr(cli, constant, size)
+        with pytest.raises(cli.EmptySweep, match="no instances"):
+            cli.main(["verify", "--suite", suite])
+        assert capsys.readouterr().out == ""
 
     def test_all_suites_match_golden_report(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "all", "--seed", "42")
@@ -569,6 +560,14 @@ class TestCheck:
         ("qpoch", [14]),
         # the nodes c = 0..(n-1)(n+2)/2 per 2 <= n <= 4: 3 + 6 + 10
         ("extra", [19, 19]),
+        # shapes with parts <= 4 and <= k rows per k <= 4: 5 + 15 + 35 + 70,
+        # and those with exactly k rows: 4 + 10 + 20 + 35
+        ("ssyt", [125, 69]),
+        # the orderings of part_nodes(k), k <= 3; those of part_nodes(3) at 3
+        # shifts; part_nodes(3) twice; part_nodes(k), k <= 3: 1 + 2 + 10
+        ("tableaux", [65, 180, 10, 10, 13]),
+        # (n, k) with 1 <= k <= n <= 5; n <= 5; one ratio per 2 <= n <= 5
+        ("asm", [15, 5, 1, 1, 1, 1]),
     ])
     def test_instances_are_the_sweep_sizes(self, suite, sizes, capsys):
         assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
@@ -608,7 +607,7 @@ class TestCheck:
 
         monkeypatch.setattr(cli.identities, "verify_lemma_fund_all", fake)
         report = cli.RunReport("fund", {})
-        cli._suite_fund(report, cli.SweepConfig())
+        cli._suite_fund(report)
         (verdict,) = report.verdicts
         assert not verdict["pass"]
         m, i, sample = ast.literal_eval(verdict["counterexample"])
@@ -623,7 +622,7 @@ class TestCheck:
         monkeypatch.setattr(cli.identities, "hyper_middle_expression",
                             lambda m, c: middle(m, c) + (m >= 3))
         report = cli.RunReport("hyper", {})
-        cli._suite_hyper(report, cli.SweepConfig())
+        cli._suite_hyper(report)
         (verdict,) = report.verdicts
         assert not verdict["pass"]
         m, c = ast.literal_eval(verdict["counterexample"])
@@ -654,7 +653,7 @@ class TestCheck:
                   "difference-product formula": "verify_part_formula"}
         monkeypatch.setattr(cli.tableaux, name, slip(getattr(cli.tableaux, name)))
         report = cli.RunReport("tableaux", {})
-        cli._suite_tableaux(report, cli.SweepConfig())
+        cli._suite_tableaux(report)
         assert [v["identity"] for v in report.verdicts] == list(checks)
         (verdict,) = [v for v in report.verdicts if v["identity"] == identity]
         assert not verdict["pass"]
@@ -664,15 +663,40 @@ class TestCheck:
         monkeypatch.undo()
         assert check(*inst)
 
+    @pytest.mark.parametrize("identity,module,name,slip", [
+        ("tableau count product formula", "closedforms", "ssyt_product",
+         lambda real: lambda shape, k: real(shape, k) + (k == 3)),
+        ("tableau count via alternating extension", "tableaux", "f_ext",
+         lambda real: lambda lam, memo=None: real(lam, memo) + (len(lam) == 3)),
+    ])
+    def test_ssyt_counterexample_replays(self, identity, module, name, slip, monkeypatch):
+        # each ssyt verdict's counterexample replays through its tableaux
+        # function, and a slip in one check fails that verdict alone
+        checks = {"tableau count product formula": "verify_ssyt_product",
+                  "tableau count via alternating extension": "verify_ssyt_extension"}
+        owner = getattr(cli, module)
+        monkeypatch.setattr(owner, name, slip(getattr(owner, name)))
+        report = cli.RunReport("ssyt", {})
+        cli._suite_ssyt(report)
+        assert [v["identity"] for v in report.verdicts] == list(checks)
+        assert [v["identity"] for v in report.verdicts if not v["pass"]] == [identity]
+        (verdict,) = [v for v in report.verdicts if v["identity"] == identity]
+        check = getattr(cli.tableaux, checks[identity])
+        inst = ast.literal_eval(verdict["counterexample"])
+        assert inst[1] == 3 and not check(*inst)
+        monkeypatch.undo()
+        assert check(*inst)
 
-def test_readme_counts_and_names_the_sweep_fields():
-    # the paragraph that counts SweepConfig's fields names no other override
+
+def test_readme_names_the_size_constants():
+    # the sentence on the suites' sizes names every size constant of cli,
+    # and no name that cli lacks
     text = (ROOT / "README.md").read_text()
-    (paragraph,) = [p for p in text.split("\n\n") if "`cli.SweepConfig` lists the" in p]
-    (count,) = re.findall(r"lists the (\d+) fields", paragraph)
-    assert int(count) == len(cli.SweepConfig._fields)
-    names = re.findall(r"`([a-z][a-z0-9]*_[a-z0-9_]*)(?:=[^`]*)?`", paragraph)
-    assert names and set(names) <= set(cli.SweepConfig._fields)
+    (paragraph,) = [p for p in text.split("\n\n") if "run at the fixed sizes" in p]
+    names = set(re.findall(r"`([A-Z][A-Z0-9]*_[A-Z0-9_]+)`", paragraph))
+    sizes = {name for name, value in vars(cli).items()
+             if name.isupper() and not name.startswith("EXIT_") and name != "SUITES"}
+    assert names == sizes and "ASM_MAX_N" in sizes
 
 
 def test_readme_cli_examples_exit_zero(capsys):

@@ -11,8 +11,6 @@ import ast
 import importlib
 from pathlib import Path
 
-from gtkit.cli import SweepConfig
-
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtkit"
 
@@ -137,15 +135,6 @@ def test_reference_definitions_are_exported_and_unused():
     # an entry that the package or the benchmark starts to use, or that is
     # no longer exported, leaves this list
     assert set(REFERENCE_DEFINITIONS) <= _unused_exports()
-
-
-def test_every_sweep_field_is_read_by_the_cli():
-    # an override that no suite reads, or one half renamed, changes nothing
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    read = {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
-    assert set(SweepConfig._fields) <= read
 
 
 def test_every_method_is_read():

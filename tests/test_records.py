@@ -1,7 +1,7 @@
 """The package's records: named tuples built without generated code.
 
 Importing ``gtkit`` and ``gtkit.cli`` loads neither ``dataclasses`` nor
-``inspect``.  The seven immutable records refuse assignment, hash equal
+``inspect``.  The six immutable records refuse assignment, hash equal
 values alike and keep the ``Name(field=value, ...)`` repr; ``RunReport``,
 which collects a command's results and verdicts, keeps that repr too.
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gtkit.cli import RunReport, SweepConfig
+from gtkit.cli import RunReport
 from gtkit.counting import CountResult, TopRowKey
 from gtkit.exact import LaurentPolyQ
 from gtkit.identities import IntFunction
@@ -36,10 +36,6 @@ RECORDS = {
                    "GenPattern(r=1, n=2, c=2, rows=((0, 1, 2), (0, 1, 1, 2)))"),
     "IntFunction": (lambda: IntFunction(1, abs), "arity",
                     "IntFunction(arity=1, fn=<built-in function abs>)"),
-    "SweepConfig": (lambda: SweepConfig(hyper_max_m=7), "hyper_max_m",
-                    "SweepConfig(hyper_max_m=7, qvand_max_m=3, qpoch_max_n=3, zeros_max_n=4, "
-                    "zeros_max_c=4, extra_max_n=4, ssyt_max_part=4, ssyt_max_k=4, "
-                    "tableaux_max_k=3, asm_max_n=5)"),
 }
 
 #: each record that validates in __new__: a valid record, a valid change, a

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtkit import cli, tableaux
+from gtkit import cli, closedforms, tableaux
 from gtkit.closedforms import ssyt_product
 from gtkit.patterns import ShapeViolation
 from gtkit.tableaux import (
@@ -333,14 +333,21 @@ def _mutant(func, old, new):
     return namespace[func.__name__]
 
 
-#: slips in the recursion and in the product formula's check, by what they
-#: change: (the function, its old text, its new text)
+#: slips in the recursion and in the product formula P_k, by what they
+#: change: (the module, its function, the function's old text, its new text)
 PART_SLIPS = {
-    "the denominator j-i+1": ("verify_part_formula", "j - i for", "j - i + 1 for"),
-    "the recursion's lower bound lam_k": ("f_ext_recursive", "(last + 1, top)", "(last, top)"),
-    "the sort without its sign": ("f_ext_recursive", "sign * f_ext_recursive(ordered",
-                                  "f_ext_recursive(ordered"),
+    "the denominator j-i+1": (closedforms, "part_product", "(j - i, 1) for",
+                              "(j - i + 1, 1) for"),
+    "the recursion's lower bound lam_k": (tableaux, "f_ext_recursive", "(last + 1, top)",
+                                          "(last, top)"),
+    "the sort without its sign": (tableaux, "f_ext_recursive",
+                                  "sign * f_ext_recursive(ordered", "f_ext_recursive(ordered"),
 }
+
+
+def _plant(monkeypatch, slip):
+    module, name, old, new = PART_SLIPS[slip]
+    monkeypatch.setattr(module, name, _mutant(getattr(module, name), old, new))
 
 
 class TestPartNodes:
@@ -377,22 +384,21 @@ class TestPartNodes:
 
     @pytest.mark.parametrize("slip", PART_SLIPS)
     def test_the_nodes_fail_a_slip_exactly_when_the_old_box_does(self, slip, monkeypatch):
-        name, old, new = PART_SLIPS[slip]
-        monkeypatch.setattr(tableaux, name, _mutant(getattr(tableaux, name), old, new))
+        _plant(monkeypatch, slip)
         nodes = [lam for k in (1, 2, 3) for lam in part_nodes(k)]
         box = [lam for k in (1, 2, 3) for lam in itertools.product(range(-2, 4), repeat=k)]
         check = tableaux.verify_part_formula
         assert all(map(check, nodes)) == all(map(check, box)) is False
 
     def test_the_denominator_slip_fails_12_of_13_nodes(self, monkeypatch):
-        monkeypatch.setattr(tableaux, "verify_part_formula", _mutant(
-            verify_part_formula, *PART_SLIPS["the denominator j-i+1"][1:]))
+        _plant(monkeypatch, "the denominator j-i+1")
         nodes = [lam for k in (1, 2, 3) for lam in part_nodes(k)]
-        assert sum(not tableaux.verify_part_formula(lam) for lam in nodes) == 12
+        assert sum(not verify_part_formula(lam) for lam in nodes) == 12
+        # the tableau count's product formula reads the same P_k
+        assert not tableaux.verify_ssyt_product((2, 1), 2)
 
     def test_the_bound_slip_fails_every_node_above_k_1(self, monkeypatch):
-        monkeypatch.setattr(tableaux, "f_ext_recursive", _mutant(
-            f_ext_recursive, *PART_SLIPS["the recursion's lower bound lam_k"][1:]))
+        _plant(monkeypatch, "the recursion's lower bound lam_k")
         failed = [sum(not verify_part_formula(lam) for lam in part_nodes(k)) for k in (2, 3, 4)]
         assert failed == [2, 10, 84]
 
